@@ -39,6 +39,7 @@ from .terms import (
     render,
     term_height,
     term_vars,
+    terms_upto,
 )
 
 
@@ -143,6 +144,16 @@ def stratified_partition(X: Presheaf, k: int) -> list[dict[str, int]]:
     return history
 
 
+def require_fuel(fuel: int, k: int) -> None:
+    """Refuse a stratum-k question on a fragment explored with fuel < k.
+
+    Frontier states look deadlocked, so a shallower fragment can make
+    distinct roots look k-equivalent.
+    """
+    if fuel < k:
+        raise FuelTooSmall(f"fuel {fuel} < stratum {k}")
+
+
 def k_bisimilar(X: Presheaf, x: str, y: str, k: int) -> bool:
     """Stratified approximation: refine k times and compare blocks."""
     if x not in X.state_set():
@@ -236,20 +247,7 @@ def enumerate_contexts(spec, max_height: int) -> list[Term]:
     Non-hole leaves are the 0-ary operations; every operation of the
     signature may appear.  Heights count as for terms, the hole counting 0.
     """
-    closed: list[list[Term]] = [[]]
-    for h in range(1, max_height + 1):
-        level = []
-        below = [t for lvl in closed for t in lvl]
-        for op, arity in spec.signature.operations:
-            if arity == 0:
-                if h == 1:
-                    level.append(App(op, ()))
-                continue
-            for combo in product(below, repeat=arity):
-                if 1 + max(term_height(t) for t in combo) == h:
-                    level.append(App(op, combo))
-        closed.append(level)
-    closed_terms = [t for lvl in closed for t in lvl]
+    closed_terms = terms_upto(spec, (), max_height)
 
     ctxs: list[list[Term]] = [[Var(HOLE)]]
     for h in range(1, max_height + 1):
@@ -296,8 +294,7 @@ def congruence_test(
     composites and compares them at stratum k.  The report lists each case;
     violations are the cases where the composites are not k-equivalent.
     """
-    if fuel < k:
-        raise FuelTooSmall(f"fuel {fuel} < stratum {k}")
+    require_fuel(fuel, k)
     for c in contexts:
         if count_holes(c) != 1:
             raise UnknownState(f"context {render(c)} must have exactly one hole")

@@ -15,8 +15,8 @@ or decreases, so a single bound threads through the whole pipeline.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     IncompatiblePair,
@@ -28,12 +28,10 @@ from .familial import (
     ArityPresheaf,
     Decomposition,
     Element,
-    _group_sources,
-    _rename,
-    _src_over_one,
     arity_label,
     arity_star,
     decompose,
+    generic_edges,
     recompose,
     strip,
 )
@@ -50,6 +48,7 @@ from .presheaf import (
     is_functional_bisimulation,
     make_presheaf,
     morphism,
+    presheaf_to_json,
     pullback_report,
     representable,
     source_inclusion,
@@ -62,13 +61,14 @@ from .terms import (
     Proof,
     Term,
     Var,
+    eta,
     map_leaves,
     mu,
-    occurrences,
     parse_proof,
     parse_term,
     proof_label,
     proof_source,
+    random_presheaf,
     render,
     to_terminal,
     truncated_free,
@@ -117,9 +117,6 @@ class CellCertificate:
     claimed_composite: PresheafMorphism
 
     def to_dict(self) -> dict:
-        from .presheaf import presheaf_to_json
-        import json
-
         return {
             "base": json.loads(presheaf_to_json(self.base.carrier)),
             "steps": [s.to_dict() for s in self.steps],
@@ -131,32 +128,10 @@ def cell_certificate(labels: LabelSet, r: Element) -> CellCertificate:
     """Attachment sequence witnessing the source arity morphism of a shape."""
     if r.is_term():
         raise IncompatiblePair("certificates are for proof shapes")
-    base = arity_star(labels, Element(STAR, _src_over_one(r.value)))
+    base = arity_star(labels, Element(STAR, proof_source(terminal(labels), r.value)))
     _, src_mor = arity_label(labels, r)
-    return CellCertificate(base, tuple(_steps(r.value)), src_mor)
-
-
-def _steps(p: Proof) -> list[AttachStep]:
-    if isinstance(p, Axiom):
-        return [AttachStep(p.label, "occ0", "e", "t")]
-    out: list[AttachStep] = []
-    sources = _group_sources(p)
-    offset = 0
-    for i, arg in enumerate(p.args):
-        n_i = occurrences(sources[i])[0]
-        if isinstance(arg, tuple):
-            for j, prem in enumerate(arg):
-                for st in _steps(prem):
-                    out.append(
-                        AttachStep(
-                            st.label,
-                            _rename(i, j, offset, st.at),
-                            _rename(i, j, offset, st.edge),
-                            _rename(i, j, offset, st.tgt),
-                        )
-                    )
-        offset += n_i
-    return out
+    steps = tuple(AttachStep(*edge) for edge in generic_edges(r))
+    return CellCertificate(base, steps, src_mor)
 
 
 def replay_certificate(cert: CellCertificate) -> tuple[Presheaf, PresheafMorphism]:
@@ -195,8 +170,6 @@ def replay_certificate(cert: CellCertificate) -> tuple[Presheaf, PresheafMorphis
 
 
 def _rename_cells(P: Presheaf, state_name, edge_name) -> Presheaf:
-    from .presheaf import make_presheaf
-
     return make_presheaf(
         P.labels,
         tuple(state_name[x] for x in P.states),
@@ -263,7 +236,6 @@ def preserve_bisim_lift(
     f: PresheafMorphism,
     M: Term,
     R: Proof,
-    d: Optional[int] = None,
 ) -> Proof:
     """Preimage of a transition along a functional bisimulation.
 
@@ -278,7 +250,7 @@ def preserve_bisim_lift(
         raise NonCommutingSquare("source of the transition is not the image of the term")
     dec_m = decompose(X, M)
     dec_r = decompose(Y, R)
-    if strip(M).value != _src_over_one(dec_r.shape.value):
+    if strip(M).value != proof_source(terminal(X.labels), dec_r.shape.value):
         raise NonCommutingSquare("shapes disagree after stripping")
     cert = cell_certificate(X.labels, dec_r.shape)
     k = lift_against(cert, f, dec_m.filler, dec_r.filler)
@@ -286,8 +258,6 @@ def preserve_bisim_lift(
     fr0 = map_leaves(r0, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
     if fr0 != R or proof_source(X, r0) != M:
         raise NonCommutingSquare("recomposed preimage fails a postcondition")
-    if d is not None and proof_label(r0) != proof_label(R):  # pragma: no cover
-        raise NonCommutingSquare("label mismatch")
     return r0
 
 
@@ -358,8 +328,6 @@ def check_mu_cartesian(spec, X: Presheaf, d: int) -> dict:
 
 def check_eta_cartesian(spec, X: Presheaf, d: int) -> dict:
     """Is the unit naturality square over 1 a pointwise pullback?"""
-    from .terms import eta
-
     one = terminal(X.labels)
     T_X = truncated_free(spec, X, d)[0]
     T_1 = truncated_free(spec, one, d)[0]
@@ -454,8 +422,6 @@ def random_functional_bisim(
     Each base state gets one or more copies; every base edge out of a state
     acquires at least one preimage from each copy of its source.
     """
-    from .terms import random_presheaf
-
     Y = random_presheaf(rng, labels, max_states=max_base_states, max_edges=4)
     copies = {y: rng.randint(1, max_copies) for y in Y.states}
     states = tuple(f"{y}.{i}" for y in Y.states for i in range(copies[y]))

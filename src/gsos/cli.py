@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+from importlib import resources
 from pathlib import Path
 
 from . import bisim as bisim_mod
@@ -25,9 +26,17 @@ from .cellular import (
     verify_certificate,
 )
 from .errors import GsosError, SpecParseError
-from .familial import decompose, is_generic, random_collapse, strip
+from .familial import (
+    arity_label,
+    arity_tgt_morphism,
+    decompose,
+    is_generic,
+    random_collapse,
+    strip,
+)
 from .presheaf import (
     Presheaf,
+    compose,
     morphism_from_json,
     presheaf_from_json,
     presheaf_to_dot,
@@ -45,6 +54,7 @@ from .terms import (
     presheaf_axioms,
     proof_depth,
     proof_source,
+    proof_target,
     random_layer_element,
     random_presheaf,
     random_term,
@@ -108,8 +118,8 @@ def cmd_bisim(args) -> int:
     spec = _load_spec(args.spec)
     t1 = parse_term(spec, None, args.t1)
     t2 = parse_term(spec, None, args.t2)
+    bisim_mod.require_fuel(args.fuel, args.stratum)
     frag = bisim_mod.reachable_fragment(spec, [t1, t2], args.fuel)
-    answer = bisim_mod.k_bisimilar(frag.carrier, render(t1), render(t2), args.stratum)
     part = bisim_mod.stratified_partition(frag.carrier, args.stratum)[args.stratum]
     blocks: dict[int, list[str]] = {}
     for x, b in part.items():
@@ -120,7 +130,7 @@ def cmd_bisim(args) -> int:
             "t2": render(t2),
             "k": args.stratum,
             "fuel": args.fuel,
-            "bisimilar": answer,
+            "bisimilar": part[render(t1)] == part[render(t2)],
             "definitive": frag.definitive,
             "states": len(frag.carrier.states),
             "blocks": sorted(sorted(b) for b in blocks.values()),
@@ -241,19 +251,13 @@ def _suite_familial(spec, seed, cases, d, k, mutate):
         dec2 = decompose(B, moved)
         if dec2.shape != dec.shape:
             failures.append(f"case {case}: shape not natural in the ambient system")
-        from .presheaf import compose
-
         if dec2.filler != compose(u, dec.filler):
             failures.append(f"case {case}: filler not natural in the ambient system")
         if kind == "proof":
-            from .familial import arity_label, arity_tgt_morphism
-
             _, src_mor = arity_label(spec.labels, dec.shape)
             src_dec = decompose(X, proof_source(X, elem))
             if src_dec.filler != compose(dec.filler, src_mor):
                 failures.append(f"case {case}: source filler not natural in the base")
-            from .terms import proof_target
-
             tgt_mor = arity_tgt_morphism(spec.labels, dec.shape)
             tgt_dec = decompose(X, proof_target(X, elem))
             if tgt_dec.filler != compose(dec.filler, tgt_mor):
@@ -264,8 +268,6 @@ def _suite_familial(spec, seed, cases, d, k, mutate):
 def _suite_cellular(spec, seed, cases, d, k, mutate):
     failures = []
     one = terminal(spec.labels)
-    from .familial import arity_label
-
     for case in range(cases):
         rng = random.Random(seed + case)
         try:
@@ -301,15 +303,13 @@ def _suite_preserve(spec, seed, cases, d, k, mutate):
         ]
         for R in problems:
             try:
-                preserve_bisim_lift(spec, f, M, R, d)
+                preserve_bisim_lift(spec, f, M, R)
             except GsosError as exc:
                 failures.append(f"case {case}: {exc} on {render(R)}")
     return {"seed": seed, "cases": cases, "failures": failures, "ok": not failures}
 
 
 def _suite_congruence(spec, seed, cases, d, k, mutate):
-    from importlib import resources
-
     pairs_text = (resources.files("gsos") / "specs" / "ccs_pairs.json").read_text()
     pairs = [
         (parse_term(spec, None, u), parse_term(spec, None, v))
@@ -424,7 +424,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if "GSOS_SEED" in os.environ and hasattr(args, "seed"):
-        args.seed = int(os.environ["GSOS_SEED"])
+        try:
+            args.seed = int(os.environ["GSOS_SEED"])
+        except ValueError:
+            message = f"GSOS_SEED must be an integer, not {os.environ['GSOS_SEED']!r}"
+            sys.stderr.write(
+                json.dumps({"kind": "UsageError", "message": message}, sort_keys=True) + "\n"
+            )
+            return 2
     try:
         return args.func(args)
     except SpecParseError as exc:

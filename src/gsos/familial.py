@@ -8,19 +8,24 @@ by structural induction: each axiom contributes a generic edge, each rule
 node glues the premise arities of one argument along their common source
 occurrences (a wide pushout) and sums over arguments.
 
-Cell naming: occurrence cells of the source keep their global left-to-right
-names ``occ{k}`` all the way up the induction, so the source arity morphism
-is literally the name-identity inclusion.  Cells created by premise j of
-argument i are prefixed ``arg{i}/prem{j}/``.  The base arity of a single
-axiom at label a has states ``occ0`` (the source), ``t`` and edge ``e``.
+Cell naming: one walk (:func:`_walk`) visits an element leaf by leaf, in
+the order of :func:`map_leaves`, and names every cell as it goes, so no cell
+is ever renamed afterwards.  The walk carries down the global occurrence
+offset and the prefix ``arg{i}/prem{j}/`` accumulated from the rule nodes
+above.  A variable leaf is the occurrence cell ``occ{k}``, k its global
+left-to-right position in the source; the premises of one argument start
+at the same offset, so they share these cells, and the source arity
+morphism is literally the name-identity inclusion.  An axiom leaf is the
+generic edge ``{prefix}e`` from its source occurrence to ``{prefix}t``; the
+arity of a single axiom at label a is ``occ0 -e-> t``.  Every public
+function below reads its answer off this walk.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, Union
 
 from .errors import CellMismatch, MalformedProof
 from .presheaf import (
@@ -28,25 +33,23 @@ from .presheaf import (
     LabelSet,
     Presheaf,
     PresheafMorphism,
+    compose,
     make_presheaf,
     morphism,
+    terminal,
 )
 from .terms import (
     App,
     Axiom,
     Element as FreeElement,
-    Node,
-    Proof,
-    Term,
     Var,
     map_leaves,
     occurrences,
     proof_label,
-    proof_source,
+    proof_target,
+    term_vars,
     to_terminal,
 )
-
-_OCC = re.compile(r"occ(\d+)$")
 
 
 @dataclass(frozen=True)
@@ -96,38 +99,75 @@ def arity_star(labels: LabelSet, m: Element) -> ArityPresheaf:
     """One point per occurrence of the unique variable, named occ{k}."""
     if not m.is_term():
         raise MalformedProof("arity_star expects a term shape")
-    n, _paths = occurrences(m.value)
-    carrier = make_presheaf(labels, tuple(f"occ{k}" for k in range(n)))
-    return _named(carrier)
+    return _named(_points(labels, occurrences(m.value)[0]))
 
 
-def _rename(i: int, j: int, offset: int, cell: str) -> str:
-    mo = _OCC.fullmatch(cell)
-    if mo:
-        return f"occ{offset + int(mo.group(1))}"
-    return f"arg{i}/prem{j}/{cell}"
+def _points(labels: LabelSet, n: int) -> Presheaf:
+    return make_presheaf(labels, tuple(f"occ{k}" for k in range(n)))
 
 
-def _group_sources(r: Node) -> list[Term]:
-    out = []
-    for arg in r.args:
-        if isinstance(arg, tuple):
-            out.append(_src_over_one(arg[0]))
-        else:
-            out.append(arg)
-    return out
+# Each leaf of an element with the names of its arity cells.
+_Leaves = list[tuple[Union[Var, Axiom], tuple[str, ...]]]
 
 
-def _src_over_one(p: Proof) -> Term:
-    if isinstance(p, Axiom):
-        return Var(STAR)
-    return App(p.rule.op, tuple(_group_sources(p)))
+def _walk(elem: FreeElement) -> tuple[_Leaves, int, list[str]]:
+    """The cells of every leaf in leaf order, the source occurrence count
+    and the target route.
+
+    A Var leaf has the cells ``(occ,)``, an Axiom leaf ``(occ, edge, tgt)``.
+    The route lists, for each variable occurrence of a proof's target in
+    order, the arity cell it lands on (empty for a term).
+    """
+    leaves: _Leaves = []
+
+    def go(e: FreeElement, prefix: str, offset: int) -> tuple[int, list[str]]:
+        # Returns the number of source occurrences and the target route.
+        if isinstance(e, Var):
+            leaves.append((e, (f"occ{offset}",)))
+            return 1, []
+        if isinstance(e, Axiom):
+            leaves.append((e, (f"occ{offset}", prefix + "e", prefix + "t")))
+            return 1, [prefix + "t"]
+        n = 0
+        if isinstance(e, App):
+            for child in e.args:
+                n += go(child, prefix, offset + n)[0]
+            return n, []
+        bound: dict[str, list[str]] = {}
+        for i, arg in enumerate(e.args):
+            if isinstance(arg, tuple):
+                prems = [
+                    go(prem, f"{prefix}arg{i}/prem{j}/", offset + n)
+                    for j, prem in enumerate(arg)
+                ]
+                for j, (_n, route) in enumerate(prems):
+                    bound[f"y{i + 1}_{j + 1}"] = route
+                n_i = prems[0][0]
+            else:
+                n_i = go(arg, prefix, offset + n)[0]
+            bound[f"x{i + 1}"] = [f"occ{offset + n + k}" for k in range(n_i)]
+            n += n_i
+        return n, [c for v in term_vars(e.rule.target) for c in bound[v]]
+
+    n, route = go(elem, "", 0)
+    return leaves, n, route
 
 
-def _tgt_over_one(p: Proof) -> Term:
-    from .terms import _target
-
-    return _target(p, lambda e, a: STAR, lambda e, a: STAR)
+def _carrier(labels: LabelSet, leaves: _Leaves) -> Presheaf:
+    """The arity glued from the leaves' cells, states in first-seen order."""
+    states: dict[str, None] = {}
+    edges: dict[str, list[str]] = {}
+    src: dict[str, dict[str, str]] = {}
+    tgt: dict[str, dict[str, str]] = {}
+    for leaf, cells in leaves:
+        states[cells[0]] = None
+        if isinstance(leaf, Axiom):
+            occ, e, t = cells
+            states[t] = None
+            edges.setdefault(leaf.label, []).append(e)
+            src.setdefault(leaf.label, {})[e] = occ
+            tgt.setdefault(leaf.label, {})[e] = t
+    return make_presheaf(labels, tuple(states), edges, src, tgt)
 
 
 def arity_label(labels: LabelSet, r: Element) -> tuple[ArityPresheaf, PresheafMorphism]:
@@ -138,100 +178,34 @@ def arity_label(labels: LabelSet, r: Element) -> tuple[ArityPresheaf, PresheafMo
     """
     if r.is_term():
         raise MalformedProof("arity_label expects a proof shape")
-    carrier = _arity_carrier(labels, r.value)
-    src_shape = Element(STAR, _src_over_one(r.value))
-    dom = arity_star(labels, src_shape).carrier
+    leaves, n, _route = _walk(r.value)
+    carrier = _carrier(labels, leaves)
+    dom = _points(labels, n)
     mor = morphism(dom, carrier, {x: x for x in dom.states})
     return _named(carrier), mor
-
-
-def _arity_carrier(labels: LabelSet, p: Proof) -> Presheaf:
-    if isinstance(p, Axiom):
-        return make_presheaf(
-            labels,
-            ("occ0", "t"),
-            {p.label: ("e",)},
-            {p.label: {"e": "occ0"}},
-            {p.label: {"e": "t"}},
-        )
-    states: list[str] = []
-    edges: dict[str, list[str]] = {a: [] for a in labels}
-    src: dict[str, dict[str, str]] = {a: {} for a in labels}
-    tgt: dict[str, dict[str, str]] = {a: {} for a in labels}
-    sources = _group_sources(p)
-    offset = 0
-    for i, arg in enumerate(p.args):
-        n_i = occurrences(sources[i])[0]
-        if not isinstance(arg, tuple):
-            states.extend(f"occ{offset + k}" for k in range(n_i))
-        else:
-            merged: set[str] = set()
-            for j, prem in enumerate(arg):
-                sub = _arity_carrier(labels, prem)
-                for x in sub.states:
-                    name = _rename(i, j, offset, x)
-                    if name.startswith("occ"):
-                        if name not in merged:
-                            merged.add(name)
-                            states.append(name)
-                    else:
-                        states.append(name)
-                for a in labels:
-                    for e in sub.edges[a]:
-                        name = _rename(i, j, offset, e)
-                        edges[a].append(name)
-                        src[a][name] = _rename(i, j, offset, sub.src[a][e])
-                        tgt[a][name] = _rename(i, j, offset, sub.tgt[a][e])
-        offset += n_i
-    return make_presheaf(
-        labels, tuple(states), {a: tuple(v) for a, v in edges.items()}, src, tgt
-    )
 
 
 def arity_tgt_morphism(labels: LabelSet, r: Element) -> PresheafMorphism:
     """Route each occurrence of the target term into the proof's arity."""
     if r.is_term():
         raise MalformedProof("arity_tgt_morphism expects a proof shape")
-    route = _tgt_route(r.value)
-    tgt_shape = Element(STAR, _tgt_over_one(r.value))
+    leaves, _n, route = _walk(r.value)
+    tgt_shape = Element(STAR, proof_target(terminal(labels), r.value))
     dom = arity_star(labels, tgt_shape).carrier
-    cod = _arity_carrier(labels, r.value)
     if len(route) != len(dom.states):
         raise MalformedProof("occurrence count mismatch in target routing")
-    return morphism(dom, cod, {f"occ{k}": route[k] for k in range(len(route))})
+    cod = _carrier(labels, leaves)
+    return morphism(dom, cod, {f"occ{k}": c for k, c in enumerate(route)})
 
 
-def _tgt_route(p: Proof) -> list[str]:
-    if isinstance(p, Axiom):
-        return ["t"]
-    sources = _group_sources(p)
-    offsets = []
-    off = 0
-    for m in sources:
-        offsets.append(off)
-        off += occurrences(m)[0]
-    routes: list[str] = []
+def generic_edges(r: Element) -> list[tuple[str, str, str, str]]:
+    """(label, source cell, edge cell, target cell) of each axiom of a shape.
 
-    def walk(t: Term):
-        if isinstance(t, Var):
-            mx = re.fullmatch(r"x(\d+)", t.name)
-            my = re.fullmatch(r"y(\d+)_(\d+)", t.name)
-            if mx:
-                i = int(mx.group(1)) - 1
-                n_i = occurrences(sources[i])[0]
-                routes.extend(f"occ{offsets[i] + k}" for k in range(n_i))
-            elif my:
-                i, j = int(my.group(1)) - 1, int(my.group(2)) - 1
-                inner = _tgt_route(p.args[i][j])
-                routes.extend(_rename(i, j, offsets[i], c) for c in inner)
-            else:  # pragma: no cover - rules bind only x/y variables
-                raise MalformedProof(f"unexpected rule variable {t.name!r}")
-        else:
-            for child in t.args:
-                walk(child)
-
-    walk(p.rule.target)
-    return routes
+    In leaf order: the order in which the induction attaches the generic
+    edges that make up the arity.
+    """
+    leaves = _walk(r.value)[0]
+    return [(leaf.label, *cells) for leaf, cells in leaves if isinstance(leaf, Axiom)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,147 +226,40 @@ class Decomposition:
 
 def decompose(X: Presheaf, elem: FreeElement) -> Decomposition:
     """Split an element into its shape and the filler of leaf data."""
-    shape = strip(elem)
-    labels = X.labels
-    if shape.is_term():
-        dom = arity_star(labels, shape).carrier
-        leaves = _term_leaves(elem)
-        filler = morphism(dom, X, {f"occ{k}": v for k, v in enumerate(leaves)})
-        return Decomposition(shape, filler)
-    state_map, edge_maps = _fill(X, elem)
-    dom = _arity_carrier(labels, shape.value)
-    filler = morphism(dom, X, state_map, edge_maps)
-    return Decomposition(shape, filler)
-
-
-def _term_leaves(t: Term) -> list[str]:
-    if isinstance(t, Var):
-        return [t.name]
-    out: list[str] = []
-    for a in t.args:
-        out.extend(_term_leaves(a))
-    return out
-
-
-def _fill(X: Presheaf, p: Proof) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
-    if isinstance(p, Axiom):
-        a = p.label
-        return (
-            {"occ0": X.src[a][p.edge], "t": X.tgt[a][p.edge]},
-            {a: {"e": p.edge}},
-        )
+    leaves = _walk(elem)[0]
     states: dict[str, str] = {}
     edge_maps: dict[str, dict[str, str]] = {a: {} for a in X.labels}
-    offset = 0
-    for i, arg in enumerate(p.args):
-        if not isinstance(arg, tuple):
-            for k, v in enumerate(_term_leaves(arg)):
-                states[f"occ{offset + k}"] = v
-            offset += len(_term_leaves(arg))
-            continue
-        n_i = len(_term_leaves(proof_source(X, arg[0])))
-        for j, prem in enumerate(arg):
-            sub_states, sub_edges = _fill(X, prem)
-            for c, v in sub_states.items():
-                name = _rename(i, j, offset, c)
-                if name in states and states[name] != v:
-                    raise MalformedProof("premises disagree on a shared occurrence cell")
-                states[name] = v
-            for a, em in sub_edges.items():
-                for c, v in em.items():
-                    edge_maps[a][_rename(i, j, offset, c)] = v
-        offset += n_i
-    return states, edge_maps
+    for leaf, cells in leaves:
+        if isinstance(leaf, Var):
+            values = ((cells[0], leaf.name),)
+        else:
+            occ, e, t = cells
+            a = leaf.label
+            edge_maps[a][e] = leaf.edge
+            values = ((occ, X.src[a][leaf.edge]), (t, X.tgt[a][leaf.edge]))
+        for c, v in values:
+            if states.setdefault(c, v) != v:
+                raise MalformedProof("premises disagree on a shared occurrence cell")
+    filler = morphism(_carrier(X.labels, leaves), X, states, edge_maps)
+    return Decomposition(strip(elem), filler)
 
 
 def recompose(d: Decomposition, X: Presheaf) -> FreeElement:
     """Substitute filler values back into the shape's leaves."""
     if d.filler.cod != X:
         raise CellMismatch("filler codomain is not the requested ambient system")
-    if d.shape.is_term():
-        n, _ = occurrences(d.shape.value)
-        counter = [0]
+    cells = iter(c for _leaf, c in _walk(d.shape.value)[0])
 
-        def sub(t: Term) -> Term:
-            if isinstance(t, Var):
-                k = counter[0]
-                counter[0] += 1
-                return Var(d.filler.state_map[f"occ{k}"])
-            return App(t.op, tuple(sub(a) for a in t.args))
+    def value(table, cell: str) -> str:
+        if cell not in table:
+            raise CellMismatch(f"filler misses cell {cell!r}")
+        return table[cell]
 
-        return sub(d.shape.value)
-    return _refill(d.shape.value, d.filler.state_map, d.filler.edge_maps)
-
-
-def _refill(p: Proof, states, edge_maps) -> Proof:
-    if isinstance(p, Axiom):
-        try:
-            return Axiom(edge_maps[p.label]["e"], p.label)
-        except KeyError as exc:
-            raise CellMismatch(f"filler misses cell {exc}") from exc
-    sources = _group_sources(p)
-    offset = 0
-    args: list = []
-    for i, arg in enumerate(p.args):
-        n_i = occurrences(sources[i])[0]
-        if not isinstance(arg, tuple):
-            counter = [0]
-
-            def sub(t: Term, base=offset) -> Term:
-                if isinstance(t, Var):
-                    k = counter[0]
-                    counter[0] += 1
-                    name = f"occ{base + k}"
-                    if name not in states:
-                        raise CellMismatch(f"filler misses cell {name!r}")
-                    return Var(states[name])
-                return App(t.op, tuple(sub(c, base) for c in t.args))
-
-            args.append(sub(arg))
-        else:
-            prems = []
-            for j, prem in enumerate(arg):
-                sub_states = {}
-                sub_edges: dict[str, dict[str, str]] = {a: {} for a in edge_maps}
-                for c in _cells_of(prem):
-                    kind, a, name = c
-                    renamed = _rename(i, j, offset, name)
-                    if kind == "state":
-                        if renamed not in states:
-                            raise CellMismatch(f"filler misses cell {renamed!r}")
-                        sub_states[name] = states[renamed]
-                    else:
-                        if renamed not in edge_maps[a]:
-                            raise CellMismatch(f"filler misses cell {renamed!r}")
-                        sub_edges[a][name] = edge_maps[a][renamed]
-                prems.append(_refill(prem, sub_states, sub_edges))
-            args.append(tuple(prems))
-        offset += n_i
-    return Node(p.rule, tuple(args))
-
-
-def _cells_of(p: Proof) -> list[tuple[str, Optional[str], str]]:
-    """(kind, label, name) for every cell of the arity of a proof shape."""
-    if isinstance(p, Axiom):
-        return [("state", None, "occ0"), ("state", None, "t"), ("edge", p.label, "e")]
-    out: list[tuple[str, Optional[str], str]] = []
-    sources = _group_sources(p)
-    offset = 0
-    for i, arg in enumerate(p.args):
-        n_i = occurrences(sources[i])[0]
-        if not isinstance(arg, tuple):
-            out.extend(("state", None, f"occ{offset + k}") for k in range(n_i))
-        else:
-            seen: set[str] = set()
-            for j, prem in enumerate(arg):
-                for kind, a, name in _cells_of(prem):
-                    renamed = _rename(i, j, offset, name)
-                    if renamed in seen:
-                        continue
-                    seen.add(renamed)
-                    out.append((kind, a, renamed))
-        offset += n_i
-    return out
+    return map_leaves(
+        d.shape.value,
+        lambda _x: value(d.filler.state_map, next(cells)[0]),
+        lambda _e, a: value(d.filler.edge_maps.get(a, {}), next(cells)[1]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -416,25 +283,19 @@ def is_generic(
             B, u = random_collapse(X, rng)
             chi = map_leaves(elem, lambda x: u.state_map[x], lambda e, a: u.edge_maps[a][e])
             Z, h = random_collapse(B, rng)
-            k = _compose_maps(u, h)
+            k = compose(h, u)
             count = 0
             for l in all_morphisms(X, B):
                 image = map_leaves(
                     elem, lambda x: l.state_map[x], lambda e, a: l.edge_maps[a][e]
                 )
-                if image == chi and _compose_maps(l, h) == k:
+                if image == chi and compose(h, l) == k:
                     count += 1
             if count != 1:
                 raise MalformedProof(
                     f"strong lifting count {count} contradicts the generic criterion"
                 )
     return generic
-
-
-def _compose_maps(inner: PresheafMorphism, outer: PresheafMorphism) -> PresheafMorphism:
-    from .presheaf import compose
-
-    return compose(outer, inner)
 
 
 def all_morphisms(A: Presheaf, B: Presheaf) -> Iterator[PresheafMorphism]:

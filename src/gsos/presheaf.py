@@ -292,11 +292,6 @@ def source_inclusion(labels: LabelSet, a: str) -> PresheafMorphism:
     return morphism(representable(labels, STAR), representable(labels, a), {STAR: "s"})
 
 
-def target_inclusion(labels: LabelSet, a: str) -> PresheafMorphism:
-    """t^a : y_* -> y_[a]."""
-    return morphism(representable(labels, STAR), representable(labels, a), {STAR: "t"})
-
-
 def bang(X: Presheaf) -> PresheafMorphism:
     """The unique map X -> 1."""
     one = terminal(X.labels)

@@ -248,7 +248,7 @@ def test_criterion_08_preservation(toy, ccs):
 
                 if proof_depth(R) > 2:
                     continue
-                r0 = preserve_bisim_lift(toy, f, M, R, 2)
+                r0 = preserve_bisim_lift(toy, f, M, R)
                 checked += 1
                 if case < 20:
                     oracle = [

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from gsos import bundled_spec_path
 from gsos.cli import main
 
@@ -218,3 +220,87 @@ def test_console_script_installed():
         [sys.executable, "-m", "gsos.cli", "check", CCS], capture_output=True, text=True
     )
     assert proc.returncode == 0
+
+
+SYNC = "sync(lpar(ax(a_bar),term(var(*))),ax(a))"
+RSYNC = "rsync(ax(a_bar),ax(a))"
+# Full stdout of `decompose` and `certify` over the terminal system.  The
+# order of the arity's states, edges and attach steps is part of the report,
+# and only whole-output comparison pins it.
+ARITY_REPORTS = {
+    ("decompose", SYNC): (
+        '{"arity": {"edges": {"a": [{"id": "arg1/prem0/e", "src": "occ2", '
+        '"tgt": "arg1/prem0/t"}], "a_bar": [{"id": "arg0/prem0/arg0/prem0/e", '
+        '"src": "occ0", "tgt": "arg0/prem0/arg0/prem0/t"}], "tau": []}, '
+        '"labels": ["a", "a_bar", "tau"], "states": ["occ0", '
+        '"arg0/prem0/arg0/prem0/t", "occ1", "occ2", "arg1/prem0/t"]}, '
+        '"filler": {"edges": {"a": {"arg1/prem0/e": "a"}, '
+        '"a_bar": {"arg0/prem0/arg0/prem0/e": "a_bar"}}, '
+        '"states": {"arg0/prem0/arg0/prem0/t": "*", "arg1/prem0/t": "*", '
+        '"occ0": "*", "occ1": "*", "occ2": "*"}}, "generic": false, '
+        '"object": "tau", '
+        '"shape": "sync(lpar[L=a_bar](ax(a_bar),term(var(*))),ax(a))"}\n'
+    ),
+    ("certify", SYNC): (
+        '{"base": {"edges": {"a": [], "a_bar": [], "tau": []}, "labels": ["a", '
+        '"a_bar", "tau"], "states": ["occ0", "occ1", "occ2"]}, '
+        '"codomain": {"edges": {"a": [{"id": "arg1/prem0/e", "src": "occ2", '
+        '"tgt": "arg1/prem0/t"}], "a_bar": [{"id": "arg0/prem0/arg0/prem0/e", '
+        '"src": "occ0", "tgt": "arg0/prem0/arg0/prem0/t"}], "tau": []}, '
+        '"labels": ["a", "a_bar", "tau"], "states": ["occ0", '
+        '"arg0/prem0/arg0/prem0/t", "occ1", "occ2", "arg1/prem0/t"]}, '
+        '"steps": [{"at": "occ0", "edge": "arg0/prem0/arg0/prem0/e", '
+        '"label": "a_bar", "tgt": "arg0/prem0/arg0/prem0/t"}, {"at": "occ2", '
+        '"edge": "arg1/prem0/e", "label": "a", "tgt": "arg1/prem0/t"}], '
+        '"verified": true}\n'
+    ),
+    ("decompose", RSYNC): (
+        '{"arity": {"edges": {"a": [{"id": "arg0/prem1/e", "src": "occ0", '
+        '"tgt": "arg0/prem1/t"}], "a_bar": [{"id": "arg0/prem0/e", '
+        '"src": "occ0", "tgt": "arg0/prem0/t"}], "tau": []}, "labels": ["a", '
+        '"a_bar", "tau"], "states": ["occ0", "arg0/prem0/t", "arg0/prem1/t"]}, '
+        '"filler": {"edges": {"a": {"arg0/prem1/e": "a"}, '
+        '"a_bar": {"arg0/prem0/e": "a_bar"}}, "states": {"arg0/prem0/t": "*", '
+        '"arg0/prem1/t": "*", "occ0": "*"}}, "generic": false, "object": "tau", '
+        '"shape": "rsync(ax(a_bar),ax(a))"}\n'
+    ),
+    ("certify", RSYNC): (
+        '{"base": {"edges": {"a": [], "a_bar": [], "tau": []}, "labels": ["a", '
+        '"a_bar", "tau"], "states": ["occ0"]}, '
+        '"codomain": {"edges": {"a": [{"id": "arg0/prem1/e", "src": "occ0", '
+        '"tgt": "arg0/prem1/t"}], "a_bar": [{"id": "arg0/prem0/e", '
+        '"src": "occ0", "tgt": "arg0/prem0/t"}], "tau": []}, "labels": ["a", '
+        '"a_bar", "tau"], "states": ["occ0", "arg0/prem0/t", "arg0/prem1/t"]}, '
+        '"steps": [{"at": "occ0", "edge": "arg0/prem0/e", "label": "a_bar", '
+        '"tgt": "arg0/prem0/t"}, {"at": "occ0", "edge": "arg0/prem1/e", '
+        '"label": "a", "tgt": "arg0/prem1/t"}], "verified": true}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command,proof", list(ARITY_REPORTS))
+def test_arity_report_bytes_golden(command, proof, capsys):
+    code, out, _ = run_cli([command, CCS, "--proof", proof], capsys)
+    assert code == 0
+    assert out == ARITY_REPORTS[(command, proof)]
+
+
+def test_bisim_refuses_fuel_below_stratum(capsys):
+    t1, t2 = "pref_a(pref_a(nil))", "pref_a(pref_tau(nil))"
+    code, out, err = run_cli(
+        ["bisim", CCS, "--t1", t1, "--t2", t2, "-k", "3", "--fuel", "1"], capsys
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["kind"] == "FuelTooSmall"
+    code, out, _ = run_cli(
+        ["bisim", CCS, "--t1", t1, "--t2", t2, "-k", "3", "--fuel", "3"], capsys
+    )
+    assert code == 0 and json.loads(out)["bisimilar"] is False
+
+
+def test_seed_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("GSOS_SEED", "abc")
+    code, out, err = run_cli(["verify", CCS, "--suite", "laws", "--cases", "1"], capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["kind"] == "UsageError"
