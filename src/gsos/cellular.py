@@ -64,15 +64,13 @@ from .terms import (
     eta,
     map_leaves,
     mu,
-    parse_proof,
-    parse_term,
     proof_label,
     proof_source,
     random_presheaf,
-    render,
     to_terminal,
     truncated_free,
     truncated_free_squared,
+    window_map,
 )
 
 
@@ -274,52 +272,26 @@ def check_mu_cartesian(spec, X: Presheaf, d: int) -> dict:
     compatible pair lives inside the same window.
     """
     one = terminal(X.labels)
-    TT_X, ttx_terms, ttx_proofs = truncated_free_squared(spec, X, d)
-    T_X, tx_terms, tx_proofs = truncated_free(spec, X, d)
-    TT_1, tt1_terms, tt1_proofs = truncated_free_squared(spec, one, d)
-    T_1, t1_terms, t1_proofs = truncated_free(spec, one, d)
-
-    def mu_map(TT, terms, proofs, ambient, T_target):
-        sm = {k: render(mu(spec, ambient, t)) for k, t in terms.items()}
-        em = {a: {} for a in TT.labels}
-        for a in TT.labels:
-            for k in TT.edges[a]:
-                em[a][k] = render(mu(spec, ambient, proofs[k]))
-        return morphism(TT, T_target, sm, em)
-
-    mu_X = mu_map(TT_X, ttx_terms, ttx_proofs, X, T_X)
-    mu_1 = mu_map(TT_1, tt1_terms, tt1_proofs, one, T_1)
-
-    strip_state = lambda p: render(to_terminal(parse_term(spec, X, p)))
-    strip_edge = lambda p, a: render(to_terminal(parse_proof(spec, X, p)))
-    t2_bang = morphism(
-        TT_X,
-        TT_1,
-        {k: render(map_leaves(t, strip_state, strip_edge)) for k, t in ttx_terms.items()},
-        {
-            a: {
-                k: render(map_leaves(ttx_proofs[k], strip_state, strip_edge))
-                for k in TT_X.edges[a]
-            }
-            for a in TT_X.labels
-        },
+    TT_X = truncated_free_squared(spec, X, d)
+    T_X = truncated_free(spec, X, d)
+    TT_1 = truncated_free_squared(spec, one, d)
+    T_1 = truncated_free(spec, one, d)
+    mu_X = window_map(TT_X, T_X[0], mu)
+    mu_1 = window_map(TT_1, T_1[0], mu)
+    t2_bang = window_map(
+        TT_X, TT_1[0], lambda e: map_leaves(e, to_terminal, lambda p, a: to_terminal(p))
     )
-    t_bang = morphism(
-        T_X,
-        T_1,
-        {k: render(to_terminal(t)) for k, t in tx_terms.items()},
-        {a: {k: render(to_terminal(tx_proofs[k])) for k in T_X.edges[a]} for a in T_X.labels},
-    )
+    t_bang = window_map(T_X, T_1[0], to_terminal)
     square = LiftingSquare(left=mu_X, top=t2_bang, right=mu_1, bottom=t_bang)
     per_object = pullback_report(square)
     return {
         "transformation": "mu",
         "depth": d,
         "sizes": {
-            "two_layer": TT_X.size(),
-            "one_layer": T_X.size(),
-            "two_layer_over_1": TT_1.size(),
-            "one_layer_over_1": T_1.size(),
+            "two_layer": TT_X[0].size(),
+            "one_layer": T_X[0].size(),
+            "two_layer_over_1": TT_1[0].size(),
+            "one_layer_over_1": T_1[0].size(),
         },
         "pullback": per_object,
         "ok": all(per_object.values()),
@@ -329,19 +301,11 @@ def check_mu_cartesian(spec, X: Presheaf, d: int) -> dict:
 def check_eta_cartesian(spec, X: Presheaf, d: int) -> dict:
     """Is the unit naturality square over 1 a pointwise pullback?"""
     one = terminal(X.labels)
-    T_X = truncated_free(spec, X, d)[0]
-    T_1 = truncated_free(spec, one, d)[0]
+    window = truncated_free(spec, X, d)
+    T_X, T_1 = window[0], truncated_free(spec, one, d)[0]
     eta_X = eta(spec, X, d, T=T_X)
     eta_1 = eta(spec, one, d, T=T_1)
-    t_bang = morphism(
-        T_X,
-        T_1,
-        {k: render(to_terminal(parse_term(spec, X, k))) for k in T_X.states},
-        {
-            a: {k: render(to_terminal(parse_proof(spec, X, k))) for k in T_X.edges[a]}
-            for a in T_X.labels
-        },
-    )
+    t_bang = window_map(window, T_1, to_terminal)
     square = LiftingSquare(left=eta_X, top=bang(X), right=eta_1, bottom=t_bang)
     per_object = pullback_report(square)
     return {
@@ -357,26 +321,24 @@ def check_eta_cartesian(spec, X: Presheaf, d: int) -> dict:
 # The unique two-layer witness of a compatible pair.
 
 
-def unique_R0(spec, X: Presheaf, RR: Proof, R: Proof) -> Proof:
-    """The unique two-layer proof over X flattening to R and stripping to RR.
+def unique_R0(RR: Proof, R: Proof) -> Proof:
+    """The unique two-layer proof flattening to R and stripping to RR.
 
-    RR is a two-layer proof over 1 (leaf payloads name elements over 1), R a
-    one-layer proof over X with R stripped equal to RR flattened.  Built by
-    pairing leaves in the base case and recursing argumentwise, with the
-    premise-less arguments handled through the term version.
+    RR is a two-layer proof over 1 (leaf payloads are elements over 1), R a
+    one-layer proof over some X with R stripped equal to RR flattened.
+    Built by pairing leaves in the base case and recursing argumentwise,
+    with the premise-less arguments handled through the term version.
     """
-    one = terminal(X.labels)
-    if to_terminal(R) != mu(spec, one, RR):
+    if to_terminal(R) != mu(RR):
         raise IncompatiblePair("strip of the proof is not the flattening of the pair")
-    return _pair_proof(spec, one, X, RR, R)
+    return _pair_proof(RR, R)
 
 
-def _pair_proof(spec, one: Presheaf, X: Presheaf, RR: Proof, R: Proof) -> Proof:
+def _pair_proof(RR: Proof, R: Proof) -> Proof:
     if isinstance(RR, Axiom):
-        inner = parse_proof(spec, one, RR.edge)
-        if to_terminal(R) != inner:
+        if to_terminal(R) != RR.edge:
             raise IncompatiblePair("axiom pairing mismatch")
-        return Axiom(render(R), proof_label(R))
+        return Axiom(R, proof_label(R))
     if not isinstance(R, Node) or R.rule != RR.rule:
         raise IncompatiblePair("rule mismatch while pairing")
     args: list = []
@@ -384,30 +346,23 @@ def _pair_proof(spec, one: Presheaf, X: Presheaf, RR: Proof, R: Proof) -> Proof:
         if isinstance(arg_rr, tuple):
             if not isinstance(arg_r, tuple) or len(arg_r) != len(arg_rr):
                 raise IncompatiblePair("premise group mismatch while pairing")
-            args.append(
-                tuple(_pair_proof(spec, one, X, rr, r) for rr, r in zip(arg_rr, arg_r))
-            )
+            args.append(tuple(_pair_proof(rr, r) for rr, r in zip(arg_rr, arg_r)))
         else:
             if isinstance(arg_r, tuple):
                 raise IncompatiblePair("argument kind mismatch while pairing")
-            args.append(unique_M0(spec, X, arg_rr, arg_r))
+            args.append(unique_M0(arg_rr, arg_r))
     return Node(R.rule, tuple(args))
 
 
-def unique_M0(spec, X: Presheaf, MM: Term, M: Term) -> Term:
+def unique_M0(MM: Term, M: Term) -> Term:
     """Term analogue of :func:`unique_R0` (the star-object square)."""
-    one = terminal(X.labels)
     if isinstance(MM, Var):
-        inner = parse_term(spec, one, MM.name)
-        if to_terminal(M) != inner:
+        if to_terminal(M) != MM.name:
             raise IncompatiblePair("variable pairing mismatch")
-        return Var(render(M))
+        return Var(M)
     if not isinstance(M, App) or M.op != MM.op:
         raise IncompatiblePair("operation mismatch while pairing")
-    return App(
-        M.op,
-        tuple(unique_M0(spec, X, mm, m) for mm, m in zip(MM.args, M.args)),
-    )
+    return App(M.op, tuple(unique_M0(mm, m) for mm, m in zip(MM.args, M.args)))
 
 
 # ---------------------------------------------------------------------------

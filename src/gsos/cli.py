@@ -66,6 +66,12 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _usage_error(message: str) -> int:
+    """Refuse a malformed invocation: one JSON line on stderr, exit code 2."""
+    sys.stderr.write(json.dumps({"kind": "UsageError", "message": message}, sort_keys=True) + "\n")
+    return 2
+
+
 def _load_spec(path: str) -> GsosSpec:
     return parse_spec(Path(path).read_text())
 
@@ -147,8 +153,7 @@ def cmd_decompose(args) -> int:
     elif args.term:
         elem = parse_term(spec, X, args.term)
     else:
-        sys.stderr.write("decompose needs --proof or --term\n")
-        return 2
+        return _usage_error("decompose needs --proof or --term")
     dec = decompose(X, elem)
     doc = {
         "shape": render(dec.shape.value),
@@ -337,8 +342,7 @@ _SUITES = {
 def cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
     if args.suite not in _SUITES:
-        sys.stderr.write(f"unknown suite {args.suite!r}\n")
-        return 2
+        return _usage_error(f"unknown suite {args.suite!r}")
     report = _SUITES[args.suite](
         spec, args.seed, args.cases, args.depth, args.stratum, args.mutate
     )
@@ -427,11 +431,9 @@ def main(argv=None) -> int:
         try:
             args.seed = int(os.environ["GSOS_SEED"])
         except ValueError:
-            message = f"GSOS_SEED must be an integer, not {os.environ['GSOS_SEED']!r}"
-            sys.stderr.write(
-                json.dumps({"kind": "UsageError", "message": message}, sort_keys=True) + "\n"
+            return _usage_error(
+                f"GSOS_SEED must be an integer, not {os.environ['GSOS_SEED']!r}"
             )
-            return 2
     try:
         return args.func(args)
     except SpecParseError as exc:

@@ -724,9 +724,16 @@ def morphism_from_json(text: str) -> PresheafMorphism:
 def presheaf_to_dot(X: Presheaf) -> str:
     lines = ["digraph lts {"]
     for x in X.states:
-        lines.append(f'  "{x}";')
+        lines.append(f'  "{_dot_escape(x)}";')
     for a in X.labels:
         for e in X.edges[a]:
-            lines.append(f'  "{X.src[a][e]}" -> "{X.tgt[a][e]}" [label="{e}:{a}"];')
+            src, tgt = _dot_escape(X.src[a][e]), _dot_escape(X.tgt[a][e])
+            label = _dot_escape(f"{e}:{a}")
+            lines.append(f'  "{src}" -> "{tgt}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_escape(text: str) -> str:
+    """Quote an id for a DOT double-quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')

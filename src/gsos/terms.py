@@ -8,8 +8,12 @@ nesting (variables are 0, a 0-ary operation is 1), proof depth likewise
 (axioms are 0, a rule node is one more than the deepest argument).
 
 Elements of iterated layers (terms over terms, proofs over proofs) carry
-the canonical rendering of the inner element as their leaf payload, so a
-layer is flattened by parsing its leaves back into elements one layer down.
+the inner element itself as their leaf payload: a variable of the second
+layer holds a term over X, an axiom a proof over X.  Flattening a layer
+substitutes each payload for its leaf, and rendering prints a payload with
+the same syntax, so var(par(var(x),nil)) names a two-layer term exactly as
+it did when payloads were strings.  Text is parsed only when it comes from
+outside the program.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .errors import (
-    GsosError,
     MalformedProof,
     UnknownOperation,
     UnknownState,
@@ -44,9 +47,13 @@ ProofDepth = int
 
 @dataclass(frozen=True)
 class Var:
-    """A wrapped ambient state, written var(x)."""
+    """A wrapped ambient state, written var(x).
 
-    name: str
+    In the first layer ``name`` is a state id of the ambient system; in the
+    layers above it is a term one layer down.
+    """
+
+    name: Union[str, "Term"]
 
 
 @dataclass(frozen=True)
@@ -60,9 +67,13 @@ Term = Union[Var, App]
 
 @dataclass(frozen=True)
 class Axiom:
-    """A wrapped ambient edge, written ax(e); the label is carried along."""
+    """A wrapped ambient edge, written ax(e); the label is carried along.
 
-    edge: str
+    In the first layer ``edge`` is an edge id of the ambient system; in the
+    layers above it is a proof one layer down, with the same label.
+    """
+
+    edge: Union[str, "Proof"]
     label: str
 
 
@@ -89,13 +100,15 @@ Element = Union[Term, Proof]
 
 def render(elem: Element) -> str:
     if isinstance(elem, Var):
-        return f"var({elem.name})"
+        name = elem.name
+        return f"var({name if isinstance(name, str) else render(name)})"
     if isinstance(elem, App):
         if not elem.args:
             return elem.op
         return f"{elem.op}({','.join(render(t) for t in elem.args)})"
     if isinstance(elem, Axiom):
-        return f"ax({elem.edge})"
+        edge = elem.edge
+        return f"ax({edge if isinstance(edge, str) else render(edge)})"
     parts: list[str] = []
     for arg in elem.args:
         if isinstance(arg, tuple):
@@ -166,12 +179,11 @@ def substitute(t: Term, mapping: dict[str, Term]) -> Term:
     return App(t.op, tuple(substitute(a, mapping) for a in t.args))
 
 
-def map_leaves(
-    elem: Element,
-    on_state: Callable[[str], str],
-    on_edge: Callable[[str, str], str],
-) -> Element:
-    """Relabel Var and Axiom leaves; the structure is untouched."""
+def map_leaves(elem: Element, on_state: Callable, on_edge: Callable) -> Element:
+    """Relabel Var and Axiom leaves; the structure is untouched.
+
+    ``on_state(payload)`` and ``on_edge(payload, label)`` return new payloads.
+    """
     if isinstance(elem, Var):
         return Var(on_state(elem.name))
     if isinstance(elem, App):
@@ -199,14 +211,23 @@ def to_terminal(elem: Element) -> Element:
 
 
 def proof_source(X: Presheaf, p: Proof) -> Term:
-    return _source(p, lambda e, a: X.src[a][e])
+    """The source of a proof of any layer over X.
+
+    An axiom leaf stands for the source of its payload: an edge of X in the
+    first layer, a proof one layer down above it.
+    """
+    return _source(p, lambda e, a: X.src[a][e] if isinstance(e, str) else proof_source(X, e))
 
 
 def proof_target(X: Presheaf, p: Proof) -> Term:
-    return _target(p, lambda e, a: X.src[a][e], lambda e, a: X.tgt[a][e])
+    return _target(
+        p,
+        lambda e, a: X.src[a][e] if isinstance(e, str) else proof_source(X, e),
+        lambda e, a: X.tgt[a][e] if isinstance(e, str) else proof_target(X, e),
+    )
 
 
-def _source(p: Proof, ax_src: Callable[[str, str], str]) -> Term:
+def _source(p: Proof, ax_src: Callable) -> Term:
     if isinstance(p, Axiom):
         return Var(ax_src(p.edge, p.label))
     parts = []
@@ -220,8 +241,8 @@ def _source(p: Proof, ax_src: Callable[[str, str], str]) -> Term:
 
 def _target(
     p: Proof,
-    ax_src: Callable[[str, str], str],
-    ax_tgt: Callable[[str, str], str],
+    ax_src: Callable,
+    ax_tgt: Callable,
 ) -> Term:
     if isinstance(p, Axiom):
         return Var(ax_tgt(p.edge, p.label))
@@ -333,40 +354,11 @@ def _split_args(body: str) -> list[str]:
     return args
 
 
-class _PresheafAmbient:
-    def __init__(self, X: Presheaf):
-        self.X = X
-
-    def has_state(self, x: str) -> bool:
-        return x in self.X.state_set()
-
-    def label_of(self, e: str) -> str:
-        return self.X.label_of(e)
-
-
-class _FreeAmbient:
-    """Ambient view of a free layer: leaf payloads are canonical renderings."""
-
-    def __init__(self, spec: "GsosSpec", X: Presheaf, level: int):
-        self.spec, self.X, self.level = spec, X, level
-
-    def has_state(self, x: str) -> bool:
-        try:
-            parse_term_layer(self.spec, self.X, self.level, x)
-            return True
-        except GsosError:
-            return False
-
-    def label_of(self, e: str) -> str:
-        return proof_label(parse_proof_layer(self.spec, self.X, self.level, e))
-
-
 def parse_term(spec: "GsosSpec", X: Optional[Presheaf], text: str, allow_hole: bool = False) -> Term:
-    ambient = _PresheafAmbient(X) if X is not None else None
-    return _parse_term(spec, ambient, text, allow_hole)
+    return _parse_term(spec, X, text, allow_hole)
 
 
-def _parse_term(spec, ambient, text: str, allow_hole: bool = False) -> Term:
+def _parse_term(spec, X: Optional[Presheaf], text: str, allow_hole: bool = False) -> Term:
     text = text.strip()
     head, i = _scan_ident(text, 0)
     if not head:
@@ -381,9 +373,9 @@ def _parse_term(spec, ambient, text: str, allow_hole: bool = False) -> Term:
         payload, j = _scan_balanced(text, i + 1)
         if j + 1 != len(text):
             raise MalformedProof(f"trailing input after {text!r}")
-        if ambient is None:
+        if X is None:
             raise UnknownState(f"variable {payload!r} in a closed-term position")
-        if not ambient.has_state(payload):
+        if payload not in X.state_set():
             raise UnknownState(f"{payload!r} is not an ambient state")
         return Var(payload)
     if spec.signature.has(head):
@@ -399,17 +391,17 @@ def _parse_term(spec, ambient, text: str, allow_hole: bool = False) -> Term:
             raise MalformedProof(f"cannot parse term {text!r}")
         if len(args_text) != arity:
             raise UnknownOperation(f"{head!r} expects {arity} arguments, got {len(args_text)}")
-        return App(head, tuple(_parse_term(spec, ambient, a, allow_hole) for a in args_text))
+        return App(head, tuple(_parse_term(spec, X, a, allow_hole) for a in args_text))
     raise UnknownOperation(f"unknown operation {head!r} in {text!r}")
 
 
 def parse_proof(spec: "GsosSpec", X: Presheaf, text: str) -> Proof:
-    p = _parse_proof(spec, _PresheafAmbient(X), text)
+    p = _parse_proof(spec, X, text)
     check_proof(spec, X, p)
     return p
 
 
-def _parse_proof(spec, ambient, text: str) -> Proof:
+def _parse_proof(spec, X: Presheaf, text: str) -> Proof:
     text = text.strip()
     head, i = _scan_ident(text, 0)
     if not head:
@@ -420,7 +412,7 @@ def _parse_proof(spec, ambient, text: str) -> Proof:
         payload, j = _scan_balanced(text, i + 1)
         if j + 1 != len(text):
             raise MalformedProof(f"trailing input after {text!r}")
-        return Axiom(payload, ambient.label_of(payload))
+        return Axiom(payload, X.label_of(payload))
     if i == len(text):
         args_text: list[str] = []
     elif text[i] == "(":
@@ -437,9 +429,9 @@ def _parse_proof(spec, ambient, text: str) -> Proof:
             inner, j = _scan_balanced(a, a.index("(") + 1)
             if j + 1 != len(a):
                 raise MalformedProof(f"trailing input after {a!r}")
-            parsed.append(("term", _parse_term(spec, ambient, inner)))
+            parsed.append(("term", _parse_term(spec, X, inner)))
         else:
-            parsed.append(("proof", _parse_proof(spec, ambient, a)))
+            parsed.append(("proof", _parse_proof(spec, X, a)))
 
     candidates = [r for r in spec.rules if r.name == head]
     if not candidates:
@@ -483,19 +475,6 @@ def _group_args(rule, parsed):
     return tuple(groups)
 
 
-def parse_term_layer(spec: "GsosSpec", X: Presheaf, level: int, text: str) -> Term:
-    """Parse a term of the level-th free layer over X (level 1 = over X itself)."""
-    if level == 1:
-        return parse_term(spec, X, text)
-    return _parse_term(spec, _FreeAmbient(spec, X, level - 1), text)
-
-
-def parse_proof_layer(spec: "GsosSpec", X: Presheaf, level: int, text: str) -> Proof:
-    if level == 1:
-        return parse_proof(spec, X, text)
-    return _parse_proof(spec, _FreeAmbient(spec, X, level - 1), text)
-
-
 # ---------------------------------------------------------------------------
 # Derivation: all proofs with a given conclusion source.
 
@@ -503,18 +482,19 @@ def parse_proof_layer(spec: "GsosSpec", X: Presheaf, level: int, text: str) -> P
 def derive(
     spec: "GsosSpec",
     term: Term,
-    axioms_of: Optional[Callable[[str, str], Sequence[str]]] = None,
+    axioms_of: Optional[Callable[[object, str], Sequence]] = None,
     drop_last_premise: bool = False,
     _memo: Optional[dict] = None,
 ) -> tuple[Proof, ...]:
     """All proofs whose conclusion source is exactly ``term``.
 
-    ``axioms_of(state, label)`` lists the ambient edge ids out of a state;
-    None means a closed derivation (no axioms).  Premises of a rule argument
-    are derived from that argument's subterm, so all premises of one group
-    share their source by construction.  Rules are tried in declaration
-    order and premise choices are combined left-to-right, which fixes the
-    output order.
+    ``axioms_of(payload, label)`` lists the axiom payloads out of a leaf:
+    the ambient edge ids out of a state in the first layer, the proofs out
+    of a wrapped term above it; None means a closed derivation (no axioms).
+    Premises of a rule argument are derived from that argument's subterm,
+    so all premises of one group share their source by construction.  Rules
+    are tried in declaration order and premise choices are combined
+    left-to-right, which fixes the output order.
 
     ``drop_last_premise`` enables the deliberately broken engine used as a
     negative control: for rules with at least two premises, the last premise
@@ -609,20 +589,34 @@ def presheaf_axioms(X: Presheaf) -> Callable[[str, str], Sequence[str]]:
 
 def terms_upto(spec: "GsosSpec", variables: Sequence[str], height: int) -> list[Term]:
     """All terms of height <= height over the given variables, stratified."""
-    levels: list[list[Term]] = [[Var(v) for v in variables]]
-    for k in range(1, height + 1):
-        below = [t for lvl in levels for t in lvl]
-        exact: list[Term] = []
+    return [t for s in _strata(spec, [[Var(v) for v in variables]], height) for t in s]
+
+
+def _strata(
+    spec: "GsosSpec", leaves_by_height: Sequence[Sequence[Term]], height: int
+) -> list[list[Term]]:
+    """Terms by exact height 0..height, with the leaves of height k given.
+
+    A leaf's height is its payload's, so the height of a term is read off
+    the index of the strata it is built from, not off term_height.  Within
+    a stratum the leaves come first, then each operation in signature order
+    over its argument tuples in product order; seeded samples index into
+    this order.
+    """
+    strata: list[list[Term]] = []
+    for k in range(height + 1):
+        exact = list(leaves_by_height[k]) if k < len(leaves_by_height) else []
+        below = [(h, t) for h, level in enumerate(strata) for t in level]
         for op, arity in spec.signature.operations:
             if arity == 0:
                 if k == 1:
                     exact.append(App(op, ()))
                 continue
             for combo in product(below, repeat=arity):
-                if 1 + max(term_height(t) for t in combo) == k:
-                    exact.append(App(op, combo))
-        levels.append(exact)
-    return [t for lvl in levels for t in lvl]
+                if 1 + max(h for h, _ in combo) == k:
+                    exact.append(App(op, tuple(t for _, t in combo)))
+        strata.append(exact)
+    return strata
 
 
 def truncated_free(spec: "GsosSpec", X: Presheaf, d: int):
@@ -632,27 +626,28 @@ def truncated_free(spec: "GsosSpec", X: Presheaf, d: int):
     renderings, edges canonical proof renderings.  An edge is kept only when
     its proof has depth <= d and both endpoints have height <= d.
     """
-    state_terms = terms_upto(spec, X.states, d)
+    return _window(spec, X, d, terms_upto(spec, X.states, d), presheaf_axioms(X), lambda p: p)
+
+
+def _window(spec: "GsosSpec", X: Presheaf, d: int, state_terms, axioms_of, flatten):
+    """The window on the given states: every derived proof whose flattening
+    has depth <= d and a target of height <= d becomes an edge."""
     states = tuple(render(t) for t in state_terms)
-    term_decode = dict(zip(states, state_terms))
     edges: dict[str, list[str]] = {a: [] for a in spec.labels}
     src: dict[str, dict[str, str]] = {a: {} for a in spec.labels}
     tgt: dict[str, dict[str, str]] = {a: {} for a in spec.labels}
     proof_decode: dict[str, Proof] = {}
-    ax = presheaf_axioms(X)
     memo: dict = {}
-    for m in state_terms:
-        for p in derive(spec, m, ax, _memo=memo):
-            if proof_depth(p) > d:
-                continue
-            n = proof_target(X, p)
-            if term_height(n) > d:
+    for state, m in zip(states, state_terms):
+        for p in derive(spec, m, axioms_of, _memo=memo):
+            flat = flatten(p)
+            if proof_depth(flat) > d or term_height(proof_target(X, flat)) > d:
                 continue
             a = proof_label(p)
             key = render(p)
             edges[a].append(key)
-            src[a][key] = render(m)
-            tgt[a][key] = render(n)
+            src[a][key] = state
+            tgt[a][key] = render(proof_target(X, p))
             proof_decode[key] = p
     P = make_presheaf(
         X.labels,
@@ -661,35 +656,32 @@ def truncated_free(spec: "GsosSpec", X: Presheaf, d: int):
         src,
         tgt,
     )
-    return P, term_decode, proof_decode
+    return P, dict(zip(states, state_terms)), proof_decode
+
+
+def window_map(window, cod: Presheaf, f: Callable[[Element], Element]) -> PresheafMorphism:
+    """The map from a (presheaf, term decode, proof decode) window to cod
+    that sends the state or edge decoding to e to the rendering of f(e)."""
+    P, terms, proofs = window
+    return morphism(
+        P,
+        cod,
+        {key: render(f(t)) for key, t in terms.items()},
+        {a: {key: render(f(proofs[key])) for key in P.edges[a]} for a in P.labels},
+    )
 
 
 def T_of(spec: "GsosSpec", X: Presheaf, d: int) -> Presheaf:
     return truncated_free(spec, X, d)[0]
 
 
-def T_on_morphism(
-    spec: "GsosSpec",
-    f: PresheafMorphism,
-    d: int,
-    TX: Optional[Presheaf] = None,
-    TY: Optional[Presheaf] = None,
-) -> PresheafMorphism:
+def T_on_morphism(spec: "GsosSpec", f: PresheafMorphism, d: int) -> PresheafMorphism:
     """Functorial action on the depth-d windows: relabel all leaves along f."""
-    TX = TX if TX is not None else T_of(spec, f.dom, d)
-    TY = TY if TY is not None else T_of(spec, f.cod, d)
-    on_state = lambda x: f.state_map[x]
-    on_edge = lambda e, a: f.edge_maps[a][e]
-    state_map = {}
-    for key in TX.states:
-        t = parse_term(spec, f.dom, key)
-        state_map[key] = render(map_leaves(t, on_state, on_edge))
-    edge_maps: dict[str, dict[str, str]] = {a: {} for a in TX.labels}
-    for a in TX.labels:
-        for key in TX.edges[a]:
-            p = parse_proof(spec, f.dom, key)
-            edge_maps[a][key] = render(map_leaves(p, on_state, on_edge))
-    return morphism(TX, TY, state_map, edge_maps)
+    return window_map(
+        truncated_free(spec, f.dom, d),
+        T_of(spec, f.cod, d),
+        lambda z: map_leaves(z, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e]),
+    )
 
 
 def eta(spec: "GsosSpec", X: Presheaf, d: int, T: Optional[Presheaf] = None) -> PresheafMorphism:
@@ -707,59 +699,58 @@ def eta(spec: "GsosSpec", X: Presheaf, d: int, T: Optional[Presheaf] = None) -> 
 # Multiplication: strip one layer of wrapping.
 
 
-def mu(spec: "GsosSpec", X: Presheaf, elem: Element) -> Element:
-    """Flatten a two-layer element over X into a one-layer element.
+def mu(elem: Element) -> Element:
+    """Flatten the outer two layers of an element into one.
 
-    Leaf payloads are canonical renderings of their inner elements; wrapped
-    leaves are replaced by the elements they name, rule nodes and operation
-    applications are flattened recursively.
+    Each wrapped leaf is replaced by its payload, the element one layer
+    down; rule nodes and operation applications are kept.  A leaf whose
+    payload is an ambient id has no layer below it, and an axiom whose
+    payload has another label is not a proof: both raise MalformedProof.
     """
-    return mu_layer(spec, X, elem, 2)
+    return _mu(elem)
 
 
-def mu_layer(spec: "GsosSpec", X: Presheaf, elem: Element, level: int) -> Element:
-    """Flatten the outer two of ``level`` layers (level >= 2)."""
-    if level < 2:
-        raise MalformedProof("mu needs at least two layers")
+def _mu(elem: Element) -> Element:
     if isinstance(elem, Var):
-        return parse_term_layer(spec, X, level - 1, elem.name)
+        if isinstance(elem.name, str):
+            raise MalformedProof(f"{render(elem)!r} wraps an ambient state: mu needs two layers")
+        return elem.name
     if isinstance(elem, App):
-        return App(elem.op, tuple(mu_layer(spec, X, a, level) for a in elem.args))
+        return App(elem.op, tuple(_mu(a) for a in elem.args))
     if isinstance(elem, Axiom):
-        inner = parse_proof_layer(spec, X, level - 1, elem.edge)
+        inner = elem.edge
+        if isinstance(inner, str):
+            raise MalformedProof(f"{render(elem)!r} wraps an ambient edge: mu needs two layers")
         if proof_label(inner) != elem.label:
             raise MalformedProof(f"axiom label mismatch flattening {render(elem)!r}")
         return inner
     return Node(
         elem.rule,
         tuple(
-            tuple(mu_layer(spec, X, r, level) for r in arg)
-            if isinstance(arg, tuple)
-            else mu_layer(spec, X, arg, level)
+            tuple(_mu(r) for r in arg) if isinstance(arg, tuple) else _mu(arg)
             for arg in elem.args
         ),
     )
 
 
-def lift_mu(spec: "GsosSpec", X: Presheaf, MM: Term, R: Proof) -> Proof:
+def lift_mu(MM: Term, R: Proof) -> Proof:
     """Lift a transition of a flattened term through the flattening.
 
-    Given a two-layer term MM over X and a proof R with source mu(MM),
-    produce a two-layer proof RR with source MM and mu(RR) = R, by
-    structural induction on MM: a wrapped term lifts R by wrapping it, an
-    operation node must be matched by a rule node and the premises lift
-    argumentwise.
+    Given a two-layer term MM and a proof R with source mu(MM), produce a
+    two-layer proof RR with source MM and mu(RR) = R, by structural
+    induction on MM: a wrapped term lifts R by wrapping it, an operation
+    node must be matched by a rule node and the premises lift argumentwise.
     """
     if isinstance(MM, Var):
-        return Axiom(render(R), proof_label(R))
+        return Axiom(R, proof_label(R))
     if not isinstance(R, Node) or R.rule.op != MM.op:
         raise MalformedProof("transition does not match the term structure")
     args: list = []
     for i, arg in enumerate(R.args):
         if isinstance(arg, tuple):
-            args.append(tuple(lift_mu(spec, X, MM.args[i], r) for r in arg))
+            args.append(tuple(lift_mu(MM.args[i], r) for r in arg))
         else:
-            if mu(spec, X, MM.args[i]) != arg:
+            if mu(MM.args[i]) != arg:
                 raise MalformedProof("premise-less argument does not flatten correctly")
             args.append(MM.args[i])
     return Node(R.rule, tuple(args))
@@ -771,40 +762,23 @@ def lift_mu(spec: "GsosSpec", X: Presheaf, MM: Term, R: Proof) -> Proof:
 
 def two_layer_terms(spec: "GsosSpec", X: Presheaf, d: int) -> list[Term]:
     """All two-layer terms over X whose flattening has height <= d."""
-
-    def level(budget: int) -> list[Term]:
-        out: list[Term] = [Var(render(m)) for m in terms_upto(spec, X.states, budget)]
-        if budget >= 1:
-            below = level(budget - 1)
-            for op, arity in spec.signature.operations:
-                if arity == 0:
-                    out.append(App(op, ()))
-                    continue
-                for combo in product(below, repeat=arity):
-                    out.append(App(op, combo))
-        seen, uniq = set(), []
-        for t in out:
-            k = render(t)
-            if k not in seen:
-                seen.add(k)
-                uniq.append(t)
-        return uniq
-
-    return level(d)
+    inner = _strata(spec, [[Var(x) for x in X.states]], d)
+    outer = _strata(spec, [[Var(m) for m in level] for level in inner], d)
+    return [t for level in outer for t in level]
 
 
-def two_layer_axioms(spec: "GsosSpec", X: Presheaf) -> Callable[[str, str], Sequence[str]]:
-    """Axiom resolver for the second layer: wrapped one-layer proofs."""
+def _layer_axioms(spec: "GsosSpec", X: Presheaf, level: int):
+    """Axiom resolver of the level-th free layer over X.
+
+    In the first layer the axioms out of a state are the ambient edges out
+    of it; above it, the axioms out of a wrapped term are the proofs one
+    layer down with that term as source.
+    """
+    if level == 1:
+        return presheaf_axioms(X)
+    inner = _layer_axioms(spec, X, level - 1)
     memo: dict = {}
-    ax1 = presheaf_axioms(X)
-
-    def ax(state_key: str, label: str) -> Sequence[str]:
-        m = parse_term(spec, X, state_key)
-        return [
-            render(p) for p in derive(spec, m, ax1, _memo=memo) if proof_label(p) == label
-        ]
-
-    return ax
+    return lambda m, a: [p for p in derive(spec, m, inner, _memo=memo) if proof_label(p) == a]
 
 
 def truncated_free_squared(spec: "GsosSpec", X: Presheaf, d: int):
@@ -813,39 +787,7 @@ def truncated_free_squared(spec: "GsosSpec", X: Presheaf, d: int):
     Returns (presheaf, term decode, proof decode) exactly like
     :func:`truncated_free`, with two-layer elements behind the keys.
     """
-    state_terms = two_layer_terms(spec, X, d)
-    states = tuple(render(t) for t in state_terms)
-    term_decode = dict(zip(states, state_terms))
-    edges: dict[str, list[str]] = {a: [] for a in spec.labels}
-    src: dict[str, dict[str, str]] = {a: {} for a in spec.labels}
-    tgt: dict[str, dict[str, str]] = {a: {} for a in spec.labels}
-    proof_decode: dict[str, Proof] = {}
-    ax2 = two_layer_axioms(spec, X)
-    ax2_src = lambda e, lab: render(proof_source(X, parse_proof(spec, X, e)))
-    ax2_tgt = lambda e, lab: render(proof_target(X, parse_proof(spec, X, e)))
-    memo: dict = {}
-    for m2 in state_terms:
-        for p2 in derive(spec, m2, ax2, _memo=memo):
-            flat = mu(spec, X, p2)
-            if proof_depth(flat) > d:
-                continue
-            if term_height(proof_target(X, flat)) > d:
-                continue
-            a = proof_label(p2)
-            key = render(p2)
-            n2 = _target(p2, ax2_src, ax2_tgt)
-            edges[a].append(key)
-            src[a][key] = render(m2)
-            tgt[a][key] = render(n2)
-            proof_decode[key] = p2
-    P = make_presheaf(
-        X.labels,
-        states,
-        {a: tuple(es) for a, es in edges.items()},
-        src,
-        tgt,
-    )
-    return P, term_decode, proof_decode
+    return _window(spec, X, d, two_layer_terms(spec, X, d), _layer_axioms(spec, X, 2), mu)
 
 
 # ---------------------------------------------------------------------------
@@ -920,8 +862,7 @@ def random_layer_element(
         return random_proof(spec, X, rng, budget)
     if kind == "term":
         if budget == 0 or rng.random() < 0.5:
-            inner = random_layer_element(spec, X, rng, level - 1, budget, "term")
-            return Var(render(inner))
+            return Var(random_layer_element(spec, X, rng, level - 1, budget, "term"))
         ops = list(spec.signature.operations)
         f, n = rng.choice(ops)
         return App(
@@ -933,32 +874,17 @@ def random_layer_element(
     ax = _layer_axioms(spec, X, level)
     for _ in range(40):
         m = random_layer_element(spec, X, rng, level, max(budget - 1, 0), "term")
-        cands = [p for p in derive(spec, m, ax) if _flat_depth(spec, X, p, level) <= budget]
+        cands = [p for p in derive(spec, m, ax) if _flat_depth(p, level) <= budget]
         if cands:
             return rng.choice(cands)
     inner = random_layer_element(spec, X, rng, level - 1, budget, "proof")
-    return Axiom(render(inner), proof_label(inner))
+    return Axiom(inner, proof_label(inner))
 
 
-def _layer_axioms(spec, X, level):
-    if level == 1:
-        return presheaf_axioms(X)
-    inner_ax = _layer_axioms(spec, X, level - 1)
-
-    def ax(state_key: str, label: str) -> list[str]:
-        m = parse_term_layer(spec, X, level - 1, state_key)
-        return [
-            render(p) for p in derive(spec, m, inner_ax) if proof_label(p) == label
-        ]
-
-    return ax
-
-
-def _flat_depth(spec, X, elem: Element, level: int) -> int:
-    flat = elem
-    for lv in range(level, 1, -1):
-        flat = mu_layer(spec, X, flat, lv)
-    return element_depth(flat)
+def _flat_depth(elem: Element, level: int) -> int:
+    for _ in range(level - 1):
+        elem = _mu(elem)
+    return element_depth(elem)
 
 
 def check_monad_laws(spec: "GsosSpec", seed: int, cases: int, d: int) -> LawReport:
@@ -976,30 +902,22 @@ def check_monad_laws(spec: "GsosSpec", seed: int, cases: int, d: int) -> LawRepo
             z1 = random_term(spec, rng, X.states, d)
             kind = "term"
 
-        wrapped = map_leaves(
-            z1, lambda x: render(Var(x)), lambda e, a: render(Axiom(e, a))
-        )
-        if mu(spec, X, wrapped) != z1:
+        wrapped = map_leaves(z1, Var, Axiom)  # T(eta): every leaf wrapped once more
+        if mu(wrapped) != z1:
             failures.append(f"case {case}: mu . T(eta) != id on {render(z1)}")
         outer: Element
         if isinstance(z1, (Var, App)):
-            outer = Var(render(z1))
+            outer = Var(z1)
         else:
-            outer = Axiom(render(z1), proof_label(z1))
-        if mu(spec, X, outer) != z1:
+            outer = Axiom(z1, proof_label(z1))
+        if mu(outer) != z1:
             failures.append(f"case {case}: mu . eta_T != id on {render(z1)}")
 
         try:
             z3 = random_layer_element(spec, X, rng, 3, d, kind)
         except MalformedProof:
             continue
-        t_mu = map_leaves(
-            z3,
-            lambda x: render(mu(spec, X, parse_term_layer(spec, X, 2, x))),
-            lambda e, a: render(mu(spec, X, parse_proof_layer(spec, X, 2, e))),
-        )
-        lhs = mu(spec, X, t_mu)
-        rhs = mu(spec, X, mu_layer(spec, X, z3, 3))
-        if lhs != rhs:
+        t_mu = map_leaves(z3, mu, lambda e, _a: mu(e))
+        if mu(t_mu) != mu(mu(z3)):
             failures.append(f"case {case}: associativity fails on {render(z3)}")
     return LawReport(seed=seed, cases=cases, failures=tuple(failures))

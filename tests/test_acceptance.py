@@ -161,10 +161,8 @@ def test_criterion_05_cellularity(ccs):
     _pass(5, "200 seeded shapes certify and replay to their source arity morphism")
 
 
-def _strip_maps(spec, X):
-    st = lambda t: render(to_terminal(parse_term(spec, X, t)))
-    se = lambda e, a: render(to_terminal(parse_proof(spec, X, e)))
-    return st, se
+def _strip_maps():
+    return to_terminal, lambda e, a: to_terminal(e)
 
 
 def test_criterion_06_cartesianness(ccs, toy):
@@ -180,20 +178,20 @@ def test_criterion_06_cartesianness(ccs, toy):
     for spec in (ccs, toy):
         X = representable(spec.labels, list(spec.labels)[0])
         TT, terms2, proofs2 = truncated_free_squared(spec, X, 2)
-        st, se = _strip_maps(spec, X)
+        st, se = _strip_maps()
         witnesses = {}
         for a in spec.labels:
             for key in TT.edges[a]:
                 p2 = proofs2[key]
-                pair = (render(mu(spec, X, p2)), render(map_leaves(p2, st, se)))
+                pair = (render(mu(p2)), render(map_leaves(p2, st, se)))
                 assert pair not in witnesses, f"two witnesses for {pair}"
                 witnesses[pair] = p2
         sample = sorted(witnesses)[:: max(1, len(witnesses) // 40)]
         for flat_key, strip_key in sample:
             p2 = witnesses[(flat_key, strip_key)]
             RR = map_leaves(p2, st, se)
-            R = mu(spec, X, p2)
-            assert unique_R0(spec, X, RR, R) == p2
+            R = mu(p2)
+            assert unique_R0(RR, R) == p2
     _pass(6, "mu/eta squares are pointwise pullbacks; two-layer witnesses unique")
 
 
@@ -206,13 +204,13 @@ def test_criterion_07_compositionality(ccs):
     X = representable(ccs.labels, "a")
     ax = presheaf_axioms(X)
     memo = {}
-    src2 = lambda e, a: render(proof_source(X, parse_proof(ccs, X, e)))
+    src2 = lambda e, a: proof_source(X, e)
     problems = 0
     for MM in two_layer_terms(ccs, X, 2):
-        M = mu(ccs, X, MM)
+        M = mu(MM)
         for R in derive(ccs, M, ax, _memo=memo):
-            RR = lift_mu(ccs, X, MM, R)
-            assert mu(ccs, X, RR) == R
+            RR = lift_mu(MM, R)
+            assert mu(RR) == R
             assert _source(RR, src2) == MM
             problems += 1
     assert problems > 1000
@@ -223,9 +221,9 @@ def test_criterion_07_compositionality(ccs):
     mu_morphism = morphism(
         TT,
         T1,
-        {k: render(mu(ccs, X, t)) for k, t in terms2.items()},
+        {k: render(mu(t)) for k, t in terms2.items()},
         {
-            a: {k: render(mu(ccs, X, proofs2[k])) for k in TT.edges[a]}
+            a: {k: render(mu(proofs2[k])) for k in TT.edges[a]}
             for a in TT.labels
         },
     )

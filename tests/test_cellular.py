@@ -28,14 +28,15 @@ from gsos.presheaf import (
     terminal,
 )
 from gsos.terms import (
+    App,
     Axiom,
+    Node,
+    Var,
     derive,
     map_leaves,
     mu,
     parse_proof,
-    parse_proof_layer,
     parse_term,
-    parse_term_layer,
     presheaf_axioms,
     proof_depth,
     proof_source,
@@ -366,33 +367,36 @@ def test_nested_replication_preservation(ccs):
 def test_unique_R0_base_case(ccs, rsync_ambient):
     X = rsync_ambient
     one = terminal(ccs.labels)
-    RR = Axiom(render(parse_proof(ccs, one, "ax(a_bar)")), "a_bar")
+    RR = Axiom(parse_proof(ccs, one, "ax(a_bar)"), "a_bar")
     R = parse_proof(ccs, X, "ax(e1)")
-    out = unique_R0(ccs, X, RR, R)
-    assert out == Axiom("ax(e1)", "a_bar")
+    out = unique_R0(RR, R)
+    assert out == Axiom(Axiom("e1", "a_bar"), "a_bar")
+    assert render(out) == "ax(ax(e1))"
 
 
 def test_unique_R0_node_case(ccs, rsync_ambient):
     X = rsync_ambient
     one = terminal(ccs.labels)
-    RR = parse_proof_layer(ccs, one, 2, "lpar(ax(ax(a_bar)),term(var(var(*))))")
+    RR = Node(
+        ccs.rule_named("lpar[L=a_bar]"),
+        ((Axiom(parse_proof(ccs, one, "ax(a_bar)"), "a_bar"),), Var(Var("*"))),
+    )
+    assert render(RR) == "lpar[L=a_bar](ax(ax(a_bar)),term(var(var(*))))"
     R = parse_proof(ccs, X, "lpar(ax(e1),term(var(x)))")
-    out = unique_R0(ccs, X, RR, R)
+    out = unique_R0(RR, R)
     assert render(out) == "lpar[L=a_bar](ax(ax(e1)),term(var(var(x))))"
     # the two defining equations hold exactly
-    assert mu(ccs, X, out) == R
-    strip_leaf = lambda p: render(to_terminal(parse_proof(ccs, X, p)))
-    strip_term = lambda t: render(to_terminal(parse_term(ccs, X, t)))
-    assert map_leaves(out, strip_term, lambda e, a: strip_leaf(e)) == RR
+    assert mu(out) == R
+    assert map_leaves(out, to_terminal, lambda e, a: to_terminal(e)) == RR
 
 
 def test_unique_R0_incompatible_pair(ccs, rsync_ambient):
     X = rsync_ambient
     one = terminal(ccs.labels)
-    RR = Axiom(render(parse_proof(ccs, one, "ax(a)")), "a")
+    RR = Axiom(parse_proof(ccs, one, "ax(a)"), "a")
     R = parse_proof(ccs, X, "ax(e1)")  # an a_bar axiom: labels disagree
     with pytest.raises(IncompatiblePair):
-        unique_R0(ccs, X, RR, R)
+        unique_R0(RR, R)
 
 
 def test_unique_R0_uniqueness_brute_force(toy):
@@ -400,24 +404,18 @@ def test_unique_R0_uniqueness_brute_force(toy):
     (flattening, strip); every class must be a singleton, and every
     compatible pair must be hit."""
     X = representable(toy.labels, "a")
-    one = terminal(toy.labels)
     TT, terms2, proofs2 = truncated_free_squared(toy, X, 2)
     seen = {}
     for a in toy.labels:
         for key in TT.edges[a]:
             p2 = proofs2[key]
-            flat = render(mu(toy, X, p2))
-            stripped = render(
-                map_leaves(
-                    p2,
-                    lambda t: render(to_terminal(parse_term(toy, X, t))),
-                    lambda e, lab: render(to_terminal(parse_proof(toy, X, e))),
-                )
-            )
+            flat = render(mu(p2))
+            stripped = render(map_leaves(p2, to_terminal, lambda e, lab: to_terminal(e)))
             pair = (flat, stripped)
             assert pair not in seen, f"two witnesses for {pair}"
             seen[pair] = key
     # and unique_M0 agrees on the term sort
-    MM = parse_term_layer(toy, one, 2, "u(var(var(*)))")
+    MM = App("u", (Var(Var("*")),))
+    assert render(MM) == "u(var(var(*)))"
     M = parse_term(toy, X, "u(var(s))")
-    assert render(unique_M0(toy, X, MM, M)) == "u(var(var(s)))"
+    assert render(unique_M0(MM, M)) == "u(var(var(s)))"

@@ -168,7 +168,16 @@ def test_verify_congruence_mutation_negative_control(capsys):
 
 def test_verify_unknown_suite(capsys):
     code, out, err = run_cli(["verify", CCS, "--suite", "nope"], capsys)
-    assert code == 2
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"kind": "UsageError", "message": "unknown suite 'nope'"}
+
+
+def test_decompose_without_element(capsys):
+    code, out, err = run_cli(["decompose", CCS], capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["kind"] == "UsageError"
 
 
 def test_congruence_command(tmp_path, capsys):

@@ -327,6 +327,19 @@ def test_dot_export(paper_lts):
     assert '"f:b"' in dot or 'label="f:b"' in dot
 
 
+def test_dot_export_escapes_quotes_and_backslashes():
+    X = make_presheaf(
+        AB, ('p"q', "r"), {"a": ("e\\1",)}, {"a": {"e\\1": 'p"q'}}, {"a": {"e\\1": "r"}}
+    )
+    assert presheaf_to_dot(X) == (
+        'digraph lts {\n'
+        '  "p\\"q";\n'
+        '  "r";\n'
+        '  "p\\"q" -> "r" [label="e\\\\1:a"];\n'
+        '}\n'
+    )
+
+
 def test_bang_and_terminal():
     one = terminal(AB)
     assert one.size() == (1, 2)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gsos.errors import MalformedProof, UnknownOperation, UnknownState
+from gsos.errors import GsosError, MalformedProof, UnknownOperation, UnknownState
 from gsos.presheaf import (
     is_functional_bisimulation,
     make_presheaf,
@@ -25,9 +25,7 @@ from gsos.terms import (
     occurrences,
     one_step,
     parse_proof,
-    parse_proof_layer,
     parse_term,
-    parse_term_layer,
     presheaf_axioms,
     proof_depth,
     proof_label,
@@ -213,22 +211,24 @@ def test_eta_wraps_and_is_functional_bisim(ccs, rsync_ambient):
 
 def test_mu_on_wrapped_term(ccs, rsync_ambient):
     X = rsync_ambient
-    z = parse_term_layer(ccs, X, 2, "var(par(var(x),nil))")
-    assert render(mu(ccs, X, z)) == "par(var(x),nil)"
+    z = Var(parse_term(ccs, X, "par(var(x),nil)"))
+    assert render(z) == "var(par(var(x),nil))"
+    assert render(mu(z)) == "par(var(x),nil)"
 
 
 def test_mu_second_clause(ccs, rsync_ambient):
     X = rsync_ambient
-    z = parse_term_layer(ccs, X, 2, "par(var(var(x)),var(nil))")
-    assert render(mu(ccs, X, z)) == "par(var(x),nil)"
+    z = App("par", (Var(Var("x")), Var(App("nil", ()))))
+    assert render(z) == "par(var(var(x)),var(nil))"
+    assert render(mu(z)) == "par(var(x),nil)"
 
 
 def test_mu_nested_proof(ccs, rsync_ambient):
     X = rsync_ambient
-    z = parse_proof_layer(
-        ccs, X, 2, "lpar(ax(lpar(ax(e1),term(var(x)))),term(var(var(y1))))"
-    )
-    out = mu(ccs, X, z)
+    inner = parse_proof(ccs, X, "lpar(ax(e1),term(var(x)))")
+    z = Node(ccs.rule_named("lpar[L=a_bar]"), ((Axiom(inner, "a_bar"),), Var(Var("y1"))))
+    assert render(z) == "lpar[L=a_bar](ax(lpar[L=a_bar](ax(e1),term(var(x)))),term(var(var(y1))))"
+    out = mu(z)
     assert render(out) == "lpar[L=a_bar](lpar[L=a_bar](ax(e1),term(var(x))),term(var(y1)))"
 
 
@@ -241,29 +241,23 @@ def test_unit_laws_on_double_wrapped_variable(ccs, rsync_ambient):
     """Both unit laws route var(x) through the double wrap var(var(x))."""
     X = rsync_ambient
     v = parse_term(ccs, X, "var(x)")
-    via_t_eta = map_leaves(v, lambda s: f"var({s})", lambda e, a: f"ax({e})")
-    assert via_t_eta == parse_term_layer(ccs, X, 2, "var(var(x))")
-    assert mu(ccs, X, via_t_eta) == v
-    via_eta_t = Var(render(v))
+    via_t_eta = map_leaves(v, Var, Axiom)
+    assert via_t_eta == Var(Var("x")) and render(via_t_eta) == "var(var(x))"
+    assert mu(via_t_eta) == v
+    via_eta_t = Var(v)
     assert via_eta_t == via_t_eta  # both unit paths meet in the same element here
-    assert mu(ccs, X, via_eta_t) == v
+    assert mu(via_eta_t) == v
 
 
 def test_associativity_on_sync_proof_double_wrapped(ccs, sync_ambient):
     """The synchronisation proof wrapped twice: both flattening orders agree."""
     X = sync_ambient
     p = parse_proof(ccs, X, "sync(lpar(ax(e1),term(var(x2))),ax(e2))")
-    inner = Axiom(render(p), proof_label(p))          # second layer
-    z3 = Axiom(render(inner), proof_label(inner))     # third layer
-    t_mu = map_leaves(
-        z3,
-        lambda t: render(mu(ccs, X, parse_term_layer(ccs, X, 2, t))),
-        lambda e, a: render(mu(ccs, X, parse_proof_layer(ccs, X, 2, e))),
-    )
-    lhs = mu(ccs, X, t_mu)
-    from gsos.terms import mu_layer
-
-    rhs = mu(ccs, X, mu_layer(ccs, X, z3, 3))
+    inner = Axiom(p, proof_label(p))          # second layer
+    z3 = Axiom(inner, proof_label(inner))     # third layer
+    t_mu = map_leaves(z3, mu, lambda e, a: mu(e))
+    lhs = mu(t_mu)
+    rhs = mu(mu(z3))
     assert lhs == rhs == p
 
 
@@ -275,18 +269,16 @@ def test_mu_naturality_on_random_elements(ccs):
         z = random_layer_element(ccs, X, rng, 2, 3, rng.choice(["term", "proof"]))
         B, u = _random_quotient(rng, X)
         flat_then_move = map_leaves(
-            mu(ccs, X, z), lambda x: u.state_map[x], lambda e, a: u.edge_maps[a][e]
+            mu(z), lambda x: u.state_map[x], lambda e, a: u.edge_maps[a][e]
         )
-        move_leaf_state = lambda p: render(
-            map_leaves(parse_term(ccs, X, p), lambda x: u.state_map[x],
-                       lambda e, a: u.edge_maps[a][e])
+        move_leaf_state = lambda t: map_leaves(
+            t, lambda x: u.state_map[x], lambda e, a: u.edge_maps[a][e]
         )
-        move_leaf_edge = lambda p, a: render(
-            map_leaves(parse_proof(ccs, X, p), lambda x: u.state_map[x],
-                       lambda e, a2: u.edge_maps[a2][e])
+        move_leaf_edge = lambda p, a: map_leaves(
+            p, lambda x: u.state_map[x], lambda e, a2: u.edge_maps[a2][e]
         )
         moved = map_leaves(z, move_leaf_state, move_leaf_edge)
-        assert mu(ccs, B, moved) == flat_then_move
+        assert mu(moved) == flat_then_move
 
 
 def test_lift_mu_exhaustive_small(ccs):
@@ -300,12 +292,12 @@ def test_lift_mu_exhaustive_small(ccs):
     X = representable(L, "a")
     ax = presheaf_axioms(X)
     memo = {}
-    src2 = lambda e, a: render(proof_source(X, parse_proof(ccs, X, e)))
+    src2 = lambda e, a: proof_source(X, e)
     for MM in two_layer_terms(ccs, X, 1):
-        M = mu(ccs, X, MM)
+        M = mu(MM)
         for R in derive(ccs, M, ax, _memo=memo):
-            RR = lift_mu(ccs, X, MM, R)
-            assert mu(ccs, X, RR) == R
+            RR = lift_mu(MM, R)
+            assert mu(RR) == R
             assert _source(RR, src2) == MM
 
 
@@ -329,6 +321,23 @@ def test_parse_render_round_trip_random(ccs):
             else parse_proof(ccs, X, text)
         )
         assert back == elem
+    # flattened layer-2 and layer-3 elements: parsing (which checks proofs
+    # against X) is the oracle that mu builds well-formed elements over X
+    for _ in range(25):
+        X = random_presheaf(rng, ccs.labels, max_states=4)
+        kind = rng.choice(["term", "proof"])
+        parse = parse_term if kind == "term" else parse_proof
+        z = random_layer_element(ccs, X, rng, 2, 3, kind)
+        z3 = random_layer_element(ccs, X, rng, 3, 3, kind)
+        for flat in (mu(z), mu(mu(z3))):
+            assert parse(ccs, X, render(flat)) == flat
+
+
+def test_mu_refuses_one_layer_elements(ccs, rsync_ambient):
+    one_layer = parse_proof(ccs, rsync_ambient, "lpar(ax(e1),term(var(x)))")
+    for elem in (Var("x"), Axiom("e1", "a_bar"), one_layer):
+        with pytest.raises(GsosError):
+            mu(elem)
 
 
 def test_parse_accepts_base_rule_names(ccs, sync_ambient):
