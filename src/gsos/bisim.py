@@ -30,7 +30,6 @@ from .presheaf import (
 from .terms import (
     App,
     HOLE,
-    Proof,
     Term,
     Var,
     one_step,
@@ -65,7 +64,7 @@ def reachable_fragment(
     """Breadth-first closure of the seeds under derivation, up to fuel steps."""
     labels = spec.labels
     states: list[str] = []
-    known: dict[str, Term] = {}
+    known: set[str] = set()
     frontier: set[str] = set()
     level: list[Term] = []
     for t in seeds:
@@ -73,13 +72,12 @@ def reachable_fragment(
             raise UnknownState("fragment seeds must be closed terms")
         key = render(t)
         if key not in known:
-            known[key] = t
+            known.add(key)
             states.append(key)
             level.append(t)
     edges: dict[str, list[str]] = {a: [] for a in labels}
     src: dict[str, dict[str, str]] = {a: {} for a in labels}
     tgt: dict[str, dict[str, str]] = {a: {} for a in labels}
-    proofs: dict[str, Proof] = {}
     closed = _closed_ambient(labels)
     for depth in range(fuel):
         next_level: list[Term] = []
@@ -88,7 +86,7 @@ def reachable_fragment(
                 n = proof_target(closed, p)
                 nk = render(n)
                 if nk not in known:
-                    known[nk] = n
+                    known.add(nk)
                     states.append(nk)
                     next_level.append(n)
                 a = proof_label(p)
@@ -96,7 +94,6 @@ def reachable_fragment(
                 edges[a].append(pk)
                 src[a][pk] = render(m)
                 tgt[a][pk] = nk
-                proofs[pk] = p
         level = next_level
         if not level:
             break
@@ -246,25 +243,24 @@ def enumerate_contexts(spec, max_height: int) -> list[Term]:
 
     Non-hole leaves are the 0-ary operations; every operation of the
     signature may appear.  Heights count as for terms, the hole counting 0.
+    Every context and closed term carries its height, so a context of
+    height h is built only from pieces of height < h.
     """
-    closed_terms = terms_upto(spec, (), max_height)
-
-    ctxs: list[list[Term]] = [[Var(HOLE)]]
+    closed = [(term_height(t), t) for t in terms_upto(spec, (), max_height - 1)]
+    ctxs: list[tuple[int, Term]] = [(0, Var(HOLE))]
     for h in range(1, max_height + 1):
         level = []
-        hole_below = [c for lvl in ctxs for c in lvl]
+        closed_below = [(k, t) for k, t in closed if k < h]
         for op, arity in spec.signature.operations:
             if arity == 0:
                 continue
             for slot in range(arity):
-                others: list[list[Term]] = []
-                for pos in range(arity):
-                    others.append(hole_below if pos == slot else closed_terms)
+                others = [ctxs if pos == slot else closed_below for pos in range(arity)]
                 for combo in product(*others):
-                    if 1 + max(term_height(t) for t in combo) == h:
-                        level.append(App(op, tuple(combo)))
-        ctxs.append(level)
-    return [c for lvl in ctxs for c in lvl]
+                    if 1 + max(k for k, _ in combo) == h:
+                        level.append((h, App(op, tuple(t for _, t in combo))))
+        ctxs.extend(level)
+    return [c for _, c in ctxs]
 
 
 def sample_contexts(spec, max_height: int, count: int, rng) -> list[Term]:

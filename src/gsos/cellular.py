@@ -212,9 +212,7 @@ def lift_against(
         x = k_state[step.at]
         ey = bottom.edge_maps[step.label][step.edge]
         picks = sorted(
-            ex
-            for ex in X.edges[step.label]
-            if X.src[step.label][ex] == x and f.edge_maps[step.label][ex] == ey
+            ex for ex in X.out_edges(x, step.label) if f.edge_maps[step.label][ex] == ey
         )
         if not picks:
             raise NotAFunctionalBisim(

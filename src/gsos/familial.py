@@ -309,9 +309,8 @@ def all_morphisms(A: Presheaf, B: Presheaf) -> Iterator[PresheafMorphism]:
         for a, e in flat_edges:
             opts = sorted(
                 eb
-                for eb in B.edges[a]
-                if B.src[a][eb] == state_map[A.src[a][e]]
-                and B.tgt[a][eb] == state_map[A.tgt[a][e]]
+                for eb in B.out_edges(state_map[A.src[a][e]], a)
+                if B.tgt[a][eb] == state_map[A.tgt[a][e]]
             )
             if not opts:
                 feasible = False

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -90,8 +91,21 @@ class Presheaf:
                 return a
         raise UnknownLabel(f"edge {edge!r} not present")
 
-    def out_edges(self, state: str, label: str) -> list[str]:
-        return [e for e in self.edges[label] if self.src[label][e] == state]
+    @cached_property
+    def _out(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        """label -> state -> out-edges in declaration order, built on first query."""
+        index: dict[str, dict[str, tuple[str, ...]]] = {}
+        for a, es in self.edges.items():
+            src = self.src[a]
+            by_src: dict[str, list[str]] = {}
+            for e in es:
+                by_src.setdefault(src[e], []).append(e)
+            index[a] = {x: tuple(out) for x, out in by_src.items()}
+        return index
+
+    def out_edges(self, state: str, label: str) -> tuple[str, ...]:
+        """The label-edges leaving state, in declaration order."""
+        return self._out[label].get(state, ())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Presheaf):
@@ -380,9 +394,8 @@ def find_lifting(square: LiftingSquare) -> Optional[PresheafMorphism]:
                     continue
                 picks = sorted(
                     ex
-                    for ex in X.edges[lab]
+                    for ex in X.out_edges(k_state[B.src[lab][be]], lab)
                     if right.edge_maps[lab][ex] == bottom.edge_maps[lab][be]
-                    and X.src[lab][ex] == k_state[B.src[lab][be]]
                     and X.tgt[lab][ex] == k_state[B.tgt[lab][be]]
                 )
                 if not picks:
@@ -418,19 +431,14 @@ def is_functional_bisimulation(f: PresheafMorphism):
     starting at f(x), some domain edge over e starts at x.  Returns True or
     a falsy :class:`Counterexample`.
     """
-    from collections import defaultdict
-
     X, Y = f.dom, f.cod
     for a in X.labels:
-        out_y = defaultdict(list)
-        for e in Y.edges[a]:
-            out_y[Y.src[a][e]].append(e)
-        image = defaultdict(set)
-        for e in X.edges[a]:
-            image[X.src[a][e]].add(f.edge_maps[a][e])
         for x in X.states:
-            covered = image[x]
-            for e in out_y[f.state_map[x]]:
+            want = Y.out_edges(f.state_map[x], a)
+            if not want:
+                continue
+            covered = {f.edge_maps[a][e] for e in X.out_edges(x, a)}
+            for e in want:
                 if e not in covered:
                     return Counterexample(x, a, e)
     return True
@@ -482,10 +490,6 @@ def pullback_report(square: LiftingSquare) -> dict[str, bool]:
     return report
 
 
-def is_pullback_square(square: LiftingSquare) -> bool:
-    return all(pullback_report(square).values())
-
-
 # ---------------------------------------------------------------------------
 # Finite colimits: coproducts and wide pushouts (the only shapes needed).
 
@@ -508,12 +512,6 @@ class WidePushout:
         for leg in self.legs:
             if leg.dom != self.apex:
                 raise ShapeUnsupported("every leg must start at the apex")
-
-
-def pushout_diagram(left: PresheafMorphism, right: PresheafMorphism) -> WidePushout:
-    if left.dom != right.dom:
-        raise ShapeUnsupported("pushout legs must share their domain")
-    return WidePushout(left.dom, (left, right))
 
 
 class _UnionFind:

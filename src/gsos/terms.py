@@ -579,10 +579,6 @@ def one_step(spec: "GsosSpec", term: Term, drop_last_premise: bool = False) -> t
     return derive(spec, term, None, drop_last_premise=drop_last_premise)
 
 
-def presheaf_axioms(X: Presheaf) -> Callable[[str, str], Sequence[str]]:
-    return lambda x, a: [e for e in X.edges[a] if X.src[a][e] == x]
-
-
 # ---------------------------------------------------------------------------
 # Truncated materialisations of the free layers.
 
@@ -626,7 +622,7 @@ def truncated_free(spec: "GsosSpec", X: Presheaf, d: int):
     renderings, edges canonical proof renderings.  An edge is kept only when
     its proof has depth <= d and both endpoints have height <= d.
     """
-    return _window(spec, X, d, terms_upto(spec, X.states, d), presheaf_axioms(X), lambda p: p)
+    return _window(spec, X, d, terms_upto(spec, X.states, d), X.out_edges, lambda p: p)
 
 
 def _window(spec: "GsosSpec", X: Presheaf, d: int, state_terms, axioms_of, flatten):
@@ -775,7 +771,7 @@ def _layer_axioms(spec: "GsosSpec", X: Presheaf, level: int):
     layer down with that term as source.
     """
     if level == 1:
-        return presheaf_axioms(X)
+        return X.out_edges
     inner = _layer_axioms(spec, X, level - 1)
     memo: dict = {}
     return lambda m, a: [p for p in derive(spec, m, inner, _memo=memo) if proof_label(p) == a]
@@ -838,29 +834,18 @@ def random_term(spec: "GsosSpec", rng, variables: Sequence[str], budget: int) ->
     return App(f, tuple(random_term(spec, rng, variables, budget - 1) for _ in range(n)))
 
 
-def random_proof(spec: "GsosSpec", X: Presheaf, rng, budget: int, tries: int = 40) -> Proof:
-    ax = presheaf_axioms(X)
-    for _ in range(tries):
-        m = random_term(spec, rng, X.states, max(budget - 1, 0))
-        cands = [p for p in derive(spec, m, ax) if proof_depth(p) <= budget]
-        if cands:
-            return rng.choice(cands)
-    pool = [(a, e) for a, e in X.all_edges()]
-    if not pool:
-        raise MalformedProof("ambient system has no edges to seed proofs")
-    a, e = rng.choice(pool)
-    return Axiom(e, a)
-
-
 def random_layer_element(
     spec: "GsosSpec", X: Presheaf, rng, level: int, budget: int, kind: str
 ) -> Element:
-    """A random element of the level-th free layer with flattened depth <= budget."""
-    if level == 1:
-        if kind == "term":
-            return random_term(spec, rng, X.states, budget)
-        return random_proof(spec, X, rng, budget)
+    """A random element of the level-th free layer with flattened depth <= budget.
+
+    A proof is drawn from the derivations out of a random term; after 40
+    misses it falls back to a wrapped ambient edge (level 1) or a wrapped
+    proof one layer down.
+    """
     if kind == "term":
+        if level == 1:
+            return random_term(spec, rng, X.states, budget)
         if budget == 0 or rng.random() < 0.5:
             return Var(random_layer_element(spec, X, rng, level - 1, budget, "term"))
         ops = list(spec.signature.operations)
@@ -877,6 +862,12 @@ def random_layer_element(
         cands = [p for p in derive(spec, m, ax) if _flat_depth(p, level) <= budget]
         if cands:
             return rng.choice(cands)
+    if level == 1:
+        pool = list(X.all_edges())
+        if not pool:
+            raise MalformedProof("ambient system has no edges to seed proofs")
+        a, e = rng.choice(pool)
+        return Axiom(e, a)
     inner = random_layer_element(spec, X, rng, level - 1, budget, "proof")
     return Axiom(inner, proof_label(inner))
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from gsos.bisim import (
 )
 from gsos.errors import FuelTooSmall, UnknownState
 from gsos.presheaf import labelset, make_presheaf
-from gsos.terms import Var, parse_term, render
+from gsos.terms import HOLE, App, Var, parse_term, render, term_height, terms_upto
 
 
 def T(ccs, text):
@@ -210,6 +212,34 @@ def test_plug_and_contexts(ccs):
     for c in ctxs:
         assert count_holes(c) == 1
         assert term_height(c) <= 2
+
+
+def _contexts_by_filtering(spec, max_height):
+    """Reference enumerator: every combination over all closed terms of
+    height <= max_height, kept when its height is exactly h."""
+    closed_terms = terms_upto(spec, (), max_height)
+    ctxs = [[Var(HOLE)]]
+    for h in range(1, max_height + 1):
+        level = []
+        hole_below = [c for lvl in ctxs for c in lvl]
+        for op, arity in spec.signature.operations:
+            if arity == 0:
+                continue
+            for slot in range(arity):
+                others = [hole_below if pos == slot else closed_terms for pos in range(arity)]
+                for combo in product(*others):
+                    if 1 + max(term_height(t) for t in combo) == h:
+                        level.append(App(op, tuple(combo)))
+        ctxs.append(level)
+    return [c for lvl in ctxs for c in lvl]
+
+
+@pytest.mark.parametrize("name", ["ccs", "toy"])
+@pytest.mark.parametrize("height", [0, 1, 2, 3])
+def test_enumerate_contexts_matches_filtering_oracle(name, height, request):
+    """Same contexts in the same order, so seeded context samples are pinned."""
+    spec = request.getfixturevalue(name)
+    assert enumerate_contexts(spec, height) == _contexts_by_filtering(spec, height)
 
 
 def test_congruence_hole_context_trivial(ccs):

@@ -37,7 +37,6 @@ from gsos.terms import (
     mu,
     parse_proof,
     parse_term,
-    presheaf_axioms,
     proof_depth,
     proof_source,
     random_layer_element,
@@ -234,7 +233,7 @@ def test_preserve_bisim_lift_collapse_instance(ccs):
     L, X, Y, f = _covering_fixture()
     M = parse_term(ccs, X, "par(var(u),var(v))")
     fM = map_leaves(M, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
-    problems = derive(ccs, fM, presheaf_axioms(Y))
+    problems = derive(ccs, fM, Y.out_edges)
     assert problems
     for R in problems:
         r0 = preserve_bisim_lift(ccs, f, M, R)
@@ -252,13 +251,13 @@ def test_preserve_bisim_lift_matches_brute_force(ccs):
 
         M = random_term(ccs, rng, X.states, 2)
         fM = map_leaves(M, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
-        for R in derive(ccs, fM, presheaf_axioms(Y)):
+        for R in derive(ccs, fM, Y.out_edges):
             if proof_depth(R) > 2:
                 continue
             r0 = preserve_bisim_lift(ccs, f, M, R)
             oracle = [
                 p
-                for p in derive(ccs, M, presheaf_axioms(X))
+                for p in derive(ccs, M, X.out_edges)
                 if map_leaves(p, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e]) == R
                 and proof_source(X, p) == M
             ]

@@ -2,7 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gsos.cellular import random_functional_bisim
 from gsos.errors import (
     DanglingEdge,
     DuplicateId,
@@ -10,7 +13,9 @@ from gsos.errors import (
     ShapeUnsupported,
     UnknownLabel,
 )
+from gsos.familial import random_collapse
 from gsos.presheaf import (
+    STAR,
     Coproduct,
     LiftingSquare,
     WidePushout,
@@ -21,7 +26,6 @@ from gsos.presheaf import (
     find_lifting,
     identity,
     is_functional_bisimulation,
-    is_pullback_square,
     labelset,
     make_presheaf,
     morphism,
@@ -29,11 +33,12 @@ from gsos.presheaf import (
     presheaf_to_dot,
     presheaf_to_json,
     pullback,
-    pushout_diagram,
+    pullback_report,
     representable,
     source_inclusion,
     terminal,
 )
+from gsos.terms import random_presheaf
 
 AB = labelset("a", "b")
 
@@ -90,7 +95,7 @@ def test_coproduct_of_representables():
 
 def test_pushout_shares_source():
     sa, sb = source_inclusion(AB, "a"), source_inclusion(AB, "b")
-    colim, (ia, ib) = colimit(pushout_diagram(sa, sb))
+    colim, (ia, ib) = colimit(WidePushout(sa.dom, (sa, sb)))
     assert colim.size() == (3, 2)
     ea = ia.edge_maps["a"]["e"]
     eb = ib.edge_maps["b"]["e"]
@@ -169,6 +174,48 @@ def test_find_lifting_none_when_impossible():
         bottom=identity(ya),
     )
     assert find_lifting(sq) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_out_edges_matches_scan(seed):
+    X = random_presheaf(random.Random(seed), AB, max_states=6, max_edges=12)
+    for x in X.states:
+        for a in X.labels:
+            assert X.out_edges(x, a) == tuple(e for e in X.edges[a] if X.src[a][e] == x)
+
+
+def _source_squares(f):
+    """Every commuting square from s^a to f, keyed by (state, label, edge):
+    a domain state x on top and a codomain a-edge out of f(x) below."""
+    X, Y = f.dom, f.cod
+    squares = {}
+    for a in X.labels:
+        left = source_inclusion(X.labels, a)
+        for x in X.states:
+            top = morphism(left.dom, X, {STAR: x})
+            for e in Y.edges[a]:
+                if Y.src[a][e] != f.state_map[x]:
+                    continue
+                bottom = morphism(left.cod, Y, {"s": Y.src[a][e], "t": Y.tgt[a][e]}, {a: {"e": e}})
+                squares[x, a, e] = LiftingSquare(left=left, top=top, right=f, bottom=bottom)
+    return squares
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_functional_bisim_iff_every_source_square_lifts(seed, collapse):
+    """The lifting characterisation, with find_lifting as the oracle."""
+    rng = random.Random(seed)
+    if collapse:
+        _, f = random_collapse(random_presheaf(rng, AB, max_states=4), rng)
+    else:
+        f = random_functional_bisim(rng, AB)
+    lifts = {key: find_lifting(sq) is not None for key, sq in _source_squares(f).items()}
+    verdict = is_functional_bisimulation(f)
+    assert bool(verdict) == all(lifts.values())
+    if not verdict:
+        assert not lifts[verdict.state, verdict.label, verdict.edge]
 
 
 def test_lifting_square_must_commute():
@@ -265,7 +312,7 @@ def test_functional_bisims_stable_under_pullback():
 def test_pullback_square_of_identities():
     ya = representable(AB, "a")
     i = identity(ya)
-    assert is_pullback_square(LiftingSquare(left=i, top=i, right=i, bottom=i))
+    assert all(pullback_report(LiftingSquare(left=i, top=i, right=i, bottom=i)).values())
 
 
 def test_pullback_square_degenerate_product_leg_fails():
@@ -282,7 +329,7 @@ def test_pullback_square_degenerate_product_leg_fails():
     to_one_y = morphism(Y, one, {"y1": "*", "y2": "*"})
     pick = morphism(X, Y, {"x": "y1"})
     sq = LiftingSquare(left=pick, top=identity(X), right=to_one_x, bottom=to_one_y)
-    assert not is_pullback_square(sq)
+    assert not all(pullback_report(sq).values())
 
 
 def test_colimit_injection_commutations_random():

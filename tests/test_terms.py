@@ -26,7 +26,6 @@ from gsos.terms import (
     one_step,
     parse_proof,
     parse_term,
-    presheaf_axioms,
     proof_depth,
     proof_label,
     proof_source,
@@ -290,7 +289,7 @@ def test_lift_mu_exhaustive_small(ccs):
 
     L = ccs.labels
     X = representable(L, "a")
-    ax = presheaf_axioms(X)
+    ax = X.out_edges
     memo = {}
     src2 = lambda e, a: proof_source(X, e)
     for MM in two_layer_terms(ccs, X, 1):
