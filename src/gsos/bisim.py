@@ -32,7 +32,7 @@ from .terms import (
     HOLE,
     Term,
     Var,
-    one_step,
+    derive,
     proof_label,
     proof_target,
     render,
@@ -61,7 +61,13 @@ class Fragment:
 def reachable_fragment(
     spec, seeds: Sequence[Term], fuel: int, drop_last_premise: bool = False
 ) -> Fragment:
-    """Breadth-first closure of the seeds under derivation, up to fuel steps."""
+    """Breadth-first closure of the seeds under derivation, up to fuel steps.
+
+    One derive memo serves the whole fragment, so each distinct subterm is
+    derived once however many states contain it, and states and proofs that
+    share subtrees share their renderings.  Targets of closed proofs are
+    closed, so checking the seeds is enough.
+    """
     labels = spec.labels
     states: list[str] = []
     known: set[str] = set()
@@ -79,10 +85,11 @@ def reachable_fragment(
     src: dict[str, dict[str, str]] = {a: {} for a in labels}
     tgt: dict[str, dict[str, str]] = {a: {} for a in labels}
     closed = _closed_ambient(labels)
+    memo: dict = {}
     for depth in range(fuel):
         next_level: list[Term] = []
         for m in level:
-            for p in one_step(spec, m, drop_last_premise=drop_last_premise):
+            for p in derive(spec, m, None, drop_last_premise=drop_last_premise, _memo=memo):
                 n = proof_target(closed, p)
                 nk = render(n)
                 if nk not in known:

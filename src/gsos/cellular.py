@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import (
     IncompatiblePair,
@@ -261,19 +262,27 @@ def preserve_bisim_lift(
 # Cartesianness of the monad structure.
 
 
-def check_mu_cartesian(spec, X: Presheaf, d: int) -> dict:
+def one_layer_windows(spec, X: Presheaf, d: int) -> tuple:
+    """The depth-d one-layer windows over X and over 1.
+
+    Both cartesianness squares have these as corners; a caller that checks
+    both builds them once and passes them to each check.
+    """
+    return truncated_free(spec, X, d), truncated_free(spec, terminal(X.labels), d)
+
+
+def check_mu_cartesian(spec, X: Presheaf, d: int, windows: Optional[tuple] = None) -> dict:
     """Is the flattening naturality square over 1 a pointwise pullback?
 
     Both two-layer corners are truncated by flattened depth <= d, the
     one-layer corners by depth <= d; the square is well-posed because
     flattening preserves the bound and the unique two-layer witness of a
-    compatible pair lives inside the same window.
+    compatible pair lives inside the same window.  ``windows`` are the
+    one-layer corners from :func:`one_layer_windows`, built when omitted.
     """
-    one = terminal(X.labels)
+    T_X, T_1 = windows if windows is not None else one_layer_windows(spec, X, d)
     TT_X = truncated_free_squared(spec, X, d)
-    T_X = truncated_free(spec, X, d)
-    TT_1 = truncated_free_squared(spec, one, d)
-    T_1 = truncated_free(spec, one, d)
+    TT_1 = truncated_free_squared(spec, terminal(X.labels), d)
     mu_X = window_map(TT_X, T_X[0], mu)
     mu_1 = window_map(TT_1, T_1[0], mu)
     t2_bang = window_map(
@@ -296,13 +305,15 @@ def check_mu_cartesian(spec, X: Presheaf, d: int) -> dict:
     }
 
 
-def check_eta_cartesian(spec, X: Presheaf, d: int) -> dict:
-    """Is the unit naturality square over 1 a pointwise pullback?"""
-    one = terminal(X.labels)
-    window = truncated_free(spec, X, d)
-    T_X, T_1 = window[0], truncated_free(spec, one, d)[0]
+def check_eta_cartesian(spec, X: Presheaf, d: int, windows: Optional[tuple] = None) -> dict:
+    """Is the unit naturality square over 1 a pointwise pullback?
+
+    ``windows`` are as for :func:`check_mu_cartesian`.
+    """
+    window, window_1 = windows if windows is not None else one_layer_windows(spec, X, d)
+    T_X, T_1 = window[0], window_1[0]
     eta_X = eta(spec, X, d, T=T_X)
-    eta_1 = eta(spec, one, d, T=T_1)
+    eta_1 = eta(spec, terminal(X.labels), d, T=T_1)
     t_bang = window_map(window, T_1, to_terminal)
     square = LiftingSquare(left=eta_X, top=bang(X), right=eta_1, bottom=t_bang)
     per_object = pullback_report(square)

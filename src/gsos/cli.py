@@ -21,11 +21,12 @@ from .cellular import (
     cell_certificate,
     check_eta_cartesian,
     check_mu_cartesian,
+    one_layer_windows,
     preserve_bisim_lift,
     random_functional_bisim,
     verify_certificate,
 )
-from .errors import GsosError, SpecParseError
+from .errors import GsosError, NestingTooDeep, SpecParseError
 from .familial import (
     arity_label,
     arity_tgt_morphism,
@@ -69,6 +70,14 @@ def _usage_error(message: str) -> int:
     """Refuse a malformed invocation: one JSON line on stderr, exit code 2."""
     sys.stderr.write(json.dumps({"kind": "UsageError", "message": message}, sort_keys=True) + "\n")
     return 2
+
+
+def _refuse(exc: GsosError) -> int:
+    """Refuse a domain violation: one JSON line on stderr, exit code 1."""
+    sys.stderr.write(
+        json.dumps({"kind": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
+    )
+    return 1
 
 
 def _load_spec(path: str) -> GsosSpec:
@@ -225,8 +234,9 @@ def _suite_laws(spec, seed, cases, d, k, mutate):
 
 def _suite_cartesian(spec, seed, cases, d, k, mutate):
     X = representable(spec.labels, list(spec.labels)[0])
-    mu_rep = check_mu_cartesian(spec, X, d)
-    eta_rep = check_eta_cartesian(spec, X, d)
+    windows = one_layer_windows(spec, X, d)
+    mu_rep = check_mu_cartesian(spec, X, d, windows)
+    eta_rep = check_eta_cartesian(spec, X, d, windows)
     return {
         "seed": seed,
         "mu": mu_rep,
@@ -440,11 +450,14 @@ def main(argv=None) -> int:
             sys.stderr.write(json.dumps(v.to_dict(), sort_keys=True) + "\n")
         return 1
     except GsosError as exc:
-        sys.stderr.write(
-            json.dumps({"kind": type(exc).__name__, "message": str(exc)}, sort_keys=True)
-            + "\n"
+        return _refuse(exc)
+    except RecursionError:
+        # parse, render, derive and the arity walk recurse once per level
+        return _refuse(
+            NestingTooDeep(
+                f"input nested too deeply (interpreter recursion limit {sys.getrecursionlimit()})"
+            )
         )
-        return 1
     except OSError as exc:
         sys.stderr.write(json.dumps({"kind": "IOError", "message": str(exc)}) + "\n")
         return 1

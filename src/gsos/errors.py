@@ -59,6 +59,14 @@ class EmptyLabelClass(GsosError):
     pass
 
 
+class MalformedSystem(GsosError):
+    """A system or morphism document is not of the expected form."""
+
+
+class NestingTooDeep(GsosError):
+    """An input is nested deeper than the recursive walks can follow."""
+
+
 class ReplayMismatch(GsosError):
     """Certificate replay diverged; carries the first offending step index."""
 

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .errors import (
     DanglingEdge,
     DuplicateId,
+    MalformedSystem,
     NonCommutingSquare,
     ShapeUnsupported,
     UnknownLabel,
@@ -694,12 +695,84 @@ def presheaf_to_json(X: Presheaf) -> str:
 
 
 def presheaf_from_json(text: str) -> Presheaf:
-    doc = json.loads(text)
-    labels = LabelSet(tuple(doc["labels"]))
-    edges = {a: tuple(rec["id"] for rec in doc.get("edges", {}).get(a, [])) for a in labels}
-    src = {a: {rec["id"]: rec["src"] for rec in doc.get("edges", {}).get(a, [])} for a in labels}
-    tgt = {a: {rec["id"]: rec["tgt"] for rec in doc.get("edges", {}).get(a, [])} for a in labels}
-    return make_presheaf(labels, tuple(doc["states"]), edges, src, tgt)
+    """Read a system from its JSON document, refusing a malformed one.
+
+    Raises MalformedSystem naming the field or id at fault.  Every state and
+    edge id must read back through the term syntax (see :func:`_check_id`),
+    so that elements over the system print and parse again.
+    """
+    return _presheaf_from_doc(_json_document(text), "system")
+
+
+def _json_document(text: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise MalformedSystem(f"not a JSON document: {exc}") from None
+
+
+_JSON_KIND = {dict: "object", list: "list"}
+
+
+def _field(doc: dict, key: str, kind: type, where: str):
+    if key not in doc:
+        raise MalformedSystem(f"{where} has no {key!r} field")
+    if not isinstance(doc[key], kind):
+        raise MalformedSystem(f"{where}.{key} must be a JSON {_JSON_KIND[kind]}")
+    return doc[key]
+
+
+def _strings(items: list, where: str) -> tuple[str, ...]:
+    for item in items:
+        if not isinstance(item, str):
+            raise MalformedSystem(f"{where} must hold strings, not {item!r}")
+    return tuple(items)
+
+
+def _check_id(ident: str, what: str) -> None:
+    """Refuse an id that does not read back as the payload of var(...) or ax(...).
+
+    The term parser takes a payload up to the matching close parenthesis
+    and strips it, so an id reads back exactly when its parentheses balance
+    and it has no surrounding whitespace.
+    """
+    depth = 0
+    for ch in ident:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                break
+    if depth != 0 or ident != ident.strip():
+        raise MalformedSystem(f"{what} {ident!r} does not read back through the term syntax")
+
+
+def _presheaf_from_doc(doc, where: str) -> Presheaf:
+    if not isinstance(doc, dict):
+        raise MalformedSystem(f"{where} must be a JSON object")
+    labels = _strings(_field(doc, "labels", list, where), f"{where}.labels")
+    states = _strings(_field(doc, "states", list, where), f"{where}.states")
+    for x in states:
+        _check_id(x, "state id")
+    edges_doc = _field(doc, "edges", dict, where) if "edges" in doc else {}
+    edges: dict[str, tuple[str, ...]] = {}
+    src: dict[str, dict[str, str]] = {}
+    tgt: dict[str, dict[str, str]] = {}
+    for a, records in edges_doc.items():
+        at = f"{where}.edges.{a}"
+        if not isinstance(records, list):
+            raise MalformedSystem(f"{at} must be a JSON list of edge records")
+        for rec in records:
+            if not isinstance(rec, dict) or not all(
+                isinstance(rec.get(k), str) for k in ("id", "src", "tgt")
+            ):
+                raise MalformedSystem(f"{at}: {rec!r} is not an edge record with string id, src and tgt")
+            _check_id(rec["id"], "edge id")
+        edges[a] = tuple(rec["id"] for rec in records)
+        src[a] = {rec["id"]: rec["src"] for rec in records}
+        tgt[a] = {rec["id"]: rec["tgt"] for rec in records}
+    return make_presheaf(LabelSet(labels), states, edges, src, tgt)
 
 
 def morphism_to_json(f: PresheafMorphism) -> str:
@@ -713,10 +786,22 @@ def morphism_to_json(f: PresheafMorphism) -> str:
 
 
 def morphism_from_json(text: str) -> PresheafMorphism:
-    doc = json.loads(text)
-    dom = presheaf_from_json(json.dumps(doc["dom"]))
-    cod = presheaf_from_json(json.dumps(doc["cod"]))
-    return morphism(dom, cod, doc["states"], doc.get("edges", {}))
+    """Read a morphism from its JSON document, refusing a malformed one."""
+    doc = _json_document(text)
+    if not isinstance(doc, dict):
+        raise MalformedSystem("morphism must be a JSON object")
+    dom = _presheaf_from_doc(_field(doc, "dom", dict, "morphism"), "morphism.dom")
+    cod = _presheaf_from_doc(_field(doc, "cod", dict, "morphism"), "morphism.cod")
+    state_map = _field(doc, "states", dict, "morphism")
+    edge_maps = _field(doc, "edges", dict, "morphism") if "edges" in doc else {}
+    for where, mapping in [("morphism.states", state_map)] + [
+        (f"morphism.edges.{a}", m) for a, m in edge_maps.items()
+    ]:
+        if not isinstance(mapping, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
+        ):
+            raise MalformedSystem(f"{where} must be a JSON object from ids to ids")
+    return morphism(dom, cod, state_map, edge_maps)
 
 
 def presheaf_to_dot(X: Presheaf) -> str:

@@ -14,11 +14,23 @@ substitutes each payload for its leaf, and rendering prints a payload with
 the same syntax, so var(par(var(x),nil)) names a two-layer term exactly as
 it did when payloads were strings.  Text is parsed only when it comes from
 outside the program.
+
+The four node classes (Var, App, Axiom, Node) are immutable and compare
+structurally.  Each node stores its hash and its rendering the first time
+either is asked for, so a subtree shared by many elements (a payload, a
+premise, a derived subterm) is hashed and printed once, and a lookup in a
+memo or a window dictionary costs one hash of the node's own fields.  Both
+caches are filled lazily, not at construction: most nodes of a window are
+built, tested and dropped, and are hashed or rendered at most once, so an
+eager cache would cost time on every node and save it on few.  Equal nodes
+need not be the same object (there is no intern table); equality tries
+identity first, then tells two nodes apart by their cached hashes when both
+are known, then compares fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
@@ -45,40 +57,116 @@ HOLE = "__hole__"
 ProofDepth = int
 
 
-@dataclass(frozen=True)
-class Var:
+_set = object.__setattr__
+
+
+class _Syntax:
+    """An immutable syntax node; its hash and rendering are cached on first use.
+
+    Subclasses list their fields in ``_fields`` and return them as a tuple
+    from ``_key``, which fixes equality and the hash exactly as a frozen
+    dataclass over the same fields would.
+    """
+
+    __slots__ = ("_hash", "_text")
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self._key())
+            _set(self, "_hash", h)
+        return h
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class Var(_Syntax):
     """A wrapped ambient state, written var(x).
 
     In the first layer ``name`` is a state id of the ambient system; in the
     layers above it is a term one layer down.
     """
 
+    __slots__ = ("name",)
+    _fields = ("name",)
     name: Union[str, "Term"]
 
+    def __init__(self, name: Union[str, "Term"]):
+        _set(self, "name", name)
+        _set(self, "_hash", None)
+        _set(self, "_text", None)
 
-@dataclass(frozen=True)
-class App:
+    def _key(self) -> tuple:
+        return (self.name,)
+
+
+class App(_Syntax):
+    __slots__ = ("op", "args")
+    _fields = ("op", "args")
     op: str
     args: tuple["Term", ...]
+
+    def __init__(self, op: str, args: tuple["Term", ...]):
+        _set(self, "op", op)
+        _set(self, "args", args)
+        _set(self, "_hash", None)
+        _set(self, "_text", None)
+
+    def _key(self) -> tuple:
+        return (self.op, self.args)
 
 
 Term = Union[Var, App]
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(_Syntax):
     """A wrapped ambient edge, written ax(e); the label is carried along.
 
     In the first layer ``edge`` is an edge id of the ambient system; in the
     layers above it is a proof one layer down, with the same label.
     """
 
+    __slots__ = ("edge", "label")
+    _fields = ("edge", "label")
     edge: Union[str, "Proof"]
     label: str
 
+    def __init__(self, edge: Union[str, "Proof"], label: str):
+        _set(self, "edge", edge)
+        _set(self, "label", label)
+        _set(self, "_hash", None)
+        _set(self, "_text", None)
 
-@dataclass(frozen=True)
-class Node:
+    def _key(self) -> tuple:
+        return (self.edge, self.label)
+
+
+class Node(_Syntax):
     """A rule application.
 
     ``args`` has one entry per operation argument: the plain source term for
@@ -86,8 +174,19 @@ class Node:
     order) otherwise.
     """
 
+    __slots__ = ("rule", "args")
+    _fields = ("rule", "args")
     rule: "Rule"
     args: tuple[Union[Term, tuple["Proof", ...]], ...]
+
+    def __init__(self, rule: "Rule", args: tuple[Union[Term, tuple["Proof", ...]], ...]):
+        _set(self, "rule", rule)
+        _set(self, "args", args)
+        _set(self, "_hash", None)
+        _set(self, "_text", None)
+
+    def _key(self) -> tuple:
+        return (self.rule, self.args)
 
 
 Proof = Union[Axiom, Node]
@@ -99,13 +198,22 @@ Element = Union[Term, Proof]
 
 
 def render(elem: Element) -> str:
+    """The canonical text of an element, computed once per node."""
+    text = elem._text
+    if text is None:
+        text = _render(elem)
+        _set(elem, "_text", text)
+    return text
+
+
+def _render(elem: Element) -> str:
     if isinstance(elem, Var):
         name = elem.name
         return f"var({name if isinstance(name, str) else render(name)})"
     if isinstance(elem, App):
         if not elem.args:
             return elem.op
-        return f"{elem.op}({','.join(render(t) for t in elem.args)})"
+        return f"{elem.op}({','.join([render(t) for t in elem.args])})"
     if isinstance(elem, Axiom):
         edge = elem.edge
         return f"ax({edge if isinstance(edge, str) else render(edge)})"
@@ -504,8 +612,9 @@ def derive(
     memo = _memo if _memo is not None else {}
 
     def go(t: Term) -> tuple[Proof, ...]:
-        if t in memo:
-            return memo[t]
+        known = memo.get(t)
+        if known is not None:
+            return known
         out: list[Proof] = []
         if isinstance(t, Var):
             if axioms_of is not None:

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -18,7 +19,19 @@ from gsos.bisim import (
 )
 from gsos.errors import FuelTooSmall, UnknownState
 from gsos.presheaf import labelset, make_presheaf
-from gsos.terms import HOLE, App, Var, parse_term, render, term_height, terms_upto
+from gsos.terms import (
+    HOLE,
+    App,
+    Var,
+    one_step,
+    parse_term,
+    proof_label,
+    proof_target,
+    random_term,
+    render,
+    term_height,
+    terms_upto,
+)
 
 
 def T(ccs, text):
@@ -285,3 +298,82 @@ def test_congruence_curated_pairs_quick(ccs):
     ctxs = enumerate_contexts(ccs, 1)
     rep = congruence_test(ccs, pairs, ctxs, 3, 4)
     assert rep["ok"], rep["violations"]
+
+
+def _fragment_oracle(spec, seeds, fuel, drop_last_premise):
+    """reachable_fragment as it was: a fresh derive memo for every state."""
+    labels = spec.labels
+    states, known, level = [], set(), []
+    for t in seeds:
+        key = render(t)
+        if key not in known:
+            known.add(key)
+            states.append(key)
+            level.append(t)
+    edges = {a: [] for a in labels}
+    src = {a: {} for a in labels}
+    tgt = {a: {} for a in labels}
+    closed = make_presheaf(labels, ())
+    for _ in range(fuel):
+        next_level = []
+        for m in level:
+            for p in one_step(spec, m, drop_last_premise=drop_last_premise):
+                n = proof_target(closed, p)
+                nk = render(n)
+                if nk not in known:
+                    known.add(nk)
+                    states.append(nk)
+                    next_level.append(n)
+                a = proof_label(p)
+                pk = render(p)
+                edges[a].append(pk)
+                src[a][pk] = render(m)
+                tgt[a][pk] = nk
+        level = next_level
+        if not level:
+            break
+    return states, edges, src, tgt, {render(t) for t in level}
+
+
+@pytest.mark.parametrize("drop", [False, True])
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    count=st.integers(min_value=1, max_value=3),
+    fuel=st.integers(min_value=0, max_value=3),
+)
+def test_reachable_fragment_matches_per_state_oracle(ccs, drop, seed, count, fuel):
+    rng = random.Random(seed)
+    seeds = [random_term(ccs, rng, (), rng.randint(0, 4)) for _ in range(count)]
+    _assert_fragment_matches_oracle(ccs, seeds, fuel, drop)
+
+
+@pytest.mark.parametrize("drop", [False, True])
+@pytest.mark.parametrize(
+    "seeds, fuel",
+    [
+        (["bang(par(pref_a(nil),pref_a_bar(nil)))", "bang(par(pref_a_bar(nil),pref_a(nil)))"], 6),
+        (
+            [
+                "par(par(bang(sum(pref_a(pref_tau(nil)),pref_a_bar(nil))),pref_a(pref_a_bar(nil))),"
+                "sum(pref_a_bar(nil),pref_tau(pref_a(nil))))"
+            ],
+            5,
+        ),
+    ],
+)
+def test_reachable_fragment_matches_oracle_on_shared_subterms(ccs, drop, seeds, fuel):
+    """Fragments of up to a few hundred states that share most subterms."""
+    _assert_fragment_matches_oracle(ccs, [T(ccs, s) for s in seeds], fuel, drop)
+
+
+def _assert_fragment_matches_oracle(ccs, seeds, fuel, drop):
+    frag = reachable_fragment(ccs, seeds, fuel, drop_last_premise=drop)
+    states, edges, src, tgt, frontier = _fragment_oracle(ccs, seeds, fuel, drop)
+    X = frag.carrier
+    assert list(X.states) == states
+    for a in ccs.labels:
+        assert list(X.edges[a]) == edges[a]
+        assert dict(X.src[a]) == src[a]
+        assert dict(X.tgt[a]) == tgt[a]
+    assert frag.frontier == frontier

@@ -313,3 +313,54 @@ def test_seed_env_not_an_integer(capsys, monkeypatch):
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["kind"] == "UsageError"
+
+
+DEEP = 1500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lts", CCS, "--term", "pref_a(" * DEEP + "nil" + ")" * DEEP, "--fuel", "1"],
+        ["bisim", CCS, "--t1", "pref_a(" * DEEP + "nil" + ")" * DEEP, "--t2", "nil"],
+        ["decompose", CCS, "--term", "pref_a(" * DEEP + "var(*)" + ")" * DEEP],
+    ],
+    ids=["lts", "bisim", "decompose"],
+)
+def test_deep_term_refused_with_typed_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["kind"] == "NestingTooDeep"
+
+
+CCS_LABELS = ["a", "a_bar", "tau"]
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"labels": CCS_LABELS}, "'states'"),
+        (
+            {
+                "labels": CCS_LABELS,
+                "states": ["p", "q"],
+                "edges": {"a": {"id": "e", "src": "p", "tgt": "q"}},
+            },
+            "system.edges.a",
+        ),
+        ({"labels": CCS_LABELS, "states": ["p)"]}, "'p)'"),
+    ],
+    ids=["no-states", "edges-not-a-list", "id-does-not-read-back"],
+)
+def test_malformed_system_refused_at_the_loader(doc, named, tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        ["decompose", CCS, "--presheaf", str(path), "--term", "var(p)"], capsys
+    )
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    report = json.loads(line)
+    assert report["kind"] == "MalformedSystem"
+    assert named in report["message"]

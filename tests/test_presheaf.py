@@ -9,6 +9,8 @@ from gsos.cellular import random_functional_bisim
 from gsos.errors import (
     DanglingEdge,
     DuplicateId,
+    GsosError,
+    MalformedSystem,
     NonCommutingSquare,
     ShapeUnsupported,
     UnknownLabel,
@@ -29,6 +31,7 @@ from gsos.presheaf import (
     labelset,
     make_presheaf,
     morphism,
+    morphism_from_json,
     presheaf_from_json,
     presheaf_to_dot,
     presheaf_to_json,
@@ -38,6 +41,7 @@ from gsos.presheaf import (
     source_inclusion,
     terminal,
 )
+from gsos.terms import Axiom, Var, parse_proof, parse_term, render
 from gsos.terms import random_presheaf
 
 AB = labelset("a", "b")
@@ -393,3 +397,44 @@ def test_bang_and_terminal():
     ya = representable(AB, "a")
     assert is_functional_bisimulation(bang(ya)) is not True  # y_a has no b-loop lift
     assert bang(terminal(AB)).is_iso()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ident=st.text(alphabet="ab() ,", max_size=6))
+def test_loader_accepts_exactly_the_ids_that_read_back(ccs, ident):
+    """An id is accepted iff var(id) and ax(id) parse back to the same leaf."""
+    doc = {
+        "labels": list(ccs.labels),
+        "states": [ident],
+        "edges": {"a": [{"id": ident, "src": ident, "tgt": ident}]},
+    }
+    try:
+        X = presheaf_from_json(json.dumps(doc))
+    except MalformedSystem:
+        X = make_presheaf(ccs.labels, [ident], {"a": [ident]}, {"a": {ident: ident}}, {"a": {ident: ident}})
+        for parse, leaf in ((parse_term, Var(ident)), (parse_proof, Axiom(ident, "a"))):
+            try:
+                assert parse(ccs, X, render(leaf)) != leaf
+            except GsosError:
+                pass
+        return
+    assert parse_term(ccs, X, render(Var(ident))) == Var(ident)
+    assert parse_proof(ccs, X, render(Axiom(ident, "a"))) == Axiom(ident, "a")
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ("[1, 2", "not a JSON document"),
+        ({"dom": {"labels": ["a"], "states": ["x"]}}, "'cod'"),
+        ({"dom": {"labels": ["a"], "states": ["x"]}, "cod": {"labels": ["a"], "states": ["y"]},
+          "states": ["x"]}, "morphism.states"),
+        ({"dom": {"labels": ["a"], "states": [" x"]}, "cod": {"labels": ["a"], "states": ["y"]},
+          "states": {" x": "y"}}, "' x'"),
+    ],
+    ids=["not-json", "no-cod", "states-not-an-object", "id-with-space"],
+)
+def test_morphism_loader_names_the_bad_field(doc, named):
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    with pytest.raises(MalformedSystem, match=named):
+        morphism_from_json(text)

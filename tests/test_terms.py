@@ -1,6 +1,11 @@
+import pickle
 import random
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsos.errors import GsosError, MalformedProof, UnknownOperation, UnknownState
 from gsos.presheaf import (
@@ -356,3 +361,140 @@ def test_truncated_free_well_formed(ccs):
             assert render(proof_source(X, p)) == T.src[a][e]
             assert render(proof_target(X, p)) == T.tgt[a][e]
             assert proof_depth(p) <= 2
+
+
+# ---------------------------------------------------------------------------
+# Cached hashes and renderings against the uncached frozen-dataclass nodes
+# they replace: same text, same equality, same hash values.
+
+
+@dataclass(frozen=True)
+class _OldVar:
+    name: object
+
+
+@dataclass(frozen=True)
+class _OldApp:
+    op: str
+    args: tuple
+
+
+@dataclass(frozen=True)
+class _OldAxiom:
+    edge: object
+    label: str
+
+
+@dataclass(frozen=True)
+class _OldNode:
+    rule: object
+    args: tuple
+
+
+def _old(elem):
+    """The same element built from the uncached dataclasses (payloads too)."""
+    if isinstance(elem, str):
+        return elem
+    if isinstance(elem, tuple):
+        return tuple(_old(x) for x in elem)
+    if isinstance(elem, Var):
+        return _OldVar(_old(elem.name))
+    if isinstance(elem, App):
+        return _OldApp(elem.op, _old(elem.args))
+    if isinstance(elem, Axiom):
+        return _OldAxiom(_old(elem.edge), elem.label)
+    return _OldNode(elem.rule, _old(elem.args))
+
+
+def _old_render(elem) -> str:
+    """render as it was: recursive, nothing cached."""
+    if isinstance(elem, _OldVar):
+        name = elem.name
+        return f"var({name if isinstance(name, str) else _old_render(name)})"
+    if isinstance(elem, _OldApp):
+        if not elem.args:
+            return elem.op
+        return f"{elem.op}({','.join(_old_render(t) for t in elem.args)})"
+    if isinstance(elem, _OldAxiom):
+        edge = elem.edge
+        return f"ax({edge if isinstance(edge, str) else _old_render(edge)})"
+    parts = []
+    for arg in elem.args:
+        if isinstance(arg, tuple):
+            parts.extend(_old_render(r) for r in arg)
+        else:
+            parts.append(f"term({_old_render(arg)})")
+    if not parts:
+        return elem.rule.name
+    return f"{elem.rule.name}({','.join(parts)})"
+
+
+def _layer_element(spec, seed, level, kind):
+    rng = random.Random(seed)
+    X = random_presheaf(rng, spec.labels, max_states=4)
+    return random_layer_element(spec, X, rng, level, 3, kind)
+
+
+def _small_term(spec, seed, index):
+    X = random_presheaf(random.Random(seed), spec.labels, max_states=3)
+    pool = terms_upto(spec, X.states, 2)
+    return pool[index % len(pool)]
+
+
+_LEVELS = st.integers(min_value=1, max_value=3)
+_KINDS = st.sampled_from(["term", "proof"])
+_SEEDS = st.integers(min_value=0, max_value=10**6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, level=_LEVELS, kind=_KINDS, index=st.integers(min_value=0, max_value=10**4))
+def test_render_matches_uncached_oracle(ccs, seed, level, kind, index):
+    for build in (
+        lambda: _layer_element(ccs, seed, level, kind),
+        lambda: _small_term(ccs, seed, index),
+    ):
+        elem = build()
+        want = _old_render(_old(elem))
+        assert render(elem) == want
+        assert render(elem) == want
+        keyed = build()
+        table = {keyed: want}
+        assert render(keyed) == want
+        assert table[elem] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.tuples(_SEEDS, _SEEDS), level=_LEVELS, kind=_KINDS, index=st.integers(0, 10**4))
+def test_equality_and_hash_match_dataclass_oracle(ccs, seeds, level, kind, index):
+    def compare(elems):
+        for x, y in product(elems, repeat=2):
+            assert (x == y) == (_old(x) == _old(y))
+            assert (x != y) == (_old(x) != _old(y))
+
+    a = _layer_element(ccs, seeds[0], level, kind)
+    b = _layer_element(ccs, seeds[1], level, kind)
+    # small terms over few states are often equal without being the same object
+    c = _small_term(ccs, seeds[0], index)
+    d = _small_term(ccs, seeds[1], index)
+    elems = (a, _layer_element(ccs, seeds[0], level, kind), b, c, d, _small_term(ccs, seeds[0], index))
+    compare(elems)  # no hash cached yet
+    hash(a)
+    hash(c)
+    compare(elems)  # some cached
+    for x in elems:
+        assert hash(x) == hash(_old(x))
+    compare(elems)  # all cached
+    for x, y in product(elems, repeat=2):
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+def test_nodes_are_immutable_and_print_like_dataclasses(ccs, sync_ambient):
+    p = parse_proof(ccs, sync_ambient, "sync(lpar(ax(e1),term(var(x2))),ax(e2))")
+    for node in (Var("x"), App("nil", ()), Axiom("e1", "a_bar"), p):
+        with pytest.raises(FrozenInstanceError):
+            node._hash = 0
+        assert pickle.loads(pickle.dumps(node)) == node
+        assert repr(node) == repr(_old(node)).replace("_Old", "")
+    assert Var("x") != "x" and Var("x") != App("x", ())
+    assert repr(Var(Var("x"))) == "Var(name=Var(name='x'))"
