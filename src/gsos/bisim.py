@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .errors import FuelTooSmall, UnknownState
 from .presheaf import (
-    LabelSet,
     Presheaf,
     PresheafMorphism,
     is_functional_bisimulation,
@@ -34,7 +33,6 @@ from .terms import (
     Var,
     derive,
     proof_label,
-    proof_target,
     render,
     term_height,
     term_vars,
@@ -84,13 +82,11 @@ def reachable_fragment(
     edges: dict[str, list[str]] = {a: [] for a in labels}
     src: dict[str, dict[str, str]] = {a: {} for a in labels}
     tgt: dict[str, dict[str, str]] = {a: {} for a in labels}
-    closed = _closed_ambient(labels)
     memo: dict = {}
     for depth in range(fuel):
         next_level: list[Term] = []
         for m in level:
-            for p in derive(spec, m, None, drop_last_premise=drop_last_premise, _memo=memo):
-                n = proof_target(closed, p)
+            for p, n in derive(spec, m, None, drop_last_premise=drop_last_premise, _memo=memo):
                 nk = render(n)
                 if nk not in known:
                     known.add(nk)
@@ -109,11 +105,6 @@ def reachable_fragment(
         labels, tuple(states), {a: tuple(v) for a, v in edges.items()}, src, tgt
     )
     return Fragment(carrier, frozenset(frontier))
-
-
-def _closed_ambient(labels: LabelSet) -> Presheaf:
-    # closed proofs have no axioms, so any ambient system works for src/tgt
-    return make_presheaf(labels, ())
 
 
 # ---------------------------------------------------------------------------

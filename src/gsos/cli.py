@@ -47,6 +47,7 @@ from .presheaf import (
 )
 from .specdsl import GsosSpec, parse_spec
 from .terms import (
+    ambient_axioms,
     check_monad_laws,
     derive,
     map_leaves,
@@ -312,7 +313,7 @@ def _suite_preserve(spec, seed, cases, d, k, mutate):
         fM = map_leaves(M, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
         problems = [
             R
-            for R in derive(spec, fM, Y.out_edges)
+            for R, _ in derive(spec, fM, ambient_axioms(Y))
             if proof_depth(R) <= d
         ]
         for R in problems:
@@ -433,9 +434,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Options that count steps, strata, levels or cases, by argparse destination.
+_COUNT_OPTIONS = {
+    "fuel": "--fuel",
+    "stratum": "-k/--stratum",
+    "depth": "-d/--depth",
+    "cases": "--cases",
+    "sample": "--sample",
+    "context_height": "--context-height",
+}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    for dest, option in _COUNT_OPTIONS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            return _usage_error(f"{option} must be non-negative, got {value}")
     if "GSOS_SEED" in os.environ and hasattr(args, "seed"):
         try:
             args.seed = int(os.environ["GSOS_SEED"])

@@ -109,6 +109,8 @@ class Presheaf:
         return self._out[label].get(state, ())
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Presheaf):
             return NotImplemented
         return (
@@ -240,6 +242,8 @@ class PresheafMorphism:
         return self.edge_maps[label][e]
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, PresheafMorphism):
             return NotImplemented
         return (

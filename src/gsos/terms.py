@@ -593,15 +593,24 @@ def derive(
     axioms_of: Optional[Callable[[object, str], Sequence]] = None,
     drop_last_premise: bool = False,
     _memo: Optional[dict] = None,
-) -> tuple[Proof, ...]:
-    """All proofs whose conclusion source is exactly ``term``.
+) -> tuple[tuple[Proof, Term], ...]:
+    """All proofs whose conclusion source is exactly ``term``, each paired
+    with its conclusion target.
 
-    ``axioms_of(payload, label)`` lists the axiom payloads out of a leaf:
-    the ambient edge ids out of a state in the first layer, the proofs out
-    of a wrapped term above it; None means a closed derivation (no axioms).
-    Premises of a rule argument are derived from that argument's subterm,
-    so all premises of one group share their source by construction.  Rules
-    are tried in declaration order and premise choices are combined
+    Every pair ``(p, n)`` satisfies ``n == proof_target(X, p)`` over the
+    ambient system X the leaves resolve in; the target is built from the
+    pieces at hand instead of being re-derived from the proof.  A rule
+    node's target is the rule's target term with ``x_i`` replaced by the
+    i-th argument of ``term`` and ``y_i_j`` by the target of premise
+    ``(i, j)``; an axiom leaf's target wraps its payload's target.
+
+    ``axioms_of(payload, label)`` lists the axioms out of a leaf as
+    ``(payload, payload target)`` pairs: the ambient edges out of a state in
+    the first layer (:func:`ambient_axioms`), the proofs out of a wrapped
+    term above it; None means a closed derivation (no axioms).  Premises of
+    a rule argument are derived from that argument's subterm, so all
+    premises of one group share their source by construction.  Rules are
+    tried in declaration order and premise choices are combined
     left-to-right, which fixes the output order.
 
     ``drop_last_premise`` enables the deliberately broken engine used as a
@@ -610,52 +619,71 @@ def derive(
     axiom-shaped unary rules.
     """
     memo = _memo if _memo is not None else {}
+    return _derive(spec, term, axioms_of, drop_last_premise, memo)
 
-    def go(t: Term) -> tuple[Proof, ...]:
-        known = memo.get(t)
-        if known is not None:
-            return known
-        out: list[Proof] = []
-        if isinstance(t, Var):
-            if axioms_of is not None:
-                for a in spec.labels:
-                    for e in axioms_of(t.name, a):
-                        out.append(Axiom(e, a))
-            memo[t] = tuple(out)
-            return memo[t]
-        if not spec.signature.has(t.op):
-            raise UnknownOperation(f"unknown operation {t.op!r}")
-        for rule in spec.rules:
-            if rule.op != t.op:
-                continue
-            total = sum(len(g) for g in rule.premise_labels)
-            cut = _last_premise_index(rule) if drop_last_premise and total >= 2 else None
-            group_choices: list[list] = []
-            feasible = True
-            for i, labels_i in enumerate(rule.premise_labels):
-                if not labels_i:
-                    group_choices.append([t.args[i]])
-                    continue
-                per_j: list[list[Proof]] = []
-                for j, want in enumerate(labels_i):
-                    if cut == (i, j):
-                        per_j.append(_shortcut_premise(spec, t.args[i], want))
-                    else:
-                        per_j.append([r for r in go(t.args[i]) if proof_label(r) == want])
-                    if not per_j[-1]:
-                        feasible = False
-                        break
-                if not feasible:
-                    break
-                group_choices.append([tuple(c) for c in product(*per_j)])
-            if not feasible:
-                continue
-            for combo in product(*group_choices):
-                out.append(Node(rule, tuple(combo)))
+
+def _derive(spec, t: Term, axioms_of, drop_last_premise: bool, memo: dict):
+    # A module-level recursion rather than a closure over itself, so the
+    # memo is freed when the caller drops it, without waiting for the
+    # cyclic garbage collector.
+    known = memo.get(t)
+    if known is not None:
+        return known
+    out: list[tuple[Proof, Term]] = []
+    if isinstance(t, Var):
+        if axioms_of is not None:
+            for a in spec.labels:
+                for e, n in axioms_of(t.name, a):
+                    out.append((Axiom(e, a), Var(n)))
         memo[t] = tuple(out)
         return memo[t]
-
-    return go(term)
+    if not spec.signature.has(t.op):
+        raise UnknownOperation(f"unknown operation {t.op!r}")
+    for rule in spec.rules:
+        if rule.op != t.op:
+            continue
+        total = sum(len(g) for g in rule.premise_labels)
+        cut = _last_premise_index(rule) if drop_last_premise and total >= 2 else None
+        group_choices: list[list] = []
+        feasible = True
+        for i, labels_i in enumerate(rule.premise_labels):
+            if not labels_i:
+                group_choices.append([t.args[i]])
+                continue
+            per_j: list[list[tuple[Proof, Term]]] = []
+            for j, want in enumerate(labels_i):
+                if cut == (i, j):
+                    per_j.append(_shortcut_premise(spec, t.args[i], want))
+                else:
+                    per_j.append(
+                        [
+                            r
+                            for r in _derive(spec, t.args[i], axioms_of, drop_last_premise, memo)
+                            if proof_label(r[0]) == want
+                        ]
+                    )
+                if not per_j[-1]:
+                    feasible = False
+                    break
+            if not feasible:
+                break
+            group_choices.append(list(product(*per_j)))
+        if not feasible:
+            continue
+        for combo in product(*group_choices):
+            args: list = []
+            mapping: dict[str, Term] = {}
+            for i, choice in enumerate(combo):
+                mapping[f"x{i + 1}"] = t.args[i]
+                if isinstance(choice, tuple):
+                    args.append(tuple(r for r, _ in choice))
+                    for j, (_, n) in enumerate(choice):
+                        mapping[f"y{i + 1}_{j + 1}"] = n
+                else:
+                    args.append(choice)
+            out.append((Node(rule, tuple(args)), substitute(rule.target, mapping)))
+    memo[t] = tuple(out)
+    return memo[t]
 
 
 def _last_premise_index(rule) -> tuple[int, int]:
@@ -665,8 +693,11 @@ def _last_premise_index(rule) -> tuple[int, int]:
     raise AssertionError("rule has no premises")
 
 
-def _shortcut_premise(spec, arg: Term, want_label: str) -> list[Proof]:
-    """Buggy premise handling: match one syntactic level instead of deriving."""
+def _shortcut_premise(spec, arg: Term, want_label: str) -> list[tuple[Proof, Term]]:
+    """Buggy premise handling: match one syntactic level instead of deriving.
+
+    The matched rules have target x1, so each proof's target is the operand.
+    """
     if not isinstance(arg, App) or len(arg.args) != 1:
         return []
     out = []
@@ -677,15 +708,21 @@ def _shortcut_premise(spec, arg: Term, want_label: str) -> list[Proof]:
             and all(not g for g in rule.premise_labels)
             and rule.target == Var("x1")
         ):
-            out.append(Node(rule, (arg.args[0],)))
+            out.append((Node(rule, (arg.args[0],)), arg.args[0]))
     return out
+
+
+def ambient_axioms(X: Presheaf) -> Callable[[str, str], list[tuple[str, str]]]:
+    """Axiom resolver of the first layer over X, for :func:`derive`: the
+    label-edges out of a state, each paired with its target state."""
+    return lambda x, a: [(e, X.tgt[a][e]) for e in X.out_edges(x, a)]
 
 
 def one_step(spec: "GsosSpec", term: Term, drop_last_premise: bool = False) -> tuple[Proof, ...]:
     """All proofs with conclusion source the given closed term."""
     if term_vars(term):
         raise UnknownState("one_step needs a closed term")
-    return derive(spec, term, None, drop_last_premise=drop_last_premise)
+    return tuple(p for p, _ in derive(spec, term, None, drop_last_premise=drop_last_premise))
 
 
 # ---------------------------------------------------------------------------
@@ -731,12 +768,16 @@ def truncated_free(spec: "GsosSpec", X: Presheaf, d: int):
     renderings, edges canonical proof renderings.  An edge is kept only when
     its proof has depth <= d and both endpoints have height <= d.
     """
-    return _window(spec, X, d, terms_upto(spec, X.states, d), X.out_edges, lambda p: p)
+    return _window(spec, X, d, terms_upto(spec, X.states, d), ambient_axioms(X), lambda z: z)
 
 
 def _window(spec: "GsosSpec", X: Presheaf, d: int, state_terms, axioms_of, flatten):
     """The window on the given states: every derived proof whose flattening
-    has depth <= d and a target of height <= d becomes an edge."""
+    has depth <= d and a target of height <= d becomes an edge.
+
+    ``flatten`` maps an element of the layer to one layer over X; it
+    commutes with targets, so a flattened proof's target is the flattened
+    target that derive returned with the proof."""
     states = tuple(render(t) for t in state_terms)
     edges: dict[str, list[str]] = {a: [] for a in spec.labels}
     src: dict[str, dict[str, str]] = {a: {} for a in spec.labels}
@@ -744,15 +785,14 @@ def _window(spec: "GsosSpec", X: Presheaf, d: int, state_terms, axioms_of, flatt
     proof_decode: dict[str, Proof] = {}
     memo: dict = {}
     for state, m in zip(states, state_terms):
-        for p in derive(spec, m, axioms_of, _memo=memo):
-            flat = flatten(p)
-            if proof_depth(flat) > d or term_height(proof_target(X, flat)) > d:
+        for p, n in derive(spec, m, axioms_of, _memo=memo):
+            if proof_depth(flatten(p)) > d or term_height(flatten(n)) > d:
                 continue
             a = proof_label(p)
             key = render(p)
             edges[a].append(key)
             src[a][key] = state
-            tgt[a][key] = render(proof_target(X, p))
+            tgt[a][key] = render(n)
             proof_decode[key] = p
     P = make_presheaf(
         X.labels,
@@ -873,17 +913,17 @@ def two_layer_terms(spec: "GsosSpec", X: Presheaf, d: int) -> list[Term]:
 
 
 def _layer_axioms(spec: "GsosSpec", X: Presheaf, level: int):
-    """Axiom resolver of the level-th free layer over X.
+    """Axiom resolver of the level-th free layer over X, for :func:`derive`.
 
     In the first layer the axioms out of a state are the ambient edges out
     of it; above it, the axioms out of a wrapped term are the proofs one
-    layer down with that term as source.
+    layer down with that term as source.  Each comes with its target.
     """
     if level == 1:
-        return X.out_edges
+        return ambient_axioms(X)
     inner = _layer_axioms(spec, X, level - 1)
     memo: dict = {}
-    return lambda m, a: [p for p in derive(spec, m, inner, _memo=memo) if proof_label(p) == a]
+    return lambda m, a: [r for r in derive(spec, m, inner, _memo=memo) if proof_label(r[0]) == a]
 
 
 def truncated_free_squared(spec: "GsosSpec", X: Presheaf, d: int):
@@ -968,7 +1008,7 @@ def random_layer_element(
     ax = _layer_axioms(spec, X, level)
     for _ in range(40):
         m = random_layer_element(spec, X, rng, level, max(budget - 1, 0), "term")
-        cands = [p for p in derive(spec, m, ax) if _flat_depth(p, level) <= budget]
+        cands = [p for p, _ in derive(spec, m, ax) if _flat_depth(p, level) <= budget]
         if cands:
             return rng.choice(cands)
     if level == 1:

@@ -32,6 +32,7 @@ from gsos.terms import (
     Axiom,
     Node,
     Var,
+    ambient_axioms,
     derive,
     map_leaves,
     mu,
@@ -233,7 +234,7 @@ def test_preserve_bisim_lift_collapse_instance(ccs):
     L, X, Y, f = _covering_fixture()
     M = parse_term(ccs, X, "par(var(u),var(v))")
     fM = map_leaves(M, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
-    problems = derive(ccs, fM, Y.out_edges)
+    problems = [R for R, _ in derive(ccs, fM, ambient_axioms(Y))]
     assert problems
     for R in problems:
         r0 = preserve_bisim_lift(ccs, f, M, R)
@@ -251,13 +252,13 @@ def test_preserve_bisim_lift_matches_brute_force(ccs):
 
         M = random_term(ccs, rng, X.states, 2)
         fM = map_leaves(M, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
-        for R in derive(ccs, fM, Y.out_edges):
+        for R, _ in derive(ccs, fM, ambient_axioms(Y)):
             if proof_depth(R) > 2:
                 continue
             r0 = preserve_bisim_lift(ccs, f, M, R)
             oracle = [
                 p
-                for p in derive(ccs, M, X.out_edges)
+                for p, _ in derive(ccs, M, ambient_axioms(X))
                 if map_leaves(p, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e]) == R
                 and proof_source(X, p) == M
             ]

@@ -364,3 +364,24 @@ def test_malformed_system_refused_at_the_loader(doc, named, tmp_path, capsys):
     report = json.loads(line)
     assert report["kind"] == "MalformedSystem"
     assert named in report["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["lts", CCS, "--term", "nil", "--fuel", "-1"], "--fuel"),
+        (["bisim", CCS, "--t1", "nil", "--t2", "nil", "-k", "-1", "--fuel", "1"], "-k/--stratum"),
+        (["verify", CCS, "--suite", "laws", "-d", "-2"], "-d/--depth"),
+        (["verify", CCS, "--suite", "laws", "--cases", "-3"], "--cases"),
+        (["congruence", CCS, "--pairs", PAIRS, "--sample", "-5"], "--sample"),
+        (["congruence", CCS, "--pairs", PAIRS, "--context-height", "-1"], "--context-height"),
+    ],
+    ids=["fuel", "stratum", "depth", "cases", "sample", "context-height"],
+)
+def test_negative_count_refused_as_usage_error(argv, option, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    doc = json.loads(line)
+    assert doc["kind"] == "UsageError"
+    assert doc["message"].startswith(f"{option} must be non-negative")

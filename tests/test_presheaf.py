@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -438,3 +439,63 @@ def test_morphism_loader_names_the_bad_field(doc, named):
     text = doc if isinstance(doc, str) else json.dumps(doc)
     with pytest.raises(MalformedSystem, match=named):
         morphism_from_json(text)
+
+
+def _rebuilt(X):
+    return make_presheaf(
+        X.labels,
+        X.states,
+        {a: X.edges[a] for a in X.labels},
+        {a: dict(X.src[a]) for a in X.labels},
+        {a: dict(X.tgt[a]) for a in X.labels},
+    )
+
+
+def _rebuilt_morphism(f):
+    return morphism(
+        _rebuilt(f.dom),
+        _rebuilt(f.cod),
+        dict(f.state_map),
+        {a: dict(f.edge_maps[a]) for a in f.dom.labels},
+    )
+
+
+def _fieldwise_eq(X, Y):
+    return (
+        X.labels == Y.labels
+        and set(X.states) == set(Y.states)
+        and all(set(X.edges[a]) == set(Y.edges[a]) for a in X.labels)
+        and all(dict(X.src[a]) == dict(Y.src[a]) for a in X.labels)
+        and all(dict(X.tgt[a]) == dict(Y.tgt[a]) for a in X.labels)
+    )
+
+
+def _fieldwise_morphism_eq(f, g):
+    return (
+        _fieldwise_eq(f.dom, g.dom)
+        and _fieldwise_eq(f.cod, g.cod)
+        and {x: f.state_map[x] for x in f.dom.states} == {x: g.state_map[x] for x in g.dom.states}
+        and all(
+            {e: f.edge_maps[a][e] for e in f.dom.edges[a]}
+            == {e: g.edge_maps[a][e] for e in g.dom.edges[a]}
+            for a in f.dom.labels
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6))
+def test_equality_agrees_with_fieldwise_comparison(seed, other_seed):
+    """The identity fast paths of both equalities change no answer: the same
+    object, a rebuilt copy and an unrelated value compare as field by field."""
+    rng = random.Random(seed)
+    X = random_presheaf(rng, AB, max_states=4)
+    Y = random_presheaf(random.Random(other_seed), AB, max_states=4)
+    _, u = random_collapse(X, rng)
+    f = random_functional_bisim(rng, AB)
+    systems = (X, _rebuilt(X), Y, _rebuilt(Y), u.cod, f.dom)
+    for P, Q in product(systems, repeat=2):
+        assert (P == Q) == _fieldwise_eq(P, Q)
+    maps = (u, _rebuilt_morphism(u), f, _rebuilt_morphism(f), identity(X), identity(_rebuilt(X)))
+    for g, h in product(maps, repeat=2):
+        assert (g == h) == _fieldwise_morphism_eq(g, h)

@@ -1,3 +1,4 @@
+import gc
 import pickle
 import random
 from dataclasses import FrozenInstanceError, dataclass
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsos.bisim import reachable_fragment
 from gsos.errors import GsosError, MalformedProof, UnknownOperation, UnknownState
 from gsos.presheaf import (
     is_functional_bisimulation,
@@ -20,6 +22,9 @@ from gsos.terms import (
     Axiom,
     Node,
     Var,
+    _last_premise_index,
+    _layer_axioms,
+    ambient_axioms,
     check_monad_laws,
     check_proof,
     derive,
@@ -37,10 +42,12 @@ from gsos.terms import (
     proof_target,
     random_layer_element,
     random_presheaf,
+    random_term,
     render,
     term_height,
     terms_upto,
     truncated_free,
+    truncated_free_squared,
     two_layer_terms,
     T_of,
     T_on_morphism,
@@ -294,12 +301,12 @@ def test_lift_mu_exhaustive_small(ccs):
 
     L = ccs.labels
     X = representable(L, "a")
-    ax = X.out_edges
+    ax = ambient_axioms(X)
     memo = {}
     src2 = lambda e, a: proof_source(X, e)
     for MM in two_layer_terms(ccs, X, 1):
         M = mu(MM)
-        for R in derive(ccs, M, ax, _memo=memo):
+        for R, _ in derive(ccs, M, ax, _memo=memo):
             RR = lift_mu(MM, R)
             assert mu(RR) == R
             assert _source(RR, src2) == MM
@@ -498,3 +505,181 @@ def test_nodes_are_immutable_and_print_like_dataclasses(ccs, sync_ambient):
         assert repr(node) == repr(_old(node)).replace("_Old", "")
     assert Var("x") != "x" and Var("x") != App("x", ())
     assert repr(Var(Var("x"))) == "Var(name=Var(name='x'))"
+
+
+# ---------------------------------------------------------------------------
+# derive's (proof, target) pairs against derive as it was, with every target
+# re-derived from its proof by proof_target.
+
+
+def _old_derive(spec, term, axioms_of=None, drop_last_premise=False, _memo=None):
+    """derive as it was: proofs only; axioms_of lists bare payloads."""
+    memo = _memo if _memo is not None else {}
+
+    def shortcut(arg, want):
+        if not isinstance(arg, App) or len(arg.args) != 1:
+            return []
+        return [
+            Node(rule, (arg.args[0],))
+            for rule in spec.rules
+            if rule.op == arg.op
+            and rule.label == want
+            and all(not g for g in rule.premise_labels)
+            and rule.target == Var("x1")
+        ]
+
+    def go(t):
+        if t in memo:
+            return memo[t]
+        out = []
+        if isinstance(t, Var):
+            if axioms_of is not None:
+                for a in spec.labels:
+                    out.extend(Axiom(e, a) for e in axioms_of(t.name, a))
+            memo[t] = tuple(out)
+            return memo[t]
+        for rule in spec.rules:
+            if rule.op != t.op:
+                continue
+            total = sum(len(g) for g in rule.premise_labels)
+            cut = _last_premise_index(rule) if drop_last_premise and total >= 2 else None
+            group_choices = []
+            for i, labels_i in enumerate(rule.premise_labels):
+                if not labels_i:
+                    group_choices.append([t.args[i]])
+                    continue
+                per_j = [
+                    shortcut(t.args[i], want)
+                    if cut == (i, j)
+                    else [r for r in go(t.args[i]) if proof_label(r) == want]
+                    for j, want in enumerate(labels_i)
+                ]
+                group_choices.append([tuple(c) for c in product(*per_j)])
+            for combo in product(*group_choices):
+                out.append(Node(rule, tuple(combo)))
+        memo[t] = tuple(out)
+        return memo[t]
+
+    return go(term)
+
+
+def _old_layer_axioms(spec, X, level):
+    if level == 1:
+        return X.out_edges
+    inner = _old_layer_axioms(spec, X, level - 1)
+    memo = {}
+    return lambda m, a: [p for p in _old_derive(spec, m, inner, _memo=memo) if proof_label(p) == a]
+
+
+def _leaf_payloads(t):
+    if isinstance(t, Var):
+        return [t.name]
+    return [x for a in t.args for x in _leaf_payloads(a)]
+
+
+def _assert_pairs_match_oracle(spec, X, terms, axioms_of, old_axioms_of, drop):
+    """derive with one shared memo gives the old proofs in the old order,
+    each with the target proof_target re-derives; so does a fresh memo."""
+    memo, old_memo = {}, {}
+    for m in terms:
+        pairs = derive(spec, m, axioms_of, drop, _memo=memo)
+        want = _old_derive(spec, m, old_axioms_of, drop, _memo=old_memo)
+        assert tuple(p for p, _ in pairs) == want
+        assert derive(spec, m, axioms_of, drop) == pairs
+        for p, n in pairs:
+            assert proof_target(X, p) == n
+
+
+@pytest.mark.parametrize("drop", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(seed=_SEEDS, level=_LEVELS)
+def test_derive_pairs_match_proof_target_oracle(ccs, drop, seed, level):
+    rng = random.Random(seed)
+    X = random_presheaf(rng, ccs.labels, max_states=4)
+    terms = [random_layer_element(ccs, X, rng, level, 3, "term") for _ in range(3)]
+    ax, old_ax = _layer_axioms(ccs, X, level), _old_layer_axioms(ccs, X, level)
+    _assert_pairs_match_oracle(ccs, X, terms, ax, old_ax, drop)
+    # the resolver hands up each axiom payload with its target
+    for m in terms:
+        for x in _leaf_payloads(m):
+            for a in ccs.labels:
+                got = ax(x, a)
+                assert [e for e, _ in got] == list(old_ax(x, a))
+                for e, n in got:
+                    assert n == (X.tgt[a][e] if level == 1 else proof_target(X, e))
+
+
+def _closed_terms_and_successors(spec, terms, drop):
+    """The terms and their targets one step on, as a fragment derives them."""
+    return terms + [n for t in terms for _, n in derive(spec, t, None, drop)]
+
+
+@pytest.mark.parametrize("drop", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(seed=_SEEDS)
+def test_closed_derive_pairs_match_proof_target_oracle(ccs, drop, seed):
+    rng = random.Random(seed)
+    seeds = [random_term(ccs, rng, (), rng.randint(0, 4)) for _ in range(3)]
+    closed = make_presheaf(ccs.labels, ())
+    terms = _closed_terms_and_successors(ccs, seeds, drop)
+    _assert_pairs_match_oracle(ccs, closed, terms, None, None, drop)
+
+
+@pytest.mark.parametrize("drop", [False, True])
+def test_closed_derive_pairs_match_oracle_on_every_small_term(ccs, drop):
+    """Every closed term of height <= 3, so that each rule and each premise
+    shortcut of the mutated engine is exercised."""
+    closed = make_presheaf(ccs.labels, ())
+    terms = _closed_terms_and_successors(ccs, terms_upto(ccs, (), 3), drop)
+    _assert_pairs_match_oracle(ccs, closed, terms, None, None, drop)
+
+
+@pytest.mark.parametrize("two_layer", [False, True])
+@pytest.mark.parametrize("ambient", ["y_a", "rsync"])
+def test_window_matches_proof_target_oracle(ccs, rsync_ambient, ambient, two_layer):
+    """Each window edge, its source and target, in order, as the window was
+    built before: every target re-derived from its (flattened) proof.  Over
+    rsync_ambient, whose state has both a and a_bar edges, rsync targets
+    outgrow their sources, so the target height check drops proofs."""
+    X, d = (representable(ccs.labels, "a"), 2) if ambient == "y_a" else (rsync_ambient, 1)
+    if two_layer:
+        P = truncated_free_squared(ccs, X, d)[0]
+        states, ax, flat = two_layer_terms(ccs, X, d), _old_layer_axioms(ccs, X, 2), mu
+    else:
+        P = truncated_free(ccs, X, d)[0]
+        states, ax, flat = terms_upto(ccs, X.states, d), X.out_edges, lambda z: z
+    want = {a: [] for a in ccs.labels}
+    too_tall = 0
+    for m in states:
+        for p in _old_derive(ccs, m, ax):
+            if proof_depth(flat(p)) > d:
+                continue
+            if term_height(proof_target(X, flat(p))) > d:
+                too_tall += 1
+                continue
+            want[proof_label(p)].append((render(p), render(m), render(proof_target(X, p))))
+    for a in ccs.labels:
+        assert [(e, P.src[a][e], P.tgt[a][e]) for e in P.edges[a]] == want[a]
+    assert sum(len(v) for v in want.values()) > 20
+    assert too_tall > 0 or ambient == "y_a"
+
+
+@pytest.mark.parametrize("build", ["derive", "reachable_fragment", "truncated_free_squared"])
+def test_derive_memo_freed_without_cyclic_gc(ccs, build):
+    """The derive memo is freed when the call returns, not by the cyclic
+    garbage collector."""
+    t = parse_term(ccs, None, "bang(par(pref_a(nil),pref_a_bar(nil)))")
+    X = representable(ccs.labels, "a")
+    run = {
+        "derive": lambda: derive(ccs, t),
+        "reachable_fragment": lambda: reachable_fragment(ccs, [t], 4),
+        "truncated_free_squared": lambda: truncated_free_squared(ccs, X, 1),
+    }[build]
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
