@@ -22,9 +22,9 @@ from .errors import FuelTooSmall, UnknownState
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
+    _map,
+    _system,
     is_functional_bisimulation,
-    make_presheaf,
-    morphism,
 )
 from .terms import (
     App,
@@ -66,10 +66,8 @@ def reachable_fragment(
     share subtrees share their renderings.  Targets of closed proofs are
     closed, so checking the seeds is enough.
     """
-    labels = spec.labels
     states: list[str] = []
     known: set[str] = set()
-    frontier: set[str] = set()
     level: list[Term] = []
     for t in seeds:
         if term_vars(t):
@@ -79,9 +77,7 @@ def reachable_fragment(
             known.add(key)
             states.append(key)
             level.append(t)
-    edges: dict[str, list[str]] = {a: [] for a in labels}
-    src: dict[str, dict[str, str]] = {a: {} for a in labels}
-    tgt: dict[str, dict[str, str]] = {a: {} for a in labels}
+    arrows = []
     memo: dict = {}
     for depth in range(fuel):
         next_level: list[Term] = []
@@ -92,19 +88,12 @@ def reachable_fragment(
                     known.add(nk)
                     states.append(nk)
                     next_level.append(n)
-                a = proof_label(p)
-                pk = render(p)
-                edges[a].append(pk)
-                src[a][pk] = render(m)
-                tgt[a][pk] = nk
+                arrows.append((proof_label(p), render(p), render(m), nk))
         level = next_level
         if not level:
             break
-    frontier = {render(t) for t in level}
-    carrier = make_presheaf(
-        labels, tuple(states), {a: tuple(v) for a, v in edges.items()}, src, tgt
-    )
-    return Fragment(carrier, frozenset(frontier))
+    carrier = _system(spec.labels, states, arrows)
+    return Fragment(carrier, frozenset(render(t) for t in level))
 
 
 # ---------------------------------------------------------------------------
@@ -187,31 +176,22 @@ def relation_presheaf(
     X = r.carrier
     labels = X.labels
     pair = lambda u, v: f"({u},{v})"
-    states = tuple(pair(x, y) for x, y in sorted(r.pairs))
-    edges: dict[str, list[str]] = {a: [] for a in labels}
-    src: dict[str, dict[str, str]] = {a: {} for a in labels}
-    tgt: dict[str, dict[str, str]] = {a: {} for a in labels}
-    p1s, p2s = {}, {}
+    p1s = {pair(x, y): x for x, y in sorted(r.pairs)}
+    p2s = {pair(x, y): y for x, y in sorted(r.pairs)}
+    arrows = []
     p1e: dict[str, dict[str, str]] = {a: {} for a in labels}
     p2e: dict[str, dict[str, str]] = {a: {} for a in labels}
-    for x, y in sorted(r.pairs):
-        p1s[pair(x, y)] = x
-        p2s[pair(x, y)] = y
     for a in labels:
         for e1 in X.edges[a]:
             for e2 in X.edges[a]:
-                if (X.src[a][e1], X.src[a][e2]) in r.pairs and (
-                    X.tgt[a][e1],
-                    X.tgt[a][e2],
-                ) in r.pairs:
+                s1, s2, t1, t2 = X.src[a][e1], X.src[a][e2], X.tgt[a][e1], X.tgt[a][e2]
+                if (s1, s2) in r.pairs and (t1, t2) in r.pairs:
                     name = pair(e1, e2)
-                    edges[a].append(name)
-                    src[a][name] = pair(X.src[a][e1], X.src[a][e2])
-                    tgt[a][name] = pair(X.tgt[a][e1], X.tgt[a][e2])
+                    arrows.append((a, name, pair(s1, s2), pair(t1, t2)))
                     p1e[a][name] = e1
                     p2e[a][name] = e2
-    R = make_presheaf(labels, states, {a: tuple(v) for a, v in edges.items()}, src, tgt)
-    return R, morphism(R, X, p1s, p1e), morphism(R, X, p2s, p2e)
+    R = _system(labels, p1s, arrows)
+    return R, _map(R, X, p1s, p1e), _map(R, X, p2s, p2e)
 
 
 def check_bisimulation_relation(r: RelationOnStates) -> bool:

@@ -43,12 +43,12 @@ from .presheaf import (
     Presheaf,
     PresheafMorphism,
     WidePushout,
+    _map,
+    _system,
     bang,
     colimit,
     compose,
     is_functional_bisimulation,
-    make_presheaf,
-    morphism,
     presheaf_to_json,
     pullback_report,
     representable,
@@ -150,7 +150,7 @@ def replay_certificate(cert: CellCertificate) -> tuple[Presheaf, PresheafMorphis
             raise ReplayMismatch(idx, f"created state {step.tgt!r} already present")
         if any(step.edge in current.edge_set(a) for a in labels):
             raise ReplayMismatch(idx, f"created edge {step.edge!r} already present")
-        pick = morphism(point, current, {STAR: step.at})
+        pick = _map(point, current, {STAR: step.at})
         glued, (inj_gen, inj_cur) = colimit(
             WidePushout(point, (source_inclusion(labels, step.label), pick))
         )
@@ -162,19 +162,18 @@ def replay_certificate(cert: CellCertificate) -> tuple[Presheaf, PresheafMorphis
                 edge_name[a][inj_cur.edge_maps[a][e]] = e
         edge_name[step.label][inj_gen.edge_maps[step.label]["e"]] = step.edge
         current = _rename_cells(glued, state_name, edge_name)
-    composite = morphism(
-        cert.base.carrier, current, {x: x for x in cert.base.carrier.states}
-    )
+    composite = _map(cert.base.carrier, current, {x: x for x in cert.base.carrier.states})
     return current, composite
 
 
 def _rename_cells(P: Presheaf, state_name, edge_name) -> Presheaf:
-    return make_presheaf(
+    return _system(
         P.labels,
-        tuple(state_name[x] for x in P.states),
-        {a: tuple(edge_name[a][e] for e in P.edges[a]) for a in P.labels},
-        {a: {edge_name[a][e]: state_name[P.src[a][e]] for e in P.edges[a]} for a in P.labels},
-        {a: {edge_name[a][e]: state_name[P.tgt[a][e]] for e in P.edges[a]} for a in P.labels},
+        [state_name[x] for x in P.states],
+        [
+            (a, edge_name[a][e], state_name[P.src[a][e]], state_name[P.tgt[a][e]])
+            for a, e in P.all_edges()
+        ],
     )
 
 
@@ -222,7 +221,7 @@ def lift_against(
         ex = picks[0]
         k_edges[step.label][step.edge] = ex
         k_state[step.tgt] = X.tgt[step.label][ex]
-    k = morphism(bottom.dom, X, k_state, k_edges)
+    k = _map(bottom.dom, X, k_state, k_edges)
     if compose(k, gamma) != top or compose(f, k) != bottom:
         raise NonCommutingSquare("constructed lifting fails a triangle equation")
     return k
@@ -388,24 +387,18 @@ def random_functional_bisim(
     """
     Y = random_presheaf(rng, labels, max_states=max_base_states, max_edges=4)
     copies = {y: rng.randint(1, max_copies) for y in Y.states}
-    states = tuple(f"{y}.{i}" for y in Y.states for i in range(copies[y]))
     state_map = {f"{y}.{i}": y for y in Y.states for i in range(copies[y])}
-    edges: dict[str, list[str]] = {a: [] for a in labels}
-    src: dict[str, dict[str, str]] = {a: {} for a in labels}
-    tgt: dict[str, dict[str, str]] = {a: {} for a in labels}
+    arrows = []
     edge_map: dict[str, dict[str, str]] = {a: {} for a in labels}
     for a in labels:
         for e in Y.edges[a]:
             ys, yt = Y.src[a][e], Y.tgt[a][e]
             for i in range(copies[ys]):
                 for lift_idx in range(rng.randint(1, 2)):
-                    j = rng.randrange(copies[yt])
                     name = f"{e}.{i}.{lift_idx}"
-                    edges[a].append(name)
-                    src[a][name] = f"{ys}.{i}"
-                    tgt[a][name] = f"{yt}.{j}"
+                    arrows.append((a, name, f"{ys}.{i}", f"{yt}.{rng.randrange(copies[yt])}"))
                     edge_map[a][name] = e
-    X = make_presheaf(labels, states, {a: tuple(v) for a, v in edges.items()}, src, tgt)
-    f = morphism(X, Y, state_map, edge_map)
+    X = _system(labels, state_map, arrows)
+    f = _map(X, Y, state_map, edge_map)
     assert is_functional_bisimulation(f)
     return f

@@ -26,7 +26,7 @@ from .cellular import (
     random_functional_bisim,
     verify_certificate,
 )
-from .errors import GsosError, NestingTooDeep, SpecParseError
+from .errors import GsosError, MalformedSystem, NestingTooDeep, SpecParseError, UnknownLabel
 from .familial import (
     arity_label,
     arity_tgt_morphism,
@@ -85,22 +85,40 @@ def _load_spec(path: str) -> GsosSpec:
     return parse_spec(Path(path).read_text())
 
 
+def _require_spec_labels(X: Presheaf, spec: GsosSpec, what: str) -> None:
+    """Refuse a loaded system over another label set than the spec's (in any
+    order): the builders trust their inputs, so a foreign label stops here."""
+    if set(X.labels) != set(spec.labels):
+        raise UnknownLabel(
+            f"{what} is over labels {list(X.labels)}, not the spec's {list(spec.labels)}"
+        )
+
+
 def _load_presheaf(path: str | None, spec: GsosSpec) -> Presheaf:
     if path is None:
         return terminal(spec.labels)
-    return presheaf_from_json(Path(path).read_text())
+    X = presheaf_from_json(Path(path).read_text())
+    _require_spec_labels(X, spec, "--presheaf system")
+    return X
+
+
+def _load_list(option: str, path: str, is_item, what: str) -> list:
+    """Read the JSON list file given to option; refuse any other document."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise MalformedSystem(f"{option} is not a JSON document: {exc}") from None
+    if not isinstance(doc, list) or not all(is_item(item) for item in doc):
+        raise MalformedSystem(f"{option} must be {what}")
+    return doc
+
+
+def _is_string_pair(item) -> bool:
+    return isinstance(item, list) and len(item) == 2 and all(isinstance(t, str) for t in item)
 
 
 def cmd_check(args) -> int:
-    try:
-        _load_spec(args.spec)
-    except SpecParseError as exc:
-        for v in exc.violations:
-            sys.stderr.write(json.dumps(v.to_dict(), sort_keys=True) + "\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(json.dumps({"kind": "IOError", "message": str(exc)}) + "\n")
-        return 1
+    _load_spec(args.spec)
     _emit({"ok": True})
     return 0
 
@@ -194,6 +212,7 @@ def cmd_lift(args) -> int:
     """Trace a transition of a collapsed system back through a covering."""
     spec = _load_spec(args.spec)
     f = morphism_from_json(Path(args.fbisim).read_text())
+    _require_spec_labels(f.dom, spec, "--fbisim morphism")
     M = parse_term(spec, f.dom, args.term)
     R = parse_proof(spec, f.cod, args.proof)
     r0 = preserve_bisim_lift(spec, f, M, R)
@@ -203,12 +222,16 @@ def cmd_lift(args) -> int:
 
 def cmd_congruence(args) -> int:
     spec = _load_spec(args.spec)
-    pairs_doc = json.loads(Path(args.pairs).read_text())
+    pairs_doc = _load_list(
+        "--pairs", args.pairs, _is_string_pair, "a JSON list of [t1, t2] string pairs"
+    )
     pairs = [
         (parse_term(spec, None, u), parse_term(spec, None, v)) for u, v in pairs_doc
     ]
     if args.contexts:
-        ctx_doc = json.loads(Path(args.contexts).read_text())
+        ctx_doc = _load_list(
+            "--contexts", args.contexts, lambda c: isinstance(c, str), "a JSON list of strings"
+        )
         contexts = [parse_term(spec, None, c, allow_hole=True) for c in ctx_doc]
     elif args.exhaustive_contexts:
         contexts = bisim_mod.enumerate_contexts(spec, args.context_height)

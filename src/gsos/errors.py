@@ -60,7 +60,7 @@ class EmptyLabelClass(GsosError):
 
 
 class MalformedSystem(GsosError):
-    """A system or morphism document is not of the expected form."""
+    """An input document is not of the expected form."""
 
 
 class NestingTooDeep(GsosError):

@@ -33,9 +33,9 @@ from .presheaf import (
     LabelSet,
     Presheaf,
     PresheafMorphism,
+    _map,
+    _system,
     compose,
-    make_presheaf,
-    morphism,
     terminal,
 )
 from .terms import (
@@ -103,7 +103,7 @@ def arity_star(labels: LabelSet, m: Element) -> ArityPresheaf:
 
 
 def _points(labels: LabelSet, n: int) -> Presheaf:
-    return make_presheaf(labels, tuple(f"occ{k}" for k in range(n)))
+    return _system(labels, [f"occ{k}" for k in range(n)], ())
 
 
 # Each leaf of an element with the names of its arity cells.
@@ -156,18 +156,14 @@ def _walk(elem: FreeElement) -> tuple[_Leaves, int, list[str]]:
 def _carrier(labels: LabelSet, leaves: _Leaves) -> Presheaf:
     """The arity glued from the leaves' cells, states in first-seen order."""
     states: dict[str, None] = {}
-    edges: dict[str, list[str]] = {}
-    src: dict[str, dict[str, str]] = {}
-    tgt: dict[str, dict[str, str]] = {}
+    arrows = []
     for leaf, cells in leaves:
         states[cells[0]] = None
         if isinstance(leaf, Axiom):
             occ, e, t = cells
             states[t] = None
-            edges.setdefault(leaf.label, []).append(e)
-            src.setdefault(leaf.label, {})[e] = occ
-            tgt.setdefault(leaf.label, {})[e] = t
-    return make_presheaf(labels, tuple(states), edges, src, tgt)
+            arrows.append((leaf.label, e, occ, t))
+    return _system(labels, states, arrows)
 
 
 def arity_label(labels: LabelSet, r: Element) -> tuple[ArityPresheaf, PresheafMorphism]:
@@ -181,7 +177,7 @@ def arity_label(labels: LabelSet, r: Element) -> tuple[ArityPresheaf, PresheafMo
     leaves, n, _route = _walk(r.value)
     carrier = _carrier(labels, leaves)
     dom = _points(labels, n)
-    mor = morphism(dom, carrier, {x: x for x in dom.states})
+    mor = _map(dom, carrier, {x: x for x in dom.states})
     return _named(carrier), mor
 
 
@@ -195,7 +191,7 @@ def arity_tgt_morphism(labels: LabelSet, r: Element) -> PresheafMorphism:
     if len(route) != len(dom.states):
         raise MalformedProof("occurrence count mismatch in target routing")
     cod = _carrier(labels, leaves)
-    return morphism(dom, cod, {f"occ{k}": c for k, c in enumerate(route)})
+    return _map(dom, cod, {f"occ{k}": c for k, c in enumerate(route)})
 
 
 def generic_edges(r: Element) -> list[tuple[str, str, str, str]]:
@@ -240,7 +236,7 @@ def decompose(X: Presheaf, elem: FreeElement) -> Decomposition:
         for c, v in values:
             if states.setdefault(c, v) != v:
                 raise MalformedProof("premises disagree on a shared occurrence cell")
-    filler = morphism(_carrier(X.labels, leaves), X, states, edge_maps)
+    filler = _map(_carrier(X.labels, leaves), X, states, edge_maps)
     return Decomposition(strip(elem), filler)
 
 
@@ -322,31 +318,24 @@ def all_morphisms(A: Presheaf, B: Presheaf) -> Iterator[PresheafMorphism]:
             edge_maps: dict[str, dict[str, str]] = {a: {} for a in A.labels}
             for (a, e), eb in zip(flat_edges, edge_combo):
                 edge_maps[a][e] = eb
-            yield morphism(A, B, state_map, edge_maps)
+            yield _map(A, B, state_map, edge_maps)
 
 
 def random_collapse(P: Presheaf, rng) -> tuple[Presheaf, PresheafMorphism]:
     """A random quotient-like natural map out of P (used for spot checks)."""
     if not P.states:
-        return P, morphism(P, P, {}, {a: {} for a in P.labels})
+        return P, _map(P, P, {})
     n_buckets = max(1, rng.randint(1, len(P.states)))
     bucket = {x: f"b{rng.randrange(n_buckets)}" for x in P.states}
-    states = tuple(sorted(set(bucket.values())))
-    edges: dict[str, list[str]] = {a: [] for a in P.labels}
-    src: dict[str, dict[str, str]] = {a: {} for a in P.labels}
-    tgt: dict[str, dict[str, str]] = {a: {} for a in P.labels}
+    arrows = []
     edge_name: dict[str, dict[str, str]] = {a: {} for a in P.labels}
     for a in P.labels:
         groups: dict[tuple, str] = {}
         for e in P.edges[a]:
             key = (bucket[P.src[a][e]], bucket[P.tgt[a][e]], rng.randint(0, 1))
             if key not in groups:
-                name = f"{a}:{key[0]}>{key[1]}#{key[2]}"
-                groups[key] = name
-                edges[a].append(name)
-                src[a][name] = key[0]
-                tgt[a][name] = key[1]
+                groups[key] = f"{a}:{key[0]}>{key[1]}#{key[2]}"
+                arrows.append((a, groups[key], key[0], key[1]))
             edge_name[a][e] = groups[key]
-    B = make_presheaf(P.labels, states, {a: tuple(v) for a, v in edges.items()}, src, tgt)
-    u = morphism(P, B, bucket, edge_name)
-    return B, u
+    B = _system(P.labels, sorted(set(bucket.values())), arrows)
+    return B, _map(P, B, bucket, edge_name)

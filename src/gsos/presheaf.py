@@ -12,13 +12,20 @@ is solved here by exhaustive, deterministic search.  Bisimilarity itself
 lives in :mod:`gsos.bisim` and is computed by partition refinement rather
 than as a union of subobjects; the two agree on the finite, image-finite
 systems this package manipulates.
+
+Checks run where data enters the program.  :func:`make_presheaf` and
+:func:`morphism` validate everything; only the JSON loaders call them (and
+the tests).  Every system and map the program builds for itself goes
+through the unchecked :func:`_system` and :func:`_map`, because each
+construction here takes well-formed systems and maps to well-formed ones;
+a test rebuilds the output of every builder through the checked path.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -64,8 +71,10 @@ def labelset(*labels: str) -> LabelSet:
 class Presheaf:
     """States plus, per label, edges with source and target maps.
 
-    Use :func:`make_presheaf` to construct validated instances.  Equality
-    compares the underlying sets and maps, ignoring declaration order.
+    Outside input is built with :func:`make_presheaf`, which validates it;
+    the program's own constructions use the unchecked :func:`_system`.
+    Equality compares the underlying sets and maps, ignoring declaration
+    order.
     """
 
     labels: LabelSet
@@ -170,70 +179,55 @@ def make_presheaf(
     return Presheaf(labels, states, out_edges, out_src, out_tgt)
 
 
+def _system(
+    labels: LabelSet, states: Iterable[str], arrows: Iterable[tuple[str, str, str, str]]
+) -> Presheaf:
+    """A system from ``(label, edge, src, tgt)`` records in declaration order,
+    unchecked: the caller guarantees distinct ids, declared labels and
+    endpoints among ``states``."""
+    edges: dict[str, list[str]] = {a: [] for a in labels}
+    src: dict[str, dict[str, str]] = {a: {} for a in labels}
+    tgt: dict[str, dict[str, str]] = {a: {} for a in labels}
+    for a, e, s, t in arrows:
+        edges[a].append(e)
+        src[a][e] = s
+        tgt[a][e] = t
+    return Presheaf(labels, tuple(states), {a: tuple(es) for a, es in edges.items()}, src, tgt)
+
+
 def empty_presheaf(labels: LabelSet) -> Presheaf:
-    return make_presheaf(labels, ())
+    return _system(labels, (), ())
 
 
+@cache
 def representable(labels: LabelSet, obj: str) -> Presheaf:
     """y_* (one state, no edges) or y_[a] (one a-edge between two states)."""
     if obj == STAR:
-        return make_presheaf(labels, (STAR,))
+        return _system(labels, (STAR,), ())
     if obj not in labels:
         raise UnknownLabel(f"no representable for undeclared label {obj!r}")
-    return make_presheaf(
-        labels,
-        ("s", "t"),
-        {obj: ("e",)},
-        {obj: {"e": "s"}},
-        {obj: {"e": "t"}},
-    )
+    return _system(labels, ("s", "t"), [(obj, "e", "s", "t")])
 
 
+@cache
 def terminal(labels: LabelSet) -> Presheaf:
     """The terminal system 1: one state and one loop per label, named by the label."""
-    return make_presheaf(
-        labels,
-        (STAR,),
-        {a: (a,) for a in labels},
-        {a: {a: STAR} for a in labels},
-        {a: {a: STAR} for a in labels},
-    )
+    return _system(labels, (STAR,), [(a, a, STAR, STAR) for a in labels])
 
 
 @dataclass(frozen=True, eq=False)
 class PresheafMorphism:
     """A map of systems: state map plus, per label, an edge map.
 
-    Validated on construction: totality and commutation with src/tgt.
+    Outside input is built with :func:`morphism`, which checks totality and
+    commutation with src/tgt; the program's own constructions use the
+    unchecked :func:`_map`.
     """
 
     dom: Presheaf
     cod: Presheaf
     state_map: Mapping[str, str]
     edge_maps: Mapping[str, Mapping[str, str]]
-
-    def __post_init__(self):
-        if self.dom.labels != self.cod.labels:
-            raise UnknownLabel("morphism endpoints disagree on labels")
-        cod_states = self.cod.state_set()
-        for x in self.dom.states:
-            if x not in self.state_map:
-                raise DanglingEdge(f"state map misses {x!r}")
-            if self.state_map[x] not in cod_states:
-                raise DanglingEdge(f"state map sends {x!r} outside the codomain")
-        for a in self.dom.labels:
-            em = self.edge_maps.get(a, {})
-            cod_edges = self.cod.edge_set(a)
-            for e in self.dom.edges[a]:
-                if e not in em:
-                    raise DanglingEdge(f"edge map at {a!r} misses {e!r}")
-                fe = em[e]
-                if fe not in cod_edges:
-                    raise DanglingEdge(f"edge map sends {e!r} outside the codomain")
-                if self.state_map[self.dom.src[a][e]] != self.cod.src[a][fe]:
-                    raise NonCommutingSquare(f"src not preserved at edge {e!r}")
-                if self.state_map[self.dom.tgt[a][e]] != self.cod.tgt[a][fe]:
-                    raise NonCommutingSquare(f"tgt not preserved at edge {e!r}")
 
     def on_state(self, x: str) -> str:
         return self.state_map[x]
@@ -280,25 +274,63 @@ class PresheafMorphism:
         return self.is_injective() and self.is_surjective()
 
 
+def _check_map(f: PresheafMorphism) -> None:
+    """Refuse a map that is not total or does not commute with src/tgt."""
+    if f.dom.labels != f.cod.labels:
+        raise UnknownLabel("morphism endpoints disagree on labels")
+    cod_states = f.cod.state_set()
+    for x in f.dom.states:
+        if x not in f.state_map:
+            raise DanglingEdge(f"state map misses {x!r}")
+        if f.state_map[x] not in cod_states:
+            raise DanglingEdge(f"state map sends {x!r} outside the codomain")
+    for a in f.dom.labels:
+        em = f.edge_maps.get(a, {})
+        cod_edges = f.cod.edge_set(a)
+        for e in f.dom.edges[a]:
+            if e not in em:
+                raise DanglingEdge(f"edge map at {a!r} misses {e!r}")
+            fe = em[e]
+            if fe not in cod_edges:
+                raise DanglingEdge(f"edge map sends {e!r} outside the codomain")
+            if f.state_map[f.dom.src[a][e]] != f.cod.src[a][fe]:
+                raise NonCommutingSquare(f"src not preserved at edge {e!r}")
+            if f.state_map[f.dom.tgt[a][e]] != f.cod.tgt[a][fe]:
+                raise NonCommutingSquare(f"tgt not preserved at edge {e!r}")
+
+
+def _map(
+    dom: Presheaf,
+    cod: Presheaf,
+    state_map: Mapping[str, str],
+    edge_maps: Mapping[str, Mapping[str, str]] | None = None,
+) -> PresheafMorphism:
+    """A map with one edge map per label of dom (missing ones empty), unchecked."""
+    em = {a: dict((edge_maps or {}).get(a, {})) for a in dom.labels}
+    return PresheafMorphism(dom, cod, dict(state_map), em)
+
+
 def morphism(
     dom: Presheaf,
     cod: Presheaf,
     state_map: Mapping[str, str],
     edge_maps: Mapping[str, Mapping[str, str]] | None = None,
 ) -> PresheafMorphism:
-    em = {a: dict((edge_maps or {}).get(a, {})) for a in dom.labels}
-    return PresheafMorphism(dom, cod, dict(state_map), em)
+    """Build and validate a map; raises on a partial or non-commuting one."""
+    f = _map(dom, cod, state_map, edge_maps)
+    _check_map(f)
+    return f
 
 
 def identity(X: Presheaf) -> PresheafMorphism:
-    return morphism(X, X, {x: x for x in X.states}, {a: {e: e for e in X.edges[a]} for a in X.labels})
+    return _map(X, X, {x: x for x in X.states}, {a: {e: e for e in X.edges[a]} for a in X.labels})
 
 
 def compose(g: PresheafMorphism, f: PresheafMorphism) -> PresheafMorphism:
     """g after f."""
     if f.cod != g.dom:
         raise NonCommutingSquare("composition endpoints do not match")
-    return morphism(
+    return _map(
         f.dom,
         g.cod,
         {x: g.state_map[f.state_map[x]] for x in f.dom.states},
@@ -306,15 +338,16 @@ def compose(g: PresheafMorphism, f: PresheafMorphism) -> PresheafMorphism:
     )
 
 
+@cache
 def source_inclusion(labels: LabelSet, a: str) -> PresheafMorphism:
     """s^a : y_* -> y_[a], picking the source of the generic a-edge."""
-    return morphism(representable(labels, STAR), representable(labels, a), {STAR: "s"})
+    return _map(representable(labels, STAR), representable(labels, a), {STAR: "s"})
 
 
 def bang(X: Presheaf) -> PresheafMorphism:
     """The unique map X -> 1."""
     one = terminal(X.labels)
-    return morphism(
+    return _map(
         X,
         one,
         {x: STAR for x in X.states},
@@ -411,7 +444,7 @@ def find_lifting(square: LiftingSquare) -> Optional[PresheafMorphism]:
                 break
         if not ok:
             continue
-        k = morphism(B, X, k_state, k_edges)
+        k = _map(B, X, k_state, k_edges)
         assert compose(k, left) == top and compose(right, k) == bottom
         return k
     return None
@@ -553,30 +586,18 @@ def colimit(diagram) -> tuple[Presheaf, tuple[PresheafMorphism, ...]]:
         for p in parts:
             if p.labels != labels:
                 raise ShapeUnsupported("coproduct parts disagree on labels")
-        states = tuple(f"inj{i}/{x}" for i, p in enumerate(parts) for x in p.states)
-        edges = {
-            a: tuple(f"inj{i}/{e}" for i, p in enumerate(parts) for e in p.edges[a])
-            for a in labels
-        }
-        src = {
-            a: {
-                f"inj{i}/{e}": f"inj{i}/{p.src[a][e]}"
+        colim = _system(
+            labels,
+            (f"inj{i}/{x}" for i, p in enumerate(parts) for x in p.states),
+            (
+                (a, f"inj{i}/{e}", f"inj{i}/{p.src[a][e]}", f"inj{i}/{p.tgt[a][e]}")
+                for a in labels
                 for i, p in enumerate(parts)
                 for e in p.edges[a]
-            }
-            for a in labels
-        }
-        tgt = {
-            a: {
-                f"inj{i}/{e}": f"inj{i}/{p.tgt[a][e]}"
-                for i, p in enumerate(parts)
-                for e in p.edges[a]
-            }
-            for a in labels
-        }
-        colim = make_presheaf(labels, states, edges, src, tgt)
+            ),
+        )
         injections = tuple(
-            morphism(
+            _map(
                 p,
                 colim,
                 {x: f"inj{i}/{x}" for x in p.states},
@@ -618,22 +639,18 @@ def colimit(diagram) -> tuple[Presheaf, tuple[PresheafMorphism, ...]]:
             return f"inj{i}/{c}"
 
         state_name = {cell: class_name(uf_states, cell) for cell in uf_states.parent}
-        states = tuple(sorted(set(state_name.values())))
-        edges: dict[str, tuple[str, ...]] = {}
-        src: dict[str, dict[str, str]] = {}
-        tgt: dict[str, dict[str, str]] = {}
         edge_name: dict[str, dict] = {}
+        arrows = []
         for a in labels:
             edge_name[a] = {cell: class_name(uf_edges[a], cell) for cell in uf_edges[a].parent}
-            es = sorted(set(edge_name[a].values()))
-            edges[a] = tuple(es)
-            src[a], tgt[a] = {}, {}
+            ends = {}
             for (i, e), name in edge_name[a].items():
-                src[a][name] = state_name[(i, legs[i].cod.src[a][e])]
-                tgt[a][name] = state_name[(i, legs[i].cod.tgt[a][e])]
-        colim = make_presheaf(labels, states, edges, src, tgt)
+                cod = legs[i].cod
+                ends[name] = (state_name[(i, cod.src[a][e])], state_name[(i, cod.tgt[a][e])])
+            arrows.extend((a, name, *ends[name]) for name in sorted(ends))
+        colim = _system(labels, sorted(set(state_name.values())), arrows)
         injections = tuple(
-            morphism(
+            _map(
                 leg.cod,
                 colim,
                 {x: state_name[(i, x)] for x in leg.cod.states},
@@ -653,33 +670,29 @@ def pullback(f: PresheafMorphism, g: PresheafMorphism) -> tuple[Presheaf, Preshe
     X, Y = f.dom, g.dom
     labels = X.labels
     pair = lambda u, v: f"({u},{v})"
-    states = tuple(
-        pair(x, y) for x in X.states for y in Y.states if f.state_map[x] == g.state_map[y]
-    )
-    edges, src, tgt = {}, {}, {}
-    p1_states = {pair(x, y): x for x in X.states for y in Y.states}
-    p2_states = {pair(x, y): y for x in X.states for y in Y.states}
-    p1_edges: dict[str, dict[str, str]] = {}
-    p2_edges: dict[str, dict[str, str]] = {}
+    p1_states: dict[str, str] = {}
+    p2_states: dict[str, str] = {}
+    for x in X.states:
+        for y in Y.states:
+            if f.state_map[x] == g.state_map[y]:
+                p1_states[pair(x, y)] = x
+                p2_states[pair(x, y)] = y
+    arrows = []
+    p1_edges: dict[str, dict[str, str]] = {a: {} for a in labels}
+    p2_edges: dict[str, dict[str, str]] = {a: {} for a in labels}
     for a in labels:
-        es = []
-        src[a], tgt[a] = {}, {}
-        p1_edges[a], p2_edges[a] = {}, {}
         for e1 in X.edges[a]:
             for e2 in Y.edges[a]:
                 if f.edge_maps[a][e1] != g.edge_maps[a][e2]:
                     continue
                 name = pair(e1, e2)
-                es.append(name)
-                src[a][name] = pair(X.src[a][e1], Y.src[a][e2])
-                tgt[a][name] = pair(X.tgt[a][e1], Y.tgt[a][e2])
+                arrows.append(
+                    (a, name, pair(X.src[a][e1], Y.src[a][e2]), pair(X.tgt[a][e1], Y.tgt[a][e2]))
+                )
                 p1_edges[a][name] = e1
                 p2_edges[a][name] = e2
-        edges[a] = tuple(es)
-    P = make_presheaf(labels, states, edges, src, tgt)
-    p1 = morphism(P, X, {s: p1_states[s] for s in states}, p1_edges)
-    p2 = morphism(P, Y, {s: p2_states[s] for s in states}, p2_edges)
-    return P, p1, p2
+    P = _system(labels, p1_states, arrows)
+    return P, _map(P, X, p1_states, p1_edges), _map(P, Y, p2_states, p2_edges)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,14 @@ class GsosSpec:
     def rules(self) -> tuple[Rule, ...]:
         return expand_templates(self)
 
+    @cached_property
+    def rules_by_op(self) -> dict[str, tuple[Rule, ...]]:
+        """The rules of each operation that has any, in declaration order."""
+        by_op: dict[str, list[Rule]] = {}
+        for r in self.rules:
+            by_op.setdefault(r.op, []).append(r)
+        return {op: tuple(rs) for op, rs in by_op.items()}
+
     def rule_named(self, name: str) -> Rule:
         for r in self.rules:
             if r.name == name:

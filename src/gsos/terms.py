@@ -44,9 +44,8 @@ from .presheaf import (
     LabelSet,
     Presheaf,
     PresheafMorphism,
-    make_presheaf,
-    morphism,
-    terminal,
+    _map,
+    _system,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -639,11 +638,10 @@ def _derive(spec, t: Term, axioms_of, drop_last_premise: bool, memo: dict):
         return memo[t]
     if not spec.signature.has(t.op):
         raise UnknownOperation(f"unknown operation {t.op!r}")
-    for rule in spec.rules:
-        if rule.op != t.op:
-            continue
-        total = sum(len(g) for g in rule.premise_labels)
-        cut = _last_premise_index(rule) if drop_last_premise and total >= 2 else None
+    for rule in spec.rules_by_op.get(t.op, ()):
+        cut = None
+        if drop_last_premise and sum(len(g) for g in rule.premise_labels) >= 2:
+            cut = _last_premise_index(rule)
         group_choices: list[list] = []
         feasible = True
         for i, labels_i in enumerate(rule.premise_labels):
@@ -701,10 +699,9 @@ def _shortcut_premise(spec, arg: Term, want_label: str) -> list[tuple[Proof, Ter
     if not isinstance(arg, App) or len(arg.args) != 1:
         return []
     out = []
-    for rule in spec.rules:
+    for rule in spec.rules_by_op.get(arg.op, ()):
         if (
-            rule.op == arg.op
-            and rule.label == want_label
+            rule.label == want_label
             and all(not g for g in rule.premise_labels)
             and rule.target == Var("x1")
         ):
@@ -779,28 +776,19 @@ def _window(spec: "GsosSpec", X: Presheaf, d: int, state_terms, axioms_of, flatt
     commutes with targets, so a flattened proof's target is the flattened
     target that derive returned with the proof."""
     states = tuple(render(t) for t in state_terms)
-    edges: dict[str, list[str]] = {a: [] for a in spec.labels}
-    src: dict[str, dict[str, str]] = {a: {} for a in spec.labels}
-    tgt: dict[str, dict[str, str]] = {a: {} for a in spec.labels}
     proof_decode: dict[str, Proof] = {}
     memo: dict = {}
-    for state, m in zip(states, state_terms):
-        for p, n in derive(spec, m, axioms_of, _memo=memo):
-            if proof_depth(flatten(p)) > d or term_height(flatten(n)) > d:
-                continue
-            a = proof_label(p)
-            key = render(p)
-            edges[a].append(key)
-            src[a][key] = state
-            tgt[a][key] = render(n)
-            proof_decode[key] = p
-    P = make_presheaf(
-        X.labels,
-        states,
-        {a: tuple(es) for a, es in edges.items()},
-        src,
-        tgt,
-    )
+
+    def arrows():
+        for state, m in zip(states, state_terms):
+            for p, n in derive(spec, m, axioms_of, _memo=memo):
+                if proof_depth(flatten(p)) > d or term_height(flatten(n)) > d:
+                    continue
+                key = render(p)
+                proof_decode[key] = p
+                yield proof_label(p), key, state, render(n)
+
+    P = _system(X.labels, states, arrows())
     return P, dict(zip(states, state_terms)), proof_decode
 
 
@@ -808,7 +796,7 @@ def window_map(window, cod: Presheaf, f: Callable[[Element], Element]) -> Preshe
     """The map from a (presheaf, term decode, proof decode) window to cod
     that sends the state or edge decoding to e to the rendering of f(e)."""
     P, terms, proofs = window
-    return morphism(
+    return _map(
         P,
         cod,
         {key: render(f(t)) for key, t in terms.items()},
@@ -832,7 +820,7 @@ def T_on_morphism(spec: "GsosSpec", f: PresheafMorphism, d: int) -> PresheafMorp
 def eta(spec: "GsosSpec", X: Presheaf, d: int, T: Optional[Presheaf] = None) -> PresheafMorphism:
     """The unit X -> T(X): wrap states and edges."""
     T = T if T is not None else T_of(spec, X, d)
-    return morphism(
+    return _map(
         X,
         T,
         {x: render(Var(x)) for x in X.states},
@@ -957,16 +945,11 @@ def random_presheaf(rng, labels: LabelSet, max_states: int = 5, max_edges: int =
     n = rng.randint(1, max_states)
     states = tuple(f"s{i}" for i in range(n))
     m = rng.randint(1, max_edges)
-    edges: dict[str, list[str]] = {a: [] for a in labels}
-    src: dict[str, dict[str, str]] = {a: {} for a in labels}
-    tgt: dict[str, dict[str, str]] = {a: {} for a in labels}
+    arrows = []
     for k in range(m):
         a = rng.choice(list(labels))
-        e = f"e{k}"
-        edges[a].append(e)
-        src[a][e] = rng.choice(states)
-        tgt[a][e] = rng.choice(states)
-    return make_presheaf(labels, states, {a: tuple(v) for a, v in edges.items()}, src, tgt)
+        arrows.append((a, f"e{k}", rng.choice(states), rng.choice(states)))
+    return _system(labels, states, arrows)
 
 
 def random_term(spec: "GsosSpec", rng, variables: Sequence[str], budget: int) -> Term:

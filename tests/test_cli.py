@@ -385,3 +385,84 @@ def test_negative_count_refused_as_usage_error(argv, option, capsys):
     doc = json.loads(line)
     assert doc["kind"] == "UsageError"
     assert doc["message"].startswith(f"{option} must be non-negative")
+
+
+def test_check_missing_file_is_one_io_error(tmp_path, capsys):
+    code, out, err = run_cli(["check", str(tmp_path / "missing.gsos")], capsys)
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["kind"] == "IOError"
+
+
+@pytest.mark.parametrize(
+    "option, text, named",
+    [
+        ("--pairs", "not json", "--pairs is not a JSON document"),
+        ("--pairs", '{"a":1}', "--pairs must be a JSON list of [t1, t2] string pairs"),
+        ("--pairs", '[["nil"]]', "--pairs must be a JSON list of [t1, t2] string pairs"),
+        ("--pairs", "[[1,2]]", "--pairs must be a JSON list of [t1, t2] string pairs"),
+        ("--contexts", '["par(hole,nil)", 3]', "--contexts must be a JSON list of strings"),
+    ],
+    ids=[
+        "pairs-not-json", "pairs-object", "pairs-short", "pairs-not-strings", "contexts-not-strings"
+    ],
+)
+def test_malformed_pairs_or_contexts_refused(option, text, named, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    files = {"--pairs": PAIRS, "--contexts": None}
+    files[option] = str(path)
+    argv = ["congruence", CCS, "--pairs", files["--pairs"]]
+    if files["--contexts"]:
+        argv += ["--contexts", files["--contexts"]]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    report = json.loads(line)
+    assert report["kind"] == "MalformedSystem"
+    assert report["message"].startswith(named)
+
+
+def _system_file(tmp_path, labels):
+    from gsos.presheaf import LabelSet, make_presheaf, presheaf_to_json
+
+    label = labels[0]
+    L = LabelSet(tuple(labels))
+    X = make_presheaf(L, ("p", "q"), {label: ("d",)}, {label: {"d": "p"}}, {label: {"d": "q"}})
+    path = tmp_path / "system.json"
+    path.write_text(presheaf_to_json(X))
+    return str(path)
+
+
+def _morphism_file(tmp_path, labels):
+    from gsos.presheaf import LabelSet, make_presheaf, morphism, morphism_to_json
+
+    label = labels[0]
+    L = LabelSet(tuple(labels))
+    X = make_presheaf(L, ("u", "w"), {label: ("d1",)}, {label: {"d1": "u"}}, {label: {"d1": "w"}})
+    Y = make_presheaf(L, ("p", "q"), {label: ("d",)}, {label: {"d": "p"}}, {label: {"d": "q"}})
+    f = morphism(X, Y, {"u": "p", "w": "q"}, {label: {"d1": "d"}})
+    path = tmp_path / "f.json"
+    path.write_text(morphism_to_json(f))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["decompose", "certify", "lift"])
+def test_system_over_foreign_labels_refused(command, tmp_path, capsys):
+    if command == "lift":
+        files = ["--fbisim", _morphism_file(tmp_path, ["zzz"]), "--term", "var(u)"]
+    else:
+        files = ["--presheaf", _system_file(tmp_path, ["zzz"])]
+    code, out, err = run_cli([command, CCS, *files, "--proof", "ax(d)"], capsys)
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    report = json.loads(line)
+    assert report["kind"] == "UnknownLabel"
+    assert "'zzz'" in report["message"]
+
+
+def test_system_over_reordered_spec_labels_accepted(tmp_path, capsys):
+    path = _system_file(tmp_path, ["tau", "a_bar", "a"])
+    code, out, _ = run_cli(["decompose", CCS, "--presheaf", path, "--proof", "ax(d)"], capsys)
+    assert code == 0
+    assert json.loads(out)["filler"]["edges"] == {"tau": {"e": "d"}}

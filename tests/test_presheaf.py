@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsos.cellular import random_functional_bisim
+from gsos import bundled_spec_path
+from gsos.bisim import RelationOnStates, reachable_fragment, relation_presheaf
+from gsos.cellular import cell_certificate, random_functional_bisim, replay_certificate
 from gsos.errors import (
     DanglingEdge,
     DuplicateId,
@@ -16,11 +18,19 @@ from gsos.errors import (
     ShapeUnsupported,
     UnknownLabel,
 )
-from gsos.familial import random_collapse
+from gsos.familial import (
+    all_morphisms,
+    arity_label,
+    arity_tgt_morphism,
+    decompose,
+    random_collapse,
+    strip,
+)
 from gsos.presheaf import (
     STAR,
     Coproduct,
     LiftingSquare,
+    PresheafMorphism,
     WidePushout,
     bang,
     colimit,
@@ -43,9 +53,20 @@ from gsos.presheaf import (
     terminal,
 )
 from gsos.terms import Axiom, Var, parse_proof, parse_term, render
-from gsos.terms import random_presheaf
+from gsos.terms import (
+    eta,
+    mu,
+    proof_source,
+    random_layer_element,
+    random_presheaf,
+    random_term,
+    truncated_free,
+    truncated_free_squared,
+    window_map,
+)
 
 AB = labelset("a", "b")
+CCS = str(bundled_spec_path("ccs"))
 
 
 def test_empty_presheaf_is_initial():
@@ -499,3 +520,116 @@ def test_equality_agrees_with_fieldwise_comparison(seed, other_seed):
     maps = (u, _rebuilt_morphism(u), f, _rebuilt_morphism(f), identity(X), identity(_rebuilt(X)))
     for g, h in product(maps, repeat=2):
         assert (g == h) == _fieldwise_morphism_eq(g, h)
+
+
+def _assert_rebuilds(*built):
+    """Each system or map is accepted by make_presheaf/morphism and rebuilds equal."""
+    for z in built:
+        if isinstance(z, PresheafMorphism):
+            assert _rebuilt_morphism(z) == z
+        else:
+            assert _rebuilt(z) == z
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=1))
+def test_internal_builders_pass_the_checked_constructors(ccs, seed, d):
+    """The program builds its own systems and maps unchecked; every builder's
+    output must still be what the checked constructors accept."""
+    rng = random.Random(seed)
+    L = ccs.labels
+    one = terminal(L)
+    X = random_presheaf(rng, L, max_states=3, max_edges=4)
+    Y = random_presheaf(rng, L, max_states=3, max_edges=4)
+    _, u = random_collapse(X, rng)
+    _, v = random_collapse(X, rng)
+    f = random_functional_bisim(rng, L)
+    _assert_rebuilds(X, Y, u, v, f, one, empty_presheaf(L), identity(X), bang(X))
+    for a in L:
+        _assert_rebuilds(representable(L, a), source_inclusion(L, a))
+        pick = morphism(representable(L, STAR), X, {STAR: rng.choice(X.states)})
+        square = LiftingSquare(source_inclusion(L, a), pick, bang(X), bang(representable(L, a)))
+        k = find_lifting(square)
+        if k is not None:
+            _assert_rebuilds(k)
+    C, injections = colimit(Coproduct((X, Y)))
+    P, legs = colimit(WidePushout(X, (u, v)))
+    _assert_rebuilds(C, *injections, P, *legs, compose(legs[0], u))
+    _assert_rebuilds(*pullback(u, u), *pullback(f, f), *pullback(bang(X), bang(Y)))
+    _assert_rebuilds(*all_morphisms(X, one))
+
+    for Z in (X, one):
+        T = truncated_free(ccs, Z, d)
+        TT = truncated_free_squared(ccs, Z, d)
+        _assert_rebuilds(T[0], TT[0], eta(ccs, Z, d, T=T[0]), window_map(TT, T[0], mu))
+    seed_term = random_term(ccs, rng, (), 3)
+    _assert_rebuilds(reachable_fragment(ccs, [seed_term], 2).carrier)
+
+    elem = random_layer_element(ccs, X, rng, 1, 2, "proof")
+    shape = strip(elem)
+    arity, src_mor = arity_label(L, shape)
+    dec = decompose(X, elem)
+    _assert_rebuilds(dec.filler, decompose(X, proof_source(X, elem)).filler)
+    _assert_rebuilds(arity.carrier, src_mor, arity_tgt_morphism(L, shape))
+    _assert_rebuilds(*replay_certificate(cell_certificate(L, shape)))
+
+    pairs = frozenset((x, y) for x in X.states for y in X.states if rng.random() < 0.5)
+    _assert_rebuilds(*relation_presheaf(RelationOnStates(X, pairs)))
+
+
+_ORACLE_RUNS = [
+    ["verify", CCS, "--suite", suite, "--cases", "50", "-d", "3"]
+    for suite in ("laws", "familial", "cellular", "preserve")
+] + [
+    ["verify", CCS, "--suite", "cartesian", "-d", "1"],
+    ["verify", CCS, "--suite", "congruence"],
+    ["lts", CCS, "--term", "par(pref_a_bar(nil),bang(sum(pref_a(nil),pref_a_bar(nil))))",
+     "--fuel", "3"],
+    ["bisim", CCS, "--t1", "sum(pref_a(nil),pref_a(nil))", "--t2", "pref_a(nil)",
+     "-k", "3", "--fuel", "4"],
+]
+
+
+def test_cli_runs_build_only_checkable_systems_and_maps(monkeypatch, capsys):
+    """Rebind _system and _map wherever gsos holds them, as the benchmark
+    tracer rebinds its names, to versions that rebuild each result through
+    the checked constructors; then run the CLI end to end."""
+    import sys
+
+    import gsos.presheaf as presheaf
+    from gsos.cli import main
+
+    built = {"systems": 0, "maps": 0}
+    unchecked_system, unchecked_map = presheaf._system, presheaf._map
+
+    def checked_system(labels, states, arrows):
+        X = unchecked_system(labels, states, arrows)
+        assert _rebuilt(X) == X
+        built["systems"] += 1
+        return X
+
+    def checked_map(dom, cod, state_map, edge_maps=None):
+        f = unchecked_map(dom, cod, state_map, edge_maps)
+        presheaf._check_map(f)
+        built["maps"] += 1
+        return f
+
+    for name, module in list(sys.modules.items()):
+        if name == "gsos" or name.startswith("gsos."):
+            for key, value in list(vars(module).items()):
+                if value is unchecked_system:
+                    monkeypatch.setattr(module, key, checked_system)
+                elif value is unchecked_map:
+                    monkeypatch.setattr(module, key, checked_map)
+    shared = (terminal, representable, source_inclusion)
+    for builder in shared:
+        builder.cache_clear()
+    try:
+        for argv in _ORACLE_RUNS:
+            assert main(argv) == 0, argv
+            out, _ = capsys.readouterr()
+            assert json.loads(out).get("ok", True) is True, argv
+    finally:
+        for builder in shared:
+            builder.cache_clear()
+    assert built["systems"] > 0 and built["maps"] > 0
