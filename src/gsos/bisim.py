@@ -22,7 +22,7 @@ from .errors import FuelTooSmall, UnknownState
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
-    _map,
+    _pair_system,
     _system,
     is_functional_bisimulation,
 )
@@ -174,24 +174,19 @@ def relation_presheaf(
     componentwise related endpoints.
     """
     X = r.carrier
-    labels = X.labels
-    pair = lambda u, v: f"({u},{v})"
-    p1s = {pair(x, y): x for x, y in sorted(r.pairs)}
-    p2s = {pair(x, y): y for x, y in sorted(r.pairs)}
-    arrows = []
-    p1e: dict[str, dict[str, str]] = {a: {} for a in labels}
-    p2e: dict[str, dict[str, str]] = {a: {} for a in labels}
-    for a in labels:
-        for e1 in X.edges[a]:
-            for e2 in X.edges[a]:
-                s1, s2, t1, t2 = X.src[a][e1], X.src[a][e2], X.tgt[a][e1], X.tgt[a][e2]
-                if (s1, s2) in r.pairs and (t1, t2) in r.pairs:
-                    name = pair(e1, e2)
-                    arrows.append((a, name, pair(s1, s2), pair(t1, t2)))
-                    p1e[a][name] = e1
-                    p2e[a][name] = e2
-    R = _system(labels, p1s, arrows)
-    return R, _map(R, X, p1s, p1e), _map(R, X, p2s, p2e)
+    return _pair_system(
+        X,
+        X,
+        sorted(r.pairs),
+        [
+            (a, e1, e2)
+            for a in X.labels
+            for e1 in X.edges[a]
+            for e2 in X.edges[a]
+            if (X.src[a][e1], X.src[a][e2]) in r.pairs
+            and (X.tgt[a][e1], X.tgt[a][e2]) in r.pairs
+        ],
+    )
 
 
 def check_bisimulation_relation(r: RelationOnStates) -> bool:

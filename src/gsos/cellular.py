@@ -26,15 +26,11 @@ from .errors import (
     ReplayMismatch,
 )
 from .familial import (
-    ArityPresheaf,
     Decomposition,
-    Element,
     arity_label,
-    arity_star,
     decompose,
     generic_edges,
     recompose,
-    strip,
 )
 from .presheaf import (
     STAR,
@@ -76,23 +72,6 @@ from .terms import (
 
 
 @dataclass(frozen=True)
-class SClass:
-    """The generating maps s^a, one per label."""
-
-    generators: tuple[tuple[str, PresheafMorphism], ...]
-
-    @classmethod
-    def for_labels(cls, labels: LabelSet) -> "SClass":
-        return cls(tuple((a, source_inclusion(labels, a)) for a in labels))
-
-    def generator(self, label: str) -> PresheafMorphism:
-        for a, g in self.generators:
-            if a == label:
-                return g
-        raise ReplayMismatch(0, f"no generator for label {label!r}")
-
-
-@dataclass(frozen=True)
 class AttachStep:
     """Push out s^{label} along the map picking state ``at``.
 
@@ -111,26 +90,27 @@ class AttachStep:
 
 @dataclass(frozen=True)
 class CellCertificate:
-    base: ArityPresheaf
+    """A shape's attachment steps and the source arity morphism they claim
+    to rebuild: its domain, the points of the source occurrences, is the
+    base the steps start from, and its codomain is the arity."""
+
     steps: tuple[AttachStep, ...]
     claimed_composite: PresheafMorphism
 
     def to_dict(self) -> dict:
         return {
-            "base": json.loads(presheaf_to_json(self.base.carrier)),
+            "base": json.loads(presheaf_to_json(self.claimed_composite.dom)),
             "steps": [s.to_dict() for s in self.steps],
             "codomain": json.loads(presheaf_to_json(self.claimed_composite.cod)),
         }
 
 
-def cell_certificate(labels: LabelSet, r: Element) -> CellCertificate:
+def cell_certificate(labels: LabelSet, r: Proof) -> CellCertificate:
     """Attachment sequence witnessing the source arity morphism of a shape."""
-    if r.is_term():
+    if isinstance(r, (Var, App)):
         raise IncompatiblePair("certificates are for proof shapes")
-    base = arity_star(labels, Element(STAR, proof_source(terminal(labels), r.value)))
-    _, src_mor = arity_label(labels, r)
     steps = tuple(AttachStep(*edge) for edge in generic_edges(r))
-    return CellCertificate(base, steps, src_mor)
+    return CellCertificate(steps, arity_label(labels, r))
 
 
 def replay_certificate(cert: CellCertificate) -> tuple[Presheaf, PresheafMorphism]:
@@ -138,8 +118,9 @@ def replay_certificate(cert: CellCertificate) -> tuple[Presheaf, PresheafMorphis
 
     Raises ReplayMismatch at the first step that cannot be performed.
     """
-    labels = cert.base.carrier.labels
-    current = cert.base.carrier
+    base = cert.claimed_composite.dom
+    labels = base.labels
+    current = base
     point = representable(labels, STAR)
     for idx, step in enumerate(cert.steps):
         if step.label not in labels:
@@ -162,7 +143,7 @@ def replay_certificate(cert: CellCertificate) -> tuple[Presheaf, PresheafMorphis
                 edge_name[a][inj_cur.edge_maps[a][e]] = e
         edge_name[step.label][inj_gen.edge_maps[step.label]["e"]] = step.edge
         current = _rename_cells(glued, state_name, edge_name)
-    composite = _map(cert.base.carrier, current, {x: x for x in cert.base.carrier.states})
+    composite = _map(base, current, {x: x for x in base.states})
     return current, composite
 
 
@@ -227,12 +208,7 @@ def lift_against(
     return k
 
 
-def preserve_bisim_lift(
-    spec,
-    f: PresheafMorphism,
-    M: Term,
-    R: Proof,
-) -> Proof:
+def preserve_bisim_lift(f: PresheafMorphism, M: Term, R: Proof) -> Proof:
     """Preimage of a transition along a functional bisimulation.
 
     Given M over the domain and R over the codomain with source T(f)(M),
@@ -246,7 +222,7 @@ def preserve_bisim_lift(
         raise NonCommutingSquare("source of the transition is not the image of the term")
     dec_m = decompose(X, M)
     dec_r = decompose(Y, R)
-    if strip(M).value != proof_source(terminal(X.labels), dec_r.shape.value):
+    if dec_m.shape != proof_source(terminal(X.labels), dec_r.shape):
         raise NonCommutingSquare("shapes disagree after stripping")
     cert = cell_certificate(X.labels, dec_r.shape)
     k = lift_against(cert, f, dec_m.filler, dec_r.filler)

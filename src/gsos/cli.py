@@ -33,9 +33,9 @@ from .familial import (
     decompose,
     is_generic,
     random_collapse,
-    strip,
 )
 from .presheaf import (
+    STAR,
     Presheaf,
     compose,
     morphism_from_json,
@@ -47,6 +47,8 @@ from .presheaf import (
 )
 from .specdsl import GsosSpec, parse_spec
 from .terms import (
+    App,
+    Var,
     ambient_axioms,
     check_monad_laws,
     derive,
@@ -54,12 +56,14 @@ from .terms import (
     parse_proof,
     parse_term,
     proof_depth,
+    proof_label,
     proof_source,
     proof_target,
     random_layer_element,
     random_presheaf,
     random_term,
     render,
+    to_terminal,
 )
 
 
@@ -183,8 +187,8 @@ def cmd_decompose(args) -> int:
         return _usage_error("decompose needs --proof or --term")
     dec = decompose(X, elem)
     doc = {
-        "shape": render(dec.shape.value),
-        "object": dec.shape.obj,
+        "shape": render(dec.shape),
+        "object": STAR if isinstance(dec.shape, (Var, App)) else proof_label(dec.shape),
         "arity": json.loads(presheaf_to_json(dec.arity)),
         "filler": {
             "states": dict(dec.filler.state_map),
@@ -200,7 +204,7 @@ def cmd_certify(args) -> int:
     spec = _load_spec(args.spec)
     X = _load_presheaf(args.presheaf, spec)
     p = parse_proof(spec, X, args.proof)
-    cert = cell_certificate(spec.labels, strip(p))
+    cert = cell_certificate(spec.labels, to_terminal(p))
     ok = verify_certificate(cert)
     doc = cert.to_dict()
     doc["verified"] = ok
@@ -215,7 +219,7 @@ def cmd_lift(args) -> int:
     _require_spec_labels(f.dom, spec, "--fbisim morphism")
     M = parse_term(spec, f.dom, args.term)
     R = parse_proof(spec, f.cod, args.proof)
-    r0 = preserve_bisim_lift(spec, f, M, R)
+    r0 = preserve_bisim_lift(f, M, R)
     _emit({"term": render(M), "proof": render(R), "preimage": render(r0)})
     return 0
 
@@ -292,7 +296,7 @@ def _suite_familial(spec, seed, cases, d, k, mutate):
         if dec2.filler != compose(u, dec.filler):
             failures.append(f"case {case}: filler not natural in the ambient system")
         if kind == "proof":
-            _, src_mor = arity_label(spec.labels, dec.shape)
+            src_mor = arity_label(spec.labels, dec.shape)
             src_dec = decompose(X, proof_source(X, elem))
             if src_dec.filler != compose(dec.filler, src_mor):
                 failures.append(f"case {case}: source filler not natural in the base")
@@ -312,13 +316,12 @@ def _suite_cellular(spec, seed, cases, d, k, mutate):
             p = random_layer_element(spec, one, rng, 1, d, "proof")
         except GsosError:
             continue
-        shape = strip(p)
+        shape = to_terminal(p)
         cert = cell_certificate(spec.labels, shape)
         if not verify_certificate(cert):
-            failures.append(f"case {case}: certificate fails on {render(shape.value)}")
+            failures.append(f"case {case}: certificate fails on {render(shape)}")
             continue
-        _, src_mor = arity_label(spec.labels, shape)
-        if cert.claimed_composite != src_mor:
+        if cert.claimed_composite != arity_label(spec.labels, shape):
             failures.append(f"case {case}: replay differs from the arity source morphism")
     return {"seed": seed, "cases": cases, "failures": failures, "ok": not failures}
 
@@ -341,7 +344,7 @@ def _suite_preserve(spec, seed, cases, d, k, mutate):
         ]
         for R in problems:
             try:
-                preserve_bisim_lift(spec, f, M, R)
+                preserve_bisim_lift(f, M, R)
             except GsosError as exc:
                 failures.append(f"case {case}: {exc} on {render(R)}")
     return {"seed": seed, "cases": cases, "failures": failures, "ok": not failures}

@@ -1,12 +1,15 @@
 """Arities and generic-free factorisation for the free construction.
 
 Every element of the free system over X is determined by its shape — the
-same element with all leaves collapsed into the one-state system 1 — plus a
-filler morphism from the shape's arity into X.  The arity of a term shape
-is one point per variable occurrence; the arity of a proof shape is built
-by structural induction: each axiom contributes a generic edge, each rule
-node glues the premise arities of one argument along their common source
-occurrences (a wide pushout) and sums over arguments.
+same element with all leaves collapsed into the one-state system 1, that
+is, the plain element ``to_terminal(elem)`` over 1 — plus a filler morphism
+from the shape's arity into X.  An arity is a plain system.  The arity of a
+term shape is one point per variable occurrence; the arity of a proof shape
+is built by structural induction: each axiom contributes a generic edge,
+each rule node glues the premise arities of one argument along their common
+source occurrences (a wide pushout) and sums over arguments.
+:func:`arity_label` returns the source arity morphism, whose codomain is
+the arity.
 
 Cell naming: one walk (:func:`_walk`) visits an element leaf by leaf, in
 the order of :func:`map_leaves`, and names every cell as it goes, so no cell
@@ -29,7 +32,6 @@ from typing import Iterator, Union
 
 from .errors import CellMismatch, MalformedProof
 from .presheaf import (
-    STAR,
     LabelSet,
     Presheaf,
     PresheafMorphism,
@@ -41,65 +43,23 @@ from .presheaf import (
 from .terms import (
     App,
     Axiom,
-    Element as FreeElement,
+    Element,
+    Proof,
+    Term,
     Var,
     map_leaves,
     occurrences,
-    proof_label,
     proof_target,
     term_vars,
     to_terminal,
 )
 
 
-@dataclass(frozen=True)
-class Element:
-    """An element over the one-state system: a shape.
-
-    ``obj`` is "*" for terms and the conclusion label for proofs.
-    """
-
-    obj: str
-    value: FreeElement
-
-    def is_term(self) -> bool:
-        return self.obj == STAR
-
-
-def strip(elem: FreeElement) -> Element:
-    """Collapse all leaves into 1: states become *, edges their labels."""
-    value = to_terminal(elem)
-    if isinstance(value, (Var, App)):
-        return Element(STAR, value)
-    return Element(proof_label(value), value)
-
-
-@dataclass(frozen=True)
-class ArityPresheaf:
-    """A finite colimit of representables with named cells."""
-
-    carrier: Presheaf
-    cells: tuple[tuple[str, str], ...]
-
-    def cell(self, name: str) -> str:
-        for k, v in self.cells:
-            if k == name:
-                return v
-        raise CellMismatch(f"no cell named {name!r}")
-
-
-def _named(carrier: Presheaf) -> ArityPresheaf:
-    names = tuple((x, x) for x in carrier.states) + tuple(
-        (e, e) for a in carrier.labels for e in carrier.edges[a]
-    )
-    return ArityPresheaf(carrier, names)
-
-
-def arity_star(labels: LabelSet, m: Element) -> ArityPresheaf:
+def arity_star(labels: LabelSet, m: Term) -> Presheaf:
     """One point per occurrence of the unique variable, named occ{k}."""
-    if not m.is_term():
+    if not isinstance(m, (Var, App)):
         raise MalformedProof("arity_star expects a term shape")
-    return _named(_points(labels, occurrences(m.value)[0]))
+    return _points(labels, occurrences(m)[0])
 
 
 def _points(labels: LabelSet, n: int) -> Presheaf:
@@ -110,7 +70,7 @@ def _points(labels: LabelSet, n: int) -> Presheaf:
 _Leaves = list[tuple[Union[Var, Axiom], tuple[str, ...]]]
 
 
-def _walk(elem: FreeElement) -> tuple[_Leaves, int, list[str]]:
+def _walk(elem: Element) -> tuple[_Leaves, int, list[str]]:
     """The cells of every leaf in leaf order, the source occurrence count
     and the target route.
 
@@ -120,7 +80,7 @@ def _walk(elem: FreeElement) -> tuple[_Leaves, int, list[str]]:
     """
     leaves: _Leaves = []
 
-    def go(e: FreeElement, prefix: str, offset: int) -> tuple[int, list[str]]:
+    def go(e: Element, prefix: str, offset: int) -> tuple[int, list[str]]:
         # Returns the number of source occurrences and the target route.
         if isinstance(e, Var):
             leaves.append((e, (f"occ{offset}",)))
@@ -166,41 +126,38 @@ def _carrier(labels: LabelSet, leaves: _Leaves) -> Presheaf:
     return _system(labels, states, arrows)
 
 
-def arity_label(labels: LabelSet, r: Element) -> tuple[ArityPresheaf, PresheafMorphism]:
-    """The arity of a proof shape and its source arity morphism.
+def arity_label(labels: LabelSet, r: Proof) -> PresheafMorphism:
+    """The source arity morphism of a proof shape; its codomain is the arity.
 
-    The morphism goes from the source-term arity into the carrier and is the
+    The morphism goes from the source-term arity into the arity and is the
     name-identity inclusion by construction.
     """
-    if r.is_term():
+    if isinstance(r, (Var, App)):
         raise MalformedProof("arity_label expects a proof shape")
-    leaves, n, _route = _walk(r.value)
-    carrier = _carrier(labels, leaves)
+    leaves, n, _route = _walk(r)
     dom = _points(labels, n)
-    mor = _map(dom, carrier, {x: x for x in dom.states})
-    return _named(carrier), mor
+    return _map(dom, _carrier(labels, leaves), {x: x for x in dom.states})
 
 
-def arity_tgt_morphism(labels: LabelSet, r: Element) -> PresheafMorphism:
+def arity_tgt_morphism(labels: LabelSet, r: Proof) -> PresheafMorphism:
     """Route each occurrence of the target term into the proof's arity."""
-    if r.is_term():
+    if isinstance(r, (Var, App)):
         raise MalformedProof("arity_tgt_morphism expects a proof shape")
-    leaves, _n, route = _walk(r.value)
-    tgt_shape = Element(STAR, proof_target(terminal(labels), r.value))
-    dom = arity_star(labels, tgt_shape).carrier
+    leaves, _n, route = _walk(r)
+    dom = arity_star(labels, proof_target(terminal(labels), r))
     if len(route) != len(dom.states):
         raise MalformedProof("occurrence count mismatch in target routing")
     cod = _carrier(labels, leaves)
     return _map(dom, cod, {f"occ{k}": c for k, c in enumerate(route)})
 
 
-def generic_edges(r: Element) -> list[tuple[str, str, str, str]]:
+def generic_edges(r: Proof) -> list[tuple[str, str, str, str]]:
     """(label, source cell, edge cell, target cell) of each axiom of a shape.
 
     In leaf order: the order in which the induction attaches the generic
     edges that make up the arity.
     """
-    leaves = _walk(r.value)[0]
+    leaves = _walk(r)[0]
     return [(leaf.label, *cells) for leaf, cells in leaves if isinstance(leaf, Axiom)]
 
 
@@ -220,7 +177,7 @@ class Decomposition:
         return self.filler.dom
 
 
-def decompose(X: Presheaf, elem: FreeElement) -> Decomposition:
+def decompose(X: Presheaf, elem: Element) -> Decomposition:
     """Split an element into its shape and the filler of leaf data."""
     leaves = _walk(elem)[0]
     states: dict[str, str] = {}
@@ -237,14 +194,14 @@ def decompose(X: Presheaf, elem: FreeElement) -> Decomposition:
             if states.setdefault(c, v) != v:
                 raise MalformedProof("premises disagree on a shared occurrence cell")
     filler = _map(_carrier(X.labels, leaves), X, states, edge_maps)
-    return Decomposition(strip(elem), filler)
+    return Decomposition(to_terminal(elem), filler)
 
 
-def recompose(d: Decomposition, X: Presheaf) -> FreeElement:
+def recompose(d: Decomposition, X: Presheaf) -> Element:
     """Substitute filler values back into the shape's leaves."""
     if d.filler.cod != X:
         raise CellMismatch("filler codomain is not the requested ambient system")
-    cells = iter(c for _leaf, c in _walk(d.shape.value)[0])
+    cells = iter(c for _leaf, c in _walk(d.shape)[0])
 
     def value(table, cell: str) -> str:
         if cell not in table:
@@ -252,7 +209,7 @@ def recompose(d: Decomposition, X: Presheaf) -> FreeElement:
         return table[cell]
 
     return map_leaves(
-        d.shape.value,
+        d.shape,
         lambda _x: value(d.filler.state_map, next(cells)[0]),
         lambda _e, a: value(d.filler.edge_maps.get(a, {}), next(cells)[1]),
     )
@@ -263,7 +220,7 @@ def recompose(d: Decomposition, X: Presheaf) -> FreeElement:
 
 
 def is_generic(
-    X: Presheaf, elem: FreeElement, samples: int = 0, rng=None
+    X: Presheaf, elem: Element, samples: int = 0, rng=None
 ) -> bool:
     """Decide genericness by the filler-is-iso criterion.
 

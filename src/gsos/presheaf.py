@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     DanglingEdge,
@@ -228,12 +228,6 @@ class PresheafMorphism:
     cod: Presheaf
     state_map: Mapping[str, str]
     edge_maps: Mapping[str, Mapping[str, str]]
-
-    def on_state(self, x: str) -> str:
-        return self.state_map[x]
-
-    def on_edge(self, label: str, e: str) -> str:
-        return self.edge_maps[label][e]
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -668,31 +662,47 @@ def pullback(f: PresheafMorphism, g: PresheafMorphism) -> tuple[Presheaf, Preshe
     if f.cod != g.cod:
         raise ShapeUnsupported("pullback legs must share their codomain")
     X, Y = f.dom, g.dom
-    labels = X.labels
-    pair = lambda u, v: f"({u},{v})"
-    p1_states: dict[str, str] = {}
-    p2_states: dict[str, str] = {}
-    for x in X.states:
-        for y in Y.states:
-            if f.state_map[x] == g.state_map[y]:
-                p1_states[pair(x, y)] = x
-                p2_states[pair(x, y)] = y
-    arrows = []
-    p1_edges: dict[str, dict[str, str]] = {a: {} for a in labels}
-    p2_edges: dict[str, dict[str, str]] = {a: {} for a in labels}
-    for a in labels:
-        for e1 in X.edges[a]:
-            for e2 in Y.edges[a]:
-                if f.edge_maps[a][e1] != g.edge_maps[a][e2]:
-                    continue
-                name = pair(e1, e2)
-                arrows.append(
-                    (a, name, pair(X.src[a][e1], Y.src[a][e2]), pair(X.tgt[a][e1], Y.tgt[a][e2]))
-                )
-                p1_edges[a][name] = e1
-                p2_edges[a][name] = e2
-    P = _system(labels, p1_states, arrows)
-    return P, _map(P, X, p1_states, p1_edges), _map(P, Y, p2_states, p2_edges)
+    return _pair_system(
+        X,
+        Y,
+        [(x, y) for x in X.states for y in Y.states if f.state_map[x] == g.state_map[y]],
+        [
+            (a, e1, e2)
+            for a in X.labels
+            for e1 in X.edges[a]
+            for e2 in Y.edges[a]
+            if f.edge_maps[a][e1] == g.edge_maps[a][e2]
+        ],
+    )
+
+
+def _pair_system(
+    X: Presheaf,
+    Y: Presheaf,
+    state_pairs: Sequence[tuple[str, str]],
+    edge_pairs: Sequence[tuple[str, str, str]],
+) -> tuple[Presheaf, PresheafMorphism, PresheafMorphism]:
+    """The system of the given pairs of cells of X and Y, each named
+    ``({u},{v})``, and its projections to X and Y.
+
+    Each edge pair ``(label, e1, e2)`` must have its endpoint pairs among
+    the state pairs.  Ids with a top-level comma can give two pairs one
+    name; that is refused with DuplicateId rather than merging the cells.
+    """
+    p1 = {f"({u},{v})": u for u, v in state_pairs}
+    p2 = {f"({u},{v})": v for u, v in state_pairs}
+    arrows = [
+        (a, f"({e1},{e2})", f"({X.src[a][e1]},{Y.src[a][e2]})", f"({X.tgt[a][e1]},{Y.tgt[a][e2]})")
+        for a, e1, e2 in edge_pairs
+    ]
+    if len(p1) < len(state_pairs) or len({arrow[1] for arrow in arrows}) < len(arrows):
+        raise DuplicateId("two pairs of cells would share one name: an id has a top-level comma")
+    p1_edges: dict[str, dict[str, str]] = {a: {} for a in X.labels}
+    p2_edges: dict[str, dict[str, str]] = {a: {} for a in X.labels}
+    for (a, e1, e2), arrow in zip(edge_pairs, arrows):
+        p1_edges[a][arrow[1]], p2_edges[a][arrow[1]] = e1, e2
+    P = _system(X.labels, p1, arrows)
+    return P, _map(P, X, p1, p1_edges), _map(P, Y, p2, p2_edges)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .errors import (
     MalformedProof,
+    UnknownLabel,
     UnknownOperation,
     UnknownState,
 )
@@ -715,13 +716,6 @@ def ambient_axioms(X: Presheaf) -> Callable[[str, str], list[tuple[str, str]]]:
     return lambda x, a: [(e, X.tgt[a][e]) for e in X.out_edges(x, a)]
 
 
-def one_step(spec: "GsosSpec", term: Term, drop_last_premise: bool = False) -> tuple[Proof, ...]:
-    """All proofs with conclusion source the given closed term."""
-    if term_vars(term):
-        raise UnknownState("one_step needs a closed term")
-    return tuple(p for p, _ in derive(spec, term, None, drop_last_premise=drop_last_premise))
-
-
 # ---------------------------------------------------------------------------
 # Truncated materialisations of the free layers.
 
@@ -775,6 +769,9 @@ def _window(spec: "GsosSpec", X: Presheaf, d: int, state_terms, axioms_of, flatt
     ``flatten`` maps an element of the layer to one layer over X; it
     commutes with targets, so a flattened proof's target is the flattened
     target that derive returned with the proof."""
+    missing = [a for a in spec.labels if a not in X.labels]
+    if missing:
+        raise UnknownLabel(f"the system lacks the spec's labels {missing}")
     states = tuple(render(t) for t in state_terms)
     proof_decode: dict[str, Proof] = {}
     memo: dict = {}
@@ -804,22 +801,18 @@ def window_map(window, cod: Presheaf, f: Callable[[Element], Element]) -> Preshe
     )
 
 
-def T_of(spec: "GsosSpec", X: Presheaf, d: int) -> Presheaf:
-    return truncated_free(spec, X, d)[0]
-
-
 def T_on_morphism(spec: "GsosSpec", f: PresheafMorphism, d: int) -> PresheafMorphism:
     """Functorial action on the depth-d windows: relabel all leaves along f."""
     return window_map(
         truncated_free(spec, f.dom, d),
-        T_of(spec, f.cod, d),
+        truncated_free(spec, f.cod, d)[0],
         lambda z: map_leaves(z, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e]),
     )
 
 
 def eta(spec: "GsosSpec", X: Presheaf, d: int, T: Optional[Presheaf] = None) -> PresheafMorphism:
     """The unit X -> T(X): wrap states and edges."""
-    T = T if T is not None else T_of(spec, X, d)
+    T = T if T is not None else truncated_free(spec, X, d)[0]
     return _map(
         X,
         T,

@@ -28,7 +28,6 @@ from gsos.familial import (
     decompose,
     random_collapse,
     recompose,
-    strip,
 )
 from gsos.presheaf import (
     compose,
@@ -68,21 +67,21 @@ def test_criterion_01_sync_decomposition_golden(ccs, sync_ambient):
     """Golden synchronisation case: shape, arity and both structure maps."""
     p = parse_proof(ccs, sync_ambient, "sync(lpar(ax(e1),term(var(x2))),ax(e2))")
     dec = decompose(sync_ambient, p)
-    assert render(dec.shape.value) == "sync(lpar[L=a_bar](ax(a_bar),term(var(*))),ax(a))"
-    ar, smor = arity_label(ccs.labels, dec.shape)
-    assert ar.carrier.size() == (5, 2)
+    assert render(dec.shape) == "sync(lpar[L=a_bar](ax(a_bar),term(var(*))),ax(a))"
+    smor = arity_label(ccs.labels, dec.shape)
+    assert smor.cod.size() == (5, 2)
     e_bar, e_in = "arg0/prem0/arg0/prem0/e", "arg1/prem0/e"
-    assert ar.carrier.edges["a_bar"] == (e_bar,) and ar.carrier.edges["a"] == (e_in,)
+    assert smor.cod.edges["a_bar"] == (e_bar,) and smor.cod.edges["a"] == (e_in,)
     # source morphism = s^a_bar + point + s^a under the cell naming
     assert smor.state_map == {"occ0": "occ0", "occ1": "occ1", "occ2": "occ2"}
-    assert ar.carrier.src["a_bar"][e_bar] == "occ0"
-    assert ar.carrier.src["a"][e_in] == "occ2"
+    assert smor.cod.src["a_bar"][e_bar] == "occ0"
+    assert smor.cod.src["a"][e_in] == "occ2"
     # target morphism = t^a_bar + point + t^a
     tmor = arity_tgt_morphism(ccs.labels, dec.shape)
     assert tmor.state_map == {
-        "occ0": ar.carrier.tgt["a_bar"][e_bar],
+        "occ0": smor.cod.tgt["a_bar"][e_bar],
         "occ1": "occ1",
-        "occ2": ar.carrier.tgt["a"][e_in],
+        "occ2": smor.cod.tgt["a"][e_in],
     }
     _pass(1, "sync decomposition matches its golden shape and arity exactly")
 
@@ -90,16 +89,16 @@ def test_criterion_01_sync_decomposition_golden(ccs, sync_ambient):
 def test_criterion_02_rsync_arity_golden(ccs, rsync_ambient):
     """Replicated synchronisation: glued arity, diagonal source, routed target."""
     p = parse_proof(ccs, rsync_ambient, "rsync(ax(e1),ax(e2))")
-    sh = strip(p)
-    ar, smor = arity_label(ccs.labels, sh)
-    assert ar.carrier.size() == (3, 2)
-    assert ar.carrier.src["a_bar"]["arg0/prem0/e"] == ar.carrier.src["a"]["arg0/prem1/e"]
+    sh = to_terminal(p)
+    smor = arity_label(ccs.labels, sh)
+    assert smor.cod.size() == (3, 2)
+    assert smor.cod.src["a_bar"]["arg0/prem0/e"] == smor.cod.src["a"]["arg0/prem1/e"]
     assert smor.state_map == {"occ0": "occ0"}  # the diagonal
     tmor = arity_tgt_morphism(ccs.labels, sh)
     assert tmor.state_map == {
         "occ0": "occ0",                    # x1 via the shared source
-        "occ1": ar.carrier.tgt["a_bar"]["arg0/prem0/e"],  # y1_1 via t^a_bar
-        "occ2": ar.carrier.tgt["a"]["arg0/prem1/e"],      # y1_2 via t^a
+        "occ1": smor.cod.tgt["a_bar"]["arg0/prem0/e"],  # y1_1 via t^a_bar
+        "occ2": smor.cod.tgt["a"]["arg0/prem1/e"],      # y1_2 via t^a
     }
     _pass(2, "rsync arity matches its golden glued shape exactly")
 
@@ -132,7 +131,7 @@ def test_criterion_04_familiality_round_trip(ccs):
             continue
         # naturality in the base object
         if kind == "proof":
-            _, smor = arity_label(ccs.labels, dec.shape)
+            smor = arity_label(ccs.labels, dec.shape)
             if decompose(X, proof_source(X, elem)).filler != compose(dec.filler, smor):
                 failures.append(f"source naturality on {render(elem)}")
                 continue
@@ -149,14 +148,14 @@ def test_criterion_05_cellularity(ccs):
     for case in range(200):
         rng = random.Random(50_000 + case)
         p = random_layer_element(ccs, one, rng, 1, 3, "proof")
-        sh = strip(p)
+        sh = to_terminal(p)
         cert = cell_certificate(ccs.labels, sh)
         if not verify_certificate(cert):
-            failures.append(render(sh.value))
+            failures.append(render(sh))
             continue
-        _, smor = arity_label(ccs.labels, sh)
+        smor = arity_label(ccs.labels, sh)
         if cert.claimed_composite != smor:
-            failures.append(f"replay differs on {render(sh.value)}")
+            failures.append(f"replay differs on {render(sh)}")
     assert failures == [], failures[:3]
     _pass(5, "200 seeded shapes certify and replay to their source arity morphism")
 
@@ -246,7 +245,7 @@ def test_criterion_08_preservation(toy, ccs):
 
                 if proof_depth(R) > 2:
                     continue
-                r0 = preserve_bisim_lift(toy, f, M, R)
+                r0 = preserve_bisim_lift(f, M, R)
                 checked += 1
                 if case < 20:
                     oracle = [
@@ -269,7 +268,7 @@ def test_criterion_08_preservation(toy, ccs):
         M = random_term(ccs, rng, X.states, 2)
         fM = map_leaves(M, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
         for R, _ in derive(ccs, fM, ambient_axioms(Y)):
-            preserve_bisim_lift(ccs, f, M, R)
+            preserve_bisim_lift(f, M, R)
     _pass(8, f"{checked} preimage problems solved; {cross_checked} cross-checked")
 
 

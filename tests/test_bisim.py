@@ -17,13 +17,13 @@ from gsos.bisim import (
     relation_presheaf,
     stratified_partition,
 )
-from gsos.errors import FuelTooSmall, UnknownState
+from gsos.errors import DuplicateId, FuelTooSmall, UnknownState
 from gsos.presheaf import labelset, make_presheaf
 from gsos.terms import (
     HOLE,
     App,
     Var,
-    one_step,
+    derive,
     parse_term,
     proof_label,
     proof_target,
@@ -212,6 +212,13 @@ def test_relation_presheaf_projections(paper_lts):
     assert R.edges["b"] and len(R.edges["b"]) == 4  # f,f2 pair up both ways
 
 
+def test_relation_presheaf_refuses_pair_names_that_collide():
+    X = make_presheaf(labelset("a"), ("a", "b,c", "a,b", "c"))
+    r = RelationOnStates(X, frozenset({("a", "b,c"), ("a,b", "c")}))
+    with pytest.raises(DuplicateId):
+        relation_presheaf(r)  # both pairs would be the state (a,b,c)
+
+
 def test_plug_and_contexts(ccs):
     ctxs = enumerate_contexts(ccs, 2)
     assert render(Var("__hole__")) in {render(c) for c in ctxs}
@@ -317,7 +324,7 @@ def _fragment_oracle(spec, seeds, fuel, drop_last_premise):
     for _ in range(fuel):
         next_level = []
         for m in level:
-            for p in one_step(spec, m, drop_last_premise=drop_last_premise):
+            for p, _ in derive(spec, m, None, drop_last_premise=drop_last_premise):
                 n = proof_target(closed, p)
                 nk = render(n)
                 if nk not in known:

@@ -5,7 +5,6 @@ import pytest
 from gsos.cellular import (
     AttachStep,
     CellCertificate,
-    SClass,
     cell_certificate,
     check_eta_cartesian,
     check_mu_cartesian,
@@ -18,13 +17,14 @@ from gsos.cellular import (
     verify_certificate,
 )
 from gsos.errors import IncompatiblePair, NotAFunctionalBisim, ReplayMismatch
-from gsos.familial import arity_label, decompose, strip
+from gsos.familial import arity_label, decompose
 from gsos.presheaf import (
     identity,
     is_functional_bisimulation,
     make_presheaf,
     morphism,
     representable,
+    source_inclusion,
     terminal,
 )
 from gsos.terms import (
@@ -48,16 +48,16 @@ from gsos.terms import (
 
 
 def test_s_class_generators(ccs):
-    s = SClass.for_labels(ccs.labels)
-    assert len(s.generators) == 3
-    g = s.generator("a")
+    generators = [source_inclusion(ccs.labels, a) for a in ccs.labels]
+    assert len(generators) == 3
+    g = source_inclusion(ccs.labels, "a")
     assert g.dom.size() == (1, 0) and g.cod.size() == (2, 1)
 
 
 def test_certificate_axiom_base_case(ccs):
     one = terminal(ccs.labels)
-    cert = cell_certificate(ccs.labels, strip(parse_proof(ccs, one, "ax(a)")))
-    assert cert.base.carrier.size() == (1, 0)
+    cert = cell_certificate(ccs.labels, to_terminal(parse_proof(ccs, one, "ax(a)")))
+    assert cert.claimed_composite.dom.size() == (1, 0)
     assert [s.to_dict() for s in cert.steps] == [
         {"label": "a", "at": "occ0", "edge": "e", "tgt": "t"}
     ]
@@ -66,16 +66,16 @@ def test_certificate_axiom_base_case(ccs):
 
 def test_certificate_rsync_attaches_twice_at_same_vertex(ccs, rsync_ambient):
     p = parse_proof(ccs, rsync_ambient, "rsync(ax(e1),ax(e2))")
-    cert = cell_certificate(ccs.labels, strip(p))
-    assert cert.base.carrier.size() == (1, 0)
+    cert = cell_certificate(ccs.labels, to_terminal(p))
+    assert cert.claimed_composite.dom.size() == (1, 0)
     assert [(s.label, s.at) for s in cert.steps] == [("a_bar", "occ0"), ("a", "occ0")]
     assert verify_certificate(cert)
 
 
 def test_certificate_sync_leaves_middle_untouched(ccs, sync_ambient):
     p = parse_proof(ccs, sync_ambient, "sync(lpar(ax(e1),term(var(x2))),ax(e2))")
-    cert = cell_certificate(ccs.labels, strip(p))
-    assert cert.base.carrier.size() == (3, 0)
+    cert = cell_certificate(ccs.labels, to_terminal(p))
+    assert cert.claimed_composite.dom.size() == (3, 0)
     assert [(s.label, s.at) for s in cert.steps] == [("a_bar", "occ0"), ("a", "occ2")]
     touched = {s.at for s in cert.steps}
     assert "occ1" not in touched
@@ -89,34 +89,31 @@ def test_certificate_replay_matches_arity(ccs):
     rng = random.Random(29)
     for _ in range(60):
         p = random_layer_element(ccs, one, rng, 1, 3, "proof")
-        sh = strip(p)
+        sh = to_terminal(p)
         cert = cell_certificate(ccs.labels, sh)
         assert verify_certificate(cert)
-        _, smor = arity_label(ccs.labels, sh)
+        smor = arity_label(ccs.labels, sh)
         assert cert.claimed_composite == smor
 
 
 def test_certificate_with_deleted_step_fails(ccs, rsync_ambient):
     p = parse_proof(ccs, rsync_ambient, "rsync(ax(e1),ax(e2))")
-    cert = cell_certificate(ccs.labels, strip(p))
-    broken = CellCertificate(cert.base, cert.steps[:-1], cert.claimed_composite)
+    cert = cell_certificate(ccs.labels, to_terminal(p))
+    broken = CellCertificate(cert.steps[:-1], cert.claimed_composite)
     assert not verify_certificate(broken)
 
 
 def test_certificate_with_swapped_independent_steps_still_verifies(ccs, sync_ambient):
     p = parse_proof(ccs, sync_ambient, "sync(lpar(ax(e1),term(var(x2))),ax(e2))")
-    cert = cell_certificate(ccs.labels, strip(p))
-    swapped = CellCertificate(
-        cert.base, (cert.steps[1], cert.steps[0]), cert.claimed_composite
-    )
+    cert = cell_certificate(ccs.labels, to_terminal(p))
+    swapped = CellCertificate((cert.steps[1], cert.steps[0]), cert.claimed_composite)
     assert verify_certificate(swapped)
 
 
 def test_certificate_replay_rejects_bad_attach_state(ccs):
     one = terminal(ccs.labels)
-    cert = cell_certificate(ccs.labels, strip(parse_proof(ccs, one, "ax(a)")))
+    cert = cell_certificate(ccs.labels, to_terminal(parse_proof(ccs, one, "ax(a)")))
     bad = CellCertificate(
-        cert.base,
         (AttachStep("a", "nowhere", "e", "t"),),
         cert.claimed_composite,
     )
@@ -146,11 +143,11 @@ def test_lift_against_empty_certificate_returns_top(ccs):
     """A premise-free shape certifies with no steps; the lifting is the top."""
     one = terminal(ccs.labels)
     p = parse_proof(ccs, one, "pref_a(term(var(*)))")
-    sh = strip(p)
+    sh = to_terminal(p)
     cert = cell_certificate(ccs.labels, sh)
     assert cert.steps == ()
     L, X, Y, f = _covering_fixture()
-    top = morphism(cert.base.carrier, X, {"occ0": "u"})
+    top = morphism(cert.claimed_composite.dom, X, {"occ0": "u"})
     bottom = morphism(cert.claimed_composite.cod, Y, {"occ0": "p"})
     k = lift_against(cert, f, top, bottom)
     assert k.state_map == {"occ0": "u"}
@@ -160,9 +157,9 @@ def test_lift_against_single_generator(ccs):
     """Certifying the bare axiom shape makes lift_against the defining
     lifting of a functional bisimulation."""
     one = terminal(ccs.labels)
-    cert = cell_certificate(ccs.labels, strip(parse_proof(ccs, one, "ax(a)")))
+    cert = cell_certificate(ccs.labels, to_terminal(parse_proof(ccs, one, "ax(a)")))
     L, X, Y, f = _covering_fixture()
-    top = morphism(cert.base.carrier, X, {"occ0": "v"})
+    top = morphism(cert.claimed_composite.dom, X, {"occ0": "v"})
     bottom = morphism(
         cert.claimed_composite.cod, Y, {"occ0": "p", "t": "q"}, {"a": {"e": "d"}}
     )
@@ -198,7 +195,7 @@ def test_lift_against_rsync_certificate_on_relation_projection(ccs):
     p = parse_proof(ccs, Y, "rsync(ax(b),ax(c))")
     dec = decompose(Y, p)
     cert = cell_certificate(L, dec.shape)
-    top = morphism(cert.base.carrier, X, {"occ0": "m2"})
+    top = morphism(cert.claimed_composite.dom, X, {"occ0": "m2"})
     k = lift_against(cert, f, top, dec.filler)
     assert k.state_map["occ0"] == "m2"
     assert k.edge_maps["a_bar"]["arg0/prem0/e"] == "b2"
@@ -207,12 +204,12 @@ def test_lift_against_rsync_certificate_on_relation_projection(ccs):
 
 def test_lift_against_requires_functional_bisim(ccs):
     one = terminal(ccs.labels)
-    cert = cell_certificate(ccs.labels, strip(parse_proof(ccs, one, "ax(a)")))
+    cert = cell_certificate(ccs.labels, to_terminal(parse_proof(ccs, one, "ax(a)")))
     L, X, Y, f = _covering_fixture()
     # g forgets the edge over d from u: not a functional bisimulation
     X2 = make_presheaf(X.labels, X.states, {"a": ("d1",)}, {"a": {"d1": "u"}}, {"a": {"d1": "w"}})
     g = morphism(X2, Y, {"u": "p", "v": "p", "w": "q"}, {"a": {"d1": "d"}})
-    top = morphism(cert.base.carrier, X2, {"occ0": "v"})
+    top = morphism(cert.claimed_composite.dom, X2, {"occ0": "v"})
     bottom = morphism(
         cert.claimed_composite.cod, Y, {"occ0": "p", "t": "q"}, {"a": {"e": "d"}}
     )
@@ -224,7 +221,7 @@ def test_preserve_bisim_lift_identity(ccs, rsync_ambient):
     X = rsync_ambient
     p = parse_proof(ccs, X, "rsync(ax(e1),ax(e2))")
     m = proof_source(X, p)
-    r0 = preserve_bisim_lift(ccs, identity(X), m, p)
+    r0 = preserve_bisim_lift(identity(X), m, p)
     assert r0 == p
 
 
@@ -237,7 +234,7 @@ def test_preserve_bisim_lift_collapse_instance(ccs):
     problems = [R for R, _ in derive(ccs, fM, ambient_axioms(Y))]
     assert problems
     for R in problems:
-        r0 = preserve_bisim_lift(ccs, f, M, R)
+        r0 = preserve_bisim_lift(f, M, R)
         assert proof_source(X, r0) == M
 
 
@@ -255,7 +252,7 @@ def test_preserve_bisim_lift_matches_brute_force(ccs):
         for R, _ in derive(ccs, fM, ambient_axioms(Y)):
             if proof_depth(R) > 2:
                 continue
-            r0 = preserve_bisim_lift(ccs, f, M, R)
+            r0 = preserve_bisim_lift(f, M, R)
             oracle = [
                 p
                 for p, _ in derive(ccs, M, ambient_axioms(X))
@@ -318,13 +315,13 @@ def test_nested_replication_arity_and_certificate(ccs):
     """Wide pushout over a two-cell apex: the premise arities glue along
     both occurrence cells; the certificate replays on the nose."""
     X, p = _nested_replication_instance(ccs)
-    sh = strip(p)
-    ar, smor = arity_label(ccs.labels, sh)
+    sh = to_terminal(p)
+    smor = arity_label(ccs.labels, sh)
     # two shared occurrence cells plus one created target per premise
-    assert ar.carrier.size() == (4, 2)
+    assert smor.cod.size() == (4, 2)
     assert smor.state_map == {"occ0": "occ0", "occ1": "occ1"}
-    assert ar.carrier.src["a_bar"][ar.carrier.edges["a_bar"][0]] == "occ0"
-    assert ar.carrier.src["a"][ar.carrier.edges["a"][0]] == "occ1"
+    assert smor.cod.src["a_bar"][smor.cod.edges["a_bar"][0]] == "occ0"
+    assert smor.cod.src["a"][smor.cod.edges["a"][0]] == "occ1"
     cert = cell_certificate(ccs.labels, sh)
     assert [(s.label, s.at) for s in cert.steps] == [("a_bar", "occ0"), ("a", "occ1")]
     assert verify_certificate(cert)
@@ -359,7 +356,7 @@ def test_nested_replication_preservation(ccs):
     f = morphism(C, X, {f"{x}.{i}": x for x in X.states for i in range(2)}, emap)
     assert is_functional_bisimulation(f) is True
     M = parse_term(ccs, C, "bang(par(var(u1.1),var(u2.0)))")
-    r0 = preserve_bisim_lift(ccs, f, M, p)
+    r0 = preserve_bisim_lift(f, M, p)
     assert proof_source(C, r0) == M
     assert map_leaves(r0, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e]) == p
 

@@ -233,9 +233,37 @@ def test_console_script_installed():
 
 SYNC = "sync(lpar(ax(a_bar),term(var(*))),ax(a))"
 RSYNC = "rsync(ax(a_bar),ax(a))"
-# Full stdout of `decompose` and `certify` over the terminal system.  The
-# order of the arity's states, edges and attach steps is part of the report,
-# and only whole-output comparison pins it.
+# The system and the covering map read by the last two reports below.
+REPORT_FILES = {
+    "ambient.json": {
+        "labels": ["a", "a_bar", "tau"],
+        "states": ["u", "v", "w"],
+        "edges": {
+            "a": [{"id": "d1", "src": "u", "tgt": "w"}, {"id": "d2", "src": "v", "tgt": "w"}],
+            "a_bar": [{"id": "c", "src": "u", "tgt": "v"}],
+        },
+    },
+    "cover.json": {
+        "dom": {
+            "labels": ["a", "a_bar", "tau"],
+            "states": ["u", "v", "w"],
+            "edges": {
+                "a": [{"id": "d1", "src": "u", "tgt": "w"}, {"id": "d2", "src": "v", "tgt": "w"}]
+            },
+        },
+        "cod": {
+            "labels": ["a", "a_bar", "tau"],
+            "states": ["p", "q"],
+            "edges": {"a": [{"id": "d", "src": "p", "tgt": "q"}]},
+        },
+        "states": {"u": "p", "v": "p", "w": "q"},
+        "edges": {"a": {"d1": "d", "d2": "d"}},
+    },
+}
+# Full stdout of `decompose` and `certify`, keyed by the command and its
+# arguments after the spec (a lone argument is the --proof).  The order of
+# the arity's states, edges and attach steps is part of the report, and only
+# whole-output comparison pins it.
 ARITY_REPORTS = {
     ("decompose", SYNC): (
         '{"arity": {"edges": {"a": [{"id": "arg1/prem0/e", "src": "occ2", '
@@ -284,14 +312,57 @@ ARITY_REPORTS = {
         '"tgt": "arg0/prem0/t"}, {"at": "occ0", "edge": "arg0/prem1/e", '
         '"label": "a", "tgt": "arg0/prem1/t"}], "verified": true}\n'
     ),
+    ("decompose", "--term", "par(var(*),sum(var(*),nil))"): (
+        '{"arity": {"edges": {"a": [], "a_bar": [], "tau": []}, "labels": ["a", '
+        '"a_bar", "tau"], "states": ["occ0", "occ1"]}, "filler": {"edges": {}, '
+        '"states": {"occ0": "*", "occ1": "*"}}, "generic": false, "object": "*", '
+        '"shape": "par(var(*),sum(var(*),nil))"}\n'
+    ),
+    (
+        "decompose",
+        "--proof",
+        "sync(lpar(ax(c),term(var(v))),ax(d2))",
+        "--presheaf",
+        "ambient.json",
+    ): (
+        '{"arity": {"edges": {"a": [{"id": "arg1/prem0/e", "src": "occ2", '
+        '"tgt": "arg1/prem0/t"}], "a_bar": [{"id": "arg0/prem0/arg0/prem0/e", '
+        '"src": "occ0", "tgt": "arg0/prem0/arg0/prem0/t"}], "tau": []}, '
+        '"labels": ["a", "a_bar", "tau"], "states": ["occ0", '
+        '"arg0/prem0/arg0/prem0/t", "occ1", "occ2", "arg1/prem0/t"]}, '
+        '"filler": {"edges": {"a": {"arg1/prem0/e": "d2"}, '
+        '"a_bar": {"arg0/prem0/arg0/prem0/e": "c"}}, '
+        '"states": {"arg0/prem0/arg0/prem0/t": "v", "arg1/prem0/t": "w", '
+        '"occ0": "u", "occ1": "v", "occ2": "v"}}, "generic": false, '
+        '"object": "tau", '
+        '"shape": "sync(lpar[L=a_bar](ax(a_bar),term(var(*))),ax(a))"}\n'
+    ),
+    (
+        "lift",
+        "--fbisim",
+        "cover.json",
+        "--term",
+        "par(var(u),var(v))",
+        "--proof",
+        "rpar(term(var(p)),ax(d))",
+    ): (
+        '{"preimage": "rpar[L=a](term(var(u)),ax(d2))", '
+        '"proof": "rpar[L=a](term(var(p)),ax(d))", "term": "par(var(u),var(v))"}\n'
+    ),
 }
 
 
-@pytest.mark.parametrize("command,proof", list(ARITY_REPORTS))
-def test_arity_report_bytes_golden(command, proof, capsys):
-    code, out, _ = run_cli([command, CCS, "--proof", proof], capsys)
+@pytest.mark.parametrize("case", list(ARITY_REPORTS), ids="-".join)
+def test_arity_report_bytes_golden(case, tmp_path, capsys):
+    command, *args = case
+    if len(args) == 1:
+        args = ["--proof", *args]
+    for name, doc in REPORT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    args = [str(tmp_path / a) if a in REPORT_FILES else a for a in args]
+    code, out, _ = run_cli([command, CCS, *args], capsys)
     assert code == 0
-    assert out == ARITY_REPORTS[(command, proof)]
+    assert out == ARITY_REPORTS[case]
 
 
 def test_bisim_refuses_fuel_below_stratum(capsys):

@@ -5,7 +5,6 @@ import pytest
 from gsos.errors import CellMismatch, MalformedProof
 from gsos.familial import (
     Decomposition,
-    Element,
     all_morphisms,
     arity_label,
     arity_star,
@@ -14,7 +13,6 @@ from gsos.familial import (
     is_generic,
     random_collapse,
     recompose,
-    strip,
 )
 from gsos.presheaf import (
     STAR,
@@ -30,46 +28,48 @@ from gsos.terms import (
     map_leaves,
     parse_proof,
     parse_term,
+    proof_label,
     proof_source,
     proof_target,
     random_layer_element,
     random_presheaf,
     render,
+    to_terminal,
 )
 
 
 def test_strip_variable(ccs, rsync_ambient):
     t = parse_term(ccs, rsync_ambient, "var(x)")
-    assert strip(t) == Element(STAR, Var(STAR))
+    assert to_terminal(t) == Var(STAR)
 
 
 def test_strip_sync_golden(ccs, sync_ambient):
     p = parse_proof(ccs, sync_ambient, "sync(lpar(ax(e1),term(var(x2))),ax(e2))")
-    sh = strip(p)
-    assert sh.obj == "tau"
-    assert render(sh.value) == "sync(lpar[L=a_bar](ax(a_bar),term(var(*))),ax(a))"
+    sh = to_terminal(p)
+    assert proof_label(sh) == "tau"
+    assert render(sh) == "sync(lpar[L=a_bar](ax(a_bar),term(var(*))),ax(a))"
     # idempotent on shapes
-    assert strip(sh.value).value == sh.value
+    assert to_terminal(sh) == sh
 
 
 def test_arity_star_counts(ccs):
     one = terminal(ccs.labels)
-    single = strip(parse_term(ccs, one, "var(*)"))
-    assert arity_star(ccs.labels, single).carrier.size() == (1, 0)
-    triple = strip(parse_term(ccs, one, "par(par(var(*),var(*)),var(*))"))
-    car = arity_star(ccs.labels, triple).carrier
+    single = to_terminal(parse_term(ccs, one, "var(*)"))
+    assert arity_star(ccs.labels, single).size() == (1, 0)
+    triple = to_terminal(parse_term(ccs, one, "par(par(var(*),var(*)),var(*))"))
+    car = arity_star(ccs.labels, triple)
     assert car.size() == (3, 0)
     assert car.states == ("occ0", "occ1", "occ2")
-    empty = strip(parse_term(ccs, None, "nil"))
-    assert arity_star(ccs.labels, empty).carrier.size() == (0, 0)
+    empty = to_terminal(parse_term(ccs, None, "nil"))
+    assert arity_star(ccs.labels, empty).size() == (0, 0)
 
 
 def test_arity_label_axiom_base_case(ccs):
     one = terminal(ccs.labels)
-    sh = strip(parse_proof(ccs, one, "ax(a)"))
-    ar, smor = arity_label(ccs.labels, sh)
-    assert ar.carrier.size() == (2, 1)
-    assert ar.carrier.src["a"]["e"] == "occ0" and ar.carrier.tgt["a"]["e"] == "t"
+    sh = to_terminal(parse_proof(ccs, one, "ax(a)"))
+    smor = arity_label(ccs.labels, sh)
+    assert smor.cod.size() == (2, 1)
+    assert smor.cod.src["a"]["e"] == "occ0" and smor.cod.tgt["a"]["e"] == "t"
     assert smor.state_map == {"occ0": "occ0"}
     tmor = arity_tgt_morphism(ccs.labels, sh)
     assert tmor.state_map == {"occ0": "t"}
@@ -80,10 +80,10 @@ def test_arity_label_sync_golden(ccs, sync_ambient):
     point, the source morphism picks the two edge sources and the middle
     point, the target morphism the two edge targets and the middle point."""
     p = parse_proof(ccs, sync_ambient, "sync(lpar(ax(e1),term(var(x2))),ax(e2))")
-    sh = strip(p)
-    ar, smor = arity_label(ccs.labels, sh)
-    assert ar.carrier.size() == (5, 2)
-    assert set(ar.carrier.states) == {
+    sh = to_terminal(p)
+    smor = arity_label(ccs.labels, sh)
+    assert smor.cod.size() == (5, 2)
+    assert set(smor.cod.states) == {
         "occ0",
         "occ1",
         "occ2",
@@ -92,12 +92,12 @@ def test_arity_label_sync_golden(ccs, sync_ambient):
     }
     e_bar = "arg0/prem0/arg0/prem0/e"
     e_in = "arg1/prem0/e"
-    assert ar.carrier.edges["a_bar"] == (e_bar,)
-    assert ar.carrier.edges["a"] == (e_in,)
+    assert smor.cod.edges["a_bar"] == (e_bar,)
+    assert smor.cod.edges["a"] == (e_in,)
     # source morphism = s^a_bar + point + s^a under the cell naming
     assert smor.state_map == {"occ0": "occ0", "occ1": "occ1", "occ2": "occ2"}
-    assert ar.carrier.src["a_bar"][e_bar] == "occ0"
-    assert ar.carrier.src["a"][e_in] == "occ2"
+    assert smor.cod.src["a_bar"][e_bar] == "occ0"
+    assert smor.cod.src["a"][e_in] == "occ2"
     # target morphism = t^a_bar + point + t^a
     tmor = arity_tgt_morphism(ccs.labels, sh)
     assert tmor.state_map == {
@@ -112,11 +112,11 @@ def test_arity_label_rsync_golden(ccs, rsync_ambient):
     source morphism is the diagonal, the target routes the replicated
     argument through the shared source."""
     p = parse_proof(ccs, rsync_ambient, "rsync(ax(e1),ax(e2))")
-    sh = strip(p)
-    ar, smor = arity_label(ccs.labels, sh)
-    assert ar.carrier.size() == (3, 2)
-    assert ar.carrier.src["a_bar"]["arg0/prem0/e"] == "occ0"
-    assert ar.carrier.src["a"]["arg0/prem1/e"] == "occ0"  # shared source vertex
+    sh = to_terminal(p)
+    smor = arity_label(ccs.labels, sh)
+    assert smor.cod.size() == (3, 2)
+    assert smor.cod.src["a_bar"]["arg0/prem0/e"] == "occ0"
+    assert smor.cod.src["a"]["arg0/prem1/e"] == "occ0"  # shared source vertex
     assert smor.state_map == {"occ0": "occ0"}
     tmor = arity_tgt_morphism(ccs.labels, sh)
     assert tmor.state_map == {
@@ -131,16 +131,16 @@ def test_arity_premise_free_node_reduces_to_source_arity(ccs):
     occurrence cells of its source."""
     one = terminal(ccs.labels)
     p = parse_proof(ccs, one, "pref_a(term(var(*)))")
-    sh = strip(p)
-    ar, smor = arity_label(ccs.labels, sh)
-    src_ar = arity_star(ccs.labels, Element(STAR, proof_source(one, p)))
-    assert ar.carrier == src_ar.carrier
+    sh = to_terminal(p)
+    smor = arity_label(ccs.labels, sh)
+    src_ar = arity_star(ccs.labels, proof_source(one, p))
+    assert smor.cod == src_ar
     assert smor.state_map == {"occ0": "occ0"}
 
 
 def test_decompose_variable(ccs, rsync_ambient):
     dec = decompose(rsync_ambient, parse_term(ccs, rsync_ambient, "var(x)"))
-    assert dec.shape == Element(STAR, Var(STAR))
+    assert dec.shape == Var(STAR)
     assert dec.filler.state_map == {"occ0": "x"}
 
 
@@ -168,11 +168,11 @@ def test_decompose_rsync_shared_vertex(ccs, rsync_ambient):
 
 def test_recompose_identity_filler_gives_generic_element(ccs, rsync_ambient):
     p = parse_proof(ccs, rsync_ambient, "rsync(ax(e1),ax(e2))")
-    sh = strip(p)
-    ar, _ = arity_label(ccs.labels, sh)
-    generic = recompose(Decomposition(sh, identity(ar.carrier)), ar.carrier)
-    assert is_generic(ar.carrier, generic)
-    assert decompose(ar.carrier, generic).filler.is_iso()
+    sh = to_terminal(p)
+    ar = arity_label(ccs.labels, sh).cod
+    generic = recompose(Decomposition(sh, identity(ar)), ar)
+    assert is_generic(ar, generic)
+    assert decompose(ar, generic).filler.is_iso()
 
 
 def test_round_trip_random(ccs):
@@ -206,9 +206,9 @@ def test_naturality_in_base_object(ccs):
         X = random_presheaf(rng, ccs.labels, max_states=4)
         p = random_layer_element(ccs, X, rng, 1, 3, "proof")
         dec = decompose(X, p)
-        _, smor = arity_label(ccs.labels, dec.shape)
+        smor = arity_label(ccs.labels, dec.shape)
         src_dec = decompose(X, proof_source(X, p))
-        assert src_dec.shape.value == strip(proof_source(X, p)).value
+        assert src_dec.shape == to_terminal(proof_source(X, p))
         assert src_dec.filler == compose(dec.filler, smor)
         tmor = arity_tgt_morphism(ccs.labels, dec.shape)
         tgt_dec = decompose(X, proof_target(X, p))
@@ -224,11 +224,11 @@ def test_is_generic_cases(ccs, rsync_ambient):
     assert not is_generic(two, collapsed)
     # generic representative with strong-lifting spot checks
     p = parse_proof(ccs, rsync_ambient, "rsync(ax(e1),ax(e2))")
-    sh = strip(p)
-    ar, _ = arity_label(ccs.labels, sh)
-    generic = recompose(Decomposition(sh, identity(ar.carrier)), ar.carrier)
+    sh = to_terminal(p)
+    ar = arity_label(ccs.labels, sh).cod
+    generic = recompose(Decomposition(sh, identity(ar)), ar)
     rng = random.Random(23)
-    assert is_generic(ar.carrier, generic, samples=10, rng=rng)
+    assert is_generic(ar, generic, samples=10, rng=rng)
 
 
 def test_non_generic_has_ambiguous_strong_lifting():
@@ -265,9 +265,9 @@ def test_recompose_wrong_codomain_rejected(ccs, rsync_ambient, sync_ambient):
 
 
 def test_arity_rejects_wrong_sort(ccs, rsync_ambient):
-    term_shape = strip(parse_term(ccs, rsync_ambient, "var(x)"))
+    term_shape = to_terminal(parse_term(ccs, rsync_ambient, "var(x)"))
     with pytest.raises(MalformedProof):
         arity_label(ccs.labels, term_shape)
-    proof_shape = strip(parse_proof(ccs, rsync_ambient, "ax(e1)"))
+    proof_shape = to_terminal(parse_proof(ccs, rsync_ambient, "ax(e1)"))
     with pytest.raises(MalformedProof):
         arity_star(ccs.labels, proof_shape)

@@ -24,7 +24,6 @@ from gsos.familial import (
     arity_tgt_morphism,
     decompose,
     random_collapse,
-    strip,
 )
 from gsos.presheaf import (
     STAR,
@@ -60,6 +59,7 @@ from gsos.terms import (
     random_layer_element,
     random_presheaf,
     random_term,
+    to_terminal,
     truncated_free,
     truncated_free_squared,
     window_map,
@@ -335,6 +335,21 @@ def test_functional_bisims_stable_under_pullback():
         assert is_functional_bisimulation(p2) is True
 
 
+def test_pullback_refuses_pair_names_that_collide():
+    """Ids with a top-level comma can give two pairs one name ``(u,v)``;
+    their cells must not merge into one."""
+    L = labelset("a")
+    X = make_presheaf(L, ("a", "a,b"))
+    Y = make_presheaf(L, ("b,c", "c"))
+    with pytest.raises(DuplicateId):
+        pullback(bang(X), bang(Y))  # (a, b,c) and (a,b, c)
+    loops = lambda state, ids: make_presheaf(
+        L, (state,), {"a": ids}, {"a": {e: state for e in ids}}, {"a": {e: state for e in ids}}
+    )
+    with pytest.raises(DuplicateId):
+        pullback(bang(loops("x", ("e", "e,f"))), bang(loops("y", ("f,g", "g"))))
+
+
 def test_pullback_square_of_identities():
     ya = representable(AB, "a")
     i = identity(ya)
@@ -566,11 +581,11 @@ def test_internal_builders_pass_the_checked_constructors(ccs, seed, d):
     _assert_rebuilds(reachable_fragment(ccs, [seed_term], 2).carrier)
 
     elem = random_layer_element(ccs, X, rng, 1, 2, "proof")
-    shape = strip(elem)
-    arity, src_mor = arity_label(L, shape)
+    shape = to_terminal(elem)
+    src_mor = arity_label(L, shape)
     dec = decompose(X, elem)
     _assert_rebuilds(dec.filler, decompose(X, proof_source(X, elem)).filler)
-    _assert_rebuilds(arity.carrier, src_mor, arity_tgt_morphism(L, shape))
+    _assert_rebuilds(src_mor.cod, src_mor, arity_tgt_morphism(L, shape))
     _assert_rebuilds(*replay_certificate(cell_certificate(L, shape)))
 
     pairs = frozenset((x, y) for x in X.states for y in X.states if rng.random() < 0.5)

@@ -4,7 +4,7 @@ groups, permuted targets, and three-level nesting."""
 import pytest
 
 from gsos.cellular import cell_certificate, preserve_bisim_lift, verify_certificate
-from gsos.familial import arity_label, arity_tgt_morphism, decompose, recompose, strip
+from gsos.familial import arity_label, arity_tgt_morphism, decompose, recompose
 from gsos.presheaf import (
     is_functional_bisimulation,
     make_presheaf,
@@ -19,6 +19,7 @@ from gsos.terms import (
     proof_source,
     proof_target,
     render,
+    to_terminal,
 )
 
 TRI_TEXT = """
@@ -58,14 +59,14 @@ def test_tri_arity_mixed_groups(tri, tri_ambient):
     """Argument 1 contributes one edge, argument 2 only its occurrence,
     argument 3 a two-edge gluing; six states, three edges in total."""
     p = parse_proof(tri, tri_ambient, "tric(ax(ea1),term(var(q)),ax(ea3),ax(eb3))")
-    sh = strip(p)
-    ar, smor = arity_label(tri.labels, sh)
-    assert ar.carrier.size() == (6, 3)
+    sh = to_terminal(p)
+    smor = arity_label(tri.labels, sh)
+    assert smor.cod.size() == (6, 3)
     assert smor.state_map == {"occ0": "occ0", "occ1": "occ1", "occ2": "occ2"}
     # the two premises of argument 3 share their source cell
-    assert ar.carrier.src["a"]["arg2/prem0/e"] == "occ2"
-    assert ar.carrier.src["b"]["arg2/prem1/e"] == "occ2"
-    assert ar.carrier.src["a"]["arg0/prem0/e"] == "occ0"
+    assert smor.cod.src["a"]["arg2/prem0/e"] == "occ2"
+    assert smor.cod.src["b"]["arg2/prem1/e"] == "occ2"
+    assert smor.cod.src["a"]["arg0/prem0/e"] == "occ0"
     # permuted target: y3_2 then x2 then y1_1
     tmor = arity_tgt_morphism(tri.labels, sh)
     assert tmor.state_map == {
@@ -77,7 +78,7 @@ def test_tri_arity_mixed_groups(tri, tri_ambient):
 
 def test_tri_certificate_and_roundtrip(tri, tri_ambient):
     p = parse_proof(tri, tri_ambient, "tric(ax(ea1),term(var(q)),ax(ea3),ax(eb3))")
-    sh = strip(p)
+    sh = to_terminal(p)
     cert = cell_certificate(tri.labels, sh)
     assert [(s.label, s.at) for s in cert.steps] == [
         ("a", "occ0"),
@@ -118,7 +119,7 @@ def test_tri_preservation_through_covering(tri, tri_ambient):
     assert is_functional_bisimulation(f) is True
     R = parse_proof(tri, Y, "tric(ax(ea1),term(var(q)),ax(ea3),ax(eb3))")
     M = parse_term(tri, X, "tri(var(p),var(q),var(r1))")
-    r0 = preserve_bisim_lift(tri, f, M, R)
+    r0 = preserve_bisim_lift(f, M, R)
     assert proof_source(X, r0) == M
     # both premises of argument 3 were lifted from the same copy of r
     assert "ea3.1" in render(r0) and "eb3.1" in render(r0)
@@ -132,14 +133,14 @@ def test_three_level_nesting_golden(ccs, ccs_labels):
     p = parse_proof(
         ccs, one, "lpar(lpar(lpar(ax(a_bar),term(var(*))),term(var(*))),term(var(*)))"
     )
-    sh = strip(p)
-    ar, smor = arity_label(ccs_labels, sh)
-    assert ar.carrier.size() == (5, 1)
+    sh = to_terminal(p)
+    smor = arity_label(ccs_labels, sh)
+    assert smor.cod.size() == (5, 1)
     deep_t = "arg0/prem0/arg0/prem0/arg0/prem0/t"
     deep_e = "arg0/prem0/arg0/prem0/arg0/prem0/e"
-    assert deep_t in ar.carrier.states
-    assert ar.carrier.edges["a_bar"] == (deep_e,)
-    assert ar.carrier.src["a_bar"][deep_e] == "occ0"
+    assert deep_t in smor.cod.states
+    assert smor.cod.edges["a_bar"] == (deep_e,)
+    assert smor.cod.src["a_bar"][deep_e] == "occ0"
     cert = cell_certificate(ccs_labels, sh)
     assert [(s.label, s.at, s.edge) for s in cert.steps] == [("a_bar", "occ0", deep_e)]
     assert verify_certificate(cert)

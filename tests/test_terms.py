@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsos.bisim import reachable_fragment
-from gsos.errors import GsosError, MalformedProof, UnknownOperation, UnknownState
+from gsos.errors import GsosError, MalformedProof, UnknownLabel, UnknownOperation
 from gsos.presheaf import (
     is_functional_bisimulation,
+    labelset,
     make_presheaf,
     morphism,
     representable,
@@ -33,7 +34,6 @@ from gsos.terms import (
     map_leaves,
     mu,
     occurrences,
-    one_step,
     parse_proof,
     parse_term,
     proof_depth,
@@ -49,7 +49,6 @@ from gsos.terms import (
     truncated_free,
     truncated_free_squared,
     two_layer_terms,
-    T_of,
     T_on_morphism,
 )
 
@@ -91,37 +90,33 @@ def test_occurrences(ccs):
 
 
 def test_one_step_nil_empty(ccs):
-    assert one_step(ccs, parse_term(ccs, None, "nil")) == ()
+    assert tuple(p for p, _ in derive(ccs, parse_term(ccs, None, "nil"), None)) == ()
 
 
 def test_one_step_parallel_pair(ccs):
     """Hand enumeration: lpar over the a_bar prefix, rpar over the a prefix,
     and one synchronisation; nothing else matches."""
     t = parse_term(ccs, None, "par(pref_a_bar(nil),pref_a(nil))")
-    proofs = one_step(ccs, t)
+    proofs = tuple(p for p, _ in derive(ccs, t, None))
     assert len(proofs) == 3
     assert sorted(proof_label(p) for p in proofs) == ["a", "a_bar", "tau"]
 
 
 def test_one_step_bang_without_both_actions(ccs):
     t = parse_term(ccs, None, "bang(pref_a(nil))")
-    assert one_step(ccs, t) == ()  # replication needs both an output and an input
+    # replication needs both an output and an input
+    assert tuple(p for p, _ in derive(ccs, t, None)) == ()
 
 
 def test_one_step_bang_with_both(ccs):
     t = parse_term(ccs, None, "bang(sum(pref_a(nil),pref_a_bar(nil)))")
-    proofs = one_step(ccs, t)
+    proofs = tuple(p for p, _ in derive(ccs, t, None))
     assert [proof_label(p) for p in proofs] == ["tau"]
-
-
-def test_one_step_requires_closed_term(ccs, sync_ambient):
-    with pytest.raises(UnknownState):
-        one_step(ccs, Var("x1"))
 
 
 def test_one_step_unknown_operation(ccs):
     with pytest.raises(UnknownOperation):
-        one_step(ccs, App("mystery", ()))
+        derive(ccs, App("mystery", ()), None)
 
 
 def test_terms_upto_counts(toy):
@@ -133,39 +128,39 @@ def test_terms_upto_counts(toy):
 
 def test_T_of_depth_zero(ccs, paper_lts):
     X = representable(ccs.labels, "a")
-    T0 = T_of(ccs, X, 0)
+    T0 = truncated_free(ccs, X, 0)[0]
     assert set(T0.states) == {"var(s)", "var(t)"}
     assert T0.edges["a"] == ("ax(e)",)
 
 
 def test_T_of_depth_one_contains_lpar(ccs):
     X = representable(ccs.labels, "a")
-    T1 = T_of(ccs, X, 1)
+    T1 = truncated_free(ccs, X, 1)[0]
     assert "lpar[L=a](ax(e),term(var(s)))" in T1.edges["a"]
 
 
 def test_T_of_monotone(ccs):
     X = representable(ccs.labels, "a")
-    T1, T2 = T_of(ccs, X, 1), T_of(ccs, X, 2)
+    T1, T2 = truncated_free(ccs, X, 1)[0], truncated_free(ccs, X, 2)[0]
     assert set(T1.states) <= set(T2.states)
     for a in ccs.labels:
         assert set(T1.edges[a]) <= set(T2.edges[a])
 
 
 def test_one_step_agrees_with_truncation_edges(ccs):
-    """For closed M, one_step enumerates exactly the out-edges of the window
-    at any depth large enough to contain them."""
+    """For closed M, the closed derive enumerates exactly the out-edges of
+    the window at any depth large enough to contain them."""
     from gsos.presheaf import empty_presheaf
 
     zero = empty_presheaf(ccs.labels)
     m = parse_term(ccs, None, "par(pref_a_bar(nil),pref_a(nil))")
-    proofs = one_step(ccs, m)
+    proofs = tuple(p for p, _ in derive(ccs, m, None))
     d = max(
         max(proof_depth(p) for p in proofs),
         term_height(m),
         max(term_height(proof_target(zero, p)) for p in proofs),
     )
-    T = T_of(ccs, zero, d)
+    T = truncated_free(ccs, zero, d)[0]
     out = {
         e
         for a in ccs.labels
@@ -368,6 +363,13 @@ def test_truncated_free_well_formed(ccs):
             assert render(proof_source(X, p)) == T.src[a][e]
             assert render(proof_target(X, p)) == T.tgt[a][e]
             assert proof_depth(p) <= 2
+
+
+@pytest.mark.parametrize("window", [truncated_free, truncated_free_squared])
+def test_window_refuses_a_system_missing_spec_labels(ccs, window):
+    X = make_presheaf(labelset("a"), ("x",))
+    with pytest.raises(UnknownLabel, match="a_bar"):
+        window(ccs, X, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,35 @@
-"""The benchmark tracer finds every function it is told to wrap.
+"""The benchmark tracer finds every function it is told to wrap, and a traced
+pass of every workload still runs and answers right.
 
 perfbench/tracing.py only warns when a traced name is missing and then
-reports 0 for that layer, so a rename in gsos would silently blind it.
+reports 0 for that layer, so a rename in gsos would silently blind it; its
+counter hooks read the results of the functions they wrap, so a change to
+a return shape would crash a traced run.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def _traced():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TRACED
+    return _load("tracing").TRACED
 
 
 def test_every_traced_name_resolves_to_a_gsos_callable():
@@ -26,3 +40,42 @@ def test_every_traced_name_resolves_to_a_gsos_callable():
         for attr in path.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), f"{mod}.{path}"
+
+
+# Counters that must be positive on a workload, because it runs their layer.
+POSITIVE_COUNTERS = {
+    "cartesian-d2": ("terms.window_states", "terms.derive.proofs"),
+    "bisim-deep": ("bisim.fragment_states", "terms.derive.proofs"),
+    "congruence-batch": ("bisim.fragment_states", "terms.derive.proofs"),
+    "suites-small": ("terms.derive.proofs",),
+}
+
+
+@pytest.mark.parametrize("workload", list(POSITIVE_COUNTERS))
+def test_traced_small_pass_runs_and_answers(workload):
+    workloads = _load("workloads")
+    seed = 0
+    ops = workloads.WORKLOADS[workload](seed, "small")
+    job = {"ops": [list(op.argv) for op in ops], "trace": True}
+    env = {k: v for k, v in os.environ.items() if k not in ("GSOS_SEED", "PYTHONPATH")}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "pass"],
+        input=json.dumps(job),
+        capture_output=True,
+        text=True,
+        cwd=PERFBENCH.parent,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *results, end = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(ops)
+    answers = workloads.load_answers()
+    for op, res in zip(ops, results):
+        assert res["error"] is None, res["error"]
+        want = workloads.recorded_digest(answers, workload, "small", op, seed)
+        assert want is not None
+        assert workloads.check(op, res["code"], res["stdout"], want) == [], op.name
+    assert end["missing"] == []
+    for counter in POSITIVE_COUNTERS[workload]:
+        assert end["trace"][counter] > 0, counter
