@@ -34,6 +34,7 @@ from .terms import (
     derive,
     proof_label,
     render,
+    substitute,
     term_height,
     term_vars,
     terms_upto,
@@ -199,18 +200,6 @@ def check_bisimulation_relation(r: RelationOnStates) -> bool:
 # Contexts and the congruence report.
 
 
-def plug(context: Term, filling: Term) -> Term:
-    if isinstance(context, Var):
-        return filling if context.name == HOLE else context
-    return App(context.op, tuple(plug(a, filling) for a in context.args))
-
-
-def count_holes(context: Term) -> int:
-    if isinstance(context, Var):
-        return 1 if context.name == HOLE else 0
-    return sum(count_holes(a) for a in context.args)
-
-
 def enumerate_contexts(spec, max_height: int) -> list[Term]:
     """All one-hole contexts of height <= max_height.
 
@@ -265,13 +254,13 @@ def congruence_test(
     """
     require_fuel(fuel, k)
     for c in contexts:
-        if count_holes(c) != 1:
+        if term_vars(c).count(HOLE) != 1:
             raise UnknownState(f"context {render(c)} must have exactly one hole")
     cases = []
     violations = []
     for pi, (u, v) in enumerate(pairs):
         for ci, c in enumerate(contexts):
-            cu, cv = plug(c, u), plug(c, v)
+            cu, cv = substitute(c, {HOLE: u}), substitute(c, {HOLE: v})
             frag = reachable_fragment(
                 spec, [cu, cv], fuel, drop_last_premise=drop_last_premise
             )

@@ -56,6 +56,7 @@ from .terms import (
     Axiom,
     Node,
     Proof,
+    T_on_element,
     Term,
     Var,
     eta,
@@ -217,8 +218,7 @@ def preserve_bisim_lift(f: PresheafMorphism, M: Term, R: Proof) -> Proof:
     T(f)(R0) = R and src(R0) = M, both checked exactly.
     """
     X, Y = f.dom, f.cod
-    fM = map_leaves(M, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
-    if proof_source(Y, R) != fM:
+    if proof_source(Y, R) != T_on_element(f, M):
         raise NonCommutingSquare("source of the transition is not the image of the term")
     dec_m = decompose(X, M)
     dec_r = decompose(Y, R)
@@ -227,8 +227,7 @@ def preserve_bisim_lift(f: PresheafMorphism, M: Term, R: Proof) -> Proof:
     cert = cell_certificate(X.labels, dec_r.shape)
     k = lift_against(cert, f, dec_m.filler, dec_r.filler)
     r0 = recompose(Decomposition(dec_r.shape, k), X)
-    fr0 = map_leaves(r0, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
-    if fr0 != R or proof_source(X, r0) != M:
+    if T_on_element(f, r0) != R or proof_source(X, r0) != M:
         raise NonCommutingSquare("recomposed preimage fails a postcondition")
     return r0
 

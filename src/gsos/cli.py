@@ -48,11 +48,11 @@ from .presheaf import (
 from .specdsl import GsosSpec, parse_spec
 from .terms import (
     App,
+    T_on_element,
     Var,
     ambient_axioms,
     check_monad_laws,
     derive,
-    map_leaves,
     parse_proof,
     parse_term,
     proof_depth,
@@ -289,8 +289,7 @@ def _suite_familial(spec, seed, cases, d, k, mutate):
             failures.append(f"case {case}: recompose . decompose != id on {render(elem)}")
             continue
         B, u = random_collapse(X, rng)
-        moved = map_leaves(elem, lambda x: u.state_map[x], lambda e, a: u.edge_maps[a][e])
-        dec2 = decompose(B, moved)
+        dec2 = decompose(B, T_on_element(u, elem))
         if dec2.shape != dec.shape:
             failures.append(f"case {case}: shape not natural in the ambient system")
         if dec2.filler != compose(u, dec.filler):
@@ -336,10 +335,9 @@ def _suite_preserve(spec, seed, cases, d, k, mutate):
             M = random_term(spec, rng, X.states, d)
         except GsosError:
             continue
-        fM = map_leaves(M, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
         problems = [
             R
-            for R, _ in derive(spec, fM, ambient_axioms(Y))
+            for R, _ in derive(spec, T_on_element(f, M), ambient_axioms(Y))
             if proof_depth(R) <= d
         ]
         for R in problems:

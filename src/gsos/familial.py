@@ -46,10 +46,11 @@ from .terms import (
     Element,
     Proof,
     Term,
+    T_on_element,
     Var,
     map_leaves,
-    occurrences,
     proof_target,
+    rule_binding,
     term_vars,
     to_terminal,
 )
@@ -59,7 +60,7 @@ def arity_star(labels: LabelSet, m: Term) -> Presheaf:
     """One point per occurrence of the unique variable, named occ{k}."""
     if not isinstance(m, (Var, App)):
         raise MalformedProof("arity_star expects a term shape")
-    return _points(labels, occurrences(m)[0])
+    return _points(labels, len(term_vars(m)))
 
 
 def _points(labels: LabelSet, n: int) -> Presheaf:
@@ -93,20 +94,22 @@ def _walk(elem: Element) -> tuple[_Leaves, int, list[str]]:
             for child in e.args:
                 n += go(child, prefix, offset + n)[0]
             return n, []
-        bound: dict[str, list[str]] = {}
+        xs: list[list[str]] = []
+        ys: list[list[list[str]]] = []
         for i, arg in enumerate(e.args):
             if isinstance(arg, tuple):
                 prems = [
                     go(prem, f"{prefix}arg{i}/prem{j}/", offset + n)
                     for j, prem in enumerate(arg)
                 ]
-                for j, (_n, route) in enumerate(prems):
-                    bound[f"y{i + 1}_{j + 1}"] = route
+                ys.append([route for _n, route in prems])
                 n_i = prems[0][0]
             else:
+                ys.append([])
                 n_i = go(arg, prefix, offset + n)[0]
-            bound[f"x{i + 1}"] = [f"occ{offset + n + k}" for k in range(n_i)]
+            xs.append([f"occ{offset + n + k}" for k in range(n_i)])
             n += n_i
+        bound = rule_binding(xs, ys)
         return n, [c for v in term_vars(e.rule.target) for c in bound[v]]
 
     n, route = go(elem, "", 0)
@@ -234,15 +237,12 @@ def is_generic(
     if generic and samples and rng is not None:
         for _ in range(samples):
             B, u = random_collapse(X, rng)
-            chi = map_leaves(elem, lambda x: u.state_map[x], lambda e, a: u.edge_maps[a][e])
+            chi = T_on_element(u, elem)
             Z, h = random_collapse(B, rng)
             k = compose(h, u)
             count = 0
             for l in all_morphisms(X, B):
-                image = map_leaves(
-                    elem, lambda x: l.state_map[x], lambda e, a: l.edge_maps[a][e]
-                )
-                if image == chi and compose(h, l) == k:
+                if T_on_element(l, elem) == chi and compose(h, l) == k:
                     count += 1
             if count != 1:
                 raise MalformedProof(

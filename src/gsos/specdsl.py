@@ -445,6 +445,8 @@ def validate(spec: GsosSpec) -> list[Violation]:
         out.extend(v)
         if tpl.name in seen_rule_names:
             out.append(Violation("DuplicateId", f"rule name {tpl.name!r} reused", tpl.line, tpl.col, tpl.name))
+        if tpl.name in _RESERVED:
+            out.append(Violation("SyntaxError", f"rule name {tpl.name!r} is reserved", tpl.line, tpl.col, tpl.name))
         seen_rule_names.add(tpl.name)
     return out
 

@@ -13,7 +13,9 @@ layer holds a term over X, an axiom a proof over X.  Flattening a layer
 substitutes each payload for its leaf, and rendering prints a payload with
 the same syntax, so var(par(var(x),nil)) names a two-layer term exactly as
 it did when payloads were strings.  Text is parsed only when it comes from
-outside the program.
+outside the program, and checked once, by the parser: every state, edge,
+operation, rule and premise is checked as it is read, so a parsed element
+is well formed over its system and the code inside trusts it.
 
 The four node classes (Var, App, Axiom, Node) are immutable and compare
 structurally.  Each node stores its hash and its rendering the first time
@@ -254,29 +256,17 @@ def proof_label(p: Proof) -> str:
     return p.label if isinstance(p, Axiom) else p.rule.label
 
 
-def occurrences(t: Term) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Count of variable leaves and their left-to-right paths."""
-    paths: list[tuple[int, ...]] = []
-
-    def walk(u: Term, path: tuple[int, ...]):
+def term_vars(t: Term) -> tuple[Union[str, Term], ...]:
+    """Variable payloads in leaf order, with repeats."""
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, Var):
-            paths.append(path)
+            out.append(u.name)
         else:
-            for i, child in enumerate(u.args):
-                walk(child, path + (i,))
-
-    walk(t, ())
-    return len(paths), tuple(paths)
-
-
-def term_vars(t: Term) -> tuple[str, ...]:
-    """Variable names in leaf order, with repeats."""
-    if isinstance(t, Var):
-        return (t.name,)
-    out: tuple[str, ...] = ()
-    for a in t.args:
-        out += term_vars(a)
-    return out
+            stack.extend(reversed(u.args))
+    return tuple(out)
 
 
 def substitute(t: Term, mapping: dict[str, Term]) -> Term:
@@ -285,6 +275,17 @@ def substitute(t: Term, mapping: dict[str, Term]) -> Term:
             raise MalformedProof(f"unbound variable {t.name!r} in substitution")
         return mapping[t.name]
     return App(t.op, tuple(substitute(a, mapping) for a in t.args))
+
+
+def rule_binding(xs: Sequence, ys: Sequence[Sequence]) -> dict:
+    """Bind a rule's variables: ``xs[i]`` to ``x{i+1}`` and ``ys[i][j]``, the
+    value of premise (i, j), to ``y{i+1}_{j+1}``."""
+    mapping = {}
+    for i, x in enumerate(xs):
+        mapping[f"x{i + 1}"] = x
+        for j, y in enumerate(ys[i]):
+            mapping[f"y{i + 1}_{j + 1}"] = y
+    return mapping
 
 
 def map_leaves(elem: Element, on_state: Callable, on_edge: Callable) -> Element:
@@ -327,88 +328,20 @@ def proof_source(X: Presheaf, p: Proof) -> Term:
     return _source(p, lambda e, a: X.src[a][e] if isinstance(e, str) else proof_source(X, e))
 
 
-def proof_target(X: Presheaf, p: Proof) -> Term:
-    return _target(
-        p,
-        lambda e, a: X.src[a][e] if isinstance(e, str) else proof_source(X, e),
-        lambda e, a: X.tgt[a][e] if isinstance(e, str) else proof_target(X, e),
-    )
-
-
 def _source(p: Proof, ax_src: Callable) -> Term:
     if isinstance(p, Axiom):
         return Var(ax_src(p.edge, p.label))
-    parts = []
-    for arg in p.args:
-        if isinstance(arg, tuple):
-            parts.append(_source(arg[0], ax_src))
-        else:
-            parts.append(arg)
-    return App(p.rule.op, tuple(parts))
+    return App(p.rule.op, tuple(_source(a[0], ax_src) if isinstance(a, tuple) else a for a in p.args))
 
 
-def _target(
-    p: Proof,
-    ax_src: Callable,
-    ax_tgt: Callable,
-) -> Term:
+def proof_target(X: Presheaf, p: Proof) -> Term:
+    """The target of a proof of any layer over X: the rule's target with the
+    arguments of the source and the premises' targets bound in."""
     if isinstance(p, Axiom):
-        return Var(ax_tgt(p.edge, p.label))
-    mapping: dict[str, Term] = {}
-    for i, arg in enumerate(p.args):
-        if isinstance(arg, tuple):
-            mapping[f"x{i + 1}"] = _source(arg[0], ax_src)
-            for j, r in enumerate(arg):
-                mapping[f"y{i + 1}_{j + 1}"] = _target(r, ax_src, ax_tgt)
-        else:
-            mapping[f"x{i + 1}"] = arg
-    return substitute(p.rule.target, mapping)
-
-
-def check_proof(spec: "GsosSpec", X: Presheaf, p: Proof) -> None:
-    """Validate well-formedness over X; raises MalformedProof."""
-    if isinstance(p, Axiom):
-        if p.label not in X.labels:
-            raise MalformedProof(f"axiom label {p.label!r} undeclared")
-        if p.edge not in X.edge_set(p.label):
-            raise MalformedProof(f"axiom edge {p.edge!r} not in ambient system")
-        return
-    rule = spec.rule_named(p.rule.name)
-    if rule != p.rule:
-        raise MalformedProof(f"rule {p.rule.name!r} is not part of the specification")
-    if len(p.args) != len(rule.premise_labels):
-        raise MalformedProof(f"rule {rule.name!r}: wrong argument count")
-    for i, (arg, labels_i) in enumerate(zip(p.args, rule.premise_labels)):
-        if not labels_i:
-            if isinstance(arg, tuple):
-                raise MalformedProof(f"rule {rule.name!r}: argument {i + 1} must be a term")
-            _check_term(spec, X, arg)
-            continue
-        if not isinstance(arg, tuple) or len(arg) != len(labels_i):
-            raise MalformedProof(f"rule {rule.name!r}: argument {i + 1} premise count mismatch")
-        for j, (r, want) in enumerate(zip(arg, labels_i)):
-            if proof_label(r) != want:
-                raise MalformedProof(
-                    f"rule {rule.name!r}: premise ({i + 1},{j + 1}) has label "
-                    f"{proof_label(r)!r}, expected {want!r}"
-                )
-            check_proof(spec, X, r)
-        first = proof_source(X, arg[0])
-        for r in arg[1:]:
-            if proof_source(X, r) != first:
-                raise MalformedProof(f"rule {rule.name!r}: premises of argument {i + 1} disagree on source")
-
-
-def _check_term(spec: "GsosSpec", X: Presheaf, t: Term) -> None:
-    if isinstance(t, Var):
-        if t.name not in X.state_set():
-            raise UnknownState(f"variable {t.name!r} not a state of the ambient system")
-        return
-    arity = spec.signature.arity(t.op)
-    if arity != len(t.args):
-        raise UnknownOperation(f"operation {t.op!r} applied to {len(t.args)} arguments")
-    for a in t.args:
-        _check_term(spec, X, a)
+        e = p.edge
+        return Var(X.tgt[p.label][e] if isinstance(e, str) else proof_target(X, e))
+    ys = [[proof_target(X, r) for r in arg] if isinstance(arg, tuple) else () for arg in p.args]
+    return substitute(p.rule.target, rule_binding(proof_source(X, p).args, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +381,15 @@ def _scan_balanced(text: str, i: int) -> tuple[str, int]:
 
 
 def _split_args(body: str) -> list[str]:
-    args, depth, start = [], 0, 0
+    """Split at the commas outside parentheses and outside the brackets of an
+    expanded rule name; brackets inside a payload are not counted."""
+    args, depth, square, start = [], 0, 0, 0
     for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
+        if ch in "()":
+            depth += 1 if ch == "(" else -1
+        elif ch in "[]" and depth == 0:
+            square += 1 if ch == "[" else -1
+        elif ch == "," and depth == square == 0:
             args.append(body[start:i].strip())
             start = i + 1
     if body.strip():
@@ -504,9 +439,8 @@ def _parse_term(spec, X: Optional[Presheaf], text: str, allow_hole: bool = False
 
 
 def parse_proof(spec: "GsosSpec", X: Presheaf, text: str) -> Proof:
-    p = _parse_proof(spec, X, text)
-    check_proof(spec, X, p)
-    return p
+    """Parse a proof over X; the parse checks everything a proof must satisfy."""
+    return _parse_proof(spec, X, text)
 
 
 def _parse_proof(spec, X: Presheaf, text: str) -> Proof:
@@ -555,7 +489,13 @@ def _parse_proof(spec, X: Presheaf, text: str) -> Proof:
         raise MalformedProof(f"no expansion of rule {head!r} matches {text!r}")
     if len(matches) > 1:
         raise MalformedProof(f"rule name {head!r} is ambiguous for {text!r}")
-    return matches[0]
+    node = matches[0]
+    for i, arg in enumerate(node.args):
+        if isinstance(arg, tuple) and len(arg) > 1 and len({proof_source(X, r) for r in arg}) > 1:
+            raise MalformedProof(
+                f"rule {node.rule.name!r}: premises of argument {i + 1} disagree on source"
+            )
+    return node
 
 
 def _group_args(rule, parsed):
@@ -671,16 +611,15 @@ def _derive(spec, t: Term, axioms_of, drop_last_premise: bool, memo: dict):
             continue
         for combo in product(*group_choices):
             args: list = []
-            mapping: dict[str, Term] = {}
-            for i, choice in enumerate(combo):
-                mapping[f"x{i + 1}"] = t.args[i]
-                if isinstance(choice, tuple):
-                    args.append(tuple(r for r, _ in choice))
-                    for j, (_, n) in enumerate(choice):
-                        mapping[f"y{i + 1}_{j + 1}"] = n
+            ys: list = []
+            for c in combo:
+                if isinstance(c, tuple):
+                    args.append(tuple([r for r, _ in c]))
+                    ys.append([n for _, n in c])
                 else:
-                    args.append(choice)
-            out.append((Node(rule, tuple(args)), substitute(rule.target, mapping)))
+                    args.append(c)
+                    ys.append(())
+            out.append((Node(rule, tuple(args)), substitute(rule.target, rule_binding(t.args, ys))))
     memo[t] = tuple(out)
     return memo[t]
 
@@ -801,12 +740,17 @@ def window_map(window, cod: Presheaf, f: Callable[[Element], Element]) -> Preshe
     )
 
 
+def T_on_element(f: PresheafMorphism, elem: Element) -> Element:
+    """T(f) on one element: move every leaf along f."""
+    return map_leaves(elem, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
+
+
 def T_on_morphism(spec: "GsosSpec", f: PresheafMorphism, d: int) -> PresheafMorphism:
     """Functorial action on the depth-d windows: relabel all leaves along f."""
     return window_map(
         truncated_free(spec, f.dom, d),
         truncated_free(spec, f.cod, d)[0],
-        lambda z: map_leaves(z, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e]),
+        lambda z: T_on_element(f, z),
     )
 
 

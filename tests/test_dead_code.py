@@ -1,0 +1,91 @@
+"""No dead code in the package: every import a gsos module makes is used in
+that module, and every module-level private name is referenced somewhere in
+the package.  Deleting a function often strands its helpers and imports;
+this test finds them by reading each module's syntax tree."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import gsos
+
+MODULES = sorted(Path(gsos.__file__).parent.glob("*.py"))
+TREES = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names read inside quoted annotations such as ``"GsosSpec"``."""
+    roots: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    names = set()
+    for root in roots:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                inner = ast.parse(node.value, mode="eval")
+                names |= {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)}
+    return names
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Names the module reads as variables, in ``__all__`` or in quoted
+    annotations."""
+    names = _annotation_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return names
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """What the module reads, plus the attributes it reads and the names it
+    imports from other modules."""
+    names = _reads(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    used = _reads(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(bound)
+    assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_private_name_is_referenced(module):
+    read_anywhere = set().union(*(_references(t) for t in TREES.values()))
+    defined = []
+    for node in TREES[module].body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.append(node.target.id)
+    private = [n for n in defined if n.startswith("_") and not n.startswith("__")]
+    dead = [n for n in private if n not in read_anywhere]
+    assert not dead, f"{module} defines private names nothing in gsos reads: {dead}"

@@ -236,3 +236,9 @@ rule r : premises x1 -[a]-> y1_1 ; conclusion var(x1) -[a]-> y1_1 ;
     with pytest.raises(SpecParseError) as exc:
         parse_spec(text)
     assert "SyntaxError" in kinds(exc.value)
+    # rule names share the proof syntax: ax(...) and term(...) would misread
+    for name in ("ax", "term"):
+        text = f"labels a ;\nop p : 1 ;\nrule {name} : conclusion p(x1) -[a]-> x1 ;\n"
+        with pytest.raises(SpecParseError) as exc:
+            parse_spec(text)
+        assert [(v.kind, v.rule) for v in exc.value.violations] == [("SyntaxError", name)]

@@ -18,6 +18,7 @@ from gsos.presheaf import (
     representable,
     terminal,
 )
+from gsos.specdsl import parse_spec
 from gsos.terms import (
     App,
     Axiom,
@@ -27,13 +28,11 @@ from gsos.terms import (
     _layer_axioms,
     ambient_axioms,
     check_monad_laws,
-    check_proof,
     derive,
     eta,
     lift_mu,
     map_leaves,
     mu,
-    occurrences,
     parse_proof,
     parse_term,
     proof_depth,
@@ -45,6 +44,7 @@ from gsos.terms import (
     random_term,
     render,
     term_height,
+    term_vars,
     terms_upto,
     truncated_free,
     truncated_free_squared,
@@ -78,15 +78,30 @@ def test_rsync_premises_must_share_source(ccs, sync_ambient):
         parse_proof(ccs, sync_ambient, "rsync(ax(e1),ax(e2))")
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_rsync_parses_exactly_when_premises_share_source(ccs, seed):
+    """The parser's source check, at the top and as the premise of a rule."""
+    X = random_presheaf(random.Random(seed), ccs.labels, max_states=3, max_edges=8)
+    for e1, e2 in product(X.edges["a_bar"], X.edges["a"]):
+        shared = X.src["a_bar"][e1] == X.src["a"][e2]
+        rsync = f"rsync(ax({e1}),ax({e2}))"
+        for text in (rsync, f"lpar[L=tau]({rsync},term(var({X.states[0]})))"):
+            try:
+                parse_proof(ccs, X, text)
+                parsed = True
+            except MalformedProof:
+                parsed = False
+            assert parsed == shared, text
+
+
 def test_occurrences(ccs):
     one = terminal(ccs.labels)
     star = parse_term(ccs, one, "var(*)")
-    assert occurrences(star)[0] == 1
+    assert len(term_vars(star)) == 1
     t = parse_term(ccs, one, "par(par(var(*),var(*)),var(*))")
-    n, paths = occurrences(t)
-    assert n == 3
-    assert paths == ((0, 0), (0, 1), (1,))
-    assert occurrences(parse_term(ccs, None, "nil"))[0] == 0
+    assert len(term_vars(t)) == 3
+    assert len(term_vars(parse_term(ccs, None, "nil"))) == 0
 
 
 def test_one_step_nil_empty(ccs):
@@ -308,10 +323,9 @@ def test_lift_mu_exhaustive_small(ccs):
 
 
 def test_check_proof_rejects_label_mismatch(ccs, sync_ambient):
-    lpar_a = ccs.rule_named("lpar[L=a]")
-    bad = Node(lpar_a, ((Axiom("e1", "a_bar"),), Var("x2")))
+    # lpar[L=a] needs an a-premise; e1 is an a_bar edge
     with pytest.raises(MalformedProof):
-        check_proof(ccs, sync_ambient, bad)
+        parse_proof(ccs, sync_ambient, "lpar[L=a](ax(e1),term(var(x2)))")
 
 
 def test_parse_render_round_trip_random(ccs):
@@ -337,6 +351,35 @@ def test_parse_render_round_trip_random(ccs):
         z3 = random_layer_element(ccs, X, rng, 3, 3, kind)
         for flat in (mu(z), mu(mu(z3))):
             assert parse(ccs, X, render(flat)) == flat
+    # expanded rule names over two label variables, as arguments of a rule
+    multi = parse_spec(MULTI_VARIABLE_SPEC)
+    texts = []
+    for _ in range(40):
+        X = random_presheaf(rng, multi.labels, max_states=3)
+        kind = rng.choice(["term", "proof"])
+        elem = random_layer_element(multi, X, rng, 1, 3, kind)
+        texts.append(render(elem))
+        parse = parse_term if kind == "term" else parse_proof
+        assert parse(multi, X, texts[-1]) == elem
+    assert any("(base[P=" in t for t in texts)
+    # payload ids with unbalanced brackets
+    X = make_presheaf(
+        ccs.labels, ("a[b", "c]"), {"a": ("e]",)}, {"a": {"e]": "a[b"}}, {"a": {"e]": "c]"}}
+    )
+    for text in ("par(var(a[b),var(c]))", "lpar[L=a](ax(e]),term(var(c])))"):
+        parse = parse_term if text.startswith("par") else parse_proof
+        assert render(parse(ccs, X, text)) == text
+
+
+MULTI_VARIABLE_SPEC = """
+labels a, b ;
+class L = { a, b } ;
+op nil : 0 ;
+op f : 1 ;
+op g : 2 ;
+rule base [forall P in L, Q in L] : premises x1 -[P]-> y1_1 ; conclusion f(x1) -[Q]-> y1_1 ;
+rule wrap [forall P in L] : premises x1 -[P]-> y1_1 ; conclusion g(x1,x2) -[P]-> g(y1_1,x2) ;
+"""
 
 
 def test_mu_refuses_one_layer_elements(ccs, rsync_ambient):
