@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .errors import FuelTooSmall, UnknownState
 from .presheaf import (
+    STAR,
     Presheaf,
     PresheafMorphism,
     _pair_system,
@@ -175,19 +176,18 @@ def relation_presheaf(
     componentwise related endpoints.
     """
     X = r.carrier
-    return _pair_system(
-        X,
-        X,
-        sorted(r.pairs),
-        [
-            (a, e1, e2)
-            for a in X.labels
+    pairs = {
+        a: [
+            (e1, e2)
             for e1 in X.edges[a]
             for e2 in X.edges[a]
             if (X.src[a][e1], X.src[a][e2]) in r.pairs
             and (X.tgt[a][e1], X.tgt[a][e2]) in r.pairs
-        ],
-    )
+        ]
+        for a in X.labels
+    }
+    pairs[STAR] = sorted(r.pairs)
+    return _pair_system(X, X, pairs)
 
 
 def check_bisimulation_relation(r: RelationOnStates) -> bool:

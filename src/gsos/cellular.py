@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     IncompatiblePair,
@@ -136,26 +135,21 @@ def replay_certificate(cert: CellCertificate) -> tuple[Presheaf, PresheafMorphis
         glued, (inj_gen, inj_cur) = colimit(
             WidePushout(point, (source_inclusion(labels, step.label), pick))
         )
-        state_name = {inj_cur.state_map[x]: x for x in current.states}
-        state_name[inj_gen.state_map["t"]] = step.tgt
-        edge_name = {a: {} for a in labels}
-        for a in labels:
-            for e in current.edges[a]:
-                edge_name[a][inj_cur.edge_maps[a][e]] = e
-        edge_name[step.label][inj_gen.edge_maps[step.label]["e"]] = step.edge
-        current = _rename_cells(glued, state_name, edge_name)
+        name = {o: {inj_cur.at(o)[c]: c for c in current.cells(o)} for o in labels.objects}
+        name[STAR][inj_gen.state_map["t"]] = step.tgt
+        name[step.label][inj_gen.edge_maps[step.label]["e"]] = step.edge
+        current = _rename_cells(glued, name)
     composite = _map(base, current, {x: x for x in base.states})
     return current, composite
 
 
-def _rename_cells(P: Presheaf, state_name, edge_name) -> Presheaf:
+def _rename_cells(P: Presheaf, name: dict[str, dict[str, str]]) -> Presheaf:
+    """P with each cell c at base object o renamed to ``name[o][c]``."""
+    state = name[STAR]
     return _system(
         P.labels,
-        [state_name[x] for x in P.states],
-        [
-            (a, edge_name[a][e], state_name[P.src[a][e]], state_name[P.tgt[a][e]])
-            for a, e in P.all_edges()
-        ],
+        [state[x] for x in P.states],
+        [(a, name[a][e], state[P.src[a][e]], state[P.tgt[a][e]]) for a, e in P.all_edges()],
     )
 
 
@@ -245,16 +239,16 @@ def one_layer_windows(spec, X: Presheaf, d: int) -> tuple:
     return truncated_free(spec, X, d), truncated_free(spec, terminal(X.labels), d)
 
 
-def check_mu_cartesian(spec, X: Presheaf, d: int, windows: Optional[tuple] = None) -> dict:
+def check_mu_cartesian(spec, X: Presheaf, d: int, windows: tuple) -> dict:
     """Is the flattening naturality square over 1 a pointwise pullback?
 
     Both two-layer corners are truncated by flattened depth <= d, the
     one-layer corners by depth <= d; the square is well-posed because
     flattening preserves the bound and the unique two-layer witness of a
     compatible pair lives inside the same window.  ``windows`` are the
-    one-layer corners from :func:`one_layer_windows`, built when omitted.
+    one-layer corners from :func:`one_layer_windows`.
     """
-    T_X, T_1 = windows if windows is not None else one_layer_windows(spec, X, d)
+    T_X, T_1 = windows
     TT_X = truncated_free_squared(spec, X, d)
     TT_1 = truncated_free_squared(spec, terminal(X.labels), d)
     mu_X = window_map(TT_X, T_X[0], mu)
@@ -279,15 +273,15 @@ def check_mu_cartesian(spec, X: Presheaf, d: int, windows: Optional[tuple] = Non
     }
 
 
-def check_eta_cartesian(spec, X: Presheaf, d: int, windows: Optional[tuple] = None) -> dict:
+def check_eta_cartesian(spec, X: Presheaf, d: int, windows: tuple) -> dict:
     """Is the unit naturality square over 1 a pointwise pullback?
 
     ``windows`` are as for :func:`check_mu_cartesian`.
     """
-    window, window_1 = windows if windows is not None else one_layer_windows(spec, X, d)
+    window, window_1 = windows
     T_X, T_1 = window[0], window_1[0]
-    eta_X = eta(spec, X, d, T=T_X)
-    eta_1 = eta(spec, terminal(X.labels), d, T=T_1)
+    eta_X = eta(X, T_X)
+    eta_1 = eta(terminal(X.labels), T_1)
     t_bang = window_map(window, T_1, to_terminal)
     square = LiftingSquare(left=eta_X, top=bang(X), right=eta_1, bottom=t_bang)
     per_object = pullback_report(square)
@@ -352,16 +346,15 @@ def unique_M0(MM: Term, M: Term) -> Term:
 # Seeded generation of functional bisimulations (coverings of a random base).
 
 
-def random_functional_bisim(
-    rng, labels: LabelSet, max_base_states: int = 3, max_copies: int = 2
-) -> PresheafMorphism:
+def random_functional_bisim(rng, labels: LabelSet) -> PresheafMorphism:
     """A random covering projection, a functional bisimulation by construction.
 
-    Each base state gets one or more copies; every base edge out of a state
-    acquires at least one preimage from each copy of its source.
+    Each base state of a random system with at most 3 states gets one or two
+    copies; every base edge out of a state acquires at least one preimage
+    from each copy of its source.
     """
-    Y = random_presheaf(rng, labels, max_states=max_base_states, max_edges=4)
-    copies = {y: rng.randint(1, max_copies) for y in Y.states}
+    Y = random_presheaf(rng, labels, max_states=3, max_edges=4)
+    copies = {y: rng.randint(1, 2) for y in Y.states}
     state_map = {f"{y}.{i}": y for y in Y.states for i in range(copies[y])}
     arrows = []
     edge_map: dict[str, dict[str, str]] = {a: {} for a in labels}

@@ -1,10 +1,17 @@
 """Finite generalized labelled transition systems.
 
 A system over a label set A is a finite presheaf on the base category with
-one state object and one edge object per label: a set of states, plus one
-set of edges per label with total source/target maps.  Several parallel
+one state object ``*`` and one edge object per label: a set of states, plus
+one set of edges per label with total source/target maps.  Several parallel
 edges with the same label are allowed.  All states and edges carry string
 identifiers; everything is immutable after construction.
+
+``LabelSet.objects`` lists the base objects, ``*`` first, so ``*`` is never
+a label.  ``Presheaf.cells(o)`` is the set at object o (the states at ``*``,
+the o-edges at a label) and ``PresheafMorphism.at(o)`` the component there.
+Every construction computed object by object (equality, composition,
+injectivity, the pullback test, wide pushouts) is one loop over the objects
+through these two views.
 
 Functional bisimulations are characterised by a lifting property against
 the source inclusions s^a of the representables, and that lifting problem
@@ -24,6 +31,7 @@ a test rebuilds the output of every builder through the checked path.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
@@ -52,6 +60,13 @@ class LabelSet:
             raise UnknownLabel("label set must be non-empty")
         if len(set(self.labels)) != len(self.labels):
             raise DuplicateId(f"duplicate labels in {self.labels}")
+        if STAR in self.labels:
+            raise DuplicateId(f"{STAR!r} names the state object and cannot be a label")
+
+    @property
+    def objects(self) -> tuple[str, ...]:
+        """The base objects: the state object STAR, then one edge object per label."""
+        return (STAR, *self.labels)
 
     def __contains__(self, label: str) -> bool:
         return label in self.labels
@@ -82,6 +97,10 @@ class Presheaf:
     edges: Mapping[str, tuple[str, ...]]
     src: Mapping[str, Mapping[str, str]]
     tgt: Mapping[str, Mapping[str, str]]
+
+    def cells(self, o: str) -> tuple[str, ...]:
+        """The cells at base object o: the states at STAR, the o-edges at a label."""
+        return self.states if o == STAR else self.edges[o]
 
     def state_set(self) -> frozenset[str]:
         return frozenset(self.states)
@@ -124,8 +143,7 @@ class Presheaf:
             return NotImplemented
         return (
             self.labels == other.labels
-            and self.state_set() == other.state_set()
-            and all(self.edge_set(a) == other.edge_set(a) for a in self.labels)
+            and all(set(self.cells(o)) == set(other.cells(o)) for o in self.labels.objects)
             and all(dict(self.src[a]) == dict(other.src[a]) for a in self.labels)
             and all(dict(self.tgt[a]) == dict(other.tgt[a]) for a in self.labels)
         )
@@ -229,40 +247,32 @@ class PresheafMorphism:
     state_map: Mapping[str, str]
     edge_maps: Mapping[str, Mapping[str, str]]
 
+    def at(self, o: str) -> Mapping[str, str]:
+        """The component at base object o: the state map at STAR, the o-edge map at a label."""
+        return self.state_map if o == STAR else self.edge_maps[o]
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, PresheafMorphism):
             return NotImplemented
-        return (
-            self.dom == other.dom
-            and self.cod == other.cod
-            and {x: self.state_map[x] for x in self.dom.states}
-            == {x: other.state_map[x] for x in other.dom.states}
-            and all(
-                {e: self.edge_maps[a][e] for e in self.dom.edges[a]}
-                == {e: other.edge_maps[a][e] for e in other.dom.edges[a]}
-                for a in self.dom.labels
-            )
-        )
+        if self.dom != other.dom or self.cod != other.cod:
+            return False
+        for o in self.dom.labels.objects:
+            mine, theirs = self.at(o), other.at(o)
+            if any(mine[c] != theirs[c] for c in self.dom.cells(o)):
+                return False
+        return True
+
+    def _images(self, o: str) -> set[str]:
+        component = self.at(o)
+        return {component[c] for c in self.dom.cells(o)}
 
     def is_injective(self) -> bool:
-        sm = [self.state_map[x] for x in self.dom.states]
-        if len(set(sm)) != len(sm):
-            return False
-        for a in self.dom.labels:
-            em = [self.edge_maps[a][e] for e in self.dom.edges[a]]
-            if len(set(em)) != len(em):
-                return False
-        return True
+        return all(len(self._images(o)) == len(self.dom.cells(o)) for o in self.dom.labels.objects)
 
     def is_surjective(self) -> bool:
-        if set(self.state_map[x] for x in self.dom.states) != self.cod.state_set():
-            return False
-        for a in self.dom.labels:
-            if set(self.edge_maps[a][e] for e in self.dom.edges[a]) != self.cod.edge_set(a):
-                return False
-        return True
+        return all(self._images(o) == set(self.cod.cells(o)) for o in self.dom.labels.objects)
 
     def is_iso(self) -> bool:
         return self.is_injective() and self.is_surjective()
@@ -272,21 +282,16 @@ def _check_map(f: PresheafMorphism) -> None:
     """Refuse a map that is not total or does not commute with src/tgt."""
     if f.dom.labels != f.cod.labels:
         raise UnknownLabel("morphism endpoints disagree on labels")
-    cod_states = f.cod.state_set()
-    for x in f.dom.states:
-        if x not in f.state_map:
-            raise DanglingEdge(f"state map misses {x!r}")
-        if f.state_map[x] not in cod_states:
-            raise DanglingEdge(f"state map sends {x!r} outside the codomain")
+    for o in f.dom.labels.objects:
+        component, cod_cells = f.at(o), set(f.cod.cells(o))
+        for c in f.dom.cells(o):
+            if c not in component:
+                raise DanglingEdge(f"map at {o!r} misses {c!r}")
+            if component[c] not in cod_cells:
+                raise DanglingEdge(f"map at {o!r} sends {c!r} outside the codomain")
     for a in f.dom.labels:
-        em = f.edge_maps.get(a, {})
-        cod_edges = f.cod.edge_set(a)
         for e in f.dom.edges[a]:
-            if e not in em:
-                raise DanglingEdge(f"edge map at {a!r} misses {e!r}")
-            fe = em[e]
-            if fe not in cod_edges:
-                raise DanglingEdge(f"edge map sends {e!r} outside the codomain")
+            fe = f.edge_maps[a][e]
             if f.state_map[f.dom.src[a][e]] != f.cod.src[a][fe]:
                 raise NonCommutingSquare(f"src not preserved at edge {e!r}")
             if f.state_map[f.dom.tgt[a][e]] != f.cod.tgt[a][fe]:
@@ -317,19 +322,19 @@ def morphism(
 
 
 def identity(X: Presheaf) -> PresheafMorphism:
-    return _map(X, X, {x: x for x in X.states}, {a: {e: e for e in X.edges[a]} for a in X.labels})
+    components = {o: {c: c for c in X.cells(o)} for o in X.labels.objects}
+    return _map(X, X, components[STAR], components)
 
 
 def compose(g: PresheafMorphism, f: PresheafMorphism) -> PresheafMorphism:
     """g after f."""
     if f.cod != g.dom:
         raise NonCommutingSquare("composition endpoints do not match")
-    return _map(
-        f.dom,
-        g.cod,
-        {x: g.state_map[f.state_map[x]] for x in f.dom.states},
-        {a: {e: g.edge_maps[a][f.edge_maps[a][e]] for e in f.dom.edges[a]} for a in f.dom.labels},
-    )
+    components = {}
+    for o in f.dom.labels.objects:
+        g_o, f_o = g.at(o), f.at(o)
+        components[o] = {c: g_o[f_o[c]] for c in f.dom.cells(o)}
+    return _map(f.dom, g.cod, components[STAR], components)
 
 
 @cache
@@ -339,14 +344,9 @@ def source_inclusion(labels: LabelSet, a: str) -> PresheafMorphism:
 
 
 def bang(X: Presheaf) -> PresheafMorphism:
-    """The unique map X -> 1."""
-    one = terminal(X.labels)
-    return _map(
-        X,
-        one,
-        {x: STAR for x in X.states},
-        {a: {e: a for e in X.edges[a]} for a in X.labels},
-    )
+    """The unique map X -> 1, whose cell at each base object is named by the object."""
+    components = {o: dict.fromkeys(X.cells(o), o) for o in X.labels.objects}
+    return _map(X, terminal(X.labels), components[STAR], components)
 
 
 @dataclass(frozen=True)
@@ -383,21 +383,14 @@ def find_lifting(square: LiftingSquare) -> Optional[PresheafMorphism]:
     X = square.right.dom
     left, top, right, bottom = square.left, square.top, square.right, square.bottom
 
-    forced_state: dict[str, str] = {}
-    for a_st in A.states:
-        b = left.state_map[a_st]
-        want = top.state_map[a_st]
-        if forced_state.get(b, want) != want:
-            return None
-        forced_state[b] = want
-    forced_edge: dict[str, dict[str, str]] = {lab: {} for lab in B.labels}
-    for lab in A.labels:
-        for e in A.edges[lab]:
-            be = left.edge_maps[lab][e]
-            want = top.edge_maps[lab][e]
-            if forced_edge[lab].get(be, want) != want:
+    forced: dict[str, dict[str, str]] = {}
+    for o in A.labels.objects:
+        forced[o] = {}
+        for c in A.cells(o):
+            want = top.at(o)[c]
+            if forced[o].setdefault(left.at(o)[c], want) != want:
                 return None
-            forced_edge[lab][be] = want
+    forced_state = forced[STAR]
 
     free_states = sorted(b for b in B.states if b not in forced_state)
     cand: list[list[str]] = []
@@ -413,7 +406,7 @@ def find_lifting(square: LiftingSquare) -> Optional[PresheafMorphism]:
         k_edges: dict[str, dict[str, str]] = {}
         ok = True
         for lab in B.labels:
-            k_edges[lab] = dict(forced_edge[lab])
+            k_edges[lab] = dict(forced[lab])
             for be in B.edges[lab]:
                 if be in k_edges[lab]:
                     ex = k_edges[lab][be]
@@ -485,40 +478,15 @@ def pullback_report(square: LiftingSquare) -> dict[str, bool]:
     Commutation already places the canonical map inside the pullback, so it
     suffices to check injectivity plus a fiberwise cardinality count.
     """
-    from collections import Counter
-
     A, B, X = square.left.dom, square.left.cod, square.right.dom
-
-    def bijective(dom_items, into_b, into_x, b_items, x_items, b_val, x_val) -> bool:
-        got = [(into_b(i), into_x(i)) for i in dom_items]
-        if len(set(got)) != len(got):
-            return False
-        fib_b = Counter(b_val(b) for b in b_items)
-        fib_x = Counter(x_val(x) for x in x_items)
-        want_size = sum(n * fib_x.get(v, 0) for v, n in fib_b.items())
-        return len(got) == want_size
-
-    report = {
-        STAR: bijective(
-            A.states,
-            lambda s: square.left.state_map[s],
-            lambda s: square.top.state_map[s],
-            B.states,
-            X.states,
-            lambda b: square.bottom.state_map[b],
-            lambda x: square.right.state_map[x],
-        )
-    }
-    for a in A.labels:
-        report[a] = bijective(
-            A.edges[a],
-            lambda e, a=a: square.left.edge_maps[a][e],
-            lambda e, a=a: square.top.edge_maps[a][e],
-            B.edges[a],
-            X.edges[a],
-            lambda e, a=a: square.bottom.edge_maps[a][e],
-            lambda e, a=a: square.right.edge_maps[a][e],
-        )
+    report = {}
+    for o in A.labels.objects:
+        left, top = square.left.at(o), square.top.at(o)
+        bottom, right = square.bottom.at(o), square.right.at(o)
+        corner = A.cells(o)
+        fiber_x = Counter(right[x] for x in X.cells(o))
+        pullback_size = sum(fiber_x[bottom[b]] for b in B.cells(o))
+        report[o] = len({(left[c], top[c]) for c in corner}) == len(corner) == pullback_size
     return report
 
 
@@ -570,91 +538,49 @@ def colimit(diagram) -> tuple[Presheaf, tuple[PresheafMorphism, ...]]:
 
     Cells of part/leg-codomain i are injected as "inj{i}/{cell}"; cells
     identified by a wide pushout take the least such name in their class.
+    A coproduct is the wide pushout of its parts under the empty system.
     Returns the colimit and one injection per part (per leg codomain).
     """
     if isinstance(diagram, Coproduct):
-        parts = diagram.parts
-        if not parts:
+        if not diagram.parts:
             raise ShapeUnsupported("empty coproducts need an ambient label set")
-        labels = parts[0].labels
-        for p in parts:
-            if p.labels != labels:
-                raise ShapeUnsupported("coproduct parts disagree on labels")
-        colim = _system(
-            labels,
-            (f"inj{i}/{x}" for i, p in enumerate(parts) for x in p.states),
-            (
-                (a, f"inj{i}/{e}", f"inj{i}/{p.src[a][e]}", f"inj{i}/{p.tgt[a][e]}")
-                for a in labels
-                for i, p in enumerate(parts)
-                for e in p.edges[a]
-            ),
-        )
-        injections = tuple(
-            _map(
-                p,
-                colim,
-                {x: f"inj{i}/{x}" for x in p.states},
-                {a: {e: f"inj{i}/{e}" for e in p.edges[a]} for a in p.labels},
-            )
-            for i, p in enumerate(parts)
-        )
-        return colim, injections
+        apex = empty_presheaf(diagram.parts[0].labels)
+        diagram = WidePushout(apex, tuple(_map(apex, p, {}) for p in diagram.parts))
+    if not isinstance(diagram, WidePushout):
+        raise ShapeUnsupported(f"unsupported diagram shape {type(diagram).__name__}")
+    apex, legs = diagram.apex, diagram.legs
+    labels = apex.labels
+    for leg in legs:
+        if leg.cod.labels != labels:
+            raise ShapeUnsupported("pushout legs disagree on labels")
 
-    if isinstance(diagram, WidePushout):
-        apex, legs = diagram.apex, diagram.legs
-        labels = apex.labels
-        for leg in legs:
-            if leg.cod.labels != labels:
-                raise ShapeUnsupported("pushout legs disagree on labels")
-
-        uf_states = _UnionFind()
+    # The root of each class is its least (leg, cell) member, which names it.
+    name: dict[str, dict[tuple[int, str], str]] = {}
+    for o in labels.objects:
+        uf = _UnionFind()
         for i, leg in enumerate(legs):
-            for x in leg.cod.states:
-                uf_states.add((i, x))
-        for u in apex.states:
-            first = (0, legs[0].state_map[u])
+            for c in leg.cod.cells(o):
+                uf.add((i, c))
+        for u in apex.cells(o):
+            first = (0, legs[0].at(o)[u])
             for i, leg in enumerate(legs):
-                uf_states.union(first, (i, leg.state_map[u]))
+                uf.union(first, (i, leg.at(o)[u]))
+        name[o] = {cell: "inj{}/{}".format(*uf.find(cell)) for cell in uf.parent}
 
-        uf_edges: dict[str, _UnionFind] = {a: _UnionFind() for a in labels}
-        for a in labels:
-            for i, leg in enumerate(legs):
-                for e in leg.cod.edges[a]:
-                    uf_edges[a].add((i, e))
-            for u in apex.edges[a]:
-                first = (0, legs[0].edge_maps[a][u])
-                for i, leg in enumerate(legs):
-                    uf_edges[a].union(first, (i, leg.edge_maps[a][u]))
-
-        def class_name(uf: _UnionFind, cell) -> str:
-            members = [m for m in uf.parent if uf.find(m) == uf.find(cell)]
-            i, c = min(members)
-            return f"inj{i}/{c}"
-
-        state_name = {cell: class_name(uf_states, cell) for cell in uf_states.parent}
-        edge_name: dict[str, dict] = {}
-        arrows = []
-        for a in labels:
-            edge_name[a] = {cell: class_name(uf_edges[a], cell) for cell in uf_edges[a].parent}
-            ends = {}
-            for (i, e), name in edge_name[a].items():
-                cod = legs[i].cod
-                ends[name] = (state_name[(i, cod.src[a][e])], state_name[(i, cod.tgt[a][e])])
-            arrows.extend((a, name, *ends[name]) for name in sorted(ends))
-        colim = _system(labels, sorted(set(state_name.values())), arrows)
-        injections = tuple(
-            _map(
-                leg.cod,
-                colim,
-                {x: state_name[(i, x)] for x in leg.cod.states},
-                {a: {e: edge_name[a][(i, e)] for e in leg.cod.edges[a]} for a in labels},
-            )
-            for i, leg in enumerate(legs)
-        )
-        return colim, injections
-
-    raise ShapeUnsupported(f"unsupported diagram shape {type(diagram).__name__}")
+    state_name = name[STAR]
+    arrows = []
+    for a in labels:
+        ends = {}
+        for (i, e), edge in name[a].items():
+            cod = legs[i].cod
+            ends[edge] = (state_name[(i, cod.src[a][e])], state_name[(i, cod.tgt[a][e])])
+        arrows.extend((a, edge, *ends[edge]) for edge in sorted(ends))
+    colim = _system(labels, sorted(set(state_name.values())), arrows)
+    injections = []
+    for i, leg in enumerate(legs):
+        components = {o: {c: name[o][(i, c)] for c in leg.cod.cells(o)} for o in labels.objects}
+        injections.append(_map(leg.cod, colim, components[STAR], components))
+    return colim, tuple(injections)
 
 
 def pullback(f: PresheafMorphism, g: PresheafMorphism) -> tuple[Presheaf, PresheafMorphism, PresheafMorphism]:
@@ -662,47 +588,37 @@ def pullback(f: PresheafMorphism, g: PresheafMorphism) -> tuple[Presheaf, Preshe
     if f.cod != g.cod:
         raise ShapeUnsupported("pullback legs must share their codomain")
     X, Y = f.dom, g.dom
-    return _pair_system(
-        X,
-        Y,
-        [(x, y) for x in X.states for y in Y.states if f.state_map[x] == g.state_map[y]],
-        [
-            (a, e1, e2)
-            for a in X.labels
-            for e1 in X.edges[a]
-            for e2 in Y.edges[a]
-            if f.edge_maps[a][e1] == g.edge_maps[a][e2]
-        ],
-    )
+    pairs = {}
+    for o in X.labels.objects:
+        f_o, g_o = f.at(o), g.at(o)
+        pairs[o] = [(u, v) for u in X.cells(o) for v in Y.cells(o) if f_o[u] == g_o[v]]
+    return _pair_system(X, Y, pairs)
 
 
 def _pair_system(
-    X: Presheaf,
-    Y: Presheaf,
-    state_pairs: Sequence[tuple[str, str]],
-    edge_pairs: Sequence[tuple[str, str, str]],
+    X: Presheaf, Y: Presheaf, pairs: Mapping[str, Sequence[tuple[str, str]]]
 ) -> tuple[Presheaf, PresheafMorphism, PresheafMorphism]:
     """The system of the given pairs of cells of X and Y, each named
     ``({u},{v})``, and its projections to X and Y.
 
-    Each edge pair ``(label, e1, e2)`` must have its endpoint pairs among
-    the state pairs.  Ids with a top-level comma can give two pairs one
-    name; that is refused with DuplicateId rather than merging the cells.
+    ``pairs[o]`` holds the pairs at base object o.  The endpoint pairs of
+    each edge pair must be among the state pairs.  Ids with a top-level
+    comma can give two pairs one name; that is refused with DuplicateId
+    rather than merging the cells.
     """
-    p1 = {f"({u},{v})": u for u, v in state_pairs}
-    p2 = {f"({u},{v})": v for u, v in state_pairs}
-    arrows = [
-        (a, f"({e1},{e2})", f"({X.src[a][e1]},{Y.src[a][e2]})", f"({X.tgt[a][e1]},{Y.tgt[a][e2]})")
-        for a, e1, e2 in edge_pairs
-    ]
-    if len(p1) < len(state_pairs) or len({arrow[1] for arrow in arrows}) < len(arrows):
+    named = {o: {f"({u},{v})": (u, v) for u, v in pairs[o]} for o in X.labels.objects}
+    edge_names = {edge for a in X.labels for edge in named[a]}
+    if len(named[STAR]) < len(pairs[STAR]) or len(edge_names) < sum(len(pairs[a]) for a in X.labels):
         raise DuplicateId("two pairs of cells would share one name: an id has a top-level comma")
-    p1_edges: dict[str, dict[str, str]] = {a: {} for a in X.labels}
-    p2_edges: dict[str, dict[str, str]] = {a: {} for a in X.labels}
-    for (a, e1, e2), arrow in zip(edge_pairs, arrows):
-        p1_edges[a][arrow[1]], p2_edges[a][arrow[1]] = e1, e2
-    P = _system(X.labels, p1, arrows)
-    return P, _map(P, X, p1, p1_edges), _map(P, Y, p2, p2_edges)
+    arrows = [
+        (a, edge, f"({X.src[a][u]},{Y.src[a][v]})", f"({X.tgt[a][u]},{Y.tgt[a][v]})")
+        for a in X.labels
+        for edge, (u, v) in named[a].items()
+    ]
+    P = _system(X.labels, named[STAR], arrows)
+    p1 = {o: {cell: u for cell, (u, _) in named[o].items()} for o in named}
+    p2 = {o: {cell: v for cell, (_, v) in named[o].items()} for o in named}
+    return P, _map(P, X, p1[STAR], p1), _map(P, Y, p2[STAR], p2)
 
 
 # ---------------------------------------------------------------------------

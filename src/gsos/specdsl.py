@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import product
 from typing import Optional
 
-from .errors import EmptyLabelClass, SpecParseError
+from .errors import EmptyLabelClass, MalformedProof, SpecParseError, UnknownOperation
 from .presheaf import LabelSet
 from .terms import App, Term, Var, term_vars
 
@@ -76,8 +76,6 @@ class Signature:
         for f, n in self.operations:
             if f == op:
                 return n
-        from .errors import UnknownOperation
-
         raise UnknownOperation(f"operation {op!r} not declared")
 
 
@@ -148,8 +146,6 @@ class GsosSpec:
         for r in self.rules:
             if r.name == name:
                 return r
-        from .errors import MalformedProof
-
         raise MalformedProof(f"no rule named {name!r}")
 
     def label_class(self, name: str) -> tuple[str, ...]:

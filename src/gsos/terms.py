@@ -32,6 +32,7 @@ are known, then compares fields.
 
 from __future__ import annotations
 
+import random
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
@@ -754,9 +755,8 @@ def T_on_morphism(spec: "GsosSpec", f: PresheafMorphism, d: int) -> PresheafMorp
     )
 
 
-def eta(spec: "GsosSpec", X: Presheaf, d: int, T: Optional[Presheaf] = None) -> PresheafMorphism:
-    """The unit X -> T(X): wrap states and edges."""
-    T = T if T is not None else truncated_free(spec, X, d)[0]
+def eta(X: Presheaf, T: Presheaf) -> PresheafMorphism:
+    """The unit X -> T(X) into the window T over X: wrap states and edges."""
     return _map(
         X,
         T,
@@ -949,11 +949,9 @@ def _flat_depth(elem: Element, level: int) -> int:
 
 def check_monad_laws(spec: "GsosSpec", seed: int, cases: int, d: int) -> LawReport:
     """Sample elements and check both unit laws and associativity exactly."""
-    import random as _random
-
     failures: list[str] = []
     for case in range(cases):
-        rng = _random.Random(seed + case)
+        rng = random.Random(seed + case)
         X = random_presheaf(rng, spec.labels)
         kind = rng.choice(["term", "proof"])
         try:

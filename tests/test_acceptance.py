@@ -16,6 +16,7 @@ from gsos.cellular import (
     cell_certificate,
     check_eta_cartesian,
     check_mu_cartesian,
+    one_layer_windows,
     preserve_bisim_lift,
     random_functional_bisim,
     unique_R0,
@@ -168,9 +169,10 @@ def test_criterion_06_cartesianness(ccs, toy):
     for spec in (ccs, toy):
         X = representable(spec.labels, list(spec.labels)[0])
         for d in (1, 2):
-            mu_rep = check_mu_cartesian(spec, X, d)
+            windows = one_layer_windows(spec, X, d)
+            mu_rep = check_mu_cartesian(spec, X, d, windows)
             assert mu_rep["ok"], mu_rep
-            eta_rep = check_eta_cartesian(spec, X, d)
+            eta_rep = check_eta_cartesian(spec, X, d, windows)
             assert eta_rep["ok"], eta_rep
     # uniqueness by brute force at d <= 2: the canonical map is injective and
     # unique_R0 reproduces each enumerated witness from its two images

@@ -9,6 +9,7 @@ from gsos.cellular import (
     check_eta_cartesian,
     check_mu_cartesian,
     lift_against,
+    one_layer_windows,
     preserve_bisim_lift,
     random_functional_bisim,
     replay_certificate,
@@ -280,16 +281,16 @@ def test_eta_cartesian_random_systems(ccs):
 
     for _ in range(3):
         X = random_presheaf(rng, ccs.labels, max_states=3)
-        rep = check_eta_cartesian(ccs, X, 2)
+        rep = check_eta_cartesian(ccs, X, 2, one_layer_windows(ccs, X, 2))
         assert rep["ok"], rep
 
 
 def test_mu_cartesian_toy_and_ccs(toy, ccs):
     X_toy = representable(toy.labels, "a")
-    rep = check_mu_cartesian(toy, X_toy, 2)
+    rep = check_mu_cartesian(toy, X_toy, 2, one_layer_windows(toy, X_toy, 2))
     assert rep["ok"], rep
     X = representable(ccs.labels, "a")
-    rep = check_mu_cartesian(ccs, X, 1)
+    rep = check_mu_cartesian(ccs, X, 1, one_layer_windows(ccs, X, 1))
     assert rep["ok"], rep
 
 

@@ -1,7 +1,8 @@
 """No dead code in the package: every import a gsos module makes is used in
 that module, and every module-level private name is referenced somewhere in
 the package.  Deleting a function often strands its helpers and imports;
-this test finds them by reading each module's syntax tree."""
+this test finds them by reading each module's syntax tree.  Imports sit at
+module level, where these checks and a reader see them."""
 
 import ast
 from pathlib import Path
@@ -89,3 +90,15 @@ def test_every_private_name_is_referenced(module):
     private = [n for n in defined if n.startswith("_") and not n.startswith("__")]
     dead = [n for n in private if n not in read_anywhere]
     assert not dead, f"{module} defines private names nothing in gsos reads: {dead}"
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_import_inside_a_function(module):
+    nested = [
+        f"{func.name} (line {node.lineno})"
+        for func in ast.walk(TREES[module])
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not nested, f"{module} imports inside functions: {nested}"

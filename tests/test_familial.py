@@ -24,6 +24,7 @@ from gsos.presheaf import (
     terminal,
 )
 from gsos.terms import (
+    T_on_element,
     Var,
     map_leaves,
     parse_proof,
@@ -222,13 +223,25 @@ def test_is_generic_cases(ccs, rsync_ambient):
     # a collapsing filler: two occurrences sent to the same state
     collapsed = parse_term(ccs, two, "par(var(u),var(u))")
     assert not is_generic(two, collapsed)
-    # generic representative with strong-lifting spot checks
+    # generic representative, checked against the definition: every
+    # strong-lifting square out of it has exactly one solution
     p = parse_proof(ccs, rsync_ambient, "rsync(ax(e1),ax(e2))")
     sh = to_terminal(p)
     ar = arity_label(ccs.labels, sh).cod
     generic = recompose(Decomposition(sh, identity(ar)), ar)
+    assert is_generic(ar, generic)
     rng = random.Random(23)
-    assert is_generic(ar, generic, samples=10, rng=rng)
+    for _ in range(10):
+        B, u = random_collapse(ar, rng)
+        chi = T_on_element(u, generic)
+        _, h = random_collapse(B, rng)
+        k = compose(h, u)
+        liftings = [
+            lift
+            for lift in all_morphisms(ar, B)
+            if T_on_element(lift, generic) == chi and compose(h, lift) == k
+        ]
+        assert len(liftings) == 1
 
 
 def test_non_generic_has_ambiguous_strong_lifting():

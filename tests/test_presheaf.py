@@ -99,6 +99,16 @@ def test_duplicate_ids_rejected():
         )
 
 
+def test_star_is_not_a_label():
+    """``*`` names the state object, so a label set refuses it as it refuses
+    a repeated label, whether built directly or read from JSON."""
+    with pytest.raises(DuplicateId):
+        labelset("a", STAR)
+    with pytest.raises(DuplicateId):
+        presheaf_from_json(json.dumps({"labels": [STAR], "states": ["x"]}))
+    assert AB.objects == (STAR, "a", "b")
+
+
 def test_representables():
     star = representable(AB, "*")
     assert star.size() == (1, 0)
@@ -576,7 +586,7 @@ def test_internal_builders_pass_the_checked_constructors(ccs, seed, d):
     for Z in (X, one):
         T = truncated_free(ccs, Z, d)
         TT = truncated_free_squared(ccs, Z, d)
-        _assert_rebuilds(T[0], TT[0], eta(ccs, Z, d, T=T[0]), window_map(TT, T[0], mu))
+        _assert_rebuilds(T[0], TT[0], eta(Z, T[0]), window_map(TT, T[0], mu))
     seed_term = random_term(ccs, rng, (), 3)
     _assert_rebuilds(reachable_fragment(ccs, [seed_term], 2).carrier)
 

@@ -224,7 +224,7 @@ def _random_quotient(rng, X):
 
 
 def test_eta_wraps_and_is_functional_bisim(ccs, rsync_ambient):
-    f = eta(ccs, rsync_ambient, 1)
+    f = eta(rsync_ambient, truncated_free(ccs, rsync_ambient, 1)[0])
     assert f.state_map["x"] == "var(x)"
     assert f.edge_maps["a_bar"]["e1"] == "ax(e1)"
     assert is_functional_bisimulation(f) is True
