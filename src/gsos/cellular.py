@@ -65,7 +65,6 @@ from .terms import (
     proof_source,
     random_presheaf,
     to_terminal,
-    truncated_free,
     truncated_free_squared,
     window_map,
 )
@@ -230,15 +229,6 @@ def preserve_bisim_lift(f: PresheafMorphism, M: Term, R: Proof) -> Proof:
 # Cartesianness of the monad structure.
 
 
-def one_layer_windows(spec, X: Presheaf, d: int) -> tuple:
-    """The depth-d one-layer windows over X and over 1.
-
-    Both cartesianness squares have these as corners; a caller that checks
-    both builds them once and passes them to each check.
-    """
-    return truncated_free(spec, X, d), truncated_free(spec, terminal(X.labels), d)
-
-
 def check_mu_cartesian(spec, X: Presheaf, d: int, windows: tuple) -> dict:
     """Is the flattening naturality square over 1 a pointwise pullback?
 
@@ -246,7 +236,9 @@ def check_mu_cartesian(spec, X: Presheaf, d: int, windows: tuple) -> dict:
     one-layer corners by depth <= d; the square is well-posed because
     flattening preserves the bound and the unique two-layer witness of a
     compatible pair lives inside the same window.  ``windows`` are the
-    one-layer corners from :func:`one_layer_windows`.
+    one-layer corners: the depth-d windows of :func:`truncated_free` over X
+    and over 1, which the unit square shares, so a caller that checks both
+    builds them once.
     """
     T_X, T_1 = windows
     TT_X = truncated_free_squared(spec, X, d)
@@ -254,7 +246,7 @@ def check_mu_cartesian(spec, X: Presheaf, d: int, windows: tuple) -> dict:
     mu_X = window_map(TT_X, T_X[0], mu)
     mu_1 = window_map(TT_1, T_1[0], mu)
     t2_bang = window_map(
-        TT_X, TT_1[0], lambda e: map_leaves(e, to_terminal, lambda p, a: to_terminal(p))
+        TT_X, TT_1[0], lambda e: map_leaves(e, to_terminal, lambda p, _a: to_terminal(p))
     )
     t_bang = window_map(T_X, T_1[0], to_terminal)
     square = LiftingSquare(left=mu_X, top=t2_bang, right=mu_1, bottom=t_bang)
@@ -273,7 +265,7 @@ def check_mu_cartesian(spec, X: Presheaf, d: int, windows: tuple) -> dict:
     }
 
 
-def check_eta_cartesian(spec, X: Presheaf, d: int, windows: tuple) -> dict:
+def check_eta_cartesian(X: Presheaf, d: int, windows: tuple) -> dict:
     """Is the unit naturality square over 1 a pointwise pullback?
 
     ``windows`` are as for :func:`check_mu_cartesian`.

@@ -21,7 +21,6 @@ from .cellular import (
     cell_certificate,
     check_eta_cartesian,
     check_mu_cartesian,
-    one_layer_windows,
     preserve_bisim_lift,
     random_functional_bisim,
     verify_certificate,
@@ -51,8 +50,8 @@ from .terms import (
     T_on_element,
     Var,
     ambient_axioms,
-    check_monad_laws,
     derive,
+    monad_law_failures,
     parse_proof,
     parse_term,
     proof_depth,
@@ -64,6 +63,7 @@ from .terms import (
     random_term,
     render,
     to_terminal,
+    truncated_free,
 )
 
 
@@ -252,19 +252,96 @@ def cmd_congruence(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Property suites.
+# Property suites.  A seeded suite is a check of one case, called as
+# check(spec, rng, d) and returning its failures; the others run whole.
 
 
-def _suite_laws(spec, seed, cases, d, k, mutate):
-    rep = check_monad_laws(spec, seed, cases, d)
-    return rep.to_dict()
+def run_cases(check, spec: GsosSpec, seed: int, cases: int, d: int) -> dict:
+    """Report the failures of check on cases 0..cases-1, each prefixed with
+    its case.  Case i draws from ``random.Random(seed + i)``, so
+    ``--seed <seed+i> --cases 1`` reruns it alone."""
+    failures = []
+    for case in range(cases):
+        failures += [f"case {case}: {msg}" for msg in check(spec, random.Random(seed + case), d)]
+    return {"seed": seed, "cases": cases, "failures": failures, "ok": not failures}
 
 
-def _suite_cartesian(spec, seed, cases, d, k, mutate):
+def _familial_failures(spec: GsosSpec, rng, d: int) -> list[str]:
+    """recompose undoes decompose, and decompose is natural in the system and the base."""
+    X = random_presheaf(rng, spec.labels)
+    kind = rng.choice(["term", "proof"])
+    try:
+        elem = random_layer_element(spec, X, rng, 1, d, kind)
+    except GsosError:
+        return []
+    dec = decompose(X, elem)
+    if familial_mod.recompose(dec, X) != elem:
+        return [f"recompose . decompose != id on {render(elem)}"]
+    failures = []
+    B, u = random_collapse(X, rng)
+    dec2 = decompose(B, T_on_element(u, elem))
+    if dec2.shape != dec.shape:
+        failures.append("shape not natural in the ambient system")
+    if dec2.filler != compose(u, dec.filler):
+        failures.append("filler not natural in the ambient system")
+    if kind == "proof":
+        src_mor = arity_label(spec.labels, dec.shape)
+        src_dec = decompose(X, proof_source(X, elem))
+        if src_dec.filler != compose(dec.filler, src_mor):
+            failures.append("source filler not natural in the base")
+        tgt_mor = arity_tgt_morphism(spec.labels, dec.shape)
+        tgt_dec = decompose(X, proof_target(X, elem))
+        if tgt_dec.filler != compose(dec.filler, tgt_mor):
+            failures.append("target filler not natural in the base")
+    return failures
+
+
+def _cellular_failures(spec: GsosSpec, rng, d: int) -> list[str]:
+    """A proof shape's certificate replays to its source arity morphism."""
+    try:
+        p = random_layer_element(spec, terminal(spec.labels), rng, 1, d, "proof")
+    except GsosError:
+        return []
+    shape = to_terminal(p)
+    if not verify_certificate(cell_certificate(spec.labels, shape)):
+        return [f"certificate fails on {render(shape)}"]
+    return []
+
+
+def _preserve_failures(spec: GsosSpec, rng, d: int) -> list[str]:
+    """Each transition of depth <= d out of f(M) lifts along f to one out of M."""
+    f = random_functional_bisim(rng, spec.labels)
+    try:
+        M = random_term(spec, rng, f.dom.states, d)
+    except GsosError:
+        return []
+    problems = [
+        R
+        for R, _ in derive(spec, T_on_element(f, M), ambient_axioms(f.cod))
+        if proof_depth(R) <= d
+    ]
+    failures = []
+    for R in problems:
+        try:
+            preserve_bisim_lift(f, M, R)
+        except GsosError as exc:
+            failures.append(f"{exc} on {render(R)}")
+    return failures
+
+
+_CASE_CHECKS = {
+    "laws": monad_law_failures,
+    "familial": _familial_failures,
+    "cellular": _cellular_failures,
+    "preserve": _preserve_failures,
+}
+
+
+def _suite_cartesian(spec: GsosSpec, seed: int, d: int) -> dict:
     X = representable(spec.labels, list(spec.labels)[0])
-    windows = one_layer_windows(spec, X, d)
+    windows = truncated_free(spec, X, d), truncated_free(spec, terminal(X.labels), d)
     mu_rep = check_mu_cartesian(spec, X, d, windows)
-    eta_rep = check_eta_cartesian(spec, X, d, windows)
+    eta_rep = check_eta_cartesian(X, d, windows)
     return {
         "seed": seed,
         "mu": mu_rep,
@@ -274,81 +351,7 @@ def _suite_cartesian(spec, seed, cases, d, k, mutate):
     }
 
 
-def _suite_familial(spec, seed, cases, d, k, mutate):
-    failures = []
-    for case in range(cases):
-        rng = random.Random(seed + case)
-        X = random_presheaf(rng, spec.labels)
-        kind = rng.choice(["term", "proof"])
-        try:
-            elem = random_layer_element(spec, X, rng, 1, d, kind)
-        except GsosError:
-            continue
-        dec = decompose(X, elem)
-        if familial_mod.recompose(dec, X) != elem:
-            failures.append(f"case {case}: recompose . decompose != id on {render(elem)}")
-            continue
-        B, u = random_collapse(X, rng)
-        dec2 = decompose(B, T_on_element(u, elem))
-        if dec2.shape != dec.shape:
-            failures.append(f"case {case}: shape not natural in the ambient system")
-        if dec2.filler != compose(u, dec.filler):
-            failures.append(f"case {case}: filler not natural in the ambient system")
-        if kind == "proof":
-            src_mor = arity_label(spec.labels, dec.shape)
-            src_dec = decompose(X, proof_source(X, elem))
-            if src_dec.filler != compose(dec.filler, src_mor):
-                failures.append(f"case {case}: source filler not natural in the base")
-            tgt_mor = arity_tgt_morphism(spec.labels, dec.shape)
-            tgt_dec = decompose(X, proof_target(X, elem))
-            if tgt_dec.filler != compose(dec.filler, tgt_mor):
-                failures.append(f"case {case}: target filler not natural in the base")
-    return {"seed": seed, "cases": cases, "failures": failures, "ok": not failures}
-
-
-def _suite_cellular(spec, seed, cases, d, k, mutate):
-    failures = []
-    one = terminal(spec.labels)
-    for case in range(cases):
-        rng = random.Random(seed + case)
-        try:
-            p = random_layer_element(spec, one, rng, 1, d, "proof")
-        except GsosError:
-            continue
-        shape = to_terminal(p)
-        cert = cell_certificate(spec.labels, shape)
-        if not verify_certificate(cert):
-            failures.append(f"case {case}: certificate fails on {render(shape)}")
-            continue
-        if cert.claimed_composite != arity_label(spec.labels, shape):
-            failures.append(f"case {case}: replay differs from the arity source morphism")
-    return {"seed": seed, "cases": cases, "failures": failures, "ok": not failures}
-
-
-def _suite_preserve(spec, seed, cases, d, k, mutate):
-    failures = []
-    for case in range(cases):
-        rng = random.Random(seed + case)
-        f = random_functional_bisim(rng, spec.labels)
-        X, Y = f.dom, f.cod
-        try:
-            M = random_term(spec, rng, X.states, d)
-        except GsosError:
-            continue
-        problems = [
-            R
-            for R, _ in derive(spec, T_on_element(f, M), ambient_axioms(Y))
-            if proof_depth(R) <= d
-        ]
-        for R in problems:
-            try:
-                preserve_bisim_lift(f, M, R)
-            except GsosError as exc:
-                failures.append(f"case {case}: {exc} on {render(R)}")
-    return {"seed": seed, "cases": cases, "failures": failures, "ok": not failures}
-
-
-def _suite_congruence(spec, seed, cases, d, k, mutate):
+def _suite_congruence(spec: GsosSpec, seed: int, k: int, mutate: bool) -> dict:
     pairs_text = (resources.files("gsos") / "specs" / "ccs_pairs.json").read_text()
     pairs = [
         (parse_term(spec, None, u), parse_term(spec, None, v))
@@ -363,23 +366,16 @@ def _suite_congruence(spec, seed, cases, d, k, mutate):
     return report
 
 
-_SUITES = {
-    "laws": _suite_laws,
-    "cartesian": _suite_cartesian,
-    "familial": _suite_familial,
-    "cellular": _suite_cellular,
-    "preserve": _suite_preserve,
-    "congruence": _suite_congruence,
-}
-
-
 def cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
-    if args.suite not in _SUITES:
+    if args.suite in _CASE_CHECKS:
+        report = run_cases(_CASE_CHECKS[args.suite], spec, args.seed, args.cases, args.depth)
+    elif args.suite == "cartesian":
+        report = _suite_cartesian(spec, args.seed, args.depth)
+    elif args.suite == "congruence":
+        report = _suite_congruence(spec, args.seed, args.stratum, args.mutate)
+    else:
         return _usage_error(f"unknown suite {args.suite!r}")
-    report = _SUITES[args.suite](
-        spec, args.seed, args.cases, args.depth, args.stratum, args.mutate
-    )
     report["suite"] = args.suite
     _emit(report)
     return 0 if report["ok"] else 1

@@ -16,12 +16,12 @@ from gsos.cellular import (
     cell_certificate,
     check_eta_cartesian,
     check_mu_cartesian,
-    one_layer_windows,
     preserve_bisim_lift,
     random_functional_bisim,
     unique_R0,
     verify_certificate,
 )
+from gsos.cli import run_cases
 from gsos.errors import SpecParseError
 from gsos.familial import (
     arity_label,
@@ -40,10 +40,10 @@ from gsos.presheaf import (
 from gsos.specdsl import parse_spec
 from gsos.terms import (
     ambient_axioms,
-    check_monad_laws,
     derive,
     lift_mu,
     map_leaves,
+    monad_law_failures,
     mu,
     parse_proof,
     parse_term,
@@ -105,9 +105,9 @@ def test_criterion_02_rsync_arity_golden(ccs, rsync_ambient):
 
 
 def test_criterion_03_monad_laws(ccs):
-    rep = check_monad_laws(ccs, seed=2026, cases=500, d=3)
-    assert rep.cases == 500
-    assert rep.failures == (), rep.failures[:3]
+    rep = run_cases(monad_law_failures, ccs, seed=2026, cases=500, d=3)
+    assert rep["cases"] == 500
+    assert rep["failures"] == [], rep["failures"][:3]
     _pass(3, "both unit laws and associativity on 500 seeded elements, 0 failures")
 
 
@@ -169,10 +169,10 @@ def test_criterion_06_cartesianness(ccs, toy):
     for spec in (ccs, toy):
         X = representable(spec.labels, list(spec.labels)[0])
         for d in (1, 2):
-            windows = one_layer_windows(spec, X, d)
+            windows = truncated_free(spec, X, d), truncated_free(spec, terminal(X.labels), d)
             mu_rep = check_mu_cartesian(spec, X, d, windows)
             assert mu_rep["ok"], mu_rep
-            eta_rep = check_eta_cartesian(spec, X, d, windows)
+            eta_rep = check_eta_cartesian(X, d, windows)
             assert eta_rep["ok"], eta_rep
     # uniqueness by brute force at d <= 2: the canonical map is injective and
     # unique_R0 reproduces each enumerated witness from its two images

@@ -9,7 +9,6 @@ from gsos.cellular import (
     check_eta_cartesian,
     check_mu_cartesian,
     lift_against,
-    one_layer_windows,
     preserve_bisim_lift,
     random_functional_bisim,
     replay_certificate,
@@ -44,6 +43,7 @@ from gsos.terms import (
     random_layer_element,
     render,
     to_terminal,
+    truncated_free,
     truncated_free_squared,
 )
 
@@ -275,22 +275,27 @@ def test_T_preserves_functional_bisims_on_truncations(ccs):
         assert is_functional_bisimulation(Tf) is True
 
 
+def _windows(spec, X, d):
+    """The one-layer corners both cartesianness squares share."""
+    return truncated_free(spec, X, d), truncated_free(spec, terminal(X.labels), d)
+
+
 def test_eta_cartesian_random_systems(ccs):
     rng = random.Random(41)
     from gsos.terms import random_presheaf
 
     for _ in range(3):
         X = random_presheaf(rng, ccs.labels, max_states=3)
-        rep = check_eta_cartesian(ccs, X, 2, one_layer_windows(ccs, X, 2))
+        rep = check_eta_cartesian(X, 2, _windows(ccs, X, 2))
         assert rep["ok"], rep
 
 
 def test_mu_cartesian_toy_and_ccs(toy, ccs):
     X_toy = representable(toy.labels, "a")
-    rep = check_mu_cartesian(toy, X_toy, 2, one_layer_windows(toy, X_toy, 2))
+    rep = check_mu_cartesian(toy, X_toy, 2, _windows(toy, X_toy, 2))
     assert rep["ok"], rep
     X = representable(ccs.labels, "a")
-    rep = check_mu_cartesian(ccs, X, 1, one_layer_windows(ccs, X, 1))
+    rep = check_mu_cartesian(ccs, X, 1, _windows(ccs, X, 1))
     assert rep["ok"], rep
 
 

@@ -2,7 +2,9 @@
 that module, and every module-level private name is referenced somewhere in
 the package.  Deleting a function often strands its helpers and imports;
 this test finds them by reading each module's syntax tree.  Imports sit at
-module level, where these checks and a reader see them."""
+module level, where these checks and a reader see them.  Every parameter is
+read by its function: one that is passed but never read tells the caller a
+choice matters when it does not."""
 
 import ast
 from pathlib import Path
@@ -102,3 +104,34 @@ def test_no_import_inside_a_function(module):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not nested, f"{module} imports inside functions: {nested}"
+
+
+def _unread_parameters(func: ast.AST) -> list[str]:
+    """Parameters of a function or lambda that its body never reads."""
+    if isinstance(func, ast.Lambda):
+        body = [func.body]
+    elif func.name.startswith("__") and func.name.endswith("__"):
+        return []
+    else:
+        body = func.body
+    args = func.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    names = {p.arg for p in params if p is not None} - {"self", "cls"}
+    read = {
+        n.id
+        for stmt in body
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+    }
+    return sorted(n for n in names - read if not n.startswith("_"))
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_parameter_is_read(module):
+    unread = [
+        f"{getattr(func, 'name', 'lambda')} (line {func.lineno}): {name}"
+        for func in ast.walk(TREES[module])
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for name in _unread_parameters(func)
+    ]
+    assert not unread, f"{module} has parameters nothing reads: {unread}"

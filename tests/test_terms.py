@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsos.bisim import reachable_fragment
+from gsos.cli import run_cases
 from gsos.errors import GsosError, MalformedProof, UnknownLabel, UnknownOperation
 from gsos.presheaf import (
     is_functional_bisimulation,
@@ -27,11 +28,11 @@ from gsos.terms import (
     _last_premise_index,
     _layer_axioms,
     ambient_axioms,
-    check_monad_laws,
     derive,
     eta,
     lift_mu,
     map_leaves,
+    monad_law_failures,
     mu,
     parse_proof,
     parse_term,
@@ -254,8 +255,8 @@ def test_mu_nested_proof(ccs, rsync_ambient):
 
 
 def test_monad_laws_smoke(ccs):
-    rep = check_monad_laws(ccs, seed=3, cases=40, d=3)
-    assert rep.ok, rep.failures
+    rep = run_cases(monad_law_failures, ccs, seed=3, cases=40, d=3)
+    assert rep["ok"], rep["failures"]
 
 
 def test_unit_laws_on_double_wrapped_variable(ccs, rsync_ambient):
