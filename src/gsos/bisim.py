@@ -9,14 +9,15 @@ from a root is only ever consulted at stratum k - d.
 Refinement is iterated naive splitting on transition signatures: two
 states are separated at stratum n+1 iff their sets of (label, block at
 stratum n of target) differ.  Matching is existential, so parallel edges
-never change an answer.
+never change an answer: fragments that are only refined keep one edge per
+distinct (label, target) step, built without proofs by ``terms.steps``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Sequence
+from itertools import count, product
+from typing import Callable, Sequence
 
 from .errors import FuelTooSmall, UnknownState
 from .presheaf import (
@@ -35,6 +36,7 @@ from .terms import (
     derive,
     proof_label,
     render,
+    steps,
     substitute,
     term_height,
     term_vars,
@@ -58,14 +60,14 @@ class Fragment:
         return not self.frontier
 
 
-def reachable_fragment(
-    spec, seeds: Sequence[Term], fuel: int, drop_last_premise: bool = False
-) -> Fragment:
-    """Breadth-first closure of the seeds under derivation, up to fuel steps.
+def reachable_fragment(spec, seeds: Sequence[Term], fuel: int, successors: Callable) -> Fragment:
+    """Breadth-first closure of the seeds, up to fuel steps.
 
-    One derive memo serves the whole fragment, so each distinct subterm is
-    derived once however many states contain it, and states and proofs that
-    share subtrees share their renderings.  Targets of closed proofs are
+    ``successors(m)`` lists the (label, edge id, target) steps out of m:
+    :func:`proof_successors` for ``gsos lts``, which names each edge by its
+    proof, or :func:`lean_successors`, with one steps memo and generated ids.
+    Both give the same targets in the same order, so the states and the
+    frontier do not depend on the choice.  Targets of closed terms are
     closed, so checking the seeds is enough.
     """
     states: list[str] = []
@@ -80,22 +82,36 @@ def reachable_fragment(
             states.append(key)
             level.append(t)
     arrows = []
-    memo: dict = {}
     for depth in range(fuel):
         next_level: list[Term] = []
         for m in level:
-            for p, n in derive(spec, m, None, drop_last_premise=drop_last_premise, _memo=memo):
+            mk = render(m)
+            for a, e, n in successors(m):
                 nk = render(n)
                 if nk not in known:
                     known.add(nk)
                     states.append(nk)
                     next_level.append(n)
-                arrows.append((proof_label(p), render(p), render(m), nk))
+                arrows.append((a, e, mk, nk))
         level = next_level
         if not level:
             break
     carrier = _system(spec.labels, states, arrows)
     return Fragment(carrier, frozenset(render(t) for t in level))
+
+
+def proof_successors(spec, drop_last_premise: bool = False) -> Callable:
+    """One edge per derived proof, named by the proof's rendering."""
+    memo: dict = {}
+    return lambda m: [
+        (proof_label(p), render(p), n) for p, n in derive(spec, m, None, drop_last_premise, memo)
+    ]
+
+
+def lean_successors(spec, drop_last_premise: bool, memo: dict) -> Callable:
+    """One edge per distinct (label, target) step, with ids 0, 1, ..."""
+    ids = count()
+    return lambda m: [(a, str(next(ids)), n) for a, n in steps(spec, m, drop_last_premise, memo)]
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +120,14 @@ def reachable_fragment(
 
 def stratified_partition(X: Presheaf, k: int) -> list[dict[str, int]]:
     """Block index of every state at each stratum 0..k."""
+    succ = {x: [(a, X.tgt[a][e]) for a in X.labels for e in X.out_edges(x, a)] for x in X.states}
     block = {x: 0 for x in X.states}
     history = [dict(block)]
     for _ in range(k):
-        sig: dict[str, frozenset] = {}
-        for x in X.states:
-            sig[x] = frozenset(
-                (a, block[X.tgt[a][e]]) for a in X.labels for e in X.out_edges(x, a)
-            )
         canon: dict[tuple, int] = {}
         new_block = {}
         for x in X.states:
-            key = (block[x], sig[x])
+            key = (block[x], frozenset([(a, block[y]) for a, y in succ[x]]))
             if key not in canon:
                 canon[key] = len(canon)
             new_block[x] = canon[key]
@@ -249,7 +261,8 @@ def congruence_test(
     """Do all contexts preserve stratum-k equivalence of all pairs?
 
     Every (pair, context) case builds the fragment reachable from both
-    composites and compares them at stratum k.  The report lists each case;
+    composites and compares them at stratum k; the cases of one pair share
+    one steps memo, dropped before the next pair.  The report lists each case;
     violations are the cases where the composites are not k-equivalent.
     """
     require_fuel(fuel, k)
@@ -258,11 +271,12 @@ def congruence_test(
             raise UnknownState(f"context {render(c)} must have exactly one hole")
     cases = []
     violations = []
-    for pi, (u, v) in enumerate(pairs):
-        for ci, c in enumerate(contexts):
+    for u, v in pairs:
+        memo: dict = {}
+        for c in contexts:
             cu, cv = substitute(c, {HOLE: u}), substitute(c, {HOLE: v})
             frag = reachable_fragment(
-                spec, [cu, cv], fuel, drop_last_premise=drop_last_premise
+                spec, [cu, cv], fuel, lean_successors(spec, drop_last_premise, memo)
             )
             ok = k_bisimilar(frag.carrier, render(cu), render(cv), k)
             record = {

@@ -130,7 +130,7 @@ def cmd_check(args) -> int:
 def cmd_lts(args) -> int:
     spec = _load_spec(args.spec)
     seeds = [parse_term(spec, None, t) for t in args.term]
-    frag = bisim_mod.reachable_fragment(spec, seeds, args.fuel)
+    frag = bisim_mod.reachable_fragment(spec, seeds, args.fuel, bisim_mod.proof_successors(spec))
     if args.format == "dot":
         sys.stdout.write(presheaf_to_dot(frag.carrier))
         return 0
@@ -156,7 +156,8 @@ def cmd_bisim(args) -> int:
     t1 = parse_term(spec, None, args.t1)
     t2 = parse_term(spec, None, args.t2)
     bisim_mod.require_fuel(args.fuel, args.stratum)
-    frag = bisim_mod.reachable_fragment(spec, [t1, t2], args.fuel)
+    successors = bisim_mod.lean_successors(spec, False, {})
+    frag = bisim_mod.reachable_fragment(spec, [t1, t2], args.fuel, successors)
     part = bisim_mod.stratified_partition(frag.carrier, args.stratum)[args.stratum]
     blocks: dict[int, list[str]] = {}
     for x, b in part.items():

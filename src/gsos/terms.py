@@ -577,6 +577,40 @@ def _derive(spec, t: Term, axioms_of, drop_last_premise: bool, memo: dict):
                     out.append((Axiom(e, a), Var(n)))
         memo[t] = tuple(out)
         return memo[t]
+    premises = lambda u, want: [
+        r for r in _derive(spec, u, axioms_of, drop_last_premise, memo) if proof_label(r[0]) == want
+    ]
+    for rule, combo, n in _rule_instances(spec, t, premises, drop_last_premise):
+        args = tuple(tuple([r for r, _ in c]) if isinstance(c, tuple) else c for c in combo)
+        out.append((Node(rule, args), n))
+    memo[t] = tuple(out)
+    return memo[t]
+
+
+def steps(spec: "GsosSpec", t: Term, drop_last_premise: bool, memo: dict) -> tuple:
+    """The distinct (label, target) successors of a closed term, in the
+    order of their first occurrence in :func:`derive`'s output.
+
+    A rule instance's target depends on the premises' (label, target) pairs
+    only, so no proof is built.  ``memo`` maps terms to their steps for one
+    value of ``drop_last_premise``; the caller picks its scope.
+    """
+    known = memo.get(t)
+    if known is not None:
+        return known
+    premises = lambda u, want: [s for s in steps(spec, u, drop_last_premise, memo) if s[0] == want]
+    instances = _rule_instances(spec, t, premises, drop_last_premise)
+    out = {(rule.label, n): None for rule, _, n in instances}
+    memo[t] = tuple(out)
+    return memo[t]
+
+
+def _rule_instances(spec, t: App, premises: Callable, drop_last_premise: bool):
+    """Every rule instance with source ``t`` as ``(rule, choice, target)``,
+    in derive's order; ``premises(u, a)`` lists the (premise, target) pairs
+    with label a out of u.  ``choice`` holds per argument either the
+    argument itself (no premise) or the tuple of its chosen pairs.
+    """
     if not spec.signature.has(t.op):
         raise UnknownOperation(f"unknown operation {t.op!r}")
     for rule in spec.rules_by_op.get(t.op, ()):
@@ -584,44 +618,25 @@ def _derive(spec, t: Term, axioms_of, drop_last_premise: bool, memo: dict):
         if drop_last_premise and sum(len(g) for g in rule.premise_labels) >= 2:
             cut = _last_premise_index(rule)
         group_choices: list[list] = []
-        feasible = True
         for i, labels_i in enumerate(rule.premise_labels):
             if not labels_i:
                 group_choices.append([t.args[i]])
                 continue
-            per_j: list[list[tuple[Proof, Term]]] = []
+            per_j: list[list] = []
             for j, want in enumerate(labels_i):
                 if cut == (i, j):
                     per_j.append(_shortcut_premise(spec, t.args[i], want))
                 else:
-                    per_j.append(
-                        [
-                            r
-                            for r in _derive(spec, t.args[i], axioms_of, drop_last_premise, memo)
-                            if proof_label(r[0]) == want
-                        ]
-                    )
+                    per_j.append(premises(t.args[i], want))
                 if not per_j[-1]:
-                    feasible = False
                     break
-            if not feasible:
+            if not per_j[-1]:
                 break
             group_choices.append(list(product(*per_j)))
-        if not feasible:
-            continue
-        for combo in product(*group_choices):
-            args: list = []
-            ys: list = []
-            for c in combo:
-                if isinstance(c, tuple):
-                    args.append(tuple([r for r, _ in c]))
-                    ys.append([n for _, n in c])
-                else:
-                    args.append(c)
-                    ys.append(())
-            out.append((Node(rule, tuple(args)), substitute(rule.target, rule_binding(t.args, ys))))
-    memo[t] = tuple(out)
-    return memo[t]
+        else:
+            for combo in product(*group_choices):
+                ys = [[n for _, n in c] if isinstance(c, tuple) else () for c in combo]
+                yield rule, combo, substitute(rule.target, rule_binding(t.args, ys))
 
 
 def _last_premise_index(rule) -> tuple[int, int]:

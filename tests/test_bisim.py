@@ -11,13 +11,16 @@ from gsos.bisim import (
     congruence_test,
     enumerate_contexts,
     k_bisimilar,
+    lean_successors,
+    proof_successors,
     reachable_fragment,
     refinement_fixpoint,
     relation_presheaf,
+    sample_contexts,
     stratified_partition,
 )
 from gsos.errors import DuplicateId, FuelTooSmall, UnknownState
-from gsos.presheaf import labelset, make_presheaf
+from gsos.presheaf import Presheaf, labelset, make_presheaf
 from gsos.terms import (
     HOLE,
     App,
@@ -40,7 +43,7 @@ def T(ccs, text):
 
 
 def test_fragment_nil(ccs):
-    frag = reachable_fragment(ccs, [T(ccs, "nil")], 5)
+    frag = reachable_fragment(ccs, [T(ccs, "nil")], 5, lean_successors(ccs, False, {}))
     assert frag.carrier.size() == (1, 0)
     assert frag.definitive
 
@@ -48,7 +51,9 @@ def test_fragment_nil(ccs):
 def test_fragment_parallel_pair_golden(ccs):
     """Hand run: one a_bar, one a and one tau move from the root, then the
     two residues each make their remaining move into par(nil,nil)."""
-    frag = reachable_fragment(ccs, [T(ccs, "par(pref_a_bar(nil),pref_a(nil))")], 2)
+    frag = reachable_fragment(
+        ccs, [T(ccs, "par(pref_a_bar(nil),pref_a(nil))")], 2, lean_successors(ccs, False, {})
+    )
     assert len(frag.carrier.states) == 4
     assert frag.carrier.size()[1] == 5
     root = "par(pref_a_bar(nil),pref_a(nil))"
@@ -64,7 +69,7 @@ def test_fragment_monotone_in_fuel(ccs):
     t = T(ccs, "par(pref_a_bar(nil),pref_a(nil))")
     prev = set()
     for fuel in range(4):
-        frag = reachable_fragment(ccs, [t], fuel)
+        frag = reachable_fragment(ccs, [t], fuel, lean_successors(ccs, False, {}))
         states = frag.carrier.state_set()
         assert prev <= states
         prev = states
@@ -72,31 +77,31 @@ def test_fragment_monotone_in_fuel(ccs):
 
 def test_fragment_rejects_open_terms(ccs):
     with pytest.raises(UnknownState):
-        reachable_fragment(ccs, [Var("x")], 2)
+        reachable_fragment(ccs, [Var("x")], 2, lean_successors(ccs, False, {}))
 
 
 def test_k_bisimilar_reflexive(ccs):
-    frag = reachable_fragment(ccs, [T(ccs, "pref_a(nil)")], 3)
+    frag = reachable_fragment(ccs, [T(ccs, "pref_a(nil)")], 3, lean_successors(ccs, False, {}))
     for k in range(4):
         assert k_bisimilar(frag.carrier, "pref_a(nil)", "pref_a(nil)", k)
 
 
 def test_sum_idempotent_pair(ccs):
     u, v = T(ccs, "sum(pref_a(nil),pref_a(nil))"), T(ccs, "pref_a(nil)")
-    frag = reachable_fragment(ccs, [u, v], 4)
+    frag = reachable_fragment(ccs, [u, v], 4, lean_successors(ccs, False, {}))
     for k in range(5):
         assert k_bisimilar(frag.carrier, render(u), render(v), k)
 
 
 def test_label_mismatch_at_stratum_one(ccs):
     u, v = T(ccs, "pref_a(nil)"), T(ccs, "pref_a_bar(nil)")
-    frag = reachable_fragment(ccs, [u, v], 2)
+    frag = reachable_fragment(ccs, [u, v], 2, lean_successors(ccs, False, {}))
     assert k_bisimilar(frag.carrier, render(u), render(v), 0)
     assert not k_bisimilar(frag.carrier, render(u), render(v), 1)
 
 
 def test_unknown_state_rejected(ccs):
-    frag = reachable_fragment(ccs, [T(ccs, "nil")], 1)
+    frag = reachable_fragment(ccs, [T(ccs, "nil")], 1, lean_successors(ccs, False, {}))
     with pytest.raises(UnknownState):
         k_bisimilar(frag.carrier, "nil", "missing", 1)
 
@@ -194,6 +199,7 @@ def test_refinement_fixpoint_classes_form_a_bisimulation(ccs):
         ccs,
         [T(ccs, "par(pref_a_bar(nil),pref_a(nil))"), T(ccs, "sum(pref_a(nil),pref_a(nil))")],
         5,
+        lean_successors(ccs, False, {}),
     )
     assert frag.definitive
     block = refinement_fixpoint(frag.carrier)
@@ -373,7 +379,7 @@ def test_reachable_fragment_matches_oracle_on_shared_subterms(ccs, drop, seeds, 
 
 
 def _assert_fragment_matches_oracle(ccs, seeds, fuel, drop):
-    frag = reachable_fragment(ccs, seeds, fuel, drop_last_premise=drop)
+    frag = reachable_fragment(ccs, seeds, fuel, proof_successors(ccs, drop))
     states, edges, src, tgt, frontier = _fragment_oracle(ccs, seeds, fuel, drop)
     X = frag.carrier
     assert list(X.states) == states
@@ -382,3 +388,156 @@ def _assert_fragment_matches_oracle(ccs, seeds, fuel, drop):
         assert dict(X.src[a]) == src[a]
         assert dict(X.tgt[a]) == tgt[a]
     assert frag.frontier == frontier
+
+
+def _stratified_partition_oracle(X, k):
+    """stratified_partition as it was: every round reads the out-edges again."""
+    block = {x: 0 for x in X.states}
+    history = [dict(block)]
+    for _ in range(k):
+        sig = {}
+        for x in X.states:
+            sig[x] = frozenset(
+                (a, block[X.tgt[a][e]]) for a in X.labels for e in X.out_edges(x, a)
+            )
+        canon = {}
+        new_block = {}
+        for x in X.states:
+            key = (block[x], sig[x])
+            if key not in canon:
+                canon[key] = len(canon)
+            new_block[x] = canon[key]
+        if new_block == block:
+            history.append(dict(new_block))
+            block = new_block
+            break
+        block = new_block
+        history.append(dict(block))
+    while len(history) <= k:
+        history.append(dict(block))
+    return history
+
+
+def _random_seeds(ccs, seed, count):
+    rng = random.Random(seed)
+    return [random_term(ccs, rng, (), rng.randint(0, 4)) for _ in range(count)]
+
+
+def _oracle_carrier(spec, seeds, fuel, drop):
+    states, edges, src, tgt, frontier = _fragment_oracle(spec, seeds, fuel, drop)
+    return make_presheaf(spec.labels, tuple(states), edges, src, tgt), frontier
+
+
+def _triples(X: Presheaf):
+    return [(X.src[a][e], a, X.tgt[a][e]) for a in X.labels for e in X.edges[a]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems(), st.integers(min_value=0, max_value=6))
+def test_stratified_partition_matches_per_round_oracle(X, k):
+    assert stratified_partition(X, k) == _stratified_partition_oracle(X, k)
+
+
+@pytest.mark.parametrize("drop", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    count=st.integers(min_value=1, max_value=3),
+    fuel=st.integers(min_value=0, max_value=4),
+)
+def test_lean_fragment_matches_proof_oracle(ccs, drop, seed, count, fuel):
+    _assert_lean_matches_oracle(ccs, _random_seeds(ccs, seed, count), fuel, drop)
+
+
+@pytest.mark.parametrize("drop", [False, True])
+@pytest.mark.parametrize(
+    "seeds, fuel",
+    [
+        (["bang(par(pref_a(nil),pref_a_bar(nil)))", "bang(par(pref_a_bar(nil),pref_a(nil)))"], 5),
+        (
+            [
+                "par(par(bang(sum(pref_a(pref_tau(nil)),pref_a_bar(nil))),pref_a(pref_a_bar(nil))),"
+                "sum(pref_a_bar(nil),pref_tau(pref_a(nil))))"
+            ],
+            4,
+        ),
+    ],
+)
+def test_lean_fragment_matches_proof_oracle_on_shared_subterms(ccs, drop, seeds, fuel):
+    _assert_lean_matches_oracle(ccs, [T(ccs, s) for s in seeds], fuel, drop)
+
+
+def _assert_lean_matches_oracle(ccs, seeds, fuel, drop):
+    """Lean fragments hold the oracle's states in order, its frontier, each
+    of its distinct (src, label, tgt) triples exactly once, and refine to
+    the same strata, before and after the refiner reads successors once."""
+    frag = reachable_fragment(ccs, seeds, fuel, lean_successors(ccs, drop, {}))
+    Y, frontier = _oracle_carrier(ccs, seeds, fuel, drop)
+    X = frag.carrier
+    assert X.states == Y.states
+    assert frag.frontier == frontier
+    lean = _triples(X)
+    assert len(lean) == len(set(lean))
+    assert set(lean) == set(_triples(Y))
+    for k in range(fuel + 1):
+        want = _stratified_partition_oracle(Y, k)
+        assert stratified_partition(X, k) == want
+        assert stratified_partition(Y, k) == want
+
+
+def test_stratified_partition_matches_oracle_on_bang_swap(ccs):
+    """The 830-state fragment of the benchmark's largest bisim query."""
+    t1 = T(ccs, "bang(par(pref_a(nil),pref_a_bar(nil)))")
+    t2 = T(ccs, "bang(par(pref_a_bar(nil),pref_a(nil)))")
+    X = reachable_fragment(ccs, [t1, t2], 7, lean_successors(ccs, False, {})).carrier
+    assert len(X.states) == 830
+    for k in range(8):
+        assert stratified_partition(X, k) == _stratified_partition_oracle(X, k)
+
+
+def _congruence_oracle_cases(spec, pairs, contexts, k, fuel, drop):
+    """Each case decided on its own proof-named fragment, as before steps."""
+    cases = []
+    for u, v in pairs:
+        for c in contexts:
+            cu, cv = substitute(c, {HOLE: u}), substitute(c, {HOLE: v})
+            Y, frontier = _oracle_carrier(spec, [cu, cv], fuel, drop)
+            cases.append(
+                {
+                    "pair": [render(u), render(v)],
+                    "context": render(c),
+                    "preserved": k_bisimilar(Y, render(cu), render(cv), k),
+                    "definitive": not frontier,
+                    "states": len(Y.states),
+                }
+            )
+    return cases
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_congruence_per_pair_memo_matches_fresh_memo_per_case(ccs, seed):
+    """The honest and the mutated run back to back on the same pairs each
+    give the cases of a fresh memo per case and of the proof oracle."""
+    rng = random.Random(seed)
+    pairs = [
+        (
+            T(ccs, "par(pref_a_bar(nil),sum(pref_a(nil),pref_a(nil)))"),
+            T(ccs, "par(pref_a_bar(nil),pref_a(nil))"),
+        ),
+        (T(ccs, "sum(pref_a(nil),pref_a(nil))"), T(ccs, "pref_a(nil)")),
+    ]
+    contexts = sample_contexts(ccs, 2, 12, rng)
+    reports = []
+    for drop in (False, True):
+        rep = congruence_test(ccs, pairs, contexts, 3, 4, drop_last_premise=drop)
+        fresh = [
+            case
+            for u, v in pairs
+            for c in contexts
+            for case in congruence_test(ccs, [(u, v)], [c], 3, 4, drop_last_premise=drop)["cases"]
+        ]
+        assert rep["cases"] == fresh
+        assert rep["violations"] == [case for case in fresh if not case["preserved"]]
+        assert rep["cases"] == _congruence_oracle_cases(ccs, pairs, contexts, 3, 4, drop)
+        reports.append(rep)
+    assert reports[0]["ok"] and not reports[1]["ok"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsos import bundled_spec_path
-from gsos.bisim import RelationOnStates, reachable_fragment, relation_presheaf
+from gsos.bisim import RelationOnStates, proof_successors, reachable_fragment, relation_presheaf
 from gsos.cellular import cell_certificate, random_functional_bisim, replay_certificate
 from gsos.errors import (
     DanglingEdge,
@@ -588,7 +588,7 @@ def test_internal_builders_pass_the_checked_constructors(ccs, seed, d):
         TT = truncated_free_squared(ccs, Z, d)
         _assert_rebuilds(T[0], TT[0], eta(Z, T[0]), window_map(TT, T[0], mu))
     seed_term = random_term(ccs, rng, (), 3)
-    _assert_rebuilds(reachable_fragment(ccs, [seed_term], 2).carrier)
+    _assert_rebuilds(reachable_fragment(ccs, [seed_term], 2, proof_successors(ccs)).carrier)
 
     elem = random_layer_element(ccs, X, rng, 1, 2, "proof")
     shape = to_terminal(elem)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsos.bisim import reachable_fragment
+from gsos.bisim import lean_successors, reachable_fragment
 from gsos.cli import run_cases
 from gsos.errors import GsosError, MalformedProof, UnknownLabel, UnknownOperation
 from gsos.presheaf import (
@@ -718,7 +718,9 @@ def test_derive_memo_freed_without_cyclic_gc(ccs, build):
     X = representable(ccs.labels, "a")
     run = {
         "derive": lambda: derive(ccs, t),
-        "reachable_fragment": lambda: reachable_fragment(ccs, [t], 4),
+        "reachable_fragment": lambda: reachable_fragment(
+            ccs, [t], 4, lean_successors(ccs, False, {})
+        ),
         "truncated_free_squared": lambda: truncated_free_squared(ccs, X, 1),
     }[build]
     run()

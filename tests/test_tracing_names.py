@@ -1,5 +1,6 @@
-"""The benchmark tracer finds every function it is told to wrap, and a traced
-pass of every workload still runs and answers right.
+"""The benchmark tracer finds every function it is told to wrap, a traced
+pass of every workload still runs and answers right, and untraced passes of
+the bisim workloads print the recorded reports at the first eight seeds.
 
 perfbench/tracing.py only warns when a traced name is missing and then
 reports 0 for that layer, so a rename in gsos would silently blind it; its
@@ -7,8 +8,10 @@ counter hooks read the results of the functions they wrap, so a change to
 a return shape would crash a traced run.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -16,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from gsos.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,7 +51,7 @@ def test_every_traced_name_resolves_to_a_gsos_callable():
 POSITIVE_COUNTERS = {
     "cartesian-d2": ("terms.window_states", "terms.derive.proofs"),
     "bisim-deep": ("bisim.fragment_states", "terms.derive.proofs"),
-    "congruence-batch": ("bisim.fragment_states", "terms.derive.proofs"),
+    "congruence-batch": ("bisim.fragment_states", "bisim.fragment_edges"),
     "suites-small": ("terms.derive.proofs",),
 }
 
@@ -79,3 +84,19 @@ def test_traced_small_pass_runs_and_answers(workload):
     assert end["missing"] == []
     for counter in POSITIVE_COUNTERS[workload]:
         assert end["trace"][counter] > 0, counter
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("workload", ["congruence-batch", "bisim-deep"])
+def test_untraced_small_pass_prints_recorded_reports(workload, seed, monkeypatch):
+    workloads = _load("workloads")
+    answers = workloads.load_answers()
+    monkeypatch.chdir(PERFBENCH.parent)
+    monkeypatch.delenv("GSOS_SEED", raising=False)
+    for op in workloads.WORKLOADS[workload](seed, "small"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(op.argv))
+        want = workloads.recorded_digest(answers, workload, "small", op, seed)
+        assert want is not None
+        assert workloads.check(op, code, out.getvalue(), want) == [], op.name
