@@ -15,7 +15,6 @@ or decreases, so a single bound threads through the whole pipeline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -44,7 +43,7 @@ from .presheaf import (
     colimit,
     compose,
     is_functional_bisimulation,
-    presheaf_to_json,
+    presheaf_doc,
     pullback_report,
     representable,
     source_inclusion,
@@ -98,9 +97,9 @@ class CellCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "base": json.loads(presheaf_to_json(self.claimed_composite.dom)),
+            "base": presheaf_doc(self.claimed_composite.dom),
             "steps": [s.to_dict() for s in self.steps],
-            "codomain": json.loads(presheaf_to_json(self.claimed_composite.cod)),
+            "codomain": presheaf_doc(self.claimed_composite.cod),
         }
 
 

@@ -38,9 +38,9 @@ from .presheaf import (
     Presheaf,
     compose,
     morphism_from_json,
+    presheaf_doc,
     presheaf_from_json,
     presheaf_to_dot,
-    presheaf_to_json,
     representable,
     terminal,
 )
@@ -135,7 +135,7 @@ def cmd_lts(args) -> int:
         sys.stdout.write(presheaf_to_dot(frag.carrier))
         return 0
     doc = {
-        "carrier": json.loads(presheaf_to_json(frag.carrier)),
+        "carrier": presheaf_doc(frag.carrier),
         "frontier": sorted(frag.frontier),
         "states": len(frag.carrier.states),
         "transitions": frag.carrier.size()[1],
@@ -190,7 +190,7 @@ def cmd_decompose(args) -> int:
     doc = {
         "shape": render(dec.shape),
         "object": STAR if isinstance(dec.shape, (Var, App)) else proof_label(dec.shape),
-        "arity": json.loads(presheaf_to_json(dec.arity)),
+        "arity": presheaf_doc(dec.arity),
         "filler": {
             "states": dict(dec.filler.state_map),
             "edges": {a: dict(dec.filler.edge_maps[a]) for a in X.labels if dec.filler.edge_maps[a]},

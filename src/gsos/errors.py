@@ -55,10 +55,6 @@ class FuelTooSmall(GsosError):
     pass
 
 
-class EmptyLabelClass(GsosError):
-    pass
-
-
 class MalformedSystem(GsosError):
     """An input document is not of the expected form."""
 

@@ -170,9 +170,7 @@ def make_presheaf(
         if a not in labels:
             raise UnknownLabel(f"edge label {a!r} not declared")
     state_set = set(states)
-    out_edges: dict[str, tuple[str, ...]] = {}
-    out_src: dict[str, dict[str, str]] = {}
-    out_tgt: dict[str, dict[str, str]] = {}
+    arrows: list[tuple[str, str, str, str]] = []
     seen: set[str] = set()
     for a in labels:
         es = tuple(edges.get(a, ()))
@@ -191,10 +189,8 @@ def make_presheaf(
                 raise DanglingEdge(f"edge {e!r}: src {sa[e]!r} is not a state")
             if ta[e] not in state_set:
                 raise DanglingEdge(f"edge {e!r}: tgt {ta[e]!r} is not a state")
-        out_edges[a] = es
-        out_src[a] = {e: sa[e] for e in es}
-        out_tgt[a] = {e: ta[e] for e in es}
-    return Presheaf(labels, states, out_edges, out_src, out_tgt)
+            arrows.append((a, e, sa[e], ta[e]))
+    return _system(labels, states, arrows)
 
 
 def _system(
@@ -625,8 +621,9 @@ def _pair_system(
 # Serialisation.
 
 
-def presheaf_to_json(X: Presheaf) -> str:
-    doc = {
+def presheaf_doc(X: Presheaf) -> dict:
+    """The JSON document of a system: its labels, states and edge records."""
+    return {
         "labels": list(X.labels),
         "states": list(X.states),
         "edges": {
@@ -634,7 +631,10 @@ def presheaf_to_json(X: Presheaf) -> str:
             for a in X.labels
         },
     }
-    return json.dumps(doc, separators=(",", ":"))
+
+
+def presheaf_to_json(X: Presheaf) -> str:
+    return json.dumps(presheaf_doc(X), separators=(",", ":"))
 
 
 def presheaf_from_json(text: str) -> Presheaf:
@@ -720,8 +720,8 @@ def _presheaf_from_doc(doc, where: str) -> Presheaf:
 
 def morphism_to_json(f: PresheafMorphism) -> str:
     doc = {
-        "dom": json.loads(presheaf_to_json(f.dom)),
-        "cod": json.loads(presheaf_to_json(f.cod)),
+        "dom": presheaf_doc(f.dom),
+        "cod": presheaf_doc(f.cod),
         "states": {x: f.state_map[x] for x in f.dom.states},
         "edges": {a: {e: f.edge_maps[a][e] for e in f.dom.edges[a]} for a in f.dom.labels},
     }

@@ -13,11 +13,12 @@ Grammar (statements end with `;`, comments start with `#`, files use the
 The brackets around the `forall` clause are optional.  A rule may range
 over several label variables (`forall L in Act, K in Act`); expansion takes
 the Cartesian product over the declared classes, in declaration order.
-Premise subjects must be the conclusion variables x1..xn; the premise for
-argument i, position j binds exactly y{i}_{j}.  The conclusion source must
-be the operation applied to x1..xn in order — anything else is rejected,
-which is precisely the format gate that keeps every generated system
-well-behaved.
+Labels, class names, operations and rule names are each declared once.
+Premise subjects must be literally the conclusion variables x1..xn (``x01``
+is refused); the premise for argument i, position j binds exactly y{i}_{j}.
+The conclusion source must be the operation applied to x1..xn in order —
+anything else is rejected, which is precisely the format gate that keeps
+every generated system well-behaved.
 
 Schematic rule families (one rule per channel name, etc.) are finitized
 here by label classes plus template expansion; the label set is finite and
@@ -27,12 +28,12 @@ declared up front so every downstream check stays decidable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
-from .errors import EmptyLabelClass, MalformedProof, SpecParseError, UnknownOperation
+from .errors import MalformedProof, SpecParseError, UnknownOperation
 from .presheaf import LabelSet
 from .terms import App, Term, Var, term_vars
 
@@ -54,13 +55,7 @@ class Violation:
         return f"{self.kind} at {where}{who}: {self.message}"
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "message": self.message,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -69,14 +64,17 @@ class Signature:
 
     operations: tuple[tuple[str, int], ...]
 
+    @cached_property
+    def arities(self) -> dict[str, int]:
+        return dict(self.operations)
+
     def has(self, op: str) -> bool:
-        return any(f == op for f, _ in self.operations)
+        return op in self.arities
 
     def arity(self, op: str) -> int:
-        for f, n in self.operations:
-            if f == op:
-                return n
-        raise UnknownOperation(f"operation {op!r} not declared")
+        if op not in self.arities:
+            raise UnknownOperation(f"operation {op!r} not declared")
+        return self.arities[op]
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,6 @@ class Premise:
 class RuleTemplate:
     name: str
     foralls: tuple[tuple[str, str], ...]
-    op: str
     premises: tuple[Premise, ...]
     conclusion_source: Term
     conclusion_label: str
@@ -129,6 +126,11 @@ class GsosSpec:
     label_classes: tuple[tuple[str, tuple[str, ...]], ...]
     signature: Signature
     templates: tuple[RuleTemplate, ...]
+
+    @cached_property
+    def _checks(self) -> tuple[tuple[list[Violation], tuple[tuple[str, ...], ...]], ...]:
+        """Each template's violations and its premise labels grouped by argument."""
+        return tuple(_check_template(self, tpl) for tpl in self.templates)
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
@@ -147,12 +149,6 @@ class GsosSpec:
             if r.name == name:
                 return r
         raise MalformedProof(f"no rule named {name!r}")
-
-    def label_class(self, name: str) -> tuple[str, ...]:
-        for n, members in self.label_classes:
-            if n == name:
-                return members
-        raise EmptyLabelClass(f"label class {name!r} not declared")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +205,6 @@ class _Parser:
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.i = 0
-        self.errs: list[Violation] = []
 
     def peek(self) -> Optional[_Tok]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -218,46 +213,38 @@ class _Parser:
         t = self.peek()
         return t is not None and t.text == text
 
-    def take(self) -> _Tok:
+    def accept(self, text: str) -> bool:
+        """Take the next token if its text is ``text``."""
+        if self.at(text):
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, want: str) -> _Tok:
+        """Take the next token, which must be of kind ``want`` if that names a
+        kind ("ident" or "nat"), or else have the text ``want``."""
         t = self.peek()
-        if t is None:
-            raise _Bail(Violation("SyntaxError", "unexpected end of input"))
+        is_kind = want in ("ident", "nat")
+        if t is None or (t.kind if is_kind else t.text) != want:
+            got = t.text if t else "end of input"
+            shown = want if is_kind else repr(want)
+            where = (t.line, t.col) if t else (0, 0)
+            raise _Bail(Violation("SyntaxError", f"expected {shown}, got {got!r}", *where))
         self.i += 1
         return t
 
-    def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if t is None or t.text != text:
-            got = t.text if t else "end of input"
-            raise _Bail(
-                Violation(
-                    "SyntaxError",
-                    f"expected {text!r}, got {got!r}",
-                    t.line if t else 0,
-                    t.col if t else 0,
-                )
-            )
-        return self.take()
+    def ident(self) -> str:
+        return self.expect("ident").text
 
-    def expect_kind(self, kind: str) -> _Tok:
-        t = self.peek()
-        if t is None or t.kind != kind:
-            got = t.text if t else "end of input"
-            raise _Bail(
-                Violation(
-                    "SyntaxError",
-                    f"expected {kind}, got {got!r}",
-                    t.line if t else 0,
-                    t.col if t else 0,
-                )
-            )
-        return self.take()
+    def comma_list(self, item: Callable) -> Iterator:
+        """Yield ``item()``, then once more after each comma."""
+        yield item()
+        while self.accept(","):
+            yield item()
 
     def skip_past_semicolon(self):
-        while self.peek() is not None and not self.at(";"):
-            self.take()
-        if self.at(";"):
-            self.take()
+        while self.peek() is not None and not self.accept(";"):
+            self.i += 1
 
 
 class _Bail(Exception):
@@ -266,20 +253,12 @@ class _Bail(Exception):
 
 
 def _parse_rule_term(p: _Parser) -> Term:
-    head = p.expect_kind("ident")
-    if p.at("("):
-        p.take()
-        args = []
-        if not p.at(")"):
-            args.append(_parse_rule_term(p))
-            while p.at(","):
-                p.take()
-                args.append(_parse_rule_term(p))
+    head = p.ident()
+    if p.accept("("):
+        args = () if p.at(")") else tuple(p.comma_list(lambda: _parse_rule_term(p)))
         p.expect(")")
-        return App(head.text, tuple(args))
-    if re.fullmatch(r"x\d+|y\d+_\d+", head.text):
-        return Var(head.text)
-    return App(head.text, ())
+        return App(head, args)
+    return Var(head) if re.fullmatch(r"x\d+|y\d+_\d+", head) else App(head, ())
 
 
 def parse_spec(text: str) -> GsosSpec:
@@ -290,43 +269,33 @@ def parse_spec(text: str) -> GsosSpec:
     classes: list[tuple[str, tuple[str, ...]]] = []
     ops: list[tuple[str, int]] = []
     templates: list[RuleTemplate] = []
-    errs = list(errs)
 
     while p.peek() is not None:
         t = p.peek()
         try:
-            if t.text == "labels":
-                p.take()
-                labels.append(p.expect_kind("ident").text)
-                while p.at(","):
-                    p.take()
-                    labels.append(p.expect_kind("ident").text)
+            if p.accept("labels"):
+                # the labels read before an error in the list still count
+                for name in p.comma_list(p.ident):
+                    labels.append(name)
                 p.expect(";")
-            elif t.text == "class":
-                p.take()
-                name = p.expect_kind("ident").text
+            elif p.accept("class"):
+                name = p.ident()
                 p.expect("=")
                 p.expect("{")
-                members = [p.expect_kind("ident").text]
-                while p.at(","):
-                    p.take()
-                    members.append(p.expect_kind("ident").text)
+                members = tuple(p.comma_list(p.ident))
                 p.expect("}")
                 p.expect(";")
-                classes.append((name, tuple(members)))
-            elif t.text == "op":
-                p.take()
-                name = p.expect_kind("ident").text
+                classes.append((name, members))
+            elif p.accept("op"):
+                name = p.ident()
                 p.expect(":")
-                arity = int(p.expect_kind("nat").text)
+                arity = int(p.expect("nat").text)
                 p.expect(";")
                 ops.append((name, arity))
-            elif t.text == "rule":
+            elif p.at("rule"):
                 templates.append(_parse_rule(p))
             else:
-                raise _Bail(
-                    Violation("SyntaxError", f"unexpected {t.text!r}", t.line, t.col)
-                )
+                raise _Bail(Violation("SyntaxError", f"unexpected {t.text!r}", t.line, t.col))
         except _Bail as bail:
             errs.append(bail.violation)
             p.skip_past_semicolon()
@@ -340,12 +309,7 @@ def parse_spec(text: str) -> GsosSpec:
     if errs:
         raise SpecParseError(errs)
 
-    spec = GsosSpec(
-        labels=LabelSet(tuple(labels)),
-        label_classes=tuple(classes),
-        signature=Signature(tuple(ops)),
-        templates=tuple(templates),
-    )
+    spec = GsosSpec(LabelSet(tuple(labels)), tuple(classes), Signature(tuple(ops)), tuple(templates))
     violations = validate(spec)
     if violations:
         raise SpecParseError(violations)
@@ -355,38 +319,21 @@ def parse_spec(text: str) -> GsosSpec:
 
 def _parse_rule(p: _Parser) -> RuleTemplate:
     kw = p.expect("rule")
-    name = p.expect_kind("ident").text
-    foralls: list[tuple[str, str]] = []
-    bracketed = False
-    if p.at("["):
-        p.take()
-        bracketed = True
-    if p.at("forall"):
-        p.take()
-        v = p.expect_kind("ident").text
-        p.expect("in")
-        c = p.expect_kind("ident").text
-        foralls.append((v, c))
-        while p.at(","):
-            p.take()
-            v = p.expect_kind("ident").text
-            p.expect("in")
-            c = p.expect_kind("ident").text
-            foralls.append((v, c))
+    name = p.ident()
+    bracketed = p.accept("[")
+    foralls = tuple(p.comma_list(lambda: _parse_binding(p))) if p.accept("forall") else ()
     if bracketed:
         p.expect("]")
     p.expect(":")
 
     premises: list[Premise] = []
-    if p.at("premises"):
-        p.take()
+    if p.accept("premises"):
         while True:
-            subj = p.expect_kind("ident")
+            subj = p.expect("ident")
             p.expect("-[")
-            lab = p.expect_kind("ident").text
+            lab = p.ident()
             p.expect("]->")
-            binder = p.expect_kind("ident")
-            premises.append(Premise(subj.text, lab, binder.text, subj.line, subj.col))
+            premises.append(Premise(subj.text, lab, p.ident(), subj.line, subj.col))
             p.expect(";")
             if p.at("conclusion"):
                 break
@@ -396,21 +343,17 @@ def _parse_rule(p: _Parser) -> RuleTemplate:
     p.expect("conclusion")
     source = _parse_rule_term(p)
     p.expect("-[")
-    clabel = p.expect_kind("ident").text
+    label = p.ident()
     p.expect("]->")
     target = _parse_rule_term(p)
     p.expect(";")
-    return RuleTemplate(
-        name=name,
-        foralls=tuple(foralls),
-        op=source.op if isinstance(source, App) else "",
-        premises=tuple(premises),
-        conclusion_source=source,
-        conclusion_label=clabel,
-        target=target,
-        line=kw.line,
-        col=kw.col,
-    )
+    return RuleTemplate(name, foralls, tuple(premises), source, label, target, kw.line, kw.col)
+
+
+def _parse_binding(p: _Parser) -> tuple[str, str]:
+    var = p.ident()
+    p.expect("in")
+    return var, p.ident()
 
 
 # ---------------------------------------------------------------------------
@@ -420,126 +363,105 @@ def _parse_rule(p: _Parser) -> RuleTemplate:
 def validate(spec: GsosSpec) -> list[Violation]:
     """Check every rule invariant; an empty list means the spec is valid."""
     out: list[Violation] = []
-    declared = set(spec.labels)
-    sig = {f: n for f, n in spec.signature.operations}
-
+    sig = spec.signature.arities
     if len(sig) != len(spec.signature.operations):
         out.append(Violation("DuplicateId", "duplicate operation names"))
-    for f in sig:
-        if f in _RESERVED:
-            out.append(Violation("SyntaxError", f"operation name {f!r} is reserved"))
+    out += [Violation("SyntaxError", f"operation name {f!r} is reserved") for f in sig if f in _RESERVED]
+    class_names = set()
     for name, members in spec.label_classes:
-        if not members:
-            out.append(Violation("EmptyLabelClass", f"class {name!r} is empty"))
-        for m in members:
-            if m not in declared:
-                out.append(Violation("UnknownLabel", f"class {name!r} contains undeclared {m!r}"))
+        if name in class_names:
+            out.append(Violation("DuplicateId", f"class name {name!r} reused"))
+        class_names.add(name)
+        out += [
+            Violation("UnknownLabel", f"class {name!r} contains undeclared {m!r}")
+            for m in members
+            if m not in spec.labels
+        ]
 
-    seen_rule_names = set()
-    for tpl in spec.templates:
-        v = _validate_template(spec, tpl, declared, sig)
-        out.extend(v)
-        if tpl.name in seen_rule_names:
-            out.append(Violation("DuplicateId", f"rule name {tpl.name!r} reused", tpl.line, tpl.col, tpl.name))
+    rule_names = set()
+    for tpl, (violations, _) in zip(spec.templates, spec._checks):
+        out += violations
+        where = (tpl.line, tpl.col, tpl.name)
+        if tpl.name in rule_names:
+            out.append(Violation("DuplicateId", f"rule name {tpl.name!r} reused", *where))
         if tpl.name in _RESERVED:
-            out.append(Violation("SyntaxError", f"rule name {tpl.name!r} is reserved", tpl.line, tpl.col, tpl.name))
-        seen_rule_names.add(tpl.name)
+            out.append(Violation("SyntaxError", f"rule name {tpl.name!r} is reserved", *where))
+        rule_names.add(tpl.name)
     return out
 
 
-def _validate_template(spec, tpl: RuleTemplate, declared, sig) -> list[Violation]:
+def _check_template(
+    spec: GsosSpec, tpl: RuleTemplate
+) -> tuple[list[Violation], tuple[tuple[str, ...], ...]]:
+    """The violations of one template, and the labels of its premises grouped
+    by argument (label variables not yet substituted)."""
     out: list[Violation] = []
     err = lambda kind, msg: out.append(Violation(kind, msg, tpl.line, tpl.col, tpl.name))
 
-    label_vars = {}
+    class_names = {c for c, _ in spec.label_classes}
+    label_vars = set()
     for v, c in tpl.foralls:
         if v in label_vars:
             err("DuplicateBoundVariable", f"label variable {v!r} bound twice")
-        label_vars[v] = c
-        try:
-            spec.label_class(c)
-        except EmptyLabelClass:
+        label_vars.add(v)
+        if c not in class_names:
             err("UnknownLabel", f"label class {c!r} not declared")
+    known = lambda lab: lab in spec.labels or lab in label_vars
 
-    def label_ok(lab: str) -> bool:
-        return lab in declared or lab in label_vars
-
-    src = tpl.conclusion_source
+    src, sig = tpl.conclusion_source, spec.signature.arities
     if not isinstance(src, App) or src.op not in sig:
         err("NonGsosSource", "conclusion source must be a declared operation applied to variables")
-        return out
+        return out, ()
     n = sig[src.op]
     if len(src.args) != n:
         err("ArityMismatch", f"{src.op!r} has arity {n}, source applies it to {len(src.args)}")
-        return out
-    expected = tuple(Var(f"x{i + 1}") for i in range(n))
-    if tuple(src.args) != expected:
-        err(
-            "NonGsosSource",
-            f"conclusion source must be {src.op}({', '.join(f'x{i + 1}' for i in range(n))})",
-        )
-        return out
+        return out, ()
+    xs = [f"x{i + 1}" for i in range(n)]
+    if src.args != tuple(map(Var, xs)):
+        err("NonGsosSource", f"conclusion source must be {src.op}({', '.join(xs)})")
+        return out, ()
 
-    groups: dict[int, list[Premise]] = {i: [] for i in range(n)}
-    binders = {f"x{i + 1}" for i in range(n)}
-    order_seen: list[int] = []
+    groups: list[list[str]] = [[] for _ in range(n)]
+    binders = set(xs)
+    last = None
     for prem in tpl.premises:
         m = re.fullmatch(r"x(\d+)", prem.subject)
-        if not m:
-            err("NonGsosSource", f"premise subject {prem.subject!r} is not an argument variable")
-            continue
-        i = int(m.group(1)) - 1
-        if i < 0 or i >= n:
+        if m and "x" + m.group(1).lstrip("0") not in xs:
             err("ArityMismatch", f"premise subject {prem.subject!r} exceeds arity {n}")
             continue
-        if not label_ok(prem.label):
+        if prem.subject not in xs:
+            err("NonGsosSource", f"premise subject {prem.subject!r} is not an argument variable")
+            continue
+        i = xs.index(prem.subject)
+        if not known(prem.label):
             err("UnknownLabel", f"premise label {prem.label!r} undeclared")
-        if i not in order_seen:
-            order_seen.append(i)
-        elif order_seen and order_seen[-1] != i:
+        if groups[i] and last != i:
             # premises for one argument must be contiguous so j-order is textual
             err("NonGsosSource", f"premises for {prem.subject!r} are not contiguous")
-        j = len(groups[i])
-        want = f"y{i + 1}_{j + 1}"
+        want = f"y{i + 1}_{len(groups[i]) + 1}"
         if prem.binder in binders:
             err("DuplicateBoundVariable", f"binder {prem.binder!r} reused")
         elif prem.binder != want:
             err("SyntaxError", f"premise binder must be {want!r}, got {prem.binder!r}")
         binders.add(prem.binder)
-        groups[i].append(prem)
+        groups[i].append(prem.label)
+        last = i
 
-    if not label_ok(tpl.conclusion_label):
+    if not known(tpl.conclusion_label):
         err("UnknownLabel", f"conclusion label {tpl.conclusion_label!r} undeclared")
-
     for name in term_vars(tpl.target):
         if name not in binders:
             err("UnboundTargetVariable", f"target variable {name!r} is not bound")
-    out.extend(_check_target_ops(tpl, sig))
-    return out
-
-
-def _check_target_ops(tpl: RuleTemplate, sig) -> list[Violation]:
-    out = []
-
-    def walk(t: Term):
+    stack = [tpl.target]
+    while stack:
+        t = stack.pop()
         if isinstance(t, App):
             if t.op not in sig:
-                out.append(
-                    Violation("ArityMismatch",
-                              f"target uses undeclared operation {t.op!r}",
-                              tpl.line, tpl.col, tpl.name)
-                )
+                err("ArityMismatch", f"target uses undeclared operation {t.op!r}")
             elif sig[t.op] != len(t.args):
-                out.append(
-                    Violation("ArityMismatch",
-                              f"target applies {t.op!r} to {len(t.args)} arguments",
-                              tpl.line, tpl.col, tpl.name)
-                )
-            for a in t.args:
-                walk(a)
-
-    walk(tpl.target)
-    return out
+                err("ArityMismatch", f"target applies {t.op!r} to {len(t.args)} arguments")
+            stack.extend(reversed(t.args))
+    return out, tuple(map(tuple, groups))
 
 
 # ---------------------------------------------------------------------------
@@ -548,49 +470,20 @@ def _check_target_ops(tpl: RuleTemplate, sig) -> list[Violation]:
 
 def expand_templates(spec: GsosSpec) -> tuple[Rule, ...]:
     """Cartesian expansion of label variables, deduplicated, deterministic."""
-    rules: list[Rule] = []
-    seen_content = set()
-    for tpl in spec.templates:
-        if not tpl.foralls:
-            assignments = [()]
-        else:
-            axes = []
-            for v, c in tpl.foralls:
-                members = spec.label_class(c)
-                if not members:
-                    raise EmptyLabelClass(f"class {c!r} is empty")
-                axes.append([(v, m) for m in members])
-            assignments = list(product(*axes))
-        for assignment in assignments:
+    classes = dict(spec.label_classes)
+    rules: dict[tuple, Rule] = {}
+    for tpl, (_, groups) in zip(spec.templates, spec._checks):
+        op = tpl.conclusion_source.op
+        for assignment in product(*([(v, m) for m in classes[c]] for v, c in tpl.foralls)):
             env = dict(assignment)
-            subst = lambda lab: env.get(lab, lab)
-            n = len(tpl.conclusion_source.args) if isinstance(tpl.conclusion_source, App) else 0
-            groups: list[list[str]] = [[] for _ in range(n)]
-            for prem in tpl.premises:
-                i = int(re.fullmatch(r"x(\d+)", prem.subject).group(1)) - 1
-                groups[i].append(subst(prem.label))
-            premise_labels = tuple(tuple(g) for g in groups)
-            label = subst(tpl.conclusion_label)
-            if assignment:
+            premise_labels = tuple(tuple(env.get(lab, lab) for lab in g) for g in groups)
+            label = env.get(tpl.conclusion_label, tpl.conclusion_label)
+            content = (op, label, premise_labels, tpl.target)
+            if content not in rules:
                 suffix = ",".join(f"{v}={m}" for v, m in assignment)
-                name = f"{tpl.name}[{suffix}]"
-            else:
-                name = tpl.name
-            content = (tpl.op, label, premise_labels, tpl.target)
-            if content in seen_content:
-                continue
-            seen_content.add(content)
-            rules.append(
-                Rule(
-                    name=name,
-                    base_name=tpl.name,
-                    op=tpl.op,
-                    label=label,
-                    premise_labels=premise_labels,
-                    target=tpl.target,
-                )
-            )
-    return tuple(rules)
+                name = f"{tpl.name}[{suffix}]" if assignment else tpl.name
+                rules[content] = Rule(name, tpl.name, op, label, premise_labels, tpl.target)
+    return tuple(rules.values())
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,11 @@ INLINE = [
     "rule r [forall L in Act] : conclusion k -[a]-> k ;\n",
     "\nlabels a ;\nop var : 1 ;\nrule r : premises x1 -[a]-> y1_1 ; conclusion var(x1) -[a]-> y1_1 ;\n",
     *(f"labels a ;\nop p : 1 ;\nrule {name} : conclusion p(x1) -[a]-> x1 ;\n" for name in ("ax", "term")),
+    "labels a ;\nop f : 2 ;\nrule r : premises x1 -[a]-> y1_1 ; x2 -[a]-> y2_1 ; x1 -[a]-> y1_2 ;"
+    " conclusion f(x1,x2) -[a]-> x1 ;\n",
+    "labels a ;\nclass C = { a } ;\nop f : 1 ;\nrule r [forall L in C, L in C] : conclusion f(x1) -[L]-> x1 ;\n",
+    "labels a ;\nop f : 1 ;\nrule r : premises x1 -[a]-> y1_1 ;\n",
+    "labels a ; $\n",
 ]
 
 

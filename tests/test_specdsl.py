@@ -1,6 +1,6 @@
 import pytest
 
-from gsos.errors import EmptyLabelClass, SpecParseError
+from gsos.errors import SpecParseError
 from gsos.specdsl import parse_spec, pretty_print, validate
 from gsos.terms import App, Var
 
@@ -99,6 +99,49 @@ rule bad : premises x3 -[a]-> y3_1 ; conclusion f(x1,x2) -[a]-> x1 ;
     assert "ArityMismatch" in kinds(exc.value)
 
 
+@pytest.mark.parametrize(
+    "subject, kind",
+    [
+        ("x01", "NonGsosSource"),
+        ("x0", "ArityMismatch"),
+        ("x3", "ArityMismatch"),
+        pytest.param("x" + "1" * 5000, "ArityMismatch", id="x-5000-digits"),
+    ],
+)
+def test_premise_subject_is_literally_an_argument_variable(subject, kind):
+    text = f"""
+labels a ;
+op f : 2 ;
+rule bad : premises {subject} -[a]-> y1_1 ; conclusion f(x1,x2) -[a]-> x1 ;
+"""
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec(text)
+    assert [v.kind for v in exc.value.violations] == [kind]
+
+
+# Checks that no single-token edit of ccs.gsos reaches.
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        (
+            "labels a ;\nop f : 2 ;\nrule r : premises x1 -[a]-> y1_1 ; x2 -[a]-> y2_1 ; x1 -[a]-> y1_2 ;"
+            " conclusion f(x1,x2) -[a]-> x1 ;\n",
+            "NonGsosSource",
+        ),
+        (
+            "labels a ;\nclass C = { a } ;\nop f : 1 ;\nrule r [forall L in C, L in C] : conclusion f(x1) -[L]-> x1 ;\n",
+            "DuplicateBoundVariable",
+        ),
+        ("labels a ;\nop f : 1 ;\nrule r : premises x1 -[a]-> y1_1 ;\n", "SyntaxError"),
+        ("labels a ; $\n", "SyntaxError"),
+    ],
+)
+def test_rule_checks_beyond_ccs_mutants(text, kind):
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec(text)
+    assert [v.kind for v in exc.value.violations] == [kind]
+
+
 def test_unbound_target_variable():
     text = """
 labels a ;
@@ -192,7 +235,20 @@ rule r [forall L in Act] : premises x1 -[L]-> y1_1 ; conclusion f(x1) -[L]-> y1_
 """
     with pytest.raises(SpecParseError) as exc:
         parse_spec(text)
-    assert "SyntaxError" in kinds(exc.value) or "EmptyLabelClass" in kinds(exc.value)
+    assert kinds(exc.value) == {"SyntaxError"}
+
+
+def test_duplicate_label_class_rejected():
+    text = """
+labels a, b ;
+class Act = { a } ;
+class Act = { b } ;
+op f : 1 ;
+rule r [forall L in Act] : premises x1 -[L]-> y1_1 ; conclusion f(x1) -[L]-> y1_1 ;
+"""
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec(text)
+    assert [v.kind for v in exc.value.violations] == ["DuplicateId"]
 
 
 def test_round_trip_bundled(ccs, toy):
