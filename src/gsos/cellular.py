@@ -50,6 +50,8 @@ from .presheaf import (
     terminal,
 )
 from .terms import (
+    MU_LEAVES,
+    TERMINAL_LEAVES,
     App,
     Axiom,
     Node,
@@ -58,7 +60,7 @@ from .terms import (
     Term,
     Var,
     eta,
-    map_leaves,
+    lift_leaves,
     mu,
     proof_label,
     proof_source,
@@ -240,23 +242,25 @@ def check_mu_cartesian(spec, X: Presheaf, d: int, windows: tuple) -> dict:
     builds them once.
     """
     T_X, T_1 = windows
-    TT_X = truncated_free_squared(spec, X, d)
+    # Each two-layer window keeps its decode tables only until its maps are
+    # built; the presheaf is kept for the square and the report sizes.
     TT_1 = truncated_free_squared(spec, terminal(X.labels), d)
-    mu_X = window_map(TT_X, T_X[0], mu)
-    mu_1 = window_map(TT_1, T_1[0], mu)
-    t2_bang = window_map(
-        TT_X, TT_1[0], lambda e: map_leaves(e, to_terminal, lambda p, _a: to_terminal(p))
-    )
-    t_bang = window_map(T_X, T_1[0], to_terminal)
+    mu_1 = window_map(TT_1, T_1[0], *MU_LEAVES)
+    TT_1 = TT_1[0]
+    TT_X = truncated_free_squared(spec, X, d)
+    mu_X = window_map(TT_X, T_X[0], *MU_LEAVES)
+    t2_bang = window_map(TT_X, TT_1, *lift_leaves(*TERMINAL_LEAVES))
+    TT_X = TT_X[0]
+    t_bang = window_map(T_X, T_1[0], *TERMINAL_LEAVES)
     square = LiftingSquare(left=mu_X, top=t2_bang, right=mu_1, bottom=t_bang)
     per_object = pullback_report(square)
     return {
         "transformation": "mu",
         "depth": d,
         "sizes": {
-            "two_layer": TT_X[0].size(),
+            "two_layer": TT_X.size(),
             "one_layer": T_X[0].size(),
-            "two_layer_over_1": TT_1[0].size(),
+            "two_layer_over_1": TT_1.size(),
             "one_layer_over_1": T_1[0].size(),
         },
         "pullback": per_object,
@@ -273,7 +277,7 @@ def check_eta_cartesian(X: Presheaf, d: int, windows: tuple) -> dict:
     T_X, T_1 = window[0], window_1[0]
     eta_X = eta(X, T_X)
     eta_1 = eta(terminal(X.labels), T_1)
-    t_bang = window_map(window, T_1, to_terminal)
+    t_bang = window_map(window, T_1, *TERMINAL_LEAVES)
     square = LiftingSquare(left=eta_X, top=bang(X), right=eta_1, bottom=t_bang)
     per_object = pullback_report(square)
     return {

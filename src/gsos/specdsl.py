@@ -289,7 +289,12 @@ def parse_spec(text: str) -> GsosSpec:
             elif p.accept("op"):
                 name = p.ident()
                 p.expect(":")
-                arity = int(p.expect("nat").text)
+                nat = p.expect("nat")
+                try:
+                    arity = int(nat.text)
+                except ValueError:  # more digits than the interpreter converts
+                    msg = f"arity of {name!r} has too many digits ({len(nat.text)})"
+                    raise _Bail(Violation("SyntaxError", msg, nat.line, nat.col)) from None
                 p.expect(";")
                 ops.append((name, arity))
             elif p.at("rule"):

@@ -28,6 +28,14 @@ eager cache would cost time on every node and save it on few.  Equal nodes
 need not be the same object (there is no intern table); equality tries
 identity first, then tells two nodes apart by their cached hashes when both
 are known, then compares fields.
+
+Window elements share their subtrees (strata reuse subterms, derive's memo
+reuses sub-proofs), and the window code works per shared node.  A window
+map (mu, the map to 1, T(f)) is given the texts of its leaves' images and
+formats each distinct node's image text once, with the formatter render
+uses; no image tree is built.  The window's depth filter folds the
+flattened depth over the same shared nodes instead of flattening each
+element with mu and measuring it.
 """
 
 from __future__ import annotations
@@ -203,31 +211,66 @@ def render(elem: Element) -> str:
     """The canonical text of an element, computed once per node."""
     text = elem._text
     if text is None:
-        text = _render(elem)
+        text = _render(elem, render, _var_text, _ax_text)
         _set(elem, "_text", text)
     return text
 
 
-def _render(elem: Element) -> str:
+def _render(elem: Element, text: Callable, on_var: Callable, on_ax: Callable) -> str:
+    """Format one node: a leaf by ``on_var(payload)`` or ``on_ax(payload,
+    label)``, an operation or rule node around the texts ``text`` gives its
+    children.  Canonical text and image text differ only in these three."""
     if isinstance(elem, Var):
-        name = elem.name
-        return f"var({name if isinstance(name, str) else render(name)})"
+        return on_var(elem.name)
     if isinstance(elem, App):
         if not elem.args:
             return elem.op
-        return f"{elem.op}({','.join([render(t) for t in elem.args])})"
+        return f"{elem.op}({','.join([text(t) for t in elem.args])})"
     if isinstance(elem, Axiom):
-        edge = elem.edge
-        return f"ax({edge if isinstance(edge, str) else render(edge)})"
+        return on_ax(elem.edge, elem.label)
     parts: list[str] = []
     for arg in elem.args:
         if isinstance(arg, tuple):
-            parts.extend(render(r) for r in arg)
+            parts.extend([text(r) for r in arg])
         else:
-            parts.append(f"term({render(arg)})")
+            parts.append(f"term({text(arg)})")
     if not parts:
         return elem.rule.name
     return f"{elem.rule.name}({','.join(parts)})"
+
+
+def _var_text(name: Union[str, "Term"]) -> str:
+    return f"var({name if isinstance(name, str) else render(name)})"
+
+
+def _ax_text(edge: Union[str, "Proof"], _label: str) -> str:
+    return f"ax({edge if isinstance(edge, str) else render(edge)})"
+
+
+class ImageText:
+    """The text of an element's image under a leaf relabelling, with no
+    image built.
+
+    ``on_var(payload)`` and ``on_ax(payload, label)`` give the texts of the
+    leaves' images; an operation or rule node keeps its operation or rule
+    and is formatted as :func:`render` formats it.  Each distinct node is
+    formatted once per instance: the memo is keyed by node identity, so the
+    nodes asked about must stay alive as long as the instance is used.
+    """
+
+    __slots__ = ("on_var", "on_ax", "memo")
+
+    def __init__(self, on_var: Callable, on_ax: Callable):
+        self.on_var = on_var
+        self.on_ax = on_ax
+        self.memo: dict[int, str] = {}
+
+    def __call__(self, elem: Element) -> str:
+        key = id(elem)
+        text = self.memo.get(key)
+        if text is None:
+            text = self.memo[key] = _render(elem, self, self.on_var, self.on_ax)
+        return text
 
 
 def term_height(t: Term) -> int:
@@ -248,8 +291,32 @@ def proof_depth(p: Proof) -> int:
     return 1 + best
 
 
-def element_depth(elem: Element) -> int:
-    return term_height(elem) if isinstance(elem, (Var, App)) else proof_depth(elem)
+def flattened_depth(elem: Element, memo: dict) -> int:
+    """The height of a term or the depth of a proof with every layer
+    flattened: a leaf whose payload is an element counts as that payload's
+    height or depth, an ambient leaf as 0.
+
+    ``memo`` maps node ids to depths, so every node measured with it must
+    stay alive as long as the memo is used.
+    """
+    key = id(elem)
+    depth = memo.get(key)
+    if depth is None:
+        if isinstance(elem, Var):
+            depth = 0 if isinstance(elem.name, str) else flattened_depth(elem.name, memo)
+        elif isinstance(elem, Axiom):
+            depth = 0 if isinstance(elem.edge, str) else flattened_depth(elem.edge, memo)
+        else:
+            depth = 0
+            for arg in elem.args:
+                if isinstance(arg, tuple):
+                    for r in arg:
+                        depth = max(depth, flattened_depth(r, memo))
+                else:
+                    depth = max(depth, flattened_depth(arg, memo))
+            depth += 1
+        memo[key] = depth
+    return depth
 
 
 def proof_label(p: Proof) -> str:
@@ -713,27 +780,28 @@ def truncated_free(spec: "GsosSpec", X: Presheaf, d: int):
     renderings, edges canonical proof renderings.  An edge is kept only when
     its proof has depth <= d and both endpoints have height <= d.
     """
-    return _window(spec, X, d, terms_upto(spec, X.states, d), ambient_axioms(X), lambda z: z)
+    return _window(spec, X, d, terms_upto(spec, X.states, d), ambient_axioms(X))
 
 
-def _window(spec: "GsosSpec", X: Presheaf, d: int, state_terms, axioms_of, flatten):
-    """The window on the given states: every derived proof whose flattening
-    has depth <= d and a target of height <= d becomes an edge.
+def _window(spec: "GsosSpec", X: Presheaf, d: int, state_terms, axioms_of):
+    """The window on the given states: every derived proof whose flattened
+    depth is <= d, with a target of flattened height <= d, becomes an edge.
 
-    ``flatten`` maps an element of the layer to one layer over X; it
-    commutes with targets, so a flattened proof's target is the flattened
-    target that derive returned with the proof."""
+    Flattening commutes with targets, so a flattened proof's target is the
+    flattened target that derive returned with the proof.  The depths are
+    folded over derive's shared nodes, which its memo keeps alive."""
     missing = [a for a in spec.labels if a not in X.labels]
     if missing:
         raise UnknownLabel(f"the system lacks the spec's labels {missing}")
     states = tuple(render(t) for t in state_terms)
     proof_decode: dict[str, Proof] = {}
     memo: dict = {}
+    depths: dict = {}
 
     def arrows():
         for state, m in zip(states, state_terms):
             for p, n in derive(spec, m, axioms_of, _memo=memo):
-                if proof_depth(flatten(p)) > d or term_height(flatten(n)) > d:
+                if flattened_depth(p, depths) > d or flattened_depth(n, depths) > d:
                     continue
                 key = render(p)
                 proof_decode[key] = p
@@ -743,16 +811,28 @@ def _window(spec: "GsosSpec", X: Presheaf, d: int, state_terms, axioms_of, flatt
     return P, dict(zip(states, state_terms)), proof_decode
 
 
-def window_map(window, cod: Presheaf, f: Callable[[Element], Element]) -> PresheafMorphism:
+def window_map(window, cod: Presheaf, on_var: Callable, on_ax: Callable) -> PresheafMorphism:
     """The map from a (presheaf, term decode, proof decode) window to cod
-    that sends the state or edge decoding to e to the rendering of f(e)."""
+    that sends the state or edge decoding to e to the text of e's image
+    under the leaf relabelling with leaf texts ``on_var`` and ``on_ax``
+    (see :class:`ImageText`).  The window holds every node until the map is
+    built, and each distinct node's image text is formatted once."""
     P, terms, proofs = window
+    image = ImageText(on_var, on_ax)
     return _map(
         P,
         cod,
-        {key: render(f(t)) for key, t in terms.items()},
-        {a: {key: render(f(proofs[key])) for key in P.edges[a]} for a in P.labels},
+        {key: image(t) for key, t in terms.items()},
+        {a: {key: image(proofs[key]) for key in P.edges[a]} for a in P.labels},
     )
+
+
+def lift_leaves(on_var: Callable, on_ax: Callable) -> tuple[Callable, Callable]:
+    """The leaf texts of T(f) one layer up, from the leaf texts of f: each
+    leaf keeps its wrapper around the text of its payload's image.  The
+    payload images share one memo, which lives as long as the returned pair."""
+    inner = ImageText(on_var, on_ax)
+    return lambda m: f"var({inner(m)})", lambda p, _a: f"ax({inner(p)})"
 
 
 def T_on_element(f: PresheafMorphism, elem: Element) -> Element:
@@ -765,7 +845,8 @@ def T_on_morphism(spec: "GsosSpec", f: PresheafMorphism, d: int) -> PresheafMorp
     return window_map(
         truncated_free(spec, f.dom, d),
         truncated_free(spec, f.cod, d)[0],
-        lambda z: T_on_element(f, z),
+        lambda x: f"var({f.state_map[x]})",
+        lambda e, a: f"ax({f.edge_maps[a][e]})",
     )
 
 
@@ -796,18 +877,11 @@ def mu(elem: Element) -> Element:
 
 def _mu(elem: Element) -> Element:
     if isinstance(elem, Var):
-        if isinstance(elem.name, str):
-            raise MalformedProof(f"{render(elem)!r} wraps an ambient state: mu needs two layers")
-        return elem.name
+        return _mu_var(elem.name)
     if isinstance(elem, App):
         return App(elem.op, tuple(_mu(a) for a in elem.args))
     if isinstance(elem, Axiom):
-        inner = elem.edge
-        if isinstance(inner, str):
-            raise MalformedProof(f"{render(elem)!r} wraps an ambient edge: mu needs two layers")
-        if proof_label(inner) != elem.label:
-            raise MalformedProof(f"axiom label mismatch flattening {render(elem)!r}")
-        return inner
+        return _mu_ax(elem.edge, elem.label)
     return Node(
         elem.rule,
         tuple(
@@ -815,6 +889,28 @@ def _mu(elem: Element) -> Element:
             for arg in elem.args
         ),
     )
+
+
+def _mu_var(name: Union[str, Term]) -> Term:
+    """mu on a variable: the term it wraps."""
+    if isinstance(name, str):
+        raise MalformedProof(f"{render(Var(name))!r} wraps an ambient state: mu needs two layers")
+    return name
+
+
+def _mu_ax(edge: Union[str, Proof], label: str) -> Proof:
+    """mu on an axiom: the proof it wraps, which must carry its label."""
+    if isinstance(edge, str):
+        leaf = render(Axiom(edge, label))
+        raise MalformedProof(f"{leaf!r} wraps an ambient edge: mu needs two layers")
+    if proof_label(edge) != label:
+        raise MalformedProof(f"axiom label mismatch flattening {render(Axiom(edge, label))!r}")
+    return edge
+
+
+# Leaf texts for window_map: mu, and the unique map to the one-state system.
+MU_LEAVES = (lambda m: render(_mu_var(m)), lambda p, a: render(_mu_ax(p, a)))
+TERMINAL_LEAVES = (lambda _x: f"var({STAR})", lambda _e, a: f"ax({a})")
 
 
 def lift_mu(MM: Term, R: Proof) -> Proof:
@@ -871,7 +967,7 @@ def truncated_free_squared(spec: "GsosSpec", X: Presheaf, d: int):
     Returns (presheaf, term decode, proof decode) exactly like
     :func:`truncated_free`, with two-layer elements behind the keys.
     """
-    return _window(spec, X, d, two_layer_terms(spec, X, d), _layer_axioms(spec, X, 2), mu)
+    return _window(spec, X, d, two_layer_terms(spec, X, d), _layer_axioms(spec, X, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -926,7 +1022,8 @@ def random_layer_element(
     ax = _layer_axioms(spec, X, level)
     for _ in range(40):
         m = random_layer_element(spec, X, rng, level, max(budget - 1, 0), "term")
-        cands = [p for p, _ in derive(spec, m, ax) if _flat_depth(p, level) <= budget]
+        depths: dict = {}
+        cands = [p for p, _ in derive(spec, m, ax) if flattened_depth(p, depths) <= budget]
         if cands:
             return rng.choice(cands)
     if level == 1:
@@ -937,12 +1034,6 @@ def random_layer_element(
         return Axiom(e, a)
     inner = random_layer_element(spec, X, rng, level - 1, budget, "proof")
     return Axiom(inner, proof_label(inner))
-
-
-def _flat_depth(elem: Element, level: int) -> int:
-    for _ in range(level - 1):
-        elem = _mu(elem)
-    return element_depth(elem)
 
 
 def monad_law_failures(spec: "GsosSpec", rng, d: int) -> list[str]:

@@ -45,6 +45,20 @@ def test_check_empty_file(tmp_path, capsys):
     assert any(json.loads(l)["kind"] == "SyntaxError" for l in err.splitlines())
 
 
+def test_check_arity_with_too_many_digits(tmp_path, capsys):
+    """An arity longer than the interpreter's int conversion limit is a
+    syntax violation at its token, not a crash; parsing resumes after it."""
+    bad = tmp_path / "huge.gsos"
+    bad.write_text(f"labels a ; op f : {'7' * 5000} ; op g : 1 ;\n")
+    code, out, err = run_cli(["check", str(bad)], capsys)
+    assert code == 1
+    assert out == ""
+    (violation,) = [json.loads(line) for line in err.splitlines()]
+    assert violation["kind"] == "SyntaxError"
+    assert (violation["line"], violation["col"]) == (1, 19)
+    assert "too many digits" in violation["message"]
+
+
 def test_lts_nil(capsys):
     code, out, _ = run_cli(["lts", CCS, "--term", "nil", "--fuel", "3"], capsys)
     assert code == 0

@@ -53,8 +53,8 @@ from gsos.presheaf import (
 )
 from gsos.terms import Axiom, Var, parse_proof, parse_term, render
 from gsos.terms import (
+    MU_LEAVES,
     eta,
-    mu,
     proof_source,
     random_layer_element,
     random_presheaf,
@@ -586,7 +586,7 @@ def test_internal_builders_pass_the_checked_constructors(ccs, seed, d):
     for Z in (X, one):
         T = truncated_free(ccs, Z, d)
         TT = truncated_free_squared(ccs, Z, d)
-        _assert_rebuilds(T[0], TT[0], eta(Z, T[0]), window_map(TT, T[0], mu))
+        _assert_rebuilds(T[0], TT[0], eta(Z, T[0]), window_map(TT, T[0], *MU_LEAVES))
     seed_term = random_term(ccs, rng, (), 3)
     _assert_rebuilds(reachable_fragment(ccs, [seed_term], 2, proof_successors(ccs)).carrier)
 

@@ -1,6 +1,7 @@
 """The benchmark tracer finds every function it is told to wrap, a traced
 pass of every workload still runs and answers right, and untraced passes of
-the bisim workloads print the recorded reports at the first eight seeds.
+the bisim and cartesian workloads print the recorded reports at the first
+eight seeds, and a full-size cartesian pass prints its recorded report.
 
 perfbench/tracing.py only warns when a traced name is missing and then
 reports 0 for that layer, so a rename in gsos would silently blind it; its
@@ -86,17 +87,27 @@ def test_traced_small_pass_runs_and_answers(workload):
         assert end["trace"][counter] > 0, counter
 
 
-@pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("workload", ["congruence-batch", "bisim-deep"])
-def test_untraced_small_pass_prints_recorded_reports(workload, seed, monkeypatch):
+def _assert_untraced_pass_prints_recorded_reports(workload, seed, size, monkeypatch):
     workloads = _load("workloads")
     answers = workloads.load_answers()
     monkeypatch.chdir(PERFBENCH.parent)
     monkeypatch.delenv("GSOS_SEED", raising=False)
-    for op in workloads.WORKLOADS[workload](seed, "small"):
+    for op in workloads.WORKLOADS[workload](seed, size):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(list(op.argv))
-        want = workloads.recorded_digest(answers, workload, "small", op, seed)
+        want = workloads.recorded_digest(answers, workload, size, op, seed)
         assert want is not None
         assert workloads.check(op, code, out.getvalue(), want) == [], op.name
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("workload", ["congruence-batch", "bisim-deep", "cartesian-d2"])
+def test_untraced_small_pass_prints_recorded_reports(workload, seed, monkeypatch):
+    _assert_untraced_pass_prints_recorded_reports(workload, seed, "small", monkeypatch)
+
+
+def test_untraced_full_cartesian_pass_prints_recorded_report(monkeypatch):
+    """The full-size cartesian call (-d 2, the two-layer window of 3538
+    states) prints its recorded report byte for byte."""
+    _assert_untraced_pass_prints_recorded_reports("cartesian-d2", 0, "full", monkeypatch)
