@@ -15,7 +15,7 @@ or decreases, so a single bound threads through the whole pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     IncompatiblePair,
@@ -25,9 +25,8 @@ from .errors import (
 )
 from .familial import (
     Decomposition,
-    arity_label,
     decompose,
-    generic_edges,
+    generic_decomposition,
     recompose,
 )
 from .presheaf import (
@@ -41,7 +40,7 @@ from .presheaf import (
     _system,
     bang,
     colimit,
-    compose,
+    commutes,
     is_functional_bisimulation,
     presheaf_doc,
     pullback_report,
@@ -66,6 +65,7 @@ from .terms import (
     proof_source,
     random_presheaf,
     to_terminal,
+    truncated_free,
     truncated_free_squared,
     window_map,
 )
@@ -109,8 +109,14 @@ def cell_certificate(labels: LabelSet, r: Proof) -> CellCertificate:
     """Attachment sequence witnessing the source arity morphism of a shape."""
     if isinstance(r, (Var, App)):
         raise IncompatiblePair("certificates are for proof shapes")
-    steps = tuple(AttachStep(*edge) for edge in generic_edges(r))
-    return CellCertificate(steps, arity_label(labels, r))
+    return _certificate(generic_decomposition(labels, r))
+
+
+def _certificate(dec: Decomposition) -> CellCertificate:
+    """The certificate of a proof's shape, read off its decomposition: the
+    claimed composite is the source arity morphism, into the arity itself."""
+    steps = tuple(AttachStep(*edge) for edge in dec.generic_edges())
+    return CellCertificate(steps, dec.source_morphism())
 
 
 def replay_certificate(cert: CellCertificate) -> tuple[Presheaf, PresheafMorphism]:
@@ -179,7 +185,7 @@ def lift_against(
     gamma = cert.claimed_composite
     if top.dom != gamma.dom or bottom.dom != gamma.cod:
         raise NonCommutingSquare("square boundaries do not line up")
-    if compose(f, top) != compose(bottom, gamma):
+    if not commutes(f, top, bottom, gamma):
         raise NonCommutingSquare("outer square does not commute")
     X = f.dom
     k_state = {c: top.state_map[c] for c in gamma.dom.states}
@@ -198,7 +204,7 @@ def lift_against(
         k_edges[step.label][step.edge] = ex
         k_state[step.tgt] = X.tgt[step.label][ex]
     k = _map(bottom.dom, X, k_state, k_edges)
-    if compose(k, gamma) != top or compose(f, k) != bottom:
+    if not (commutes(k, gamma, top) and commutes(f, k, bottom)):
         raise NonCommutingSquare("constructed lifting fails a triangle equation")
     return k
 
@@ -218,9 +224,9 @@ def preserve_bisim_lift(f: PresheafMorphism, M: Term, R: Proof) -> Proof:
     dec_r = decompose(Y, R)
     if dec_m.shape != proof_source(terminal(X.labels), dec_r.shape):
         raise NonCommutingSquare("shapes disagree after stripping")
-    cert = cell_certificate(X.labels, dec_r.shape)
+    cert = _certificate(dec_r)
     k = lift_against(cert, f, dec_m.filler, dec_r.filler)
-    r0 = recompose(Decomposition(dec_r.shape, k), X)
+    r0 = recompose(replace(dec_r, filler=k), X)
     if T_on_element(f, r0) != R or proof_source(X, r0) != M:
         raise NonCommutingSquare("recomposed preimage fails a postcondition")
     return r0
@@ -230,28 +236,36 @@ def preserve_bisim_lift(f: PresheafMorphism, M: Term, R: Proof) -> Proof:
 # Cartesianness of the monad structure.
 
 
-def check_mu_cartesian(spec, X: Presheaf, d: int, windows: tuple) -> dict:
+def window_bang(spec, X: Presheaf, d: int) -> PresheafMorphism:
+    """The map to 1 on the depth-d one-layer windows, T_X -> T_1.
+
+    It is the bottom of both cartesianness squares, and its domain and
+    codomain are their one-layer corners, so a caller that checks both
+    builds it once.
+    """
+    T_1 = truncated_free(spec, terminal(X.labels), d)[0]
+    return window_map(truncated_free(spec, X, d), T_1, *TERMINAL_LEAVES)
+
+
+def check_mu_cartesian(spec, X: Presheaf, d: int, t_bang: PresheafMorphism) -> dict:
     """Is the flattening naturality square over 1 a pointwise pullback?
 
     Both two-layer corners are truncated by flattened depth <= d, the
     one-layer corners by depth <= d; the square is well-posed because
     flattening preserves the bound and the unique two-layer witness of a
-    compatible pair lives inside the same window.  ``windows`` are the
-    one-layer corners: the depth-d windows of :func:`truncated_free` over X
-    and over 1, which the unit square shares, so a caller that checks both
-    builds them once.
+    compatible pair lives inside the same window.  ``t_bang`` is
+    :func:`window_bang` of X at depth d, the square's bottom.
     """
-    T_X, T_1 = windows
+    T_X, T_1 = t_bang.dom, t_bang.cod
     # Each two-layer window keeps its decode tables only until its maps are
     # built; the presheaf is kept for the square and the report sizes.
     TT_1 = truncated_free_squared(spec, terminal(X.labels), d)
-    mu_1 = window_map(TT_1, T_1[0], *MU_LEAVES)
+    mu_1 = window_map(TT_1, T_1, *MU_LEAVES)
     TT_1 = TT_1[0]
     TT_X = truncated_free_squared(spec, X, d)
-    mu_X = window_map(TT_X, T_X[0], *MU_LEAVES)
+    mu_X = window_map(TT_X, T_X, *MU_LEAVES)
     t2_bang = window_map(TT_X, TT_1, *lift_leaves(*TERMINAL_LEAVES))
     TT_X = TT_X[0]
-    t_bang = window_map(T_X, T_1[0], *TERMINAL_LEAVES)
     square = LiftingSquare(left=mu_X, top=t2_bang, right=mu_1, bottom=t_bang)
     per_object = pullback_report(square)
     return {
@@ -259,25 +273,23 @@ def check_mu_cartesian(spec, X: Presheaf, d: int, windows: tuple) -> dict:
         "depth": d,
         "sizes": {
             "two_layer": TT_X.size(),
-            "one_layer": T_X[0].size(),
+            "one_layer": T_X.size(),
             "two_layer_over_1": TT_1.size(),
-            "one_layer_over_1": T_1[0].size(),
+            "one_layer_over_1": T_1.size(),
         },
         "pullback": per_object,
         "ok": all(per_object.values()),
     }
 
 
-def check_eta_cartesian(X: Presheaf, d: int, windows: tuple) -> dict:
+def check_eta_cartesian(X: Presheaf, d: int, t_bang: PresheafMorphism) -> dict:
     """Is the unit naturality square over 1 a pointwise pullback?
 
-    ``windows`` are as for :func:`check_mu_cartesian`.
+    ``t_bang`` is as for :func:`check_mu_cartesian`.
     """
-    window, window_1 = windows
-    T_X, T_1 = window[0], window_1[0]
+    T_X, T_1 = t_bang.dom, t_bang.cod
     eta_X = eta(X, T_X)
     eta_1 = eta(terminal(X.labels), T_1)
-    t_bang = window_map(window, T_1, *TERMINAL_LEAVES)
     square = LiftingSquare(left=eta_X, top=bang(X), right=eta_1, bottom=t_bang)
     per_object = pullback_report(square)
     return {

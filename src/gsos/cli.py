@@ -24,19 +24,14 @@ from .cellular import (
     preserve_bisim_lift,
     random_functional_bisim,
     verify_certificate,
+    window_bang,
 )
 from .errors import GsosError, MalformedSystem, NestingTooDeep, SpecParseError, UnknownLabel
-from .familial import (
-    arity_label,
-    arity_tgt_morphism,
-    decompose,
-    is_generic,
-    random_collapse,
-)
+from .familial import decompose, is_generic, random_collapse
 from .presheaf import (
     STAR,
     Presheaf,
-    compose,
+    commutes,
     morphism_from_json,
     presheaf_doc,
     presheaf_from_json,
@@ -63,7 +58,6 @@ from .terms import (
     random_term,
     render,
     to_terminal,
-    truncated_free,
 )
 
 
@@ -283,16 +277,14 @@ def _familial_failures(spec: GsosSpec, rng, d: int) -> list[str]:
     dec2 = decompose(B, T_on_element(u, elem))
     if dec2.shape != dec.shape:
         failures.append("shape not natural in the ambient system")
-    if dec2.filler != compose(u, dec.filler):
+    if not commutes(u, dec.filler, dec2.filler):
         failures.append("filler not natural in the ambient system")
     if kind == "proof":
-        src_mor = arity_label(spec.labels, dec.shape)
         src_dec = decompose(X, proof_source(X, elem))
-        if src_dec.filler != compose(dec.filler, src_mor):
+        if not commutes(dec.filler, dec.source_morphism(), src_dec.filler):
             failures.append("source filler not natural in the base")
-        tgt_mor = arity_tgt_morphism(spec.labels, dec.shape)
         tgt_dec = decompose(X, proof_target(X, elem))
-        if tgt_dec.filler != compose(dec.filler, tgt_mor):
+        if not commutes(dec.filler, dec.target_morphism(), tgt_dec.filler):
             failures.append("target filler not natural in the base")
     return failures
 
@@ -340,9 +332,9 @@ _CASE_CHECKS = {
 
 def _suite_cartesian(spec: GsosSpec, seed: int, d: int) -> dict:
     X = representable(spec.labels, list(spec.labels)[0])
-    windows = truncated_free(spec, X, d), truncated_free(spec, terminal(X.labels), d)
-    mu_rep = check_mu_cartesian(spec, X, d, windows)
-    eta_rep = check_eta_cartesian(X, d, windows)
+    t_bang = window_bang(spec, X, d)
+    mu_rep = check_mu_cartesian(spec, X, d, t_bang)
+    eta_rep = check_eta_cartesian(X, d, t_bang)
     return {
         "seed": seed,
         "mu": mu_rep,

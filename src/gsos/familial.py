@@ -20,15 +20,23 @@ left-to-right position in the source; the premises of one argument start
 at the same offset, so they share these cells, and the source arity
 morphism is literally the name-identity inclusion.  An axiom leaf is the
 generic edge ``{prefix}e`` from its source occurrence to ``{prefix}t``; the
-arity of a single axiom at label a is ``occ0 -e-> t``.  Every public
-function below reads its answer off this walk.
+arity of a single axiom at label a is ``occ0 -e-> t``.
+
+One walk per element, and per use: every public function below reads its
+answer off one walk of its argument, and a :class:`Decomposition` keeps the
+walk that made it, so its arity morphisms, its generic edges (the steps of
+a cell certificate) and :func:`recompose` read that record and never walk
+the shape again.  The points of n occurrences are one shared system per
+label set and n, and a decomposition's arity morphisms end in its own
+arity, so the checks that compare these systems meet identical objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .errors import CellMismatch, MalformedProof
 from .presheaf import (
@@ -37,6 +45,7 @@ from .presheaf import (
     PresheafMorphism,
     _map,
     _system,
+    identity,
     terminal,
 )
 from .terms import (
@@ -61,23 +70,33 @@ def arity_star(labels: LabelSet, m: Term) -> Presheaf:
     return _points(labels, len(term_vars(m)))
 
 
+@cache
 def _points(labels: LabelSet, n: int) -> Presheaf:
     return _system(labels, [f"occ{k}" for k in range(n)], ())
 
 
 # Each leaf of an element with the names of its arity cells.
-_Leaves = list[tuple[Union[Var, Axiom], tuple[str, ...]]]
+_Leaves = tuple[tuple[Union[Var, Axiom], tuple[str, ...]], ...]
 
 
-def _walk(elem: Element) -> tuple[_Leaves, int, list[str]]:
-    """The cells of every leaf in leaf order, the source occurrence count
-    and the target route.
+@dataclass(frozen=True)
+class _Walk:
+    """One walk of an element: the cells of every leaf in leaf order, the
+    source occurrence count n and the target route.
 
     A Var leaf has the cells ``(occ,)``, an Axiom leaf ``(occ, edge, tgt)``.
     The route lists, for each variable occurrence of a proof's target in
     order, the arity cell it lands on (empty for a term).
     """
-    leaves: _Leaves = []
+
+    leaves: _Leaves
+    n: int
+    route: tuple[str, ...]
+
+
+def _walk(elem: Element) -> _Walk:
+    """Walk an element leaf by leaf, naming every cell as it goes."""
+    leaves: list = []
 
     def go(e: Element, prefix: str, offset: int) -> tuple[int, list[str]]:
         # Returns the number of source occurrences and the target route.
@@ -111,20 +130,45 @@ def _walk(elem: Element) -> tuple[_Leaves, int, list[str]]:
         return n, [c for v in term_vars(e.rule.target) for c in bound[v]]
 
     n, route = go(elem, "", 0)
-    return leaves, n, route
+    return _Walk(tuple(leaves), n, tuple(route))
 
 
-def _carrier(labels: LabelSet, leaves: _Leaves) -> Presheaf:
-    """The arity glued from the leaves' cells, states in first-seen order."""
+# Readers of one walk: the arity, the arity morphisms and the generic edges.
+
+
+def _arity(labels: LabelSet, w: _Walk) -> Presheaf:
+    """The arity glued from the walk's cells, states in first-seen order.
+
+    Without a generic edge it is the points of the occurrences, one shared
+    object per count, so that equal arities compare by identity.
+    """
+    if not any(isinstance(leaf, Axiom) for leaf, _cells in w.leaves):
+        return _points(labels, w.n)
     states: dict[str, None] = {}
     arrows = []
-    for leaf, cells in leaves:
+    for leaf, cells in w.leaves:
         states[cells[0]] = None
         if isinstance(leaf, Axiom):
             occ, e, t = cells
             states[t] = None
             arrows.append((leaf.label, e, occ, t))
     return _system(labels, states, arrows)
+
+
+def _source_morphism(arity: Presheaf, w: _Walk) -> PresheafMorphism:
+    dom = _points(arity.labels, w.n)
+    return _map(dom, arity, {x: x for x in dom.states})
+
+
+def _target_morphism(arity: Presheaf, r: Proof, w: _Walk) -> PresheafMorphism:
+    dom = arity_star(arity.labels, proof_target(terminal(arity.labels), r))
+    if len(w.route) != len(dom.states):
+        raise MalformedProof("occurrence count mismatch in target routing")
+    return _map(dom, arity, {f"occ{k}": c for k, c in enumerate(w.route)})
+
+
+def _generic_edges(w: _Walk) -> list[tuple[str, str, str, str]]:
+    return [(leaf.label, *cells) for leaf, cells in w.leaves if isinstance(leaf, Axiom)]
 
 
 def arity_label(labels: LabelSet, r: Proof) -> PresheafMorphism:
@@ -135,21 +179,16 @@ def arity_label(labels: LabelSet, r: Proof) -> PresheafMorphism:
     """
     if isinstance(r, (Var, App)):
         raise MalformedProof("arity_label expects a proof shape")
-    leaves, n, _route = _walk(r)
-    dom = _points(labels, n)
-    return _map(dom, _carrier(labels, leaves), {x: x for x in dom.states})
+    w = _walk(r)
+    return _source_morphism(_arity(labels, w), w)
 
 
 def arity_tgt_morphism(labels: LabelSet, r: Proof) -> PresheafMorphism:
     """Route each occurrence of the target term into the proof's arity."""
     if isinstance(r, (Var, App)):
         raise MalformedProof("arity_tgt_morphism expects a proof shape")
-    leaves, _n, route = _walk(r)
-    dom = arity_star(labels, proof_target(terminal(labels), r))
-    if len(route) != len(dom.states):
-        raise MalformedProof("occurrence count mismatch in target routing")
-    cod = _carrier(labels, leaves)
-    return _map(dom, cod, {f"occ{k}": c for k, c in enumerate(route)})
+    w = _walk(r)
+    return _target_morphism(_arity(labels, w), r, w)
 
 
 def generic_edges(r: Proof) -> list[tuple[str, str, str, str]]:
@@ -158,8 +197,7 @@ def generic_edges(r: Proof) -> list[tuple[str, str, str, str]]:
     In leaf order: the order in which the induction attaches the generic
     edges that make up the arity.
     """
-    leaves = _walk(r)[0]
-    return [(leaf.label, *cells) for leaf, cells in leaves if isinstance(leaf, Axiom)]
+    return _generic_edges(_walk(r))
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +206,46 @@ def generic_edges(r: Proof) -> list[tuple[str, str, str, str]]:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Shape over 1 plus the filler from its arity into the ambient system."""
+    """Shape over 1 plus the filler from its arity into the ambient system.
+
+    ``walk`` is the walk that named the arity's cells.  :func:`decompose`
+    keeps the one it made, and the arity morphisms, the generic edges and
+    :func:`recompose` read it; a decomposition built from a shape and a
+    filler alone walks its shape here, once.  ``dataclasses.replace`` with
+    another filler over the same arity keeps the walk.
+    """
 
     shape: Element
     filler: PresheafMorphism
+    walk: Optional[_Walk] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.walk is None:
+            object.__setattr__(self, "walk", _walk(self.shape))
 
     @property
     def arity(self) -> Presheaf:
         return self.filler.dom
 
+    def source_morphism(self) -> PresheafMorphism:
+        """The source arity morphism of a proof's shape (see :func:`arity_label`)."""
+        return _source_morphism(self.arity, self.walk)
+
+    def target_morphism(self) -> PresheafMorphism:
+        """The target routing of a proof's shape (see :func:`arity_tgt_morphism`)."""
+        return _target_morphism(self.arity, self.shape, self.walk)
+
+    def generic_edges(self) -> list[tuple[str, str, str, str]]:
+        """The generic edges of the shape (see :func:`generic_edges`)."""
+        return _generic_edges(self.walk)
+
 
 def decompose(X: Presheaf, elem: Element) -> Decomposition:
     """Split an element into its shape and the filler of leaf data."""
-    leaves = _walk(elem)[0]
+    w = _walk(elem)
     states: dict[str, str] = {}
     edge_maps: dict[str, dict[str, str]] = {a: {} for a in X.labels}
-    for leaf, cells in leaves:
+    for leaf, cells in w.leaves:
         if isinstance(leaf, Var):
             values = ((cells[0], leaf.name),)
         else:
@@ -194,15 +256,22 @@ def decompose(X: Presheaf, elem: Element) -> Decomposition:
         for c, v in values:
             if states.setdefault(c, v) != v:
                 raise MalformedProof("premises disagree on a shared occurrence cell")
-    filler = _map(_carrier(X.labels, leaves), X, states, edge_maps)
-    return Decomposition(to_terminal(elem), filler)
+    filler = _map(_arity(X.labels, w), X, states, edge_maps)
+    return Decomposition(to_terminal(elem), filler, w)
+
+
+def generic_decomposition(labels: LabelSet, shape: Element) -> Decomposition:
+    """The factorisation of a shape's generic element: the shape and the
+    identity of its arity."""
+    w = _walk(shape)
+    return Decomposition(shape, identity(_arity(labels, w)), w)
 
 
 def recompose(d: Decomposition, X: Presheaf) -> Element:
     """Substitute filler values back into the shape's leaves."""
     if d.filler.cod != X:
         raise CellMismatch("filler codomain is not the requested ambient system")
-    cells = iter(c for _leaf, c in _walk(d.shape)[0])
+    cells = iter(c for _leaf, c in d.walk.leaves)
 
     def value(table, cell: str) -> str:
         if cell not in table:

@@ -333,6 +333,32 @@ def compose(g: PresheafMorphism, f: PresheafMorphism) -> PresheafMorphism:
     return _map(f.dom, g.cod, components[STAR], components)
 
 
+def commutes(
+    g: PresheafMorphism,
+    f: PresheafMorphism,
+    h: PresheafMorphism,
+    k: Optional[PresheafMorphism] = None,
+) -> bool:
+    """Does g after f equal h after k (h itself when k is None)?
+
+    The answer ``compose(g, f) == compose(h, k)`` gives, read cell by cell
+    without building either composite; raises NonCommutingSquare where
+    :func:`compose` would.
+    """
+    if f.cod != g.dom or (k is not None and k.cod != h.dom):
+        raise NonCommutingSquare("composition endpoints do not match")
+    dom = f.dom
+    if dom != (h.dom if k is None else k.dom) or g.cod != h.cod:
+        return False
+    for o in dom.labels.objects:
+        g_o, f_o, h_o = g.at(o), f.at(o), h.at(o)
+        k_o = None if k is None else k.at(o)
+        for c in dom.cells(o):
+            if g_o[f_o[c]] != h_o[c if k_o is None else k_o[c]]:
+                return False
+    return True
+
+
 @cache
 def source_inclusion(labels: LabelSet, a: str) -> PresheafMorphism:
     """s^a : y_* -> y_[a], picking the source of the generic a-edge."""
@@ -363,7 +389,7 @@ class LiftingSquare:
             raise NonCommutingSquare("left codomain must be the bottom domain")
         if self.right.cod != self.bottom.cod:
             raise NonCommutingSquare("right and bottom must share their codomain")
-        if compose(self.right, self.top) != compose(self.bottom, self.left):
+        if not commutes(self.right, self.top, self.bottom, self.left):
             raise NonCommutingSquare("square does not commute")
 
 
@@ -428,7 +454,7 @@ def find_lifting(square: LiftingSquare) -> Optional[PresheafMorphism]:
         if not ok:
             continue
         k = _map(B, X, k_state, k_edges)
-        assert compose(k, left) == top and compose(right, k) == bottom
+        assert commutes(k, left, top) and commutes(right, k, bottom)
         return k
     return None
 

@@ -20,6 +20,7 @@ from gsos.cellular import (
     random_functional_bisim,
     unique_R0,
     verify_certificate,
+    window_bang,
 )
 from gsos.cli import run_cases
 from gsos.errors import SpecParseError
@@ -169,10 +170,10 @@ def test_criterion_06_cartesianness(ccs, toy):
     for spec in (ccs, toy):
         X = representable(spec.labels, list(spec.labels)[0])
         for d in (1, 2):
-            windows = truncated_free(spec, X, d), truncated_free(spec, terminal(X.labels), d)
-            mu_rep = check_mu_cartesian(spec, X, d, windows)
+            t_bang = window_bang(spec, X, d)
+            mu_rep = check_mu_cartesian(spec, X, d, t_bang)
             assert mu_rep["ok"], mu_rep
-            eta_rep = check_eta_cartesian(X, d, windows)
+            eta_rep = check_eta_cartesian(X, d, t_bang)
             assert eta_rep["ok"], eta_rep
     # uniqueness by brute force at d <= 2: the canonical map is injective and
     # unique_R0 reproduces each enumerated witness from its two images

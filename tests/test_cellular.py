@@ -15,6 +15,7 @@ from gsos.cellular import (
     unique_M0,
     unique_R0,
     verify_certificate,
+    window_bang,
 )
 from gsos.errors import IncompatiblePair, NotAFunctionalBisim, ReplayMismatch
 from gsos.familial import arity_label, decompose
@@ -43,7 +44,6 @@ from gsos.terms import (
     random_layer_element,
     render,
     to_terminal,
-    truncated_free,
     truncated_free_squared,
 )
 
@@ -275,27 +275,22 @@ def test_T_preserves_functional_bisims_on_truncations(ccs):
         assert is_functional_bisimulation(Tf) is True
 
 
-def _windows(spec, X, d):
-    """The one-layer corners both cartesianness squares share."""
-    return truncated_free(spec, X, d), truncated_free(spec, terminal(X.labels), d)
-
-
 def test_eta_cartesian_random_systems(ccs):
     rng = random.Random(41)
     from gsos.terms import random_presheaf
 
     for _ in range(3):
         X = random_presheaf(rng, ccs.labels, max_states=3)
-        rep = check_eta_cartesian(X, 2, _windows(ccs, X, 2))
+        rep = check_eta_cartesian(X, 2, window_bang(ccs, X, 2))
         assert rep["ok"], rep
 
 
 def test_mu_cartesian_toy_and_ccs(toy, ccs):
     X_toy = representable(toy.labels, "a")
-    rep = check_mu_cartesian(toy, X_toy, 2, _windows(toy, X_toy, 2))
+    rep = check_mu_cartesian(toy, X_toy, 2, window_bang(toy, X_toy, 2))
     assert rep["ok"], rep
     X = representable(ccs.labels, "a")
-    rep = check_mu_cartesian(ccs, X, 1, _windows(ccs, X, 1))
+    rep = check_mu_cartesian(ccs, X, 1, window_bang(ccs, X, 1))
     assert rep["ok"], rep
 
 
