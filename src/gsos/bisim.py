@@ -33,14 +33,13 @@ from .terms import (
     HOLE,
     Term,
     Var,
+    _strata,
     derive,
     proof_label,
     render,
     steps,
     substitute,
-    term_height,
     term_vars,
-    terms_upto,
 )
 
 
@@ -220,7 +219,8 @@ def enumerate_contexts(spec, max_height: int) -> list[Term]:
     Every context and closed term carries its height, so a context of
     height h is built only from pieces of height < h.
     """
-    closed = [(term_height(t), t) for t in terms_upto(spec, (), max_height - 1)]
+    strata = _strata(spec, [], max_height - 1)
+    closed = [(h, t) for h, level in enumerate(strata) for t in level]
     ctxs: list[tuple[int, Term]] = [(0, Var(HOLE))]
     for h in range(1, max_height + 1):
         level = []

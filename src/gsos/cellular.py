@@ -180,8 +180,12 @@ def lift_against(
     taking the least admissible edge, and verifies both triangle equations
     before returning.
     """
-    if not is_functional_bisimulation(f):
-        raise NotAFunctionalBisim("right leg fails the lifting property")
+    verdict = is_functional_bisimulation(f)
+    if not verdict:
+        raise NotAFunctionalBisim(
+            f"right leg fails the lifting property: no edge over {verdict.edge!r}"
+            f" starts at {verdict.state!r} (label {verdict.label!r})"
+        )
     gamma = cert.claimed_composite
     if top.dom != gamma.dom or bottom.dom != gamma.cod:
         raise NonCommutingSquare("square boundaries do not line up")

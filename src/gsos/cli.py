@@ -27,7 +27,7 @@ from .cellular import (
     window_bang,
 )
 from .errors import GsosError, MalformedSystem, NestingTooDeep, SpecParseError, UnknownLabel
-from .familial import decompose, is_generic, random_collapse
+from .familial import decompose, random_collapse
 from .presheaf import (
     STAR,
     Presheaf,
@@ -46,10 +46,10 @@ from .terms import (
     Var,
     ambient_axioms,
     derive,
+    flattened_depth,
     monad_law_failures,
     parse_proof,
     parse_term,
-    proof_depth,
     proof_label,
     proof_source,
     proof_target,
@@ -172,14 +172,14 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if bool(args.proof) == bool(args.term):
+        return _usage_error("decompose takes exactly one of --proof and --term")
     spec = _load_spec(args.spec)
     X = _load_presheaf(args.presheaf, spec)
     if args.proof:
         elem = parse_proof(spec, X, args.proof)
-    elif args.term:
-        elem = parse_term(spec, X, args.term)
     else:
-        return _usage_error("decompose needs --proof or --term")
+        elem = parse_term(spec, X, args.term)
     dec = decompose(X, elem)
     doc = {
         "shape": render(dec.shape),
@@ -189,7 +189,7 @@ def cmd_decompose(args) -> int:
             "states": dict(dec.filler.state_map),
             "edges": {a: dict(dec.filler.edge_maps[a]) for a in X.labels if dec.filler.edge_maps[a]},
         },
-        "generic": is_generic(X, elem),
+        "generic": dec.filler.is_iso(),
     }
     _emit(doc)
     return 0
@@ -308,10 +308,11 @@ def _preserve_failures(spec: GsosSpec, rng, d: int) -> list[str]:
         M = random_term(spec, rng, f.dom.states, d)
     except GsosError:
         return []
+    depths: dict = {}
     problems = [
         R
         for R, _ in derive(spec, T_on_element(f, M), ambient_axioms(f.cod))
-        if proof_depth(R) <= d
+        if flattened_depth(R, depths) <= d
     ]
     failures = []
     for R in problems:

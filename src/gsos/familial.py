@@ -22,21 +22,22 @@ morphism is literally the name-identity inclusion.  An axiom leaf is the
 generic edge ``{prefix}e`` from its source occurrence to ``{prefix}t``; the
 arity of a single axiom at label a is ``occ0 -e-> t``.
 
-One walk per element, and per use: every public function below reads its
-answer off one walk of its argument, and a :class:`Decomposition` keeps the
-walk that made it, so its arity morphisms, its generic edges (the steps of
-a cell certificate) and :func:`recompose` read that record and never walk
-the shape again.  The points of n occurrences are one shared system per
-label set and n, and a decomposition's arity morphisms end in its own
-arity, so the checks that compare these systems meet identical objects.
+One walk per element: :func:`decompose` and :func:`generic_decomposition`
+walk their argument once, and the :class:`Decomposition` they return keeps
+that walk, so its arity morphisms, its generic edges (the steps of a cell
+certificate) and :func:`recompose` read that record and never walk the
+shape again.  :func:`arity_label` and :func:`arity_tgt_morphism` are the
+arity morphisms of a shape's generic decomposition.  The points of n
+occurrences are one shared system per label set and n, and a
+decomposition's arity morphisms end in its own arity, so the checks that
+compare these systems meet identical objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
-from typing import Iterator, Optional, Union
+from typing import Union
 
 from .errors import CellMismatch, MalformedProof
 from .presheaf import (
@@ -133,9 +134,6 @@ def _walk(elem: Element) -> _Walk:
     return _Walk(tuple(leaves), n, tuple(route))
 
 
-# Readers of one walk: the arity, the arity morphisms and the generic edges.
-
-
 def _arity(labels: LabelSet, w: _Walk) -> Presheaf:
     """The arity glued from the walk's cells, states in first-seen order.
 
@@ -155,51 +153,6 @@ def _arity(labels: LabelSet, w: _Walk) -> Presheaf:
     return _system(labels, states, arrows)
 
 
-def _source_morphism(arity: Presheaf, w: _Walk) -> PresheafMorphism:
-    dom = _points(arity.labels, w.n)
-    return _map(dom, arity, {x: x for x in dom.states})
-
-
-def _target_morphism(arity: Presheaf, r: Proof, w: _Walk) -> PresheafMorphism:
-    dom = arity_star(arity.labels, proof_target(terminal(arity.labels), r))
-    if len(w.route) != len(dom.states):
-        raise MalformedProof("occurrence count mismatch in target routing")
-    return _map(dom, arity, {f"occ{k}": c for k, c in enumerate(w.route)})
-
-
-def _generic_edges(w: _Walk) -> list[tuple[str, str, str, str]]:
-    return [(leaf.label, *cells) for leaf, cells in w.leaves if isinstance(leaf, Axiom)]
-
-
-def arity_label(labels: LabelSet, r: Proof) -> PresheafMorphism:
-    """The source arity morphism of a proof shape; its codomain is the arity.
-
-    The morphism goes from the source-term arity into the arity and is the
-    name-identity inclusion by construction.
-    """
-    if isinstance(r, (Var, App)):
-        raise MalformedProof("arity_label expects a proof shape")
-    w = _walk(r)
-    return _source_morphism(_arity(labels, w), w)
-
-
-def arity_tgt_morphism(labels: LabelSet, r: Proof) -> PresheafMorphism:
-    """Route each occurrence of the target term into the proof's arity."""
-    if isinstance(r, (Var, App)):
-        raise MalformedProof("arity_tgt_morphism expects a proof shape")
-    w = _walk(r)
-    return _target_morphism(_arity(labels, w), r, w)
-
-
-def generic_edges(r: Proof) -> list[tuple[str, str, str, str]]:
-    """(label, source cell, edge cell, target cell) of each axiom of a shape.
-
-    In leaf order: the order in which the induction attaches the generic
-    edges that make up the arity.
-    """
-    return _generic_edges(_walk(r))
-
-
 # ---------------------------------------------------------------------------
 # Generic-free factorisation.
 
@@ -208,36 +161,41 @@ def generic_edges(r: Proof) -> list[tuple[str, str, str, str]]:
 class Decomposition:
     """Shape over 1 plus the filler from its arity into the ambient system.
 
-    ``walk`` is the walk that named the arity's cells.  :func:`decompose`
-    keeps the one it made, and the arity morphisms, the generic edges and
-    :func:`recompose` read it; a decomposition built from a shape and a
-    filler alone walks its shape here, once.  ``dataclasses.replace`` with
-    another filler over the same arity keeps the walk.
+    ``walk`` is the walk that named the arity's cells, kept by
+    :func:`decompose` and :func:`generic_decomposition`; the arity
+    morphisms, the generic edges and :func:`recompose` read it.
+    ``dataclasses.replace`` with another filler over the same arity keeps
+    the walk.
     """
 
     shape: Element
     filler: PresheafMorphism
-    walk: Optional[_Walk] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.walk is None:
-            object.__setattr__(self, "walk", _walk(self.shape))
+    walk: _Walk = field(compare=False, repr=False)
 
     @property
     def arity(self) -> Presheaf:
         return self.filler.dom
 
     def source_morphism(self) -> PresheafMorphism:
-        """The source arity morphism of a proof's shape (see :func:`arity_label`)."""
-        return _source_morphism(self.arity, self.walk)
+        """The source arity morphism of a proof's shape, from the points of
+        its source occurrences into the arity: the name-identity inclusion."""
+        dom = _points(self.arity.labels, self.walk.n)
+        return _map(dom, self.arity, {x: x for x in dom.states})
 
     def target_morphism(self) -> PresheafMorphism:
-        """The target routing of a proof's shape (see :func:`arity_tgt_morphism`)."""
-        return _target_morphism(self.arity, self.shape, self.walk)
+        """Route each occurrence of a proof's target term into the arity."""
+        labels = self.arity.labels
+        dom = arity_star(labels, proof_target(terminal(labels), self.shape))
+        if len(self.walk.route) != len(dom.states):
+            raise MalformedProof("occurrence count mismatch in target routing")
+        return _map(dom, self.arity, {f"occ{k}": c for k, c in enumerate(self.walk.route)})
 
     def generic_edges(self) -> list[tuple[str, str, str, str]]:
-        """The generic edges of the shape (see :func:`generic_edges`)."""
-        return _generic_edges(self.walk)
+        """(label, source cell, edge cell, target cell) of each axiom of the
+        shape, in leaf order: the order in which the induction attaches the
+        generic edges that make up the arity."""
+        leaves = self.walk.leaves
+        return [(leaf.label, *cells) for leaf, cells in leaves if isinstance(leaf, Axiom)]
 
 
 def decompose(X: Presheaf, elem: Element) -> Decomposition:
@@ -267,6 +225,20 @@ def generic_decomposition(labels: LabelSet, shape: Element) -> Decomposition:
     return Decomposition(shape, identity(_arity(labels, w)), w)
 
 
+def arity_label(labels: LabelSet, r: Proof) -> PresheafMorphism:
+    """The source arity morphism of a proof shape; its codomain is the arity."""
+    if isinstance(r, (Var, App)):
+        raise MalformedProof("arity_label expects a proof shape")
+    return generic_decomposition(labels, r).source_morphism()
+
+
+def arity_tgt_morphism(labels: LabelSet, r: Proof) -> PresheafMorphism:
+    """Route each occurrence of the target term into the proof's arity."""
+    if isinstance(r, (Var, App)):
+        raise MalformedProof("arity_tgt_morphism expects a proof shape")
+    return generic_decomposition(labels, r).target_morphism()
+
+
 def recompose(d: Decomposition, X: Presheaf) -> Element:
     """Substitute filler values back into the shape's leaves."""
     if d.filler.cod != X:
@@ -283,42 +255,6 @@ def recompose(d: Decomposition, X: Presheaf) -> Element:
         lambda _x: value(d.filler.state_map, next(cells)[0]),
         lambda _e, a: value(d.filler.edge_maps.get(a, {}), next(cells)[1]),
     )
-
-
-# ---------------------------------------------------------------------------
-# Genericness.
-
-
-def is_generic(X: Presheaf, elem: Element) -> bool:
-    """Decide genericness by the filler-is-iso criterion."""
-    return decompose(X, elem).filler.is_iso()
-
-
-def all_morphisms(A: Presheaf, B: Presheaf) -> Iterator[PresheafMorphism]:
-    """All natural maps A -> B, in a deterministic order (A must be small)."""
-    state_choices = [sorted(B.states) for _ in A.states]
-    for combo in product(*state_choices) if A.states else [()]:
-        state_map = dict(zip(A.states, combo))
-        edge_choices = []
-        feasible = True
-        flat_edges = [(a, e) for a in A.labels for e in A.edges[a]]
-        for a, e in flat_edges:
-            opts = sorted(
-                eb
-                for eb in B.out_edges(state_map[A.src[a][e]], a)
-                if B.tgt[a][eb] == state_map[A.tgt[a][e]]
-            )
-            if not opts:
-                feasible = False
-                break
-            edge_choices.append(opts)
-        if not feasible:
-            continue
-        for edge_combo in product(*edge_choices) if flat_edges else [()]:
-            edge_maps: dict[str, dict[str, str]] = {a: {} for a in A.labels}
-            for (a, e), eb in zip(flat_edges, edge_combo):
-                edge_maps[a][e] = eb
-            yield _map(A, B, state_map, edge_maps)
 
 
 def random_collapse(P: Presheaf, rng) -> tuple[Presheaf, PresheafMorphism]:

@@ -9,16 +9,18 @@ identifiers; everything is immutable after construction.
 ``LabelSet.objects`` lists the base objects, ``*`` first, so ``*`` is never
 a label.  ``Presheaf.cells(o)`` is the set at object o (the states at ``*``,
 the o-edges at a label) and ``PresheafMorphism.at(o)`` the component there.
-Every construction computed object by object (equality, composition,
+Every construction computed object by object (equality, commutation,
 injectivity, the pullback test, wide pushouts) is one loop over the objects
 through these two views.
 
 Functional bisimulations are characterised by a lifting property against
-the source inclusions s^a of the representables, and that lifting problem
-is solved here by exhaustive, deterministic search.  Bisimilarity itself
-lives in :mod:`gsos.bisim` and is computed by partition refinement rather
-than as a union of subobjects; the two agree on the finite, image-finite
-systems this package manipulates.
+the source inclusions s^a of the representables, which
+:func:`is_functional_bisimulation` checks edge by edge; the lifts the
+program needs are built constructively from cell certificates in
+:mod:`gsos.cellular`.  Bisimilarity itself lives in :mod:`gsos.bisim` and
+is computed by partition refinement rather than as a union of subobjects;
+the two agree on the finite, image-finite systems this package
+manipulates.
 
 Checks run where data enters the program.  :func:`make_presheaf` and
 :func:`morphism` validate everything; only the JSON loaders call them (and
@@ -34,7 +36,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -322,17 +323,6 @@ def identity(X: Presheaf) -> PresheafMorphism:
     return _map(X, X, components[STAR], components)
 
 
-def compose(g: PresheafMorphism, f: PresheafMorphism) -> PresheafMorphism:
-    """g after f."""
-    if f.cod != g.dom:
-        raise NonCommutingSquare("composition endpoints do not match")
-    components = {}
-    for o in f.dom.labels.objects:
-        g_o, f_o = g.at(o), f.at(o)
-        components[o] = {c: g_o[f_o[c]] for c in f.dom.cells(o)}
-    return _map(f.dom, g.cod, components[STAR], components)
-
-
 def commutes(
     g: PresheafMorphism,
     f: PresheafMorphism,
@@ -341,9 +331,8 @@ def commutes(
 ) -> bool:
     """Does g after f equal h after k (h itself when k is None)?
 
-    The answer ``compose(g, f) == compose(h, k)`` gives, read cell by cell
-    without building either composite; raises NonCommutingSquare where
-    :func:`compose` would.
+    Read cell by cell without building either composite; raises
+    NonCommutingSquare when a composite's endpoints do not match.
     """
     if f.cod != g.dom or (k is not None and k.cod != h.dom):
         raise NonCommutingSquare("composition endpoints do not match")
@@ -391,72 +380,6 @@ class LiftingSquare:
             raise NonCommutingSquare("right and bottom must share their codomain")
         if not commutes(self.right, self.top, self.bottom, self.left):
             raise NonCommutingSquare("square does not commute")
-
-
-def find_lifting(square: LiftingSquare) -> Optional[PresheafMorphism]:
-    """Solve for k : B -> X with k∘left = top and right∘k = bottom.
-
-    Exhaustive search over the finitely many candidates.  Returns the
-    lexicographically least solution (free states in sorted id order, each
-    assigned the least admissible candidate first, then edges likewise), or
-    None when no lifting exists.
-    """
-    A, B = square.left.dom, square.left.cod
-    X = square.right.dom
-    left, top, right, bottom = square.left, square.top, square.right, square.bottom
-
-    forced: dict[str, dict[str, str]] = {}
-    for o in A.labels.objects:
-        forced[o] = {}
-        for c in A.cells(o):
-            want = top.at(o)[c]
-            if forced[o].setdefault(left.at(o)[c], want) != want:
-                return None
-    forced_state = forced[STAR]
-
-    free_states = sorted(b for b in B.states if b not in forced_state)
-    cand: list[list[str]] = []
-    for b in free_states:
-        cs = sorted(x for x in X.states if right.state_map[x] == bottom.state_map[b])
-        if not cs:
-            return None
-        cand.append(cs)
-
-    for choice in product(*cand) if free_states else [()]:
-        k_state = dict(forced_state)
-        k_state.update(zip(free_states, choice))
-        k_edges: dict[str, dict[str, str]] = {}
-        ok = True
-        for lab in B.labels:
-            k_edges[lab] = dict(forced[lab])
-            for be in B.edges[lab]:
-                if be in k_edges[lab]:
-                    ex = k_edges[lab][be]
-                    if (
-                        X.src[lab][ex] != k_state[B.src[lab][be]]
-                        or X.tgt[lab][ex] != k_state[B.tgt[lab][be]]
-                    ):
-                        ok = False
-                        break
-                    continue
-                picks = sorted(
-                    ex
-                    for ex in X.out_edges(k_state[B.src[lab][be]], lab)
-                    if right.edge_maps[lab][ex] == bottom.edge_maps[lab][be]
-                    and X.tgt[lab][ex] == k_state[B.tgt[lab][be]]
-                )
-                if not picks:
-                    ok = False
-                    break
-                k_edges[lab][be] = picks[0]
-            if not ok:
-                break
-        if not ok:
-            continue
-        k = _map(B, X, k_state, k_edges)
-        assert commutes(k, left, top) and commutes(right, k, bottom)
-        return k
-    return None
 
 
 @dataclass(frozen=True)
@@ -603,18 +526,6 @@ def colimit(diagram) -> tuple[Presheaf, tuple[PresheafMorphism, ...]]:
         components = {o: {c: name[o][(i, c)] for c in leg.cod.cells(o)} for o in labels.objects}
         injections.append(_map(leg.cod, colim, components[STAR], components))
     return colim, tuple(injections)
-
-
-def pullback(f: PresheafMorphism, g: PresheafMorphism) -> tuple[Presheaf, PresheafMorphism, PresheafMorphism]:
-    """Pointwise pullback of f : X -> Z and g : Y -> Z, with pair-named cells."""
-    if f.cod != g.cod:
-        raise ShapeUnsupported("pullback legs must share their codomain")
-    X, Y = f.dom, g.dom
-    pairs = {}
-    for o in X.labels.objects:
-        f_o, g_o = f.at(o), g.at(o)
-        pairs[o] = [(u, v) for u in X.cells(o) for v in Y.cells(o) if f_o[u] == g_o[v]]
-    return _pair_system(X, Y, pairs)
 
 
 def _pair_system(

@@ -64,8 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 HOLE = "__hole__"
 
-ProofDepth = int
-
 
 _set = object.__setattr__
 
@@ -271,24 +269,6 @@ class ImageText:
         if text is None:
             text = self.memo[key] = _render(elem, self, self.on_var, self.on_ax)
         return text
-
-
-def term_height(t: Term) -> int:
-    if isinstance(t, Var):
-        return 0
-    return 1 + max((term_height(a) for a in t.args), default=0)
-
-
-def proof_depth(p: Proof) -> int:
-    if isinstance(p, Axiom):
-        return 0
-    best = 0
-    for arg in p.args:
-        if isinstance(arg, tuple):
-            best = max(best, max(proof_depth(r) for r in arg))
-        else:
-            best = max(best, term_height(arg))
-    return 1 + best
 
 
 def flattened_depth(elem: Element, memo: dict) -> int:
@@ -751,11 +731,12 @@ def _strata(
 ) -> list[list[Term]]:
     """Terms by exact height 0..height, with the leaves of height k given.
 
-    A leaf's height is its payload's, so the height of a term is read off
-    the index of the strata it is built from, not off term_height.  Within
-    a stratum the leaves come first, then each operation in signature order
-    over its argument tuples in product order; seeded samples index into
-    this order.
+    A leaf's height is its payload's, so the height of a term is the index
+    of its stratum, read off the strata it is built from.  Within a stratum
+    the leaves come first, then each operation in signature order over its
+    argument tuples in product order; seeded samples index into this order.
+    ``bisim.enumerate_contexts`` keeps its own loop: it puts the hole's
+    slot before the argument tuple, and that order seeds sampled contexts.
     """
     strata: list[list[Term]] = []
     for k in range(height + 1):
@@ -840,16 +821,6 @@ def T_on_element(f: PresheafMorphism, elem: Element) -> Element:
     return map_leaves(elem, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
 
 
-def T_on_morphism(spec: "GsosSpec", f: PresheafMorphism, d: int) -> PresheafMorphism:
-    """Functorial action on the depth-d windows: relabel all leaves along f."""
-    return window_map(
-        truncated_free(spec, f.dom, d),
-        truncated_free(spec, f.cod, d)[0],
-        lambda x: f"var({f.state_map[x]})",
-        lambda e, a: f"ax({f.edge_maps[a][e]})",
-    )
-
-
 def eta(X: Presheaf, T: Presheaf) -> PresheafMorphism:
     """The unit X -> T(X) into the window T over X: wrap states and edges."""
     return _map(
@@ -911,29 +882,6 @@ def _mu_ax(edge: Union[str, Proof], label: str) -> Proof:
 # Leaf texts for window_map: mu, and the unique map to the one-state system.
 MU_LEAVES = (lambda m: render(_mu_var(m)), lambda p, a: render(_mu_ax(p, a)))
 TERMINAL_LEAVES = (lambda _x: f"var({STAR})", lambda _e, a: f"ax({a})")
-
-
-def lift_mu(MM: Term, R: Proof) -> Proof:
-    """Lift a transition of a flattened term through the flattening.
-
-    Given a two-layer term MM and a proof R with source mu(MM), produce a
-    two-layer proof RR with source MM and mu(RR) = R, by structural
-    induction on MM: a wrapped term lifts R by wrapping it, an operation
-    node must be matched by a rule node and the premises lift argumentwise.
-    """
-    if isinstance(MM, Var):
-        return Axiom(R, proof_label(R))
-    if not isinstance(R, Node) or R.rule.op != MM.op:
-        raise MalformedProof("transition does not match the term structure")
-    args: list = []
-    for i, arg in enumerate(R.args):
-        if isinstance(arg, tuple):
-            args.append(tuple(lift_mu(MM.args[i], r) for r in arg))
-        else:
-            if mu(MM.args[i]) != arg:
-                raise MalformedProof("premise-less argument does not flatten correctly")
-            args.append(MM.args[i])
-    return Node(R.rule, tuple(args))
 
 
 # ---------------------------------------------------------------------------

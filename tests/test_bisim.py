@@ -26,13 +26,13 @@ from gsos.terms import (
     App,
     Var,
     derive,
+    flattened_depth,
     parse_term,
     proof_label,
     proof_target,
     random_term,
     render,
     substitute,
-    term_height,
     term_vars,
     terms_upto,
 )
@@ -235,7 +235,7 @@ def test_plug_and_contexts(ccs):
     # all contexts have exactly one hole and height <= 2
     for c in ctxs:
         assert term_vars(c).count(HOLE) == 1
-        assert term_height(c) <= 2
+        assert flattened_depth(c, {}) <= 2
 
 
 def _contexts_by_filtering(spec, max_height):
@@ -252,7 +252,7 @@ def _contexts_by_filtering(spec, max_height):
             for slot in range(arity):
                 others = [hole_below if pos == slot else closed_terms for pos in range(arity)]
                 for combo in product(*others):
-                    if 1 + max(term_height(t) for t in combo) == h:
+                    if 1 + max(flattened_depth(t, {}) for t in combo) == h:
                         level.append(App(op, tuple(combo)))
         ctxs.append(level)
     return [c for lvl in ctxs for c in lvl]

@@ -152,6 +152,43 @@ def test_lift_command(tmp_path, capsys):
     assert doc["preimage"] == "rpar[L=a](term(var(u)),ax(d2))"
 
 
+def test_lift_names_the_counterexample_of_a_non_bisimulation(tmp_path, capsys):
+    """A map that is not a functional bisimulation is refused with the
+    state, label and codomain edge where the lifting property fails."""
+    from gsos.presheaf import labelset, make_presheaf, morphism, morphism_to_json
+
+    spec = tmp_path / "ab.gsos"
+    spec.write_text(
+        "labels a, b ;\nop u : 1 ;\n"
+        "rule step : premises x1 -[a]-> y1_1 ; conclusion u(x1) -[a]-> u(y1_1) ;\n"
+    )
+    L = labelset("a", "b")
+    X = make_presheaf(L, ("v", "w"), {"a": ("d1",)}, {"a": {"d1": "v"}}, {"a": {"d1": "w"}})
+    Y = make_presheaf(
+        L,
+        ("p", "q"),
+        {"a": ("d",), "b": ("g",)},
+        {"a": {"d": "p"}, "b": {"g": "q"}},
+        {"a": {"d": "q"}, "b": {"g": "p"}},
+    )
+    f = morphism(X, Y, {"v": "p", "w": "q"}, {"a": {"d1": "d"}})
+    fpath = tmp_path / "f.json"
+    fpath.write_text(morphism_to_json(f))
+    code, out, err = run_cli(
+        ["lift", str(spec), "--fbisim", str(fpath), "--term", "u(var(v))",
+         "--proof", "step(ax(d))"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    report = json.loads(line)
+    assert report["kind"] == "NotAFunctionalBisim"
+    # no b-edge over g starts at w, although g starts at f(w) = q
+    assert report["message"] == (
+        "right leg fails the lifting property: no edge over 'g' starts at 'w' (label 'b')"
+    )
+
+
 def test_verify_laws_suite(capsys):
     code, out, _ = run_cli(
         ["verify", CCS, "--suite", "laws", "--seed", "1", "--cases", "10", "-d", "2"],
@@ -191,7 +228,22 @@ def test_decompose_without_element(capsys):
     code, out, err = run_cli(["decompose", CCS], capsys)
     assert code == 2 and out == ""
     (line,) = err.splitlines()
-    assert json.loads(line)["kind"] == "UsageError"
+    assert json.loads(line) == {
+        "kind": "UsageError",
+        "message": "decompose takes exactly one of --proof and --term",
+    }
+
+
+def test_decompose_with_both_elements(capsys):
+    """--proof and --term together are refused, not settled by precedence."""
+    argv = ["decompose", CCS, "--proof", "rsync(ax(a_bar),ax(a))", "--term", "var(*)"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line) == {
+        "kind": "UsageError",
+        "message": "decompose takes exactly one of --proof and --term",
+    }
 
 
 def test_congruence_command(tmp_path, capsys):

@@ -29,11 +29,10 @@ from gsos.familial import (
     arity_tgt_morphism,
     decompose,
     generic_decomposition,
-    generic_edges,
     random_collapse,
     recompose,
 )
-from gsos.presheaf import _map, _system, commutes, compose, identity, presheaf_doc, terminal
+from gsos.presheaf import _map, _system, commutes, identity, presheaf_doc, terminal
 from gsos.terms import (
     App,
     Axiom,
@@ -41,7 +40,7 @@ from gsos.terms import (
     Var,
     ambient_axioms,
     derive,
-    proof_depth,
+    flattened_depth,
     proof_target,
     random_layer_element,
     random_presheaf,
@@ -51,6 +50,8 @@ from gsos.terms import (
     to_terminal,
     truncated_free,
 )
+
+from oracles import compose
 
 # ---------------------------------------------------------------------------
 # The old path: one fresh walk of the shape per reader.
@@ -159,7 +160,7 @@ def test_decomposition_readers_match_the_rewalk(ccs, seed, kind, depth):
     # the public readers of a bare shape read one walk of it, the same way
     _same_map(arity_label(ccs.labels, shape), _old_arity_label(ccs.labels, shape))
     _same_map(arity_tgt_morphism(ccs.labels, shape), _old_arity_tgt_morphism(ccs.labels, shape))
-    assert generic_edges(shape) == _old_generic_edges(shape)
+    assert generic_decomposition(ccs.labels, shape).generic_edges() == _old_generic_edges(shape)
     cert = cell_certificate(ccs.labels, shape)
     assert [s.to_dict() for s in cert.steps] == [
         dict(zip(("label", "at", "edge", "tgt"), step)) for step in _old_generic_edges(shape)
@@ -196,7 +197,7 @@ def test_certificate_from_a_decomposition_matches_the_rewalk(ccs, seed):
     f = random_functional_bisim(rng, ccs.labels)
     M = random_term(ccs, rng, f.dom.states, 2)
     for R, _ in derive(ccs, T_on_element(f, M), ambient_axioms(f.cod)):
-        if proof_depth(R) > 2:
+        if flattened_depth(R, {}) > 2:
             continue
         dec_r = decompose(f.cod, R)
         cert = gsos.cellular._certificate(dec_r)
@@ -300,7 +301,9 @@ def _preserve_problems(spec, seed, d=3):
     f = random_functional_bisim(rng, spec.labels)
     M = random_term(spec, rng, f.dom.states, d)
     problems = [
-        R for R, _ in derive(spec, T_on_element(f, M), ambient_axioms(f.cod)) if proof_depth(R) <= d
+        R
+        for R, _ in derive(spec, T_on_element(f, M), ambient_axioms(f.cod))
+        if flattened_depth(R, {}) <= d
     ]
     return f, M, problems
 

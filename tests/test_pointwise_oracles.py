@@ -24,13 +24,13 @@ from gsos.presheaf import (
     _system,
     bang,
     colimit,
-    compose,
     identity,
     labelset,
-    pullback,
     pullback_report,
 )
 from gsos.terms import random_presheaf
+
+from oracles import compose, pullback
 
 AB = labelset("a", "b")
 

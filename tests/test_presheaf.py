@@ -19,7 +19,6 @@ from gsos.errors import (
     UnknownLabel,
 )
 from gsos.familial import (
-    all_morphisms,
     arity_label,
     arity_tgt_morphism,
     decompose,
@@ -31,11 +30,11 @@ from gsos.presheaf import (
     LiftingSquare,
     PresheafMorphism,
     WidePushout,
+    _map,
     bang,
     colimit,
-    compose,
+    commutes,
     empty_presheaf,
-    find_lifting,
     identity,
     is_functional_bisimulation,
     labelset,
@@ -45,7 +44,6 @@ from gsos.presheaf import (
     presheaf_from_json,
     presheaf_to_dot,
     presheaf_to_json,
-    pullback,
     pullback_report,
     representable,
     source_inclusion,
@@ -64,6 +62,8 @@ from gsos.terms import (
     truncated_free_squared,
     window_map,
 )
+
+from oracles import all_morphisms, compose, pullback
 
 AB = labelset("a", "b")
 CCS = str(bundled_spec_path("ccs"))
@@ -153,6 +153,73 @@ def test_colimit_rejects_other_shapes():
         colimit("not a diagram")
     with pytest.raises(ShapeUnsupported):
         WidePushout(representable(AB, "*"), ())
+
+
+def find_lifting(square):
+    """Solve for k : B -> X with k∘left = top and right∘k = bottom.
+
+    Exhaustive search over the finitely many candidates.  Returns the
+    lexicographically least solution (free states in sorted id order, each
+    assigned the least admissible candidate first, then edges likewise), or
+    None when no lifting exists.  The oracle for the lifting
+    characterisation that is_functional_bisimulation checks edge by edge.
+    """
+    A, B = square.left.dom, square.left.cod
+    X = square.right.dom
+    left, top, right, bottom = square.left, square.top, square.right, square.bottom
+
+    forced = {}
+    for o in A.labels.objects:
+        forced[o] = {}
+        for c in A.cells(o):
+            want = top.at(o)[c]
+            if forced[o].setdefault(left.at(o)[c], want) != want:
+                return None
+    forced_state = forced[STAR]
+
+    free_states = sorted(b for b in B.states if b not in forced_state)
+    cand = []
+    for b in free_states:
+        cs = sorted(x for x in X.states if right.state_map[x] == bottom.state_map[b])
+        if not cs:
+            return None
+        cand.append(cs)
+
+    for choice in product(*cand) if free_states else [()]:
+        k_state = dict(forced_state)
+        k_state.update(zip(free_states, choice))
+        k_edges = {}
+        ok = True
+        for lab in B.labels:
+            k_edges[lab] = dict(forced[lab])
+            for be in B.edges[lab]:
+                if be in k_edges[lab]:
+                    ex = k_edges[lab][be]
+                    if (
+                        X.src[lab][ex] != k_state[B.src[lab][be]]
+                        or X.tgt[lab][ex] != k_state[B.tgt[lab][be]]
+                    ):
+                        ok = False
+                        break
+                    continue
+                picks = sorted(
+                    ex
+                    for ex in X.out_edges(k_state[B.src[lab][be]], lab)
+                    if right.edge_maps[lab][ex] == bottom.edge_maps[lab][be]
+                    and X.tgt[lab][ex] == k_state[B.tgt[lab][be]]
+                )
+                if not picks:
+                    ok = False
+                    break
+                k_edges[lab][be] = picks[0]
+            if not ok:
+                break
+        if not ok:
+            continue
+        k = _map(B, X, k_state, k_edges)
+        assert commutes(k, left, top) and commutes(right, k, bottom)
+        return k
+    return None
 
 
 def test_find_lifting_identity_left():
@@ -335,8 +402,6 @@ def test_functional_bisims_stable_under_pullback():
         f = _random_covering(rng, L)
         U = random_presheaf(rng, L, max_states=3)
         # arbitrary u: U -> cod f, built by exhaustive-ish greedy choice
-        from gsos.familial import all_morphisms
-
         candidates = list(all_morphisms(U, f.cod))
         if not candidates:
             continue

@@ -30,13 +30,12 @@ from gsos.terms import (
     ambient_axioms,
     derive,
     eta,
-    lift_mu,
+    flattened_depth,
     map_leaves,
     monad_law_failures,
     mu,
     parse_proof,
     parse_term,
-    proof_depth,
     proof_label,
     proof_source,
     proof_target,
@@ -44,14 +43,14 @@ from gsos.terms import (
     random_presheaf,
     random_term,
     render,
-    term_height,
     term_vars,
     terms_upto,
     truncated_free,
     truncated_free_squared,
     two_layer_terms,
-    T_on_morphism,
 )
+
+from oracles import T_on_morphism, compose, lift_mu
 
 
 def test_axiom_src_tgt(paper_lts):
@@ -64,7 +63,7 @@ def test_sync_proof_src_tgt(ccs, sync_ambient):
     p = parse_proof(ccs, sync_ambient, "sync(lpar(ax(e1),term(var(x2))),ax(e2))")
     assert render(proof_source(sync_ambient, p)) == "par(par(var(x1),var(x2)),var(x3))"
     assert render(proof_target(sync_ambient, p)) == "par(par(var(y1),var(x2)),var(y2))"
-    assert proof_depth(p) == 2
+    assert flattened_depth(p, {}) == 2
 
 
 def test_rsync_proof_src_tgt(ccs, rsync_ambient):
@@ -172,9 +171,9 @@ def test_one_step_agrees_with_truncation_edges(ccs):
     m = parse_term(ccs, None, "par(pref_a_bar(nil),pref_a(nil))")
     proofs = tuple(p for p, _ in derive(ccs, m, None))
     d = max(
-        max(proof_depth(p) for p in proofs),
-        term_height(m),
-        max(term_height(proof_target(zero, p)) for p in proofs),
+        max(flattened_depth(p, {}) for p in proofs),
+        flattened_depth(m, {}),
+        max(flattened_depth(proof_target(zero, p), {}) for p in proofs),
     )
     T = truncated_free(ccs, zero, d)[0]
     out = {
@@ -211,8 +210,6 @@ def test_T_functoriality_on_random_elements(ccs):
         elem = random_layer_element(ccs, X, rng, 1, 3, rng.choice(["term", "proof"]))
         via_f = map_leaves(elem, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
         lhs = map_leaves(via_f, lambda x: g.state_map[x], lambda e, a: g.edge_maps[a][e])
-        from gsos.presheaf import compose
-
         gf = compose(g, f)
         rhs = map_leaves(elem, lambda x: gf.state_map[x], lambda e, a: gf.edge_maps[a][e])
         assert lhs == rhs
@@ -406,7 +403,7 @@ def test_truncated_free_well_formed(ccs):
             p = proof_decode[e]
             assert render(proof_source(X, p)) == T.src[a][e]
             assert render(proof_target(X, p)) == T.tgt[a][e]
-            assert proof_depth(p) <= 2
+            assert flattened_depth(p, {}) <= 2
 
 
 @pytest.mark.parametrize("window", [truncated_free, truncated_free_squared])
@@ -698,9 +695,9 @@ def test_window_matches_proof_target_oracle(ccs, rsync_ambient, ambient, two_lay
     too_tall = 0
     for m in states:
         for p in _old_derive(ccs, m, ax):
-            if proof_depth(flat(p)) > d:
+            if flattened_depth(flat(p), {}) > d:
                 continue
-            if term_height(proof_target(X, flat(p))) > d:
+            if flattened_depth(proof_target(X, flat(p)), {}) > d:
                 too_tall += 1
                 continue
             want[proof_label(p)].append((render(p), render(m), render(proof_target(X, p))))

@@ -5,7 +5,7 @@ The old ``window_map`` built the image of every window element with a
 per-element function (``mu``, ``to_terminal``, ``T(!)``, ``T_on_element``)
 and rendered it; the new one formats each distinct node's image text once
 from the texts of the leaf images.  The old depth filter flattened each
-element with ``mu`` and measured it with ``term_height``/``proof_depth``.
+element with ``mu`` and measured it with a one-layer height or depth.
 The oracles below are the old code, with an uncached copy of the old
 renderer, so a slip in the shared node formatter shows here too.
 """
@@ -26,22 +26,21 @@ from gsos.terms import (
     Axiom,
     ImageText,
     T_on_element,
-    T_on_morphism,
     Var,
     flattened_depth,
     lift_leaves,
     map_leaves,
     mu,
-    proof_depth,
     proof_label,
     random_layer_element,
     random_presheaf,
-    term_height,
     to_terminal,
     truncated_free,
     truncated_free_squared,
     window_map,
 )
+
+from oracles import T_on_morphism
 
 
 def _old_render(elem) -> str:
@@ -198,7 +197,13 @@ def test_mu_leaves_refuse_like_old_mu(ccs, rsync_ambient):
 
 
 def _old_element_depth(elem) -> int:
-    return term_height(elem) if isinstance(elem, (Var, App)) else proof_depth(elem)
+    """Height of a one-layer term or depth of a one-layer proof, measured
+    afresh: variables and axioms are 0, a node is one more than its
+    deepest argument or premise."""
+    if isinstance(elem, (Var, Axiom)):
+        return 0
+    parts = [r for arg in elem.args for r in (arg if isinstance(arg, tuple) else (arg,))]
+    return 1 + max((_old_element_depth(r) for r in parts), default=0)
 
 
 @settings(max_examples=60, deadline=None)
