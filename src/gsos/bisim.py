@@ -99,11 +99,11 @@ def reachable_fragment(spec, seeds: Sequence[Term], fuel: int, successors: Calla
     return Fragment(carrier, frozenset(render(t) for t in level))
 
 
-def proof_successors(spec, drop_last_premise: bool = False) -> Callable:
+def proof_successors(spec) -> Callable:
     """One edge per derived proof, named by the proof's rendering."""
     memo: dict = {}
     return lambda m: [
-        (proof_label(p), render(p), n) for p, n in derive(spec, m, None, drop_last_premise, memo)
+        (proof_label(p), render(p), n) for p, n in derive(spec, m, None, _memo=memo)
     ]
 
 

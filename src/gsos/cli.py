@@ -375,8 +375,22 @@ def cmd_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
+class _CommandLineError(Exception):
+    """A command line that argparse refuses, with argparse's message."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser that raises on a malformed command line instead of
+    printing its usage, so that ``main`` refuses it as it refuses every
+    usage error.  ``add_subparsers`` makes the subcommand parsers of this
+    class too."""
+
+    def error(self, message: str):
+        raise _CommandLineError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gsos", description=__doc__)
+    ap = _ArgumentParser(prog="gsos", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="parse and validate a specification")
@@ -460,8 +474,10 @@ _COUNT_OPTIONS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _CommandLineError as exc:
+        return _usage_error(str(exc))
     for dest, option in _COUNT_OPTIONS.items():
         value = getattr(args, dest, None)
         if value is not None and value < 0:

@@ -47,28 +47,18 @@ from .presheaf import (
     _map,
     _system,
     identity,
-    terminal,
 )
 from .terms import (
     App,
     Axiom,
     Element,
     Proof,
-    Term,
     Var,
     map_leaves,
-    proof_target,
     rule_binding,
     term_vars,
     to_terminal,
 )
-
-
-def arity_star(labels: LabelSet, m: Term) -> Presheaf:
-    """One point per occurrence of the unique variable, named occ{k}."""
-    if not isinstance(m, (Var, App)):
-        raise MalformedProof("arity_star expects a term shape")
-    return _points(labels, len(term_vars(m)))
 
 
 @cache
@@ -183,11 +173,9 @@ class Decomposition:
         return _map(dom, self.arity, {x: x for x in dom.states})
 
     def target_morphism(self) -> PresheafMorphism:
-        """Route each occurrence of a proof's target term into the arity."""
-        labels = self.arity.labels
-        dom = arity_star(labels, proof_target(terminal(labels), self.shape))
-        if len(self.walk.route) != len(dom.states):
-            raise MalformedProof("occurrence count mismatch in target routing")
+        """Route each occurrence of a proof's target term into the arity:
+        the route lists one cell per occurrence, in order."""
+        dom = _points(self.arity.labels, len(self.walk.route))
         return _map(dom, self.arity, {f"occ{k}": c for k, c in enumerate(self.walk.route)})
 
     def generic_edges(self) -> list[tuple[str, str, str, str]]:

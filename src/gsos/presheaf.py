@@ -609,22 +609,26 @@ def _strings(items: list, where: str) -> tuple[str, ...]:
     return tuple(items)
 
 
-def _check_id(ident: str, what: str) -> None:
-    """Refuse an id that does not read back as the payload of var(...) or ax(...).
-
-    The term parser takes a payload up to the matching close parenthesis
-    and strips it, so an id reads back exactly when its parentheses balance
-    and it has no surrounding whitespace.
-    """
-    depth = 0
-    for ch in ident:
-        if ch == "(":
+def _read_payload(text: str, i: int) -> Optional[tuple[str, int]]:
+    """The payload of var(...) or ax(...) that starts at ``text[i]``, just
+    after the ``(``, and the index of its ``)``; None if none closes it.  A
+    payload runs to the matching ``)`` and is stripped: this is the one
+    statement of the rule, for the term reader and :func:`_check_id`."""
+    depth = 1
+    for j in range(i, len(text)):
+        if text[j] == "(":
             depth += 1
-        elif ch == ")":
+        elif text[j] == ")":
             depth -= 1
-            if depth < 0:
-                break
-    if depth != 0 or ident != ident.strip():
+            if depth == 0:
+                return text[i:j].strip(), j
+    return None
+
+
+def _check_id(ident: str, what: str) -> None:
+    """Refuse an id that does not read back as the payload of var(...) or
+    ax(...), by the rule of :func:`_read_payload`."""
+    if _read_payload(ident + ")", 0) != (ident, len(ident)):
         raise MalformedSystem(f"{what} {ident!r} does not read back through the term syntax")
 
 

@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, Optional
 
-from .errors import MalformedProof, SpecParseError, UnknownOperation
+from .errors import SpecParseError, UnknownOperation
 from .presheaf import LabelSet
 from .terms import App, Term, Var, term_vars
 
@@ -143,12 +143,6 @@ class GsosSpec:
         for r in self.rules:
             by_op.setdefault(r.op, []).append(r)
         return {op: tuple(rs) for op, rs in by_op.items()}
-
-    def rule_named(self, name: str) -> Rule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise MalformedProof(f"no rule named {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ the same syntax, so var(par(var(x),nil)) names a two-layer term exactly as
 it did when payloads were strings.  Text is parsed only when it comes from
 outside the program, and checked once, by the parser: every state, edge,
 operation, rule and premise is checked as it is read, so a parsed element
-is well formed over its system and the code inside trusts it.
+is well formed over its system and the code inside trusts it.  The parser
+is one left-to-right reader: it reads each character once, builds each
+node when its text closes and a proof together with its source, and takes
+a var(...) or ax(...) payload by the one payload rule,
+``presheaf._read_payload``.
 
 The four node classes (Var, App, Axiom, Node) are immutable and compare
 structurally.  Each node stores its hash and its rendering the first time
@@ -40,9 +44,10 @@ element with mu and measuring it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     MalformedProof,
@@ -56,6 +61,7 @@ from .presheaf import (
     Presheaf,
     PresheafMorphism,
     _map,
+    _read_payload,
     _system,
 )
 
@@ -395,179 +401,150 @@ def proof_target(X: Presheaf, p: Proof) -> Term:
 # Concrete syntax.
 
 
-def _scan_ident(text: str, i: int) -> tuple[str, int]:
-    j = i
-    while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-        j += 1
-    if j < len(text) and text[j] == "[":
-        depth = 0
-        while j < len(text):
-            if text[j] == "[":
-                depth += 1
-            elif text[j] == "]":
-                depth -= 1
-                if depth == 0:
-                    j += 1
-                    break
-            j += 1
-    return text[i:j], j
-
-
-def _scan_balanced(text: str, i: int) -> tuple[str, int]:
-    """Scan a raw payload up to the matching close paren; i is just after '('."""
-    depth, j = 1, i
-    while j < len(text):
-        if text[j] == "(":
-            depth += 1
-        elif text[j] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[i:j].strip(), j
-        j += 1
-    raise MalformedProof(f"unbalanced parentheses in {text!r}")
-
-
-def _split_args(body: str) -> list[str]:
-    """Split at the commas outside parentheses and outside the brackets of an
-    expanded rule name; brackets inside a payload are not counted."""
-    args, depth, square, start = [], 0, 0, 0
-    for i, ch in enumerate(body):
-        if ch in "()":
-            depth += 1 if ch == "(" else -1
-        elif ch in "[]" and depth == 0:
-            square += 1 if ch == "[" else -1
-        elif ch == "," and depth == square == 0:
-            args.append(body[start:i].strip())
-            start = i + 1
-    if body.strip():
-        args.append(body[start:].strip())
-    return args
-
-
 def parse_term(spec: "GsosSpec", X: Optional[Presheaf], text: str, allow_hole: bool = False) -> Term:
-    return _parse_term(spec, X, text, allow_hole)
-
-
-def _parse_term(spec, X: Optional[Presheaf], text: str, allow_hole: bool = False) -> Term:
-    text = text.strip()
-    head, i = _scan_ident(text, 0)
-    if not head:
-        raise MalformedProof(f"cannot parse term {text!r}")
-    if head == "hole":
-        if i != len(text) or not allow_hole:
-            raise MalformedProof(f"unexpected hole in {text!r}")
-        return Var(HOLE)
-    if head == "var":
-        if i >= len(text) or text[i] != "(":
-            raise MalformedProof(f"var needs a payload in {text!r}")
-        payload, j = _scan_balanced(text, i + 1)
-        if j + 1 != len(text):
-            raise MalformedProof(f"trailing input after {text!r}")
-        if X is None:
-            raise UnknownState(f"variable {payload!r} in a closed-term position")
-        if payload not in X.state_set():
-            raise UnknownState(f"{payload!r} is not an ambient state")
-        return Var(payload)
-    if spec.signature.has(head):
-        arity = spec.signature.arity(head)
-        if i == len(text):
-            args_text: list[str] = []
-        elif text[i] == "(":
-            body, j = _scan_balanced(text, i + 1)
-            if j + 1 != len(text):
-                raise MalformedProof(f"trailing input after {text!r}")
-            args_text = _split_args(body)
-        else:
-            raise MalformedProof(f"cannot parse term {text!r}")
-        if len(args_text) != arity:
-            raise UnknownOperation(f"{head!r} expects {arity} arguments, got {len(args_text)}")
-        return App(head, tuple(_parse_term(spec, X, a, allow_hole) for a in args_text))
-    raise UnknownOperation(f"unknown operation {head!r} in {text!r}")
+    """Parse a term over X, or a closed term when X is None."""
+    reader = _Reader(spec, X, text)
+    return reader.end(reader.term(allow_hole))
 
 
 def parse_proof(spec: "GsosSpec", X: Presheaf, text: str) -> Proof:
     """Parse a proof over X; the parse checks everything a proof must satisfy."""
-    return _parse_proof(spec, X, text)
+    reader = _Reader(spec, X, text)
+    return reader.end(reader.proof()[0])
 
 
-def _parse_proof(spec, X: Presheaf, text: str) -> Proof:
-    text = text.strip()
-    head, i = _scan_ident(text, 0)
-    if not head:
-        raise MalformedProof(f"cannot parse proof {text!r}")
-    if head == "ax":
-        if i >= len(text) or text[i] != "(":
-            raise MalformedProof(f"ax needs a payload in {text!r}")
-        payload, j = _scan_balanced(text, i + 1)
-        if j + 1 != len(text):
-            raise MalformedProof(f"trailing input after {text!r}")
-        return Axiom(payload, X.label_of(payload))
-    if i == len(text):
-        args_text: list[str] = []
-    elif text[i] == "(":
-        body, j = _scan_balanced(text, i + 1)
-        if j + 1 != len(text):
-            raise MalformedProof(f"trailing input after {text!r}")
-        args_text = _split_args(body)
-    else:
-        raise MalformedProof(f"cannot parse proof {text!r}")
-
-    parsed: list[tuple[str, object]] = []
-    for a in args_text:
-        if a.startswith("term(") or a.startswith("term ("):
-            inner, j = _scan_balanced(a, a.index("(") + 1)
-            if j + 1 != len(a):
-                raise MalformedProof(f"trailing input after {a!r}")
-            parsed.append(("term", _parse_term(spec, X, inner)))
-        else:
-            parsed.append(("proof", _parse_proof(spec, X, a)))
-
-    candidates = [r for r in spec.rules if r.name == head]
-    if not candidates:
-        candidates = [r for r in spec.rules if r.base_name == head]
-    if not candidates:
-        raise MalformedProof(f"unknown rule {head!r}")
-    matches = []
-    for rule in candidates:
-        grouped = _group_args(rule, parsed)
-        if grouped is not None:
-            matches.append(Node(rule, grouped))
-    if not matches:
-        raise MalformedProof(f"no expansion of rule {head!r} matches {text!r}")
-    if len(matches) > 1:
-        raise MalformedProof(f"rule name {head!r} is ambiguous for {text!r}")
-    node = matches[0]
-    for i, arg in enumerate(node.args):
-        if isinstance(arg, tuple) and len(arg) > 1 and len({proof_source(X, r) for r in arg}) > 1:
-            raise MalformedProof(
-                f"rule {node.rule.name!r}: premises of argument {i + 1} disagree on source"
-            )
-    return node
+# Blanks; a name: word characters, then the [...] suffix of an expanded rule name.
+_BLANKS, _NAME = re.compile(r"\s*"), re.compile(r"\w*(?:\[[^\]]*\]?)?")
 
 
-def _group_args(rule, parsed):
-    groups = []
-    k = 0
-    for labels_i in rule.premise_labels:
-        if not labels_i:
-            if k >= len(parsed) or parsed[k][0] != "term":
-                return None
-            groups.append(parsed[k][1])
-            k += 1
-            continue
-        chunk = []
-        for want in labels_i:
-            if k >= len(parsed) or parsed[k][0] != "proof":
-                return None
-            r = parsed[k][1]
-            if proof_label(r) != want:
-                return None
-            chunk.append(r)
-            k += 1
-        groups.append(tuple(chunk))
-    if k != len(parsed):
-        return None
-    return tuple(groups)
+class _Reader:
+    """One left-to-right pass over element text; each node is built when
+    its text closes, and a proof together with its source, so the premises
+    of an argument are compared by the sources their reads built.  Each
+    nesting level takes one frame: the frame that reads a node reads its
+    arguments in a loop over :meth:`args`.  Blanks may surround an element,
+    but not separate a name from its ``(``, except one space after ``term``."""
+
+    __slots__ = ("spec", "X", "text", "i")
+
+    def __init__(self, spec: "GsosSpec", X: Optional[Presheaf], text: str):
+        self.spec, self.X, self.text, self.i = spec, X, text, 0
+        self.peek()
+
+    def peek(self) -> str:
+        """Pass blanks; the next character, or '' at the end."""
+        self.i = i = _BLANKS.match(self.text, self.i).end()
+        return self.text[i : i + 1]
+
+    def fault(self, what: str) -> MalformedProof:
+        return MalformedProof(f"{what} at {self.i} in {self.text!r}")
+
+    def end(self, elem: Element) -> Element:
+        if self.peek():
+            raise self.fault("trailing input")
+        return elem
+
+    def name(self) -> str:
+        found = _NAME.match(self.text, self.i)
+        self.i = found.end()
+        return found.group()
+
+    def payload(self, wrapper: str) -> str:
+        if not self.text.startswith("(", self.i):
+            raise self.fault(f"{wrapper} needs a payload")
+        found = _read_payload(self.text, self.i + 1)
+        if found is None:
+            raise self.fault("unbalanced parentheses")
+        self.i = found[1] + 1
+        return found[0]
+
+    def args(self) -> Iterator[None]:
+        """Yield once per argument of the node whose name was just read,
+        with the cursor on the argument, for the caller to read it."""
+        if not self.text.startswith("(", self.i):
+            return
+        self.i += 1
+        if self.peek() != ")":
+            yield
+            while self.peek() == ",":
+                self.i += 1
+                self.peek()
+                yield
+        if self.peek() != ")":
+            raise self.fault("expected ',' or ')'")
+        self.i += 1
+
+    def term(self, allow_hole: bool) -> Term:
+        head = self.name()
+        if not head:
+            raise self.fault("cannot parse term")
+        if head == "hole":
+            if not allow_hole:
+                raise self.fault("unexpected hole")
+            return Var(HOLE)
+        if head == "var":
+            x = self.payload("var")
+            if self.X is None:
+                raise UnknownState(f"variable {x!r} in a closed-term position")
+            if x not in self.X.state_set():
+                raise UnknownState(f"{x!r} is not an ambient state")
+            return Var(x)
+        if not self.spec.signature.has(head):
+            raise UnknownOperation(f"unknown operation {head!r} in {self.text!r}")
+        args = []
+        for _ in self.args():
+            args.append(self.term(allow_hole))
+        arity = self.spec.signature.arity(head)
+        if len(args) != arity:
+            raise UnknownOperation(f"{head!r} expects {arity} arguments, got {len(args)}")
+        return App(head, tuple(args))
+
+    def proof(self) -> tuple[Proof, Term]:
+        """A proof and its source."""
+        head = self.name()
+        if not head:
+            raise self.fault("cannot parse proof")
+        if head == "ax":
+            e = self.payload("ax")
+            a = self.X.label_of(e)
+            return Axiom(e, a), Var(self.X.src[a][e])
+        rules = self.spec.rules
+        named = [r for r in rules if r.name == head] or [r for r in rules if r.base_name == head]
+        if not named:
+            raise MalformedProof(f"unknown rule {head!r}")
+        args, sources = [], []
+        for _ in self.args():
+            if self.text.startswith(("term(", "term ("), self.i):
+                self.i = self.text.index("(", self.i) + 1
+                self.peek()
+                elem = source = self.term(False)
+                if self.peek() != ")":
+                    raise self.fault("expected ')'")
+                self.i += 1
+            else:
+                elem, source = self.proof()
+            args.append(elem)
+            sources.append(source)
+        shape = [proof_label(a) if isinstance(a, (Axiom, Node)) else None for a in args]
+        matches = [r for r in named if shape == [a for g in r.premise_labels for a in g or (None,)]]
+        if not matches:
+            raise MalformedProof(f"no expansion of rule {head!r} matches {self.text!r}")
+        if len(matches) > 1:
+            raise MalformedProof(f"rule name {head!r} is ambiguous for {self.text!r}")
+        rule = matches[0]
+        grouped, source_args, k = [], [], 0
+        for i, n in enumerate(rule.premise_counts):
+            source_args.append(sources[k])
+            if n == 0:
+                grouped.append(args[k])
+            elif any(s != sources[k] for s in sources[k + 1 : k + n]):
+                raise MalformedProof(
+                    f"rule {rule.name!r}: premises of argument {i + 1} disagree on source"
+                )
+            else:
+                grouped.append(tuple(args[k : k + n]))
+            k += n or 1
+        return Node(rule, tuple(grouped)), App(rule.op, tuple(source_args))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +555,6 @@ def derive(
     spec: "GsosSpec",
     term: Term,
     axioms_of: Optional[Callable[[object, str], Sequence]] = None,
-    drop_last_premise: bool = False,
     _memo: Optional[dict] = None,
 ) -> tuple[tuple[Proof, Term], ...]:
     """All proofs whose conclusion source is exactly ``term``, each paired
@@ -599,17 +575,12 @@ def derive(
     premises of one group share their source by construction.  Rules are
     tried in declaration order and premise choices are combined
     left-to-right, which fixes the output order.
-
-    ``drop_last_premise`` enables the deliberately broken engine used as a
-    negative control: for rules with at least two premises, the last premise
-    is not derived recursively but pattern-matched one level deep against
-    axiom-shaped unary rules.
     """
     memo = _memo if _memo is not None else {}
-    return _derive(spec, term, axioms_of, drop_last_premise, memo)
+    return _derive(spec, term, axioms_of, memo)
 
 
-def _derive(spec, t: Term, axioms_of, drop_last_premise: bool, memo: dict):
+def _derive(spec, t: Term, axioms_of, memo: dict):
     # A module-level recursion rather than a closure over itself, so the
     # memo is freed when the caller drops it, without waiting for the
     # cyclic garbage collector.
@@ -625,9 +596,9 @@ def _derive(spec, t: Term, axioms_of, drop_last_premise: bool, memo: dict):
         memo[t] = tuple(out)
         return memo[t]
     premises = lambda u, want: [
-        r for r in _derive(spec, u, axioms_of, drop_last_premise, memo) if proof_label(r[0]) == want
+        r for r in _derive(spec, u, axioms_of, memo) if proof_label(r[0]) == want
     ]
-    for rule, combo, n in _rule_instances(spec, t, premises, drop_last_premise):
+    for rule, combo, n in _rule_instances(spec, t, premises, False):
         args = tuple(tuple([r for r, _ in c]) if isinstance(c, tuple) else c for c in combo)
         out.append((Node(rule, args), n))
     memo[t] = tuple(out)
@@ -641,6 +612,10 @@ def steps(spec: "GsosSpec", t: Term, drop_last_premise: bool, memo: dict) -> tup
     A rule instance's target depends on the premises' (label, target) pairs
     only, so no proof is built.  ``memo`` maps terms to their steps for one
     value of ``drop_last_premise``; the caller picks its scope.
+    ``drop_last_premise`` switches on the deliberately broken engine of the
+    congruence test's negative control: the last premise of a rule with at
+    least two is not derived but matched one level deep against axiom-shaped
+    unary rules.
     """
     known = memo.get(t)
     if known is not None:

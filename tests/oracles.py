@@ -4,14 +4,29 @@ The program compares maps cell by cell (``presheaf.commutes``), tests
 pullback corners pointwise (``presheaf.pullback_report``) and never builds
 composites, pullbacks, every map between two systems, T(f) on windows or
 lifts through the flattening.  The plain constructions below build them,
-as oracles and as inputs for the tests of more than one module.
+as oracles and as inputs for the tests of more than one module.  So are a
+rule looked up by its name, a term shape's source arity counted off the
+term, and derive as it was, which still takes the switch to the
+premise-shortcut engine (the program runs that engine only in ``steps``).
 """
 
 from itertools import product
 
 from gsos.errors import MalformedProof, NonCommutingSquare, ShapeUnsupported
+from gsos.familial import _points
 from gsos.presheaf import STAR, _map, _pair_system
-from gsos.terms import Axiom, Node, Var, mu, proof_label, truncated_free, window_map
+from gsos.terms import (
+    App,
+    Axiom,
+    Node,
+    Var,
+    _last_premise_index,
+    mu,
+    proof_label,
+    term_vars,
+    truncated_free,
+    window_map,
+)
 
 
 def compose(g, f):
@@ -95,3 +110,70 @@ def lift_mu(MM, R):
                 raise MalformedProof("premise-less argument does not flatten correctly")
             args.append(MM.args[i])
     return Node(R.rule, tuple(args))
+
+
+def rule_named(spec, name):
+    """The rule of a spec with that expanded name."""
+    for r in spec.rules:
+        if r.name == name:
+            return r
+    raise MalformedProof(f"no rule named {name!r}")
+
+
+def arity_star(labels, m):
+    """One point per occurrence of the unique variable, named occ{k}: the
+    source arity of a term shape, counted off the term."""
+    if not isinstance(m, (Var, App)):
+        raise MalformedProof("arity_star expects a term shape")
+    return _points(labels, len(term_vars(m)))
+
+
+def old_derive(spec, term, axioms_of=None, drop_last_premise=False, _memo=None):
+    """derive as it was: proofs only; axioms_of lists bare payloads."""
+    memo = _memo if _memo is not None else {}
+
+    def shortcut(arg, want):
+        if not isinstance(arg, App) or len(arg.args) != 1:
+            return []
+        return [
+            Node(rule, (arg.args[0],))
+            for rule in spec.rules
+            if rule.op == arg.op
+            and rule.label == want
+            and all(not g for g in rule.premise_labels)
+            and rule.target == Var("x1")
+        ]
+
+    def go(t):
+        if t in memo:
+            return memo[t]
+        out = []
+        if isinstance(t, Var):
+            if axioms_of is not None:
+                for a in spec.labels:
+                    out.extend(Axiom(e, a) for e in axioms_of(t.name, a))
+            memo[t] = tuple(out)
+            return memo[t]
+        for rule in spec.rules:
+            if rule.op != t.op:
+                continue
+            total = sum(len(g) for g in rule.premise_labels)
+            cut = _last_premise_index(rule) if drop_last_premise and total >= 2 else None
+            group_choices = []
+            for i, labels_i in enumerate(rule.premise_labels):
+                if not labels_i:
+                    group_choices.append([t.args[i]])
+                    continue
+                per_j = [
+                    shortcut(t.args[i], want)
+                    if cut == (i, j)
+                    else [r for r in go(t.args[i]) if proof_label(r) == want]
+                    for j, want in enumerate(labels_i)
+                ]
+                group_choices.append([tuple(c) for c in product(*per_j)])
+            for combo in product(*group_choices):
+                out.append(Node(rule, tuple(combo)))
+        memo[t] = tuple(out)
+        return memo[t]
+
+    return go(term)

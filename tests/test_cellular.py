@@ -47,7 +47,7 @@ from gsos.terms import (
     truncated_free_squared,
 )
 
-from oracles import T_on_morphism
+from oracles import T_on_morphism, rule_named
 
 
 def test_s_class_generators(ccs):
@@ -376,7 +376,7 @@ def test_unique_R0_node_case(ccs, rsync_ambient):
     X = rsync_ambient
     one = terminal(ccs.labels)
     RR = Node(
-        ccs.rule_named("lpar[L=a_bar]"),
+        rule_named(ccs, "lpar[L=a_bar]"),
         ((Axiom(parse_proof(ccs, one, "ax(a_bar)"), "a_bar"),), Var(Var("*"))),
     )
     assert render(RR) == "lpar[L=a_bar](ax(ax(a_bar)),term(var(var(*))))"

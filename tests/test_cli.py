@@ -290,6 +290,32 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", CCS, "--suite", "laws", "--cases", "abc"], "argument --cases: invalid int value"),
+        (["verify", CCS], "the following arguments are required: --suite"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+        (["lts", CCS, "--term", "nil", "--format", "xml"], "argument --format: invalid choice"),
+    ],
+    ids=["cases-not-an-int", "no-suite", "unknown-command", "unknown-format"],
+)
+def test_argparse_refusal_is_one_json_line(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    doc = json.loads(line)
+    assert doc["kind"] == "UsageError"
+    assert doc["message"].startswith(message)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gsos verify")
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "gsos.cli", "check", CCS], capture_output=True, text=True

@@ -1,13 +1,15 @@
 """No dead code in the package: every import a gsos module makes is used in
 that module, every module-level private name is referenced somewhere in
-the package, and so is every public one, apart from a short allow-list
-with a reason for each entry.  Deleting a function often strands its helpers and imports;
+the package, and so is every public one and every public method and
+property of a class, apart from a short allow-list with a reason for each
+entry.  Deleting a function often strands its helpers and imports;
 this test finds them by reading each module's syntax tree.  Imports sit at
 module level, where these checks and a reader see them.  Every parameter is
 read by its function: one that is passed but never read tells the caller a
 choice matters when it does not."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,7 @@ ALLOWED_UNREFERENCED = {
     "presheaf_to_json": "the public round trip of presheaf_from_json",
     "morphism_to_json": "the public round trip of morphism_from_json",
     "pretty_print": "the public round trip of parse_spec",
+    "_ArgumentParser.error": "argparse calls it on a malformed command line",
 }
 
 
@@ -132,15 +135,55 @@ def _unreferenced_public_names(trees: dict, allowed) -> list[str]:
     return found
 
 
+def _members(tree: ast.Module):
+    """(``Class.member``, definition) of each public method and property of
+    each module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _name_reads(node: ast.AST) -> Counter:
+    """How often each name is read under node, as an attribute or a variable."""
+    return Counter(
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Attribute, ast.Name)) and not isinstance(n.ctx, ast.Store)
+    )
+
+
+def _unreferenced_members(trees: dict, allowed) -> list[str]:
+    """``module.Class.member`` of each public method or property, not in
+    allowed, whose name nothing reads outside its own definition.  A read of
+    any attribute of that name counts, whatever its object."""
+    reads = sum((_name_reads(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in sorted(trees.items()):
+        for name, own in _members(tree):
+            member = name.rsplit(".", 1)[1]
+            if name not in allowed and reads[member] == _name_reads(own)[member]:
+                found.append(f"{module}.{name}")
+    return found
+
+
 def _stale_allowances(trees: dict, allowed) -> list[str]:
     """Allow-list entries that name nothing defined, or a name now referenced."""
     unreferenced = {n.rsplit(".", 1)[1] for n in _unreferenced_public_names(trees, {})}
+    unreferenced |= {n.split(".", 1)[1] for n in _unreferenced_members(trees, {})}
     return sorted(set(allowed) - unreferenced)
 
 
 def test_every_public_name_is_referenced():
     dead = _unreferenced_public_names(TREES, ALLOWED_UNREFERENCED)
     assert not dead, f"public names nothing else in gsos reads: {dead}"
+
+
+def test_every_public_member_is_referenced():
+    dead = _unreferenced_members(TREES, ALLOWED_UNREFERENCED)
+    assert not dead, f"methods and properties nothing else in gsos reads: {dead}"
 
 
 def test_allow_list_is_short_and_current():
@@ -170,6 +213,39 @@ def test_public_name_check_flags_an_unreferenced_function():
 def test_stale_allowance_is_reported():
     allowed = {"orphan": "a reason", "used": "now referenced", "gone": "no longer defined"}
     assert _stale_allowances(SYNTHETIC, allowed) == ["gone", "used"]
+
+
+# A class whose method only calls itself and is named only in a string; its
+# property is read by a module function, and its private and special
+# methods are not checked.
+SYNTHETIC_CLASS = {
+    "lib": ast.parse(
+        "class Box:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 0\n"
+        "\n"
+        "    def orphan(self, n):\n"
+        "        return self.orphan(n - 1) if n else {'orphan': self._hidden()}\n"
+        "\n"
+        "    def _hidden(self):\n"
+        "        return 0\n"
+        "\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "\n"
+        "def size_of(box):\n"
+        "    return box.size\n"
+    )
+}
+
+
+def test_member_check_flags_an_unreferenced_method():
+    assert _unreferenced_members(SYNTHETIC_CLASS, {}) == ["lib.Box.orphan"]
+    assert _unreferenced_members(SYNTHETIC_CLASS, {"Box.orphan": "a reason"}) == []
+    assert _stale_allowances(SYNTHETIC_CLASS, {"Box.orphan": "a reason", "Box.size": "read"}) == [
+        "Box.size"
+    ]
 
 
 @pytest.mark.parametrize("module", sorted(TREES))

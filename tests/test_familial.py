@@ -5,7 +5,6 @@ import pytest
 from gsos.errors import CellMismatch, MalformedProof
 from gsos.familial import (
     arity_label,
-    arity_star,
     arity_tgt_morphism,
     decompose,
     generic_decomposition,
@@ -34,7 +33,7 @@ from gsos.terms import (
     to_terminal,
 )
 
-from oracles import all_morphisms, compose
+from oracles import all_morphisms, arity_star, compose
 
 
 def is_generic(X, elem):

@@ -4,6 +4,8 @@ from gsos.errors import SpecParseError
 from gsos.specdsl import parse_spec, pretty_print, validate
 from gsos.terms import App, Var
 
+from oracles import rule_named
+
 
 def kinds(exc: SpecParseError) -> set[str]:
     return {v.kind for v in exc.violations}
@@ -46,7 +48,7 @@ def test_lpar_template_expands_per_label(ccs):
 
 
 def test_rsync_has_two_premises_on_one_argument(ccs):
-    r = ccs.rule_named("rsync")
+    r = rule_named(ccs, "rsync")
     assert r.premise_counts == (2,)
     assert r.premise_labels == (("a_bar", "a"),)
     assert r.target == App(

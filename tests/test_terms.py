@@ -25,8 +25,8 @@ from gsos.terms import (
     Axiom,
     Node,
     Var,
-    _last_premise_index,
     _layer_axioms,
+    _rule_instances,
     ambient_axioms,
     derive,
     eta,
@@ -50,7 +50,7 @@ from gsos.terms import (
     two_layer_terms,
 )
 
-from oracles import T_on_morphism, compose, lift_mu
+from oracles import T_on_morphism, compose, lift_mu, old_derive, rule_named
 
 
 def test_axiom_src_tgt(paper_lts):
@@ -245,7 +245,7 @@ def test_mu_second_clause(ccs, rsync_ambient):
 def test_mu_nested_proof(ccs, rsync_ambient):
     X = rsync_ambient
     inner = parse_proof(ccs, X, "lpar(ax(e1),term(var(x)))")
-    z = Node(ccs.rule_named("lpar[L=a_bar]"), ((Axiom(inner, "a_bar"),), Var(Var("y1"))))
+    z = Node(rule_named(ccs, "lpar[L=a_bar]"), ((Axiom(inner, "a_bar"),), Var(Var("y1"))))
     assert render(z) == "lpar[L=a_bar](ax(lpar[L=a_bar](ax(e1),term(var(x)))),term(var(var(y1))))"
     out = mu(z)
     assert render(out) == "lpar[L=a_bar](lpar[L=a_bar](ax(e1),term(var(x))),term(var(y1)))"
@@ -555,55 +555,20 @@ def test_nodes_are_immutable_and_print_like_dataclasses(ccs, sync_ambient):
 # re-derived from its proof by proof_target.
 
 
-def _old_derive(spec, term, axioms_of=None, drop_last_premise=False, _memo=None):
-    """derive as it was: proofs only; axioms_of lists bare payloads."""
-    memo = _memo if _memo is not None else {}
+def _derive(spec, m, axioms_of, drop, memo):
+    """derive, or with drop the same loop over the premise-shortcut engine
+    that ``steps`` runs for the mutated congruence test (derive itself has
+    no switch for it)."""
+    if not drop or isinstance(m, Var):
+        return derive(spec, m, axioms_of, _memo=memo)
 
-    def shortcut(arg, want):
-        if not isinstance(arg, App) or len(arg.args) != 1:
-            return []
-        return [
-            Node(rule, (arg.args[0],))
-            for rule in spec.rules
-            if rule.op == arg.op
-            and rule.label == want
-            and all(not g for g in rule.premise_labels)
-            and rule.target == Var("x1")
-        ]
+    def premises(u, want):
+        return [r for r in _derive(spec, u, axioms_of, drop, memo) if proof_label(r[0]) == want]
 
-    def go(t):
-        if t in memo:
-            return memo[t]
-        out = []
-        if isinstance(t, Var):
-            if axioms_of is not None:
-                for a in spec.labels:
-                    out.extend(Axiom(e, a) for e in axioms_of(t.name, a))
-            memo[t] = tuple(out)
-            return memo[t]
-        for rule in spec.rules:
-            if rule.op != t.op:
-                continue
-            total = sum(len(g) for g in rule.premise_labels)
-            cut = _last_premise_index(rule) if drop_last_premise and total >= 2 else None
-            group_choices = []
-            for i, labels_i in enumerate(rule.premise_labels):
-                if not labels_i:
-                    group_choices.append([t.args[i]])
-                    continue
-                per_j = [
-                    shortcut(t.args[i], want)
-                    if cut == (i, j)
-                    else [r for r in go(t.args[i]) if proof_label(r) == want]
-                    for j, want in enumerate(labels_i)
-                ]
-                group_choices.append([tuple(c) for c in product(*per_j)])
-            for combo in product(*group_choices):
-                out.append(Node(rule, tuple(combo)))
-        memo[t] = tuple(out)
-        return memo[t]
-
-    return go(term)
+    return tuple(
+        (Node(rule, tuple(tuple(r for r, _ in c) if isinstance(c, tuple) else c for c in combo)), n)
+        for rule, combo, n in _rule_instances(spec, m, premises, True)
+    )
 
 
 def _old_layer_axioms(spec, X, level):
@@ -611,7 +576,7 @@ def _old_layer_axioms(spec, X, level):
         return X.out_edges
     inner = _old_layer_axioms(spec, X, level - 1)
     memo = {}
-    return lambda m, a: [p for p in _old_derive(spec, m, inner, _memo=memo) if proof_label(p) == a]
+    return lambda m, a: [p for p in old_derive(spec, m, inner, _memo=memo) if proof_label(p) == a]
 
 
 def _leaf_payloads(t):
@@ -625,10 +590,10 @@ def _assert_pairs_match_oracle(spec, X, terms, axioms_of, old_axioms_of, drop):
     each with the target proof_target re-derives; so does a fresh memo."""
     memo, old_memo = {}, {}
     for m in terms:
-        pairs = derive(spec, m, axioms_of, drop, _memo=memo)
-        want = _old_derive(spec, m, old_axioms_of, drop, _memo=old_memo)
+        pairs = _derive(spec, m, axioms_of, drop, memo)
+        want = old_derive(spec, m, old_axioms_of, drop, _memo=old_memo)
         assert tuple(p for p, _ in pairs) == want
-        assert derive(spec, m, axioms_of, drop) == pairs
+        assert _derive(spec, m, axioms_of, drop, {}) == pairs
         for p, n in pairs:
             assert proof_target(X, p) == n
 
@@ -654,7 +619,7 @@ def test_derive_pairs_match_proof_target_oracle(ccs, drop, seed, level):
 
 def _closed_terms_and_successors(spec, terms, drop):
     """The terms and their targets one step on, as a fragment derives them."""
-    return terms + [n for t in terms for _, n in derive(spec, t, None, drop)]
+    return terms + [n for t in terms for _, n in _derive(spec, t, None, drop, {})]
 
 
 @pytest.mark.parametrize("drop", [False, True])
@@ -694,7 +659,7 @@ def test_window_matches_proof_target_oracle(ccs, rsync_ambient, ambient, two_lay
     want = {a: [] for a in ccs.labels}
     too_tall = 0
     for m in states:
-        for p in _old_derive(ccs, m, ax):
+        for p in old_derive(ccs, m, ax):
             if flattened_depth(flat(p), {}) > d:
                 continue
             if flattened_depth(proof_target(X, flat(p)), {}) > d:
