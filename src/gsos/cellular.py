@@ -8,9 +8,10 @@ the arity on the nose.  Certificates are what make lifting against a
 functional bisimulation constructive: each attachment is one elementary
 lifting problem, solved deterministically.
 
-The same window discipline as everywhere else applies: two-layer systems
-are truncated by flattened depth, which every construction here preserves
-or decreases, so a single bound threads through the whole pipeline.
+The same window discipline as everywhere else applies: a window is the
+full subsystem on the terms of flattened height <= d (a proof is as deep
+as its source is high), and flattening keeps heights, so a single bound
+threads through the whole pipeline.
 """
 
 from __future__ import annotations
@@ -254,11 +255,12 @@ def window_bang(spec, X: Presheaf, d: int) -> PresheafMorphism:
 def check_mu_cartesian(spec, X: Presheaf, d: int, t_bang: PresheafMorphism) -> dict:
     """Is the flattening naturality square over 1 a pointwise pullback?
 
-    Both two-layer corners are truncated by flattened depth <= d, the
-    one-layer corners by depth <= d; the square is well-posed because
-    flattening preserves the bound and the unique two-layer witness of a
-    compatible pair lives inside the same window.  ``t_bang`` is
-    :func:`window_bang` of X at depth d, the square's bottom.
+    Both two-layer corners are the full subsystems on the terms of
+    flattened height <= d, the one-layer corners on the terms of height
+    <= d; the square is well-posed because flattening keeps heights and the
+    unique two-layer witness of a compatible pair lives inside the same
+    window.  ``t_bang`` is :func:`window_bang` of X at depth d, the
+    square's bottom.
     """
     T_X, T_1 = t_bang.dom, t_bang.cod
     # Each two-layer window keeps its decode tables only until its maps are

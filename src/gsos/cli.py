@@ -46,7 +46,7 @@ from .terms import (
     Var,
     ambient_axioms,
     derive,
-    flattened_depth,
+    flattened_height,
     monad_law_failures,
     parse_proof,
     parse_term,
@@ -302,18 +302,18 @@ def _cellular_failures(spec: GsosSpec, rng, d: int) -> list[str]:
 
 
 def _preserve_failures(spec: GsosSpec, rng, d: int) -> list[str]:
-    """Each transition of depth <= d out of f(M) lifts along f to one out of M."""
+    """Each transition of depth <= d out of f(M) lifts along f to one out of M.
+
+    A transition is as deep as its source is high, so either every one out
+    of f(M) has depth <= d or, when M is taller than d, none has."""
     f = random_functional_bisim(rng, spec.labels)
     try:
         M = random_term(spec, rng, f.dom.states, d)
     except GsosError:
         return []
-    depths: dict = {}
-    problems = [
-        R
-        for R, _ in derive(spec, T_on_element(f, M), ambient_axioms(f.cod))
-        if flattened_depth(R, depths) <= d
-    ]
+    if flattened_height(M) > d:
+        return []
+    problems = [R for R, _ in derive(spec, T_on_element(f, M), ambient_axioms(f.cod))]
     failures = []
     for R in problems:
         try:
@@ -498,7 +498,8 @@ def main(argv=None) -> int:
     except GsosError as exc:
         return _refuse(exc)
     except RecursionError:
-        # parse, render, derive and the arity walk recurse once per level
+        # parse takes one frame per nesting level; render, derive and the
+        # arity walk take up to three
         return _refuse(
             NestingTooDeep(
                 f"input nested too deeply (interpreter recursion limit {sys.getrecursionlimit()})"

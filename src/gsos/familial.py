@@ -88,40 +88,42 @@ class _Walk:
 def _walk(elem: Element) -> _Walk:
     """Walk an element leaf by leaf, naming every cell as it goes."""
     leaves: list = []
-
-    def go(e: Element, prefix: str, offset: int) -> tuple[int, list[str]]:
-        # Returns the number of source occurrences and the target route.
-        if isinstance(e, Var):
-            leaves.append((e, (f"occ{offset}",)))
-            return 1, []
-        if isinstance(e, Axiom):
-            leaves.append((e, (f"occ{offset}", prefix + "e", prefix + "t")))
-            return 1, [prefix + "t"]
-        n = 0
-        if isinstance(e, App):
-            for child in e.args:
-                n += go(child, prefix, offset + n)[0]
-            return n, []
-        xs: list[list[str]] = []
-        ys: list[list[list[str]]] = []
-        for i, arg in enumerate(e.args):
-            if isinstance(arg, tuple):
-                prems = [
-                    go(prem, f"{prefix}arg{i}/prem{j}/", offset + n)
-                    for j, prem in enumerate(arg)
-                ]
-                ys.append([route for _n, route in prems])
-                n_i = prems[0][0]
-            else:
-                ys.append([])
-                n_i = go(arg, prefix, offset + n)[0]
-            xs.append([f"occ{offset + n + k}" for k in range(n_i)])
-            n += n_i
-        bound = rule_binding(xs, ys)
-        return n, [c for v in term_vars(e.rule.target) for c in bound[v]]
-
-    n, route = go(elem, "", 0)
+    n, route = _go(elem, "", 0, leaves)
     return _Walk(tuple(leaves), n, tuple(route))
+
+
+def _go(e: Element, prefix: str, offset: int, leaves: list) -> tuple[int, list[str]]:
+    """Append the leaves of e to ``leaves``; the number of source
+    occurrences and the target route.  A module-level recursion rather than
+    a closure over itself, so a walk leaves no reference cycle behind."""
+    if isinstance(e, Var):
+        leaves.append((e, (f"occ{offset}",)))
+        return 1, []
+    if isinstance(e, Axiom):
+        leaves.append((e, (f"occ{offset}", prefix + "e", prefix + "t")))
+        return 1, [prefix + "t"]
+    n = 0
+    if isinstance(e, App):
+        for child in e.args:
+            n += _go(child, prefix, offset + n, leaves)[0]
+        return n, []
+    xs: list[list[str]] = []
+    ys: list[list[list[str]]] = []
+    for i, arg in enumerate(e.args):
+        if isinstance(arg, tuple):
+            prems = [
+                _go(prem, f"{prefix}arg{i}/prem{j}/", offset + n, leaves)
+                for j, prem in enumerate(arg)
+            ]
+            ys.append([route for _n, route in prems])
+            n_i = prems[0][0]
+        else:
+            ys.append([])
+            n_i = _go(arg, prefix, offset + n, leaves)[0]
+        xs.append([f"occ{offset + n + k}" for k in range(n_i)])
+        n += n_i
+    bound = rule_binding(xs, ys)
+    return n, [c for v in term_vars(e.rule.target) for c in bound[v]]
 
 
 def _arity(labels: LabelSet, w: _Walk) -> Presheaf:

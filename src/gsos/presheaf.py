@@ -210,10 +210,6 @@ def _system(
     return Presheaf(labels, tuple(states), {a: tuple(es) for a, es in edges.items()}, src, tgt)
 
 
-def empty_presheaf(labels: LabelSet) -> Presheaf:
-    return _system(labels, (), ())
-
-
 @cache
 def representable(labels: LabelSet, obj: str) -> Presheaf:
     """y_* (one state, no edges) or y_[a] (one a-edge between two states)."""
@@ -436,12 +432,7 @@ def pullback_report(square: LiftingSquare) -> dict[str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Finite colimits: coproducts and wide pushouts (the only shapes needed).
-
-
-@dataclass(frozen=True)
-class Coproduct:
-    parts: tuple[Presheaf, ...]
+# Finite colimits: wide pushouts (the only shape the program builds).
 
 
 @dataclass(frozen=True)
@@ -481,16 +472,10 @@ class _UnionFind:
 def colimit(diagram) -> tuple[Presheaf, tuple[PresheafMorphism, ...]]:
     """Pointwise colimit with stable hierarchical cell names.
 
-    Cells of part/leg-codomain i are injected as "inj{i}/{cell}"; cells
-    identified by a wide pushout take the least such name in their class.
-    A coproduct is the wide pushout of its parts under the empty system.
-    Returns the colimit and one injection per part (per leg codomain).
+    Cells of leg codomain i are injected as "inj{i}/{cell}"; cells
+    identified by the pushout take the least such name in their class.
+    Returns the colimit and one injection per leg codomain.
     """
-    if isinstance(diagram, Coproduct):
-        if not diagram.parts:
-            raise ShapeUnsupported("empty coproducts need an ambient label set")
-        apex = empty_presheaf(diagram.parts[0].labels)
-        diagram = WidePushout(apex, tuple(_map(apex, p, {}) for p in diagram.parts))
     if not isinstance(diagram, WidePushout):
         raise ShapeUnsupported(f"unsupported diagram shape {type(diagram).__name__}")
     apex, legs = diagram.apex, diagram.legs

@@ -3,9 +3,8 @@
 States of the free system over an ambient system X are terms over X's
 states; edges are proofs built from the rules, with axioms drawn from X's
 edges.  The whole free system is infinite, so every materialisation here is
-truncated by an explicit depth bound: term height counts constructor
-nesting (variables are 0, a 0-ary operation is 1), proof depth likewise
-(axioms are 0, a rule node is one more than the deepest argument).
+truncated by an explicit bound on term height: height counts constructor
+nesting (variables are 0, a 0-ary operation is 1).
 
 Elements of iterated layers (terms over terms, proofs over proofs) carry
 the inner element itself as their leaf payload: a variable of the second
@@ -33,13 +32,16 @@ need not be the same object (there is no intern table); equality tries
 identity first, then tells two nodes apart by their cached hashes when both
 are known, then compares fields.
 
-Window elements share their subtrees (strata reuse subterms, derive's memo
-reuses sub-proofs), and the window code works per shared node.  A window
-map (mu, the map to 1, T(f)) is given the texts of its leaves' images and
-formats each distinct node's image text once, with the formatter render
-uses; no image tree is built.  The window's depth filter folds the
-flattened depth over the same shared nodes instead of flattening each
-element with mu and measuring it.
+A proof is as deep as its source is high: each rule node sits over one
+operation of its source, and the premises of argument i are proofs out of
+the i-th subterm.  So the depth-d window, in every layer, is the full
+subsystem of the free system on the terms of (flattened) height <= d:
+every derived proof out of a window state whose target is also a window
+state is an edge, and no proof is ever measured.  Window elements share
+their subtrees (strata reuse subterms, derive's memo reuses sub-proofs).
+A window map (mu, the map to 1, T(f)) is given the texts of its leaves'
+images and formats each distinct node's image text once, with the
+formatter render uses; no image tree is built.
 """
 
 from __future__ import annotations
@@ -277,32 +279,12 @@ class ImageText:
         return text
 
 
-def flattened_depth(elem: Element, memo: dict) -> int:
-    """The height of a term or the depth of a proof with every layer
-    flattened: a leaf whose payload is an element counts as that payload's
-    height or depth, an ambient leaf as 0.
-
-    ``memo`` maps node ids to depths, so every node measured with it must
-    stay alive as long as the memo is used.
-    """
-    key = id(elem)
-    depth = memo.get(key)
-    if depth is None:
-        if isinstance(elem, Var):
-            depth = 0 if isinstance(elem.name, str) else flattened_depth(elem.name, memo)
-        elif isinstance(elem, Axiom):
-            depth = 0 if isinstance(elem.edge, str) else flattened_depth(elem.edge, memo)
-        else:
-            depth = 0
-            for arg in elem.args:
-                if isinstance(arg, tuple):
-                    for r in arg:
-                        depth = max(depth, flattened_depth(r, memo))
-                else:
-                    depth = max(depth, flattened_depth(arg, memo))
-            depth += 1
-        memo[key] = depth
-    return depth
+def flattened_height(t: Term) -> int:
+    """The height of a term with every layer flattened: a variable whose
+    payload is a term counts as that term's height, an ambient one as 0."""
+    if isinstance(t, Var):
+        return 0 if isinstance(t.name, str) else flattened_height(t.name)
+    return 1 + max(map(flattened_height, t.args), default=0)
 
 
 def proof_label(p: Proof) -> str:
@@ -484,6 +466,8 @@ class _Reader:
             return Var(HOLE)
         if head == "var":
             x = self.payload("var")
+            if allow_hole and x == HOLE:
+                return Var(HOLE)  # the hole as a report prints it
             if self.X is None:
                 raise UnknownState(f"variable {x!r} in a closed-term position")
             if x not in self.X.state_set():
@@ -730,41 +714,37 @@ def _strata(
 
 
 def truncated_free(spec: "GsosSpec", X: Presheaf, d: int):
-    """The depth-d window of the free system over X.
+    """The depth-d window of the free system over X: the full subsystem on
+    the terms of height <= d, whose edges (every proof between them) have
+    depth <= d because a proof is as deep as its source is high.
 
     Returns (presheaf, term decode, proof decode); states are canonical term
-    renderings, edges canonical proof renderings.  An edge is kept only when
-    its proof has depth <= d and both endpoints have height <= d.
+    renderings, edges canonical proof renderings.
     """
-    return _window(spec, X, d, terms_upto(spec, X.states, d), ambient_axioms(X))
+    return _window(spec, X, terms_upto(spec, X.states, d), ambient_axioms(X))
 
 
-def _window(spec: "GsosSpec", X: Presheaf, d: int, state_terms, axioms_of):
-    """The window on the given states: every derived proof whose flattened
-    depth is <= d, with a target of flattened height <= d, becomes an edge.
-
-    Flattening commutes with targets, so a flattened proof's target is the
-    flattened target that derive returned with the proof.  The depths are
-    folded over derive's shared nodes, which its memo keeps alive."""
+def _window(spec: "GsosSpec", X: Presheaf, state_terms, axioms_of):
+    """The full subsystem on the given states: every derived proof out of a
+    state whose target is also a state becomes an edge."""
     missing = [a for a in spec.labels if a not in X.labels]
     if missing:
         raise UnknownLabel(f"the system lacks the spec's labels {missing}")
-    states = tuple(render(t) for t in state_terms)
+    terms = {render(t): t for t in state_terms}
     proof_decode: dict[str, Proof] = {}
     memo: dict = {}
-    depths: dict = {}
 
     def arrows():
-        for state, m in zip(states, state_terms):
+        for state, m in terms.items():
             for p, n in derive(spec, m, axioms_of, _memo=memo):
-                if flattened_depth(p, depths) > d or flattened_depth(n, depths) > d:
-                    continue
-                key = render(p)
-                proof_decode[key] = p
-                yield proof_label(p), key, state, render(n)
+                target = render(n)
+                if target in terms:
+                    key = render(p)
+                    proof_decode[key] = p
+                    yield proof_label(p), key, state, target
 
-    P = _system(X.labels, states, arrows())
-    return P, dict(zip(states, state_terms)), proof_decode
+    P = _system(X.labels, tuple(terms), arrows())
+    return P, terms, proof_decode
 
 
 def window_map(window, cod: Presheaf, on_var: Callable, on_ax: Callable) -> PresheafMorphism:
@@ -860,7 +840,7 @@ TERMINAL_LEAVES = (lambda _x: f"var({STAR})", lambda _e, a: f"ax({a})")
 
 
 # ---------------------------------------------------------------------------
-# Two-layer enumeration, truncated by flattened depth.
+# Two-layer enumeration, truncated by flattened height.
 
 
 def two_layer_terms(spec: "GsosSpec", X: Presheaf, d: int) -> list[Term]:
@@ -885,12 +865,13 @@ def _layer_axioms(spec: "GsosSpec", X: Presheaf, level: int):
 
 
 def truncated_free_squared(spec: "GsosSpec", X: Presheaf, d: int):
-    """The two-layer window over X, truncated by flattened depth <= d.
+    """The two-layer window over X: the full subsystem on the two-layer
+    terms of flattened height <= d.
 
     Returns (presheaf, term decode, proof decode) exactly like
     :func:`truncated_free`, with two-layer elements behind the keys.
     """
-    return _window(spec, X, d, two_layer_terms(spec, X, d), _layer_axioms(spec, X, 2))
+    return _window(spec, X, two_layer_terms(spec, X, d), _layer_axioms(spec, X, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -923,11 +904,13 @@ def random_term(spec: "GsosSpec", rng, variables: Sequence[str], budget: int) ->
 def random_layer_element(
     spec: "GsosSpec", X: Presheaf, rng, level: int, budget: int, kind: str
 ) -> Element:
-    """A random element of the level-th free layer with flattened depth <= budget.
+    """A random element of the level-th free layer with flattened height or
+    depth <= budget.
 
-    A proof is drawn from the derivations out of a random term; after 40
-    misses it falls back to a wrapped ambient edge (level 1) or a wrapped
-    proof one layer down.
+    A proof is drawn from the derivations out of a random term of flattened
+    height <= budget, as deep as that term is high; after 40 misses it
+    falls back to a wrapped ambient edge (level 1) or a wrapped proof one
+    layer down.
     """
     if kind == "term":
         if level == 1:
@@ -945,8 +928,7 @@ def random_layer_element(
     ax = _layer_axioms(spec, X, level)
     for _ in range(40):
         m = random_layer_element(spec, X, rng, level, max(budget - 1, 0), "term")
-        depths: dict = {}
-        cands = [p for p, _ in derive(spec, m, ax) if flattened_depth(p, depths) <= budget]
+        cands = [p for p, _ in derive(spec, m, ax)] if flattened_height(m) <= budget else []
         if cands:
             return rng.choice(cands)
     if level == 1:

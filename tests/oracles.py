@@ -8,13 +8,16 @@ as oracles and as inputs for the tests of more than one module.  So are a
 rule looked up by its name, a term shape's source arity counted off the
 term, and derive as it was, which still takes the switch to the
 premise-shortcut engine (the program runs that engine only in ``steps``).
+So are the empty system and coproducts (the program glues only wide
+pushouts), and the depth of a one-layer element measured afresh (the
+program never measures a proof: it is as deep as its source is high).
 """
 
 from itertools import product
 
 from gsos.errors import MalformedProof, NonCommutingSquare, ShapeUnsupported
 from gsos.familial import _points
-from gsos.presheaf import STAR, _map, _pair_system
+from gsos.presheaf import STAR, WidePushout, _map, _pair_system, _system
 from gsos.terms import (
     App,
     Axiom,
@@ -77,6 +80,28 @@ def all_morphisms(A, B):
             for (a, e), eb in zip(flat_edges, edge_combo):
                 edge_maps[a][e] = eb
             yield _map(A, B, state_map, edge_maps)
+
+
+def empty_presheaf(labels):
+    """The empty system over labels, initial among systems."""
+    return _system(labels, (), ())
+
+
+def coproduct(parts):
+    """The coproduct diagram of systems: the wide pushout of the parts under
+    the empty system, for ``presheaf.colimit``."""
+    apex = empty_presheaf(parts[0].labels)
+    return WidePushout(apex, tuple(_map(apex, p, {}) for p in parts))
+
+
+def _old_element_depth(elem) -> int:
+    """Height of a one-layer term or depth of a one-layer proof, measured
+    afresh: variables and axioms are 0, a node is one more than its
+    deepest argument or premise."""
+    if isinstance(elem, (Var, Axiom)):
+        return 0
+    parts = [r for arg in elem.args for r in (arg if isinstance(arg, tuple) else (arg,))]
+    return 1 + max((_old_element_depth(r) for r in parts), default=0)
 
 
 def T_on_morphism(spec, f, d):

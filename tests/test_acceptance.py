@@ -41,7 +41,6 @@ from gsos.specdsl import parse_spec
 from gsos.terms import (
     ambient_axioms,
     derive,
-    flattened_depth,
     map_leaves,
     monad_law_failures,
     mu,
@@ -59,7 +58,7 @@ from gsos.terms import (
     two_layer_terms,
 )
 
-from oracles import compose, lift_mu
+from oracles import _old_element_depth, compose, lift_mu
 
 
 def _pass(n: int, text: str):
@@ -245,7 +244,7 @@ def test_criterion_08_preservation(toy, ccs):
         for M in _all_terms(toy, X, 2):
             fM = map_leaves(M, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
             for R, _ in derive(toy, fM, ambient_axioms(Y)):
-                if flattened_depth(R, {}) > 2:
+                if _old_element_depth(R) > 2:
                     continue
                 r0 = preserve_bisim_lift(f, M, R)
                 checked += 1

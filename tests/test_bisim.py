@@ -25,7 +25,6 @@ from gsos.terms import (
     HOLE,
     App,
     Var,
-    flattened_depth,
     parse_term,
     proof_label,
     proof_target,
@@ -36,7 +35,7 @@ from gsos.terms import (
     terms_upto,
 )
 
-from oracles import old_derive
+from oracles import _old_element_depth, old_derive
 
 
 def T(ccs, text):
@@ -236,7 +235,7 @@ def test_plug_and_contexts(ccs):
     # all contexts have exactly one hole and height <= 2
     for c in ctxs:
         assert term_vars(c).count(HOLE) == 1
-        assert flattened_depth(c, {}) <= 2
+        assert _old_element_depth(c) <= 2
 
 
 def _contexts_by_filtering(spec, max_height):
@@ -253,7 +252,7 @@ def _contexts_by_filtering(spec, max_height):
             for slot in range(arity):
                 others = [hole_below if pos == slot else closed_terms for pos in range(arity)]
                 for combo in product(*others):
-                    if 1 + max(flattened_depth(t, {}) for t in combo) == h:
+                    if 1 + max(_old_element_depth(t) for t in combo) == h:
                         level.append(App(op, tuple(combo)))
         ctxs.append(level)
     return [c for lvl in ctxs for c in lvl]

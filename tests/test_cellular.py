@@ -35,7 +35,6 @@ from gsos.terms import (
     Var,
     ambient_axioms,
     derive,
-    flattened_depth,
     map_leaves,
     mu,
     parse_proof,
@@ -47,7 +46,7 @@ from gsos.terms import (
     truncated_free_squared,
 )
 
-from oracles import T_on_morphism, rule_named
+from oracles import T_on_morphism, _old_element_depth, rule_named
 
 
 def test_s_class_generators(ccs):
@@ -253,7 +252,7 @@ def test_preserve_bisim_lift_matches_brute_force(ccs):
         M = random_term(ccs, rng, X.states, 2)
         fM = map_leaves(M, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
         for R, _ in derive(ccs, fM, ambient_axioms(Y)):
-            if flattened_depth(R, {}) > 2:
+            if _old_element_depth(R) > 2:
                 continue
             r0 = preserve_bisim_lift(f, M, R)
             oracle = [

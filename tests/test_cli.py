@@ -258,6 +258,23 @@ def test_congruence_command(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_congruence_violations_rerun_alone(tmp_path, capsys):
+    """A printed context reads back through --contexts (its hole printed as
+    var(__hole__)), so each violation reruns alone to the same record."""
+    argv = ["congruence", CCS, "--pairs", PAIRS, "--mutate", "--sample", "6", "--seed", "3"]
+    code, out, _ = run_cli(argv, capsys)
+    violations = json.loads(out)["violations"]
+    assert code == 1 and len(violations) >= 2
+    pairs, ctxs = tmp_path / "pairs.json", tmp_path / "ctxs.json"
+    for v in violations:
+        pairs.write_text(json.dumps([v["pair"]]))
+        ctxs.write_text(json.dumps([v["context"]]))
+        argv = ["congruence", CCS, "--pairs", str(pairs), "--contexts", str(ctxs), "--mutate"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 1
+        assert json.loads(out)["violations"] == [v]
+
+
 def test_reports_are_deterministic(capsys):
     args = ["verify", TOY, "--suite", "cartesian", "-d", "2"]
     _, out1, _ = run_cli(args, capsys)

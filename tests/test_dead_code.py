@@ -6,7 +6,9 @@ entry.  Deleting a function often strands its helpers and imports;
 this test finds them by reading each module's syntax tree.  Imports sit at
 module level, where these checks and a reader see them.  Every parameter is
 read by its function: one that is passed but never read tells the caller a
-choice matters when it does not."""
+choice matters when it does not.  No nested function reads its own name:
+such a closure leaves a reference cycle behind every call of the function
+around it."""
 
 import ast
 from collections import Counter
@@ -289,3 +291,75 @@ def test_every_parameter_is_read(module):
         for name in _unread_parameters(func)
     ]
     assert not unread, f"{module} has parameters nothing reads: {unread}"
+
+
+def _nested_functions(node: ast.AST, enclosing=None):
+    """(enclosing function, name, function) of each function defined inside
+    another: a def, or a lambda bound to one name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if enclosing is not None:
+                yield enclosing, child.name, child
+            yield from _nested_functions(child, child)
+            continue
+        if (
+            enclosing is not None
+            and isinstance(child, ast.Assign)
+            and isinstance(child.value, ast.Lambda)
+            and [type(t) for t in child.targets] == [ast.Name]
+        ):
+            yield enclosing, child.targets[0].id, child.value
+        yield from _nested_functions(child, enclosing)
+
+
+def _self_referencing_closures(trees: dict) -> list[str]:
+    """``module.outer.inner`` of each nested function that reads its own
+    name.  Such a closure holds a cell that holds the closure, so every call
+    of the outer function leaves a reference cycle for the cyclic garbage
+    collector; a module-level recursion leaves none."""
+    found = []
+    for module, tree in sorted(trees.items()):
+        for outer, name, func in _nested_functions(tree):
+            body = func.body if isinstance(func.body, list) else [func.body]
+            if any(
+                isinstance(n, ast.Name) and n.id == name and not isinstance(n.ctx, ast.Store)
+                for stmt in body
+                for n in ast.walk(stmt)
+            ):
+                found.append(f"{module}.{outer.name}.{name}")
+    return found
+
+
+def test_no_closure_reads_its_own_name():
+    found = _self_referencing_closures(TREES)
+    assert not found, f"nested functions that read their own name: {found}"
+
+
+# Two closures that call themselves, one that calls another, one that
+# reads an attribute of its own name, a module-level recursion and a
+# method: only the first two are flagged.
+SYNTHETIC_CLOSURES = {
+    "lib": ast.parse(
+        "def walk(t):\n"
+        "    def go(u):\n"
+        "        return [go(c) for c in u]\n"
+        "    count = lambda u: 1 + sum(count(c) for c in u)\n"
+        "    size = lambda u: len(u)\n"
+        "    def leaf(u):\n"
+        "        return size(u)\n"
+        "    def shape(u):\n"
+        "        return u.shape\n"
+        "    return go(t), count(t), leaf(t), shape(t)\n"
+        "\n"
+        "def flat(t):\n"
+        "    return [flat(c) for c in t]\n"
+        "\n"
+        "class Box:\n"
+        "    def size(self):\n"
+        "        return self.size()\n"
+    )
+}
+
+
+def test_closure_check_flags_a_self_referencing_closure():
+    assert _self_referencing_closures(SYNTHETIC_CLOSURES) == ["lib.walk.go", "lib.walk.count"]

@@ -40,7 +40,6 @@ from gsos.terms import (
     Var,
     ambient_axioms,
     derive,
-    flattened_depth,
     proof_target,
     random_layer_element,
     random_presheaf,
@@ -51,7 +50,7 @@ from gsos.terms import (
     truncated_free,
 )
 
-from oracles import compose
+from oracles import _old_element_depth, compose
 
 # ---------------------------------------------------------------------------
 # The old path: one fresh walk of the shape per reader.
@@ -197,7 +196,7 @@ def test_certificate_from_a_decomposition_matches_the_rewalk(ccs, seed):
     f = random_functional_bisim(rng, ccs.labels)
     M = random_term(ccs, rng, f.dom.states, 2)
     for R, _ in derive(ccs, T_on_element(f, M), ambient_axioms(f.cod)):
-        if flattened_depth(R, {}) > 2:
+        if _old_element_depth(R) > 2:
             continue
         dec_r = decompose(f.cod, R)
         cert = gsos.cellular._certificate(dec_r)
@@ -303,7 +302,7 @@ def _preserve_problems(spec, seed, d=3):
     problems = [
         R
         for R, _ in derive(spec, T_on_element(f, M), ambient_axioms(f.cod))
-        if flattened_depth(R, {}) <= d
+        if _old_element_depth(R) <= d
     ]
     return f, M, problems
 

@@ -3,10 +3,12 @@
 The oracle below is the parser as it was: each nesting level scans its
 body to the closing parenthesis, splits it into argument strings and
 parses each again, and a multi-premise argument compares the premises'
-sources by recomputing them with ``proof_source``.  Wherever the oracle
-accepts a text, the reader must build the same element; wherever it
-refuses one, the reader must refuse it with a ``GsosError`` (the kind may
-differ, because the reader meets the faults of a text left to right).
+sources by recomputing them with ``proof_source``.  Where it takes
+``hole``, it also takes the hole as a report prints it, ``var(__hole__)``.
+Wherever the oracle accepts a text, the reader must build the same
+element; wherever it refuses one, the reader must refuse it with a
+``GsosError`` (the kind may differ, because the reader meets the faults
+of a text left to right).
 """
 
 import random
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsos import load_bundled_spec, terms
+from gsos.bisim import enumerate_contexts
 from gsos.errors import GsosError, MalformedProof, UnknownOperation, UnknownState
 from gsos.presheaf import make_presheaf, terminal
 from gsos.specdsl import parse_spec
@@ -100,6 +103,8 @@ def old_parse_term(spec, X, text, allow_hole=False):
         payload, j = _scan_balanced(text, i + 1)
         if j + 1 != len(text):
             raise MalformedProof(f"trailing input after {text!r}")
+        if allow_hole and payload == HOLE:
+            return Var(HOLE)
         if X is None:
             raise UnknownState(f"variable {payload!r} in a closed-term position")
         if payload not in X.state_set():
@@ -306,6 +311,9 @@ def test_bracket_ids_read_as_the_oracle(text, edits):
         "lpar(ax(a),term(nil)",
         "rsync(ax(a_bar),ax(a)) x",
         "bang(hole)",
+        "var(__hole__)",
+        "par(var( __hole__ ),nil)",
+        "lpar(ax(a),term(var(__hole__)))",
         "",
         "par(,nil)",
         "term(nil)",
@@ -348,3 +356,14 @@ def test_deep_chains_are_read():
     assert _chain_depth(parse_term(CCS, None, par)) == 450
     lpar = "lpar(" * 800 + "ax(a)" + ",term(nil))" * 800
     assert _chain_depth(parse_proof(CCS, ONE, lpar)) == 800
+
+
+def test_printed_contexts_read_back():
+    """Every context of height <= 3 reads back from its printed form, whose
+    hole is var(__hole__); outside a context that form stays refused."""
+    contexts = enumerate_contexts(CCS, 3)
+    assert len(contexts) == 1313
+    for c in contexts:
+        assert parse_term(CCS, None, render(c), allow_hole=True) == c
+    with pytest.raises(UnknownState, match="closed-term position"):
+        parse_term(CCS, None, "par(var(__hole__),nil)")

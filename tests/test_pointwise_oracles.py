@@ -4,7 +4,8 @@ Each construction is one loop over the base objects through ``cells(o)``
 and ``at(o)``.  The references below compute the same answers written out
 once over the states and again per label, and a coproduct by naming its
 cells directly; every test compares the two on seeded maps, squares and
-coproducts.
+coproducts (the wide pushout of the parts under the empty system, which
+``oracles.coproduct`` builds).
 """
 
 import random
@@ -18,7 +19,6 @@ from gsos.cellular import random_functional_bisim
 from gsos.familial import random_collapse
 from gsos.presheaf import (
     STAR,
-    Coproduct,
     LiftingSquare,
     _map,
     _system,
@@ -30,7 +30,7 @@ from gsos.presheaf import (
 )
 from gsos.terms import random_presheaf
 
-from oracles import compose, pullback
+from oracles import compose, coproduct, pullback
 
 AB = labelset("a", "b")
 
@@ -186,7 +186,7 @@ def test_pullback_report_matches_reference(seed):
 def test_coproduct_matches_reference(seed, n_parts):
     rng = random.Random(seed)
     parts = tuple(random_presheaf(rng, AB, max_states=3, max_edges=4) for _ in range(n_parts))
-    colim, injections = colimit(Coproduct(parts))
+    colim, injections = colimit(coproduct(parts))
     want, want_injections = reference_coproduct(parts)
     assert colim == want
     assert injections == want_injections

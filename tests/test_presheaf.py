@@ -26,7 +26,6 @@ from gsos.familial import (
 )
 from gsos.presheaf import (
     STAR,
-    Coproduct,
     LiftingSquare,
     PresheafMorphism,
     WidePushout,
@@ -34,7 +33,6 @@ from gsos.presheaf import (
     bang,
     colimit,
     commutes,
-    empty_presheaf,
     identity,
     is_functional_bisimulation,
     labelset,
@@ -63,7 +61,7 @@ from gsos.terms import (
     window_map,
 )
 
-from oracles import all_morphisms, compose, pullback
+from oracles import all_morphisms, compose, coproduct, empty_presheaf, pullback
 
 AB = labelset("a", "b")
 CCS = str(bundled_spec_path("ccs"))
@@ -121,7 +119,7 @@ def test_representables():
 
 def test_coproduct_of_representables():
     ya, star, yb = representable(AB, "a"), representable(AB, "*"), representable(AB, "b")
-    colim, injs = colimit(Coproduct((ya, star, yb)))
+    colim, injs = colimit(coproduct((ya, star, yb)))
     assert colim.size() == (5, 2)
     assert len(injs) == 3
     # injections jointly surjective and componentwise injective
@@ -143,7 +141,7 @@ def test_pushout_shares_source():
 def test_coproduct_with_initial_is_iso():
     zero = empty_presheaf(AB)
     ya = representable(AB, "a")
-    colim, (i0, i1) = colimit(Coproduct((zero, ya)))
+    colim, (i0, i1) = colimit(coproduct((zero, ya)))
     assert colim.size() == ya.size()
     assert i1.is_iso()
 
@@ -642,7 +640,7 @@ def test_internal_builders_pass_the_checked_constructors(ccs, seed, d):
         k = find_lifting(square)
         if k is not None:
             _assert_rebuilds(k)
-    C, injections = colimit(Coproduct((X, Y)))
+    C, injections = colimit(coproduct((X, Y)))
     P, legs = colimit(WidePushout(X, (u, v)))
     _assert_rebuilds(C, *injections, P, *legs, compose(legs[0], u))
     _assert_rebuilds(*pullback(u, u), *pullback(f, f), *pullback(bang(X), bang(Y)))

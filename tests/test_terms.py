@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsos.bisim import lean_successors, reachable_fragment
+from gsos.cellular import preserve_bisim_lift
 from gsos.cli import run_cases
 from gsos.errors import GsosError, MalformedProof, UnknownLabel, UnknownOperation
+from gsos.familial import decompose, generic_decomposition
 from gsos.presheaf import (
+    identity,
     is_functional_bisimulation,
     labelset,
     make_presheaf,
@@ -30,7 +33,6 @@ from gsos.terms import (
     ambient_axioms,
     derive,
     eta,
-    flattened_depth,
     map_leaves,
     monad_law_failures,
     mu,
@@ -50,7 +52,15 @@ from gsos.terms import (
     two_layer_terms,
 )
 
-from oracles import T_on_morphism, compose, lift_mu, old_derive, rule_named
+from oracles import (
+    T_on_morphism,
+    _old_element_depth,
+    compose,
+    empty_presheaf,
+    lift_mu,
+    old_derive,
+    rule_named,
+)
 
 
 def test_axiom_src_tgt(paper_lts):
@@ -63,7 +73,7 @@ def test_sync_proof_src_tgt(ccs, sync_ambient):
     p = parse_proof(ccs, sync_ambient, "sync(lpar(ax(e1),term(var(x2))),ax(e2))")
     assert render(proof_source(sync_ambient, p)) == "par(par(var(x1),var(x2)),var(x3))"
     assert render(proof_target(sync_ambient, p)) == "par(par(var(y1),var(x2)),var(y2))"
-    assert flattened_depth(p, {}) == 2
+    assert _old_element_depth(p) == 2
 
 
 def test_rsync_proof_src_tgt(ccs, rsync_ambient):
@@ -165,15 +175,13 @@ def test_T_of_monotone(ccs):
 def test_one_step_agrees_with_truncation_edges(ccs):
     """For closed M, the closed derive enumerates exactly the out-edges of
     the window at any depth large enough to contain them."""
-    from gsos.presheaf import empty_presheaf
-
     zero = empty_presheaf(ccs.labels)
     m = parse_term(ccs, None, "par(pref_a_bar(nil),pref_a(nil))")
     proofs = tuple(p for p, _ in derive(ccs, m, None))
     d = max(
-        max(flattened_depth(p, {}) for p in proofs),
-        flattened_depth(m, {}),
-        max(flattened_depth(proof_target(zero, p), {}) for p in proofs),
+        max(_old_element_depth(p) for p in proofs),
+        _old_element_depth(m),
+        max(_old_element_depth(proof_target(zero, p)) for p in proofs),
     )
     T = truncated_free(ccs, zero, d)[0]
     out = {
@@ -403,7 +411,7 @@ def test_truncated_free_well_formed(ccs):
             p = proof_decode[e]
             assert render(proof_source(X, p)) == T.src[a][e]
             assert render(proof_target(X, p)) == T.tgt[a][e]
-            assert flattened_depth(p, {}) <= 2
+            assert _old_element_depth(p) <= 2
 
 
 @pytest.mark.parametrize("window", [truncated_free, truncated_free_squared])
@@ -660,9 +668,9 @@ def test_window_matches_proof_target_oracle(ccs, rsync_ambient, ambient, two_lay
     too_tall = 0
     for m in states:
         for p in old_derive(ccs, m, ax):
-            if flattened_depth(flat(p), {}) > d:
+            if _old_element_depth(flat(p)) > d:
                 continue
-            if flattened_depth(proof_target(X, flat(p)), {}) > d:
+            if _old_element_depth(proof_target(X, flat(p))) > d:
                 too_tall += 1
                 continue
             want[proof_label(p)].append((render(p), render(m), render(proof_target(X, p))))
@@ -672,18 +680,35 @@ def test_window_matches_proof_target_oracle(ccs, rsync_ambient, ambient, two_lay
     assert too_tall > 0 or ambient == "y_a"
 
 
-@pytest.mark.parametrize("build", ["derive", "reachable_fragment", "truncated_free_squared"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        "derive",
+        "reachable_fragment",
+        "truncated_free_squared",
+        "decompose",
+        "generic_decomposition",
+        "preserve_bisim_lift",
+    ],
+)
 def test_derive_memo_freed_without_cyclic_gc(ccs, build):
-    """The derive memo is freed when the call returns, not by the cyclic
-    garbage collector."""
+    """The derive memo and the arity walk are freed when the call returns,
+    not by the cyclic garbage collector."""
     t = parse_term(ccs, None, "bang(par(pref_a(nil),pref_a_bar(nil)))")
     X = representable(ccs.labels, "a")
+    one = terminal(ccs.labels)
+    p = parse_proof(ccs, one, "lpar[L=tau](rsync(ax(a_bar),ax(a)),term(var(*)))")
     run = {
         "derive": lambda: derive(ccs, t),
         "reachable_fragment": lambda: reachable_fragment(
             ccs, [t], 4, lean_successors(ccs, False, {})
         ),
         "truncated_free_squared": lambda: truncated_free_squared(ccs, X, 1),
+        "decompose": lambda: decompose(one, p),
+        "generic_decomposition": lambda: generic_decomposition(ccs.labels, p),
+        "preserve_bisim_lift": lambda: preserve_bisim_lift(
+            identity(one), proof_source(one, p), p
+        ),
     }[build]
     run()
     gc.collect()

@@ -1,11 +1,12 @@
-"""Window maps from leaf texts, and the memoized flattened depth, against the
-code they replace.
+"""Window maps from leaf texts, and the flattened height, against the code
+they replace.
 
 The old ``window_map`` built the image of every window element with a
 per-element function (``mu``, ``to_terminal``, ``T(!)``, ``T_on_element``)
 and rendered it; the new one formats each distinct node's image text once
 from the texts of the leaf images.  The old depth filter flattened each
-element with ``mu`` and measured it with a one-layer height or depth.
+element with ``mu`` and measured it with a one-layer height or depth; a
+term's flattened height is now read off its layers without flattening.
 The oracles below are the old code, with an uncached copy of the old
 renderer, so a slip in the shared node formatter shows here too.
 """
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsos import load_bundled_spec
 from gsos.cellular import random_functional_bisim
 from gsos.errors import MalformedProof
 from gsos.presheaf import _map, representable, terminal
@@ -27,11 +29,13 @@ from gsos.terms import (
     ImageText,
     T_on_element,
     Var,
-    flattened_depth,
+    flattened_height,
     lift_leaves,
     map_leaves,
     mu,
     proof_label,
+    proof_source,
+    proof_target,
     random_layer_element,
     random_presheaf,
     to_terminal,
@@ -40,7 +44,7 @@ from gsos.terms import (
     window_map,
 )
 
-from oracles import T_on_morphism
+from oracles import T_on_morphism, _old_element_depth
 
 
 def _old_render(elem) -> str:
@@ -196,16 +200,6 @@ def test_mu_leaves_refuse_like_old_mu(ccs, rsync_ambient):
     assert _outcome(image, Axiom(p, other)) == want
 
 
-def _old_element_depth(elem) -> int:
-    """Height of a one-layer term or depth of a one-layer proof, measured
-    afresh: variables and axioms are 0, a node is one more than its
-    deepest argument or premise."""
-    if isinstance(elem, (Var, Axiom)):
-        return 0
-    parts = [r for arg in elem.args for r in (arg if isinstance(arg, tuple) else (arg,))]
-    return 1 + max((_old_element_depth(r) for r in parts), default=0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
@@ -213,13 +207,62 @@ def _old_element_depth(elem) -> int:
     kind=st.sampled_from(["term", "proof"]),
 )
 def test_flattened_depth_matches_flatten_then_measure(ccs, seed, level, kind):
+    """The flattened height of a term, or of a proof's source and target,
+    is the one-layer height of its flattening."""
     rng = random.Random(seed)
     X = random_presheaf(rng, ccs.labels, max_states=4)
     elems = [random_layer_element(ccs, X, rng, level, 3, kind) for _ in range(3)]
-    memo: dict = {}
     for elem in elems:
-        flat = elem
+        terms = [elem] if kind == "term" else [proof_source(X, elem), proof_target(X, elem)]
+        for t in terms:
+            flat = t
+            for _ in range(level - 1):
+                flat = mu(flat)
+            assert flattened_height(t) == _old_element_depth(flat)
+
+
+def _depth_ignoring_terms(elem) -> int:
+    """A wrong proof depth: premise-less arguments count as 0."""
+    if isinstance(elem, Axiom):
+        return 0
+    prems = [r for arg in elem.args if isinstance(arg, tuple) for r in arg]
+    return 1 + max((_depth_ignoring_terms(r) for r in prems), default=0)
+
+
+def _depth_mismatches(spec, seed, level, depth) -> list:
+    """The proofs drawn from the seed whose flattening is not, by the given
+    depth measure, as deep as their source is high."""
+    rng = random.Random(seed)
+    X = random_presheaf(rng, spec.labels, max_states=4)
+    mismatches = []
+    for _ in range(3):
+        p = random_layer_element(spec, X, rng, level, 3, "proof")
+        flat = p
         for _ in range(level - 1):
             flat = mu(flat)
-        assert flattened_depth(elem, memo) == _old_element_depth(flat)
-        assert flattened_depth(elem, {}) == _old_element_depth(flat)
+        if depth(flat) != flattened_height(proof_source(X, p)):
+            mismatches.append(p)
+    return mismatches
+
+
+SPECS = {name: load_bundled_spec(name) for name in ("ccs", "toy")}
+
+
+@pytest.mark.parametrize("spec", sorted(SPECS))
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    level=st.integers(min_value=1, max_value=3),
+)
+def test_a_proof_is_as_deep_as_its_source_is_high(spec, seed, level):
+    """The fact the windows rest on: a flattened proof's depth is the
+    flattened height of its source, so no proof needs measuring."""
+    assert _depth_mismatches(SPECS[spec], seed, level, _old_element_depth) == []
+
+
+def test_a_measure_that_skips_term_arguments_breaks_the_invariant():
+    """Negative control: counting term(...) arguments as 0 is caught.  Only
+    ccs has rules with premise-less arguments; toy's one rule has none."""
+    ccs = SPECS["ccs"]
+    found = [p for seed in range(40) for p in _depth_mismatches(ccs, seed, 1, _depth_ignoring_terms)]
+    assert found
