@@ -26,7 +26,9 @@ from .cellular import (
     verify_certificate,
     window_bang,
 )
-from .errors import GsosError, MalformedSystem, NestingTooDeep, SpecParseError, UnknownLabel
+from .errors import (
+    GsosError, MalformedSystem, NestingTooDeep, SpecParseError, UnknownLabel, UnknownOperation
+)
 from .familial import decompose, random_collapse
 from .presheaf import (
     STAR,
@@ -346,11 +348,12 @@ def _suite_cartesian(spec: GsosSpec, seed: int, d: int) -> dict:
 
 
 def _suite_congruence(spec: GsosSpec, seed: int, k: int, mutate: bool) -> dict:
-    pairs_text = (resources.files("gsos") / "specs" / "ccs_pairs.json").read_text()
-    pairs = [
-        (parse_term(spec, None, u), parse_term(spec, None, v))
-        for u, v in json.loads(pairs_text)
-    ]
+    texts = json.loads((resources.files("gsos") / "specs" / "ccs_pairs.json").read_text())
+    try:
+        pairs = [(parse_term(spec, None, u), parse_term(spec, None, v)) for u, v in texts]
+    except UnknownOperation as exc:
+        what = "the congruence suite reads the bundled ccs pairs (ccs_pairs.json)"
+        raise UnknownOperation(f"{what}, which need an operation this spec lacks: {exc}") from None
     contexts = bisim_mod.enumerate_contexts(spec, 2)
     report = bisim_mod.congruence_test(
         spec, pairs, contexts, k, max(k + 1, 4), drop_last_premise=mutate
@@ -498,8 +501,8 @@ def main(argv=None) -> int:
     except GsosError as exc:
         return _refuse(exc)
     except RecursionError:
-        # parse takes one frame per nesting level; render, derive and the
-        # arity walk take up to three
+        # parse takes one frame per nesting level; render, derive, bind and
+        # the arity walk take up to three
         return _refuse(
             NestingTooDeep(
                 f"input nested too deeply (interpreter recursion limit {sys.getrecursionlimit()})"

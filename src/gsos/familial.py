@@ -12,8 +12,8 @@ source occurrences (a wide pushout) and sums over arguments.
 the arity.
 
 Cell naming: one walk (:func:`_walk`) visits an element leaf by leaf, in
-the order of :func:`map_leaves`, and names every cell as it goes, so no cell
-is ever renamed afterwards.  The walk carries down the global occurrence
+the order of :func:`bind`, and names every cell as it goes, so no cell is
+ever renamed afterwards.  The walk carries down the global occurrence
 offset and the prefix ``arg{i}/prem{j}/`` accumulated from the rule nodes
 above.  A variable leaf is the occurrence cell ``occ{k}``, k its global
 left-to-right position in the source; the premises of one argument start
@@ -54,7 +54,7 @@ from .terms import (
     Element,
     Proof,
     Var,
-    map_leaves,
+    bind,
     rule_binding,
     term_vars,
     to_terminal,
@@ -240,10 +240,10 @@ def recompose(d: Decomposition, X: Presheaf) -> Element:
             raise CellMismatch(f"filler misses cell {cell!r}")
         return table[cell]
 
-    return map_leaves(
+    return bind(
         d.shape,
-        lambda _x: value(d.filler.state_map, next(cells)[0]),
-        lambda _e, a: value(d.filler.edge_maps.get(a, {}), next(cells)[1]),
+        lambda _x: Var(value(d.filler.state_map, next(cells)[0])),
+        lambda _e, a: Axiom(value(d.filler.edge_maps.get(a, {}), next(cells)[1]), a),
     )
 
 

@@ -104,6 +104,10 @@ class Presheaf:
         return self.states if o == STAR else self.edges[o]
 
     def state_set(self) -> frozenset[str]:
+        return self._state_set
+
+    @cached_property
+    def _state_set(self) -> frozenset[str]:
         return frozenset(self.states)
 
     def edge_set(self, label: str) -> frozenset[str]:

@@ -11,14 +11,16 @@ the inner element itself as their leaf payload: a variable of the second
 layer holds a term over X, an axiom a proof over X.  Flattening a layer
 substitutes each payload for its leaf, and rendering prints a payload with
 the same syntax, so var(par(var(x),nil)) names a two-layer term exactly as
-it did when payloads were strings.  Text is parsed only when it comes from
-outside the program, and checked once, by the parser: every state, edge,
-operation, rule and premise is checked as it is read, so a parsed element
-is well formed over its system and the code inside trusts it.  The parser
-is one left-to-right reader: it reads each character once, builds each
-node when its text closes and a proof together with its source, and takes
-a var(...) or ax(...) payload by the one payload rule,
-``presheaf._read_payload``.
+it did when payloads were strings.  One recursion, :func:`bind` (the Kleisli
+extension of the free monad), rebuilds an element leaf by leaf: mu, T(f),
+the map to 1, map_leaves, substitution and familial.recompose each call it
+once.  Text is parsed only when it comes from outside the program, and
+checked once, by the parser: every state, edge, operation, rule and premise
+is checked as it is read, so a parsed element is well formed over its
+system and the code inside trusts it.  The parser is one left-to-right
+reader: it reads each character once, builds each node when its text closes
+and a proof together with its source, and takes a var(...) or ax(...)
+payload by the one payload rule, ``presheaf._read_payload``.
 
 The four node classes (Var, App, Axiom, Node) are immutable and compare
 structurally.  Each node stores its hash and its rendering the first time
@@ -305,11 +307,10 @@ def term_vars(t: Term) -> tuple[Union[str, Term], ...]:
 
 
 def substitute(t: Term, mapping: dict[str, Term]) -> Term:
-    if isinstance(t, Var):
-        if t.name not in mapping:
-            raise MalformedProof(f"unbound variable {t.name!r} in substitution")
-        return mapping[t.name]
-    return App(t.op, tuple(substitute(a, mapping) for a in t.args))
+    try:
+        return bind(t, mapping.__getitem__, None)
+    except KeyError as exc:
+        raise MalformedProof(f"unbound variable {exc.args[0]!r} in substitution") from None
 
 
 def rule_binding(xs: Sequence, ys: Sequence[Sequence]) -> dict:
@@ -323,31 +324,36 @@ def rule_binding(xs: Sequence, ys: Sequence[Sequence]) -> dict:
     return mapping
 
 
-def map_leaves(elem: Element, on_state: Callable, on_edge: Callable) -> Element:
-    """Relabel Var and Axiom leaves; the structure is untouched.
-
-    ``on_state(payload)`` and ``on_edge(payload, label)`` return new payloads.
-    """
+def bind(elem: Element, on_var: Callable, on_ax: Callable) -> Element:
+    """The Kleisli extension: each Var leaf becomes the term ``on_var(payload)``,
+    each Axiom leaf the proof ``on_ax(payload, label)``, leaves left to right,
+    and every operation and rule node is rebuilt around its new children."""
     if isinstance(elem, Var):
-        return Var(on_state(elem.name))
+        return on_var(elem.name)
     if isinstance(elem, App):
-        return App(elem.op, tuple(map_leaves(a, on_state, on_edge) for a in elem.args))
+        return App(elem.op, tuple([bind(a, on_var, on_ax) for a in elem.args]))
     if isinstance(elem, Axiom):
-        return Axiom(on_edge(elem.edge, elem.label), elem.label)
+        return on_ax(elem.edge, elem.label)
     return Node(
         elem.rule,
         tuple(
-            tuple(map_leaves(r, on_state, on_edge) for r in arg)
+            tuple([bind(r, on_var, on_ax) for r in arg])
             if isinstance(arg, tuple)
-            else map_leaves(arg, on_state, on_edge)
+            else bind(arg, on_var, on_ax)
             for arg in elem.args
         ),
     )
 
 
+def map_leaves(elem: Element, on_state: Callable, on_edge: Callable) -> Element:
+    """Relabel Var and Axiom leaves: the bind whose leaves wrap the new
+    payloads ``on_state(payload)`` and ``on_edge(payload, label)``."""
+    return bind(elem, lambda x: Var(on_state(x)), lambda e, a: Axiom(on_edge(e, a), a))
+
+
 def to_terminal(elem: Element) -> Element:
-    """Apply the unique map to the one-state system: x |-> *, e |-> its label."""
-    return map_leaves(elem, lambda _x: STAR, lambda _e, a: a)
+    """The unique map to the one-state system: the bind of x |-> *, e |-> a."""
+    return bind(elem, lambda _x: Var(STAR), lambda _e, a: Axiom(a, a))
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +366,10 @@ def proof_source(X: Presheaf, p: Proof) -> Term:
     An axiom leaf stands for the source of its payload: an edge of X in the
     first layer, a proof one layer down above it.
     """
-    return _source(p, lambda e, a: X.src[a][e] if isinstance(e, str) else proof_source(X, e))
-
-
-def _source(p: Proof, ax_src: Callable) -> Term:
     if isinstance(p, Axiom):
-        return Var(ax_src(p.edge, p.label))
-    return App(p.rule.op, tuple(_source(a[0], ax_src) if isinstance(a, tuple) else a for a in p.args))
+        e = p.edge
+        return Var(X.src[p.label][e] if isinstance(e, str) else proof_source(X, e))
+    return App(p.rule.op, tuple(proof_source(X, a[0]) if isinstance(a, tuple) else a for a in p.args))
 
 
 def proof_target(X: Presheaf, p: Proof) -> Term:
@@ -773,7 +776,7 @@ def lift_leaves(on_var: Callable, on_ax: Callable) -> tuple[Callable, Callable]:
 
 def T_on_element(f: PresheafMorphism, elem: Element) -> Element:
     """T(f) on one element: move every leaf along f."""
-    return map_leaves(elem, lambda x: f.state_map[x], lambda e, a: f.edge_maps[a][e])
+    return bind(elem, lambda x: Var(f.state_map[x]), lambda e, a: Axiom(f.edge_maps[a][e], a))
 
 
 def eta(X: Presheaf, T: Presheaf) -> PresheafMorphism:
@@ -791,30 +794,11 @@ def eta(X: Presheaf, T: Presheaf) -> PresheafMorphism:
 
 
 def mu(elem: Element) -> Element:
-    """Flatten the outer two layers of an element into one.
-
-    Each wrapped leaf is replaced by its payload, the element one layer
-    down; rule nodes and operation applications are kept.  A leaf whose
+    """Flatten the outer two layers of an element into one: the bind of each
+    wrapped leaf to its payload, the element one layer down.  A leaf whose
     payload is an ambient id has no layer below it, and an axiom whose
-    payload has another label is not a proof: both raise MalformedProof.
-    """
-    return _mu(elem)
-
-
-def _mu(elem: Element) -> Element:
-    if isinstance(elem, Var):
-        return _mu_var(elem.name)
-    if isinstance(elem, App):
-        return App(elem.op, tuple(_mu(a) for a in elem.args))
-    if isinstance(elem, Axiom):
-        return _mu_ax(elem.edge, elem.label)
-    return Node(
-        elem.rule,
-        tuple(
-            tuple(_mu(r) for r in arg) if isinstance(arg, tuple) else _mu(arg)
-            for arg in elem.args
-        ),
-    )
+    payload has another label is not a proof: both raise MalformedProof."""
+    return bind(elem, _mu_var, _mu_ax)
 
 
 def _mu_var(name: Union[str, Term]) -> Term:

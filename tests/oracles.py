@@ -11,6 +11,10 @@ premise-shortcut engine (the program runs that engine only in ``steps``).
 So are the empty system and coproducts (the program glues only wide
 pushouts), and the depth of a one-layer element measured afresh (the
 program never measures a proof: it is as deep as its source is high).
+So, last, are the three walks that rebuilt an element leaf by leaf before
+each became one call to ``terms.bind``: ``old_map_leaves``, ``old_mu`` and
+``old_substitute``, with the two leaf steps of mu copied too, so that they
+share no code with what they check.
 """
 
 from itertools import product
@@ -26,6 +30,7 @@ from gsos.terms import (
     _last_premise_index,
     mu,
     proof_label,
+    render,
     term_vars,
     truncated_free,
     window_map,
@@ -202,3 +207,66 @@ def old_derive(spec, term, axioms_of=None, drop_last_premise=False, _memo=None):
         return memo[t]
 
     return go(term)
+
+
+def old_substitute(t, mapping):
+    if isinstance(t, Var):
+        if t.name not in mapping:
+            raise MalformedProof(f"unbound variable {t.name!r} in substitution")
+        return mapping[t.name]
+    return App(t.op, tuple(old_substitute(a, mapping) for a in t.args))
+
+
+def old_map_leaves(elem, on_state, on_edge):
+    """Relabel Var and Axiom leaves; the structure is untouched.
+
+    ``on_state(payload)`` and ``on_edge(payload, label)`` return new payloads.
+    """
+    if isinstance(elem, Var):
+        return Var(on_state(elem.name))
+    if isinstance(elem, App):
+        return App(elem.op, tuple(old_map_leaves(a, on_state, on_edge) for a in elem.args))
+    if isinstance(elem, Axiom):
+        return Axiom(on_edge(elem.edge, elem.label), elem.label)
+    return Node(
+        elem.rule,
+        tuple(
+            tuple(old_map_leaves(r, on_state, on_edge) for r in arg)
+            if isinstance(arg, tuple)
+            else old_map_leaves(arg, on_state, on_edge)
+            for arg in elem.args
+        ),
+    )
+
+
+def old_mu(elem):
+    if isinstance(elem, Var):
+        return _old_mu_var(elem.name)
+    if isinstance(elem, App):
+        return App(elem.op, tuple(old_mu(a) for a in elem.args))
+    if isinstance(elem, Axiom):
+        return _old_mu_ax(elem.edge, elem.label)
+    return Node(
+        elem.rule,
+        tuple(
+            tuple(old_mu(r) for r in arg) if isinstance(arg, tuple) else old_mu(arg)
+            for arg in elem.args
+        ),
+    )
+
+
+def _old_mu_var(name):
+    """mu on a variable: the term it wraps."""
+    if isinstance(name, str):
+        raise MalformedProof(f"{render(Var(name))!r} wraps an ambient state: mu needs two layers")
+    return name
+
+
+def _old_mu_ax(edge, label):
+    """mu on an axiom: the proof it wraps, which must carry its label."""
+    if isinstance(edge, str):
+        leaf = render(Axiom(edge, label))
+        raise MalformedProof(f"{leaf!r} wraps an ambient edge: mu needs two layers")
+    if proof_label(edge) != label:
+        raise MalformedProof(f"axiom label mismatch flattening {render(Axiom(edge, label))!r}")
+    return edge

@@ -201,19 +201,16 @@ def test_criterion_07_compositionality(ccs):
     """Every transition of every flattened two-layer term lifts through the
     flattening, exhaustively at depth <= 2; equivalently the flattening map
     of the windows has the lifting property."""
-    from gsos.terms import _source
-
     X = representable(ccs.labels, "a")
     ax = ambient_axioms(X)
     memo = {}
-    src2 = lambda e, a: proof_source(X, e)
     problems = 0
     for MM in two_layer_terms(ccs, X, 2):
         M = mu(MM)
         for R, _ in derive(ccs, M, ax, _memo=memo):
             RR = lift_mu(MM, R)
             assert mu(RR) == R
-            assert _source(RR, src2) == MM
+            assert proof_source(X, RR) == MM
             problems += 1
     assert problems > 1000
 

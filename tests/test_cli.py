@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from gsos import bundled_spec_path
-from gsos.cli import main
+from gsos.cli import _COUNT_OPTIONS, build_parser, main
 
 CCS = str(bundled_spec_path("ccs"))
 TOY = str(bundled_spec_path("toy"))
@@ -215,6 +216,18 @@ def test_verify_congruence_mutation_negative_control(capsys):
     assert code == 1
     doc = json.loads(out)
     assert len(doc["violations"]) >= 1
+
+
+def test_verify_congruence_names_the_bundled_pairs_a_spec_cannot_read(capsys):
+    """The suite always reads the bundled ccs pairs; on a spec without ccs's
+    operations it says so, and names the operation the spec lacks."""
+    code, out, err = run_cli(["verify", TOY, "--suite", "congruence"], capsys)
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    doc = json.loads(line)
+    assert doc["kind"] == "UnknownOperation"
+    assert "bundled ccs pairs (ccs_pairs.json)" in doc["message"]
+    assert "unknown operation 'sum'" in doc["message"]
 
 
 def test_verify_unknown_suite(capsys):
@@ -514,6 +527,32 @@ def test_deep_term_refused_with_typed_error(argv, capsys):
     assert json.loads(line)["kind"] == "NestingTooDeep"
 
 
+PINNED = 300
+CHAIN = "pref_a(" * PINNED + "{}" + ")" * PINNED
+PROOF_CHAIN = "lpar(" * PINNED + "ax(a)" + ",term(nil))" * PINNED
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", CCS, "--term", CHAIN.format("var(*)")],
+        ["decompose", CCS, "--proof", PROOF_CHAIN],
+        ["certify", CCS, "--proof", PROOF_CHAIN],
+        ["lts", CCS, "--term", CHAIN.format("nil"), "--fuel", "1"],
+        ["bisim", CCS, "--t1", CHAIN.format("nil"), "--t2", "nil"],
+    ],
+    ids=["decompose-term", "decompose-proof", "certify", "lts", "bisim"],
+)
+def test_pinned_depth_is_answered(argv, capsys):
+    """A guard on the frames each nesting level takes: at the default
+    recursion limit every command answers a 300-level chain (about 330 levels
+    answer at the command line, 317 under pytest, where render stops first),
+    so no walk, bind included, may take one more frame per level."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == "", err
+    json.loads(out)
+
+
 CCS_LABELS = ["a", "a_bar", "tau"]
 
 
@@ -565,6 +604,44 @@ def test_negative_count_refused_as_usage_error(argv, option, capsys):
     doc = json.loads(line)
     assert doc["kind"] == "UsageError"
     assert doc["message"].startswith(f"{option} must be non-negative")
+
+
+def _subcommands(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _count_option_mismatches(parser, table: dict) -> list[str]:
+    """Where the int options of the parser's subcommands, bar --seed, differ
+    from a table of argparse destination -> option strings joined by '/'."""
+    found: dict[str, set] = {}
+    for command in _subcommands(parser).values():
+        for option in command._actions:
+            if option.type is int and option.dest != "seed":
+                found.setdefault(option.dest, set()).add("/".join(option.option_strings))
+    problems = [f"{dest} is not in the table" for dest in sorted(set(found) - set(table))]
+    problems += [f"{dest} is not an int option" for dest in sorted(set(table) - set(found))]
+    for dest in sorted(set(found) & set(table)):
+        if found[dest] != {table[dest]}:
+            problems.append(f"{dest} is spelled {sorted(found[dest])}, not {table[dest]!r}")
+    return problems
+
+
+def test_every_count_option_is_checked():
+    """A guard on the hand-written table main checks for negative counts:
+    it names every int option but --seed, as the parser spells it."""
+    assert _count_option_mismatches(build_parser(), _COUNT_OPTIONS) == []
+
+
+def test_an_unchecked_count_option_is_found():
+    """Negative control: a parser with one count option more than the table."""
+    parser = build_parser()
+    _subcommands(parser)["lts"].add_argument("-w", "--width", type=int, default=1)
+    assert _count_option_mismatches(parser, _COUNT_OPTIONS) == ["width is not in the table"]
+    table = {**_COUNT_OPTIONS, "width": "--width"}
+    assert _count_option_mismatches(parser, table) == [
+        "width is spelled ['-w/--width'], not '--width'"
+    ]
 
 
 def test_check_missing_file_is_one_io_error(tmp_path, capsys):

@@ -79,6 +79,13 @@ def test_paper_example_builds(paper_lts):
     assert paper_lts.src["a"]["g"] == "z" and paper_lts.tgt["a"]["g"] == "z"
 
 
+def test_state_set_is_built_once(paper_lts):
+    """The reader asks for the state set at every var(...), so each system
+    builds it once."""
+    assert paper_lts.state_set() is paper_lts.state_set()
+    assert paper_lts.state_set() == frozenset(("x", "y", "z"))
+
+
 def test_dangling_edge_rejected():
     with pytest.raises(DanglingEdge):
         make_presheaf(AB, ("x",), {"a": ("e",)}, {"a": {"e": "x"}}, {"a": {"e": "nowhere"}})

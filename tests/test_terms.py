@@ -313,19 +313,16 @@ def test_lift_mu_exhaustive_small(ccs):
 
     Oracle: exhaustive enumeration; postconditions checked exactly.
     """
-    from gsos.terms import _source
-
     L = ccs.labels
     X = representable(L, "a")
     ax = ambient_axioms(X)
     memo = {}
-    src2 = lambda e, a: proof_source(X, e)
     for MM in two_layer_terms(ccs, X, 1):
         M = mu(MM)
         for R, _ in derive(ccs, M, ax, _memo=memo):
             RR = lift_mu(MM, R)
             assert mu(RR) == R
-            assert _source(RR, src2) == MM
+            assert proof_source(X, RR) == MM
 
 
 def test_check_proof_rejects_label_mismatch(ccs, sync_ambient):
