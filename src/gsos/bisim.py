@@ -16,7 +16,7 @@ distinct (label, target) step, built without proofs by ``terms.steps``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count
 from typing import Callable, Sequence
 
 from .errors import FuelTooSmall, UnknownState
@@ -29,10 +29,10 @@ from .presheaf import (
     is_functional_bisimulation,
 )
 from .terms import (
-    App,
     HOLE,
     Term,
     Var,
+    _apps,
     _strata,
     derive,
     proof_label,
@@ -216,25 +216,17 @@ def enumerate_contexts(spec, max_height: int) -> list[Term]:
 
     Non-hole leaves are the 0-ary operations; every operation of the
     signature may appear.  Heights count as for terms, the hole counting 0.
-    Every context and closed term carries its height, so a context of
-    height h is built only from pieces of height < h.
+    Context h is built by ``terms._apps`` over slot-first pools: a context
+    of height < h in one slot, closed terms of height < h in the others.
     """
     strata = _strata(spec, [], max_height - 1)
-    closed = [(h, t) for h, level in enumerate(strata) for t in level]
-    ctxs: list[tuple[int, Term]] = [(0, Var(HOLE))]
+    ctxs: list[list[Term]] = [[Var(HOLE)]]
     for h in range(1, max_height + 1):
-        level = []
-        closed_below = [(k, t) for k, t in closed if k < h]
-        for op, arity in spec.signature.operations:
-            if arity == 0:
-                continue
-            for slot in range(arity):
-                others = [ctxs if pos == slot else closed_below for pos in range(arity)]
-                for combo in product(*others):
-                    if 1 + max(k for k, _ in combo) == h:
-                        level.append((h, App(op, tuple(t for _, t in combo))))
-        ctxs.extend(level)
-    return [c for _, c in ctxs]
+        holes = tuple((k, c) for k, level in enumerate(ctxs) for c in level)
+        closed = tuple((k, t) for k, level in enumerate(strata[:h]) for t in level)
+        slot_first = lambda n: ([holes if i == s else closed for i in range(n)] for s in range(n))
+        ctxs.append(list(_apps(spec, h, slot_first)))
+    return [c for level in ctxs for c in level]
 
 
 def sample_contexts(spec, max_height: int, count: int, rng) -> list[Term]:

@@ -136,7 +136,7 @@ def replay_certificate(cert: CellCertificate) -> tuple[Presheaf, PresheafMorphis
             raise ReplayMismatch(idx, f"attach state {step.at!r} missing")
         if step.tgt in current.state_set():
             raise ReplayMismatch(idx, f"created state {step.tgt!r} already present")
-        if any(step.edge in current.edge_set(a) for a in labels):
+        if any(step.edge in current.src[a] for a in labels):
             raise ReplayMismatch(idx, f"created edge {step.edge!r} already present")
         pick = _map(point, current, {STAR: step.at})
         glued, (inj_gen, inj_cur) = colimit(

@@ -292,12 +292,11 @@ def _familial_failures(spec: GsosSpec, rng, d: int) -> list[str]:
 
 
 def _cellular_failures(spec: GsosSpec, rng, d: int) -> list[str]:
-    """A proof shape's certificate replays to its source arity morphism."""
+    """A proof over 1 is its own shape; its certificate replays to its source arity morphism."""
     try:
-        p = random_layer_element(spec, terminal(spec.labels), rng, 1, d, "proof")
+        shape = random_layer_element(spec, terminal(spec.labels), rng, 1, d, "proof")
     except GsosError:
         return []
-    shape = to_terminal(p)
     if not verify_certificate(cell_certificate(spec.labels, shape)):
         return [f"certificate fails on {render(shape)}"]
     return []
@@ -448,14 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("congruence", help="context preservation of stratified equivalence")
     p.add_argument("spec")
     p.add_argument("--pairs", required=True, help="JSON file: list of [t1, t2] term strings")
-    p.add_argument("--contexts", help="JSON file: list of one-hole context strings")
-    p.add_argument("--context-height", type=int, default=3)
-    p.add_argument("--sample", type=int, default=60, help="number of sampled contexts")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--contexts", help="JSON file: list of one-hole context strings")
+    source.add_argument(
         "--exhaustive-contexts",
         action="store_true",
         help="enumerate every context up to the height bound (tiny signatures)",
     )
+    p.add_argument("--context-height", type=int, default=3)
+    p.add_argument("--sample", type=int, default=60, help="number of sampled contexts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-k", "--stratum", type=int, default=3)
     p.add_argument("--fuel", type=int, default=4)

@@ -110,9 +110,6 @@ class Presheaf:
     def _state_set(self) -> frozenset[str]:
         return frozenset(self.states)
 
-    def edge_set(self, label: str) -> frozenset[str]:
-        return frozenset(self.edges[label])
-
     def all_edges(self) -> Iterator[tuple[str, str]]:
         """Yield (label, edge id) pairs in declaration order."""
         for a in self.labels:

@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError
-from itertools import product
+from itertools import product, zip_longest
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -697,23 +698,25 @@ def _strata(
     of its stratum, read off the strata it is built from.  Within a stratum
     the leaves come first, then each operation in signature order over its
     argument tuples in product order; seeded samples index into this order.
-    ``bisim.enumerate_contexts`` keeps its own loop: it puts the hole's
-    slot before the argument tuple, and that order seeds sampled contexts.
     """
     strata: list[list[Term]] = []
-    for k in range(height + 1):
-        exact = list(leaves_by_height[k]) if k < len(leaves_by_height) else []
-        below = [(h, t) for h, level in enumerate(strata) for t in level]
-        for op, arity in spec.signature.operations:
-            if arity == 0:
-                if k == 1:
-                    exact.append(App(op, ()))
-                continue
-            for combo in product(below, repeat=arity):
-                if 1 + max(h for h, _ in combo) == k:
-                    exact.append(App(op, tuple(t for _, t in combo)))
-        strata.append(exact)
+    for k, leaves in zip_longest(range(height + 1), leaves_by_height[: height + 1], fillvalue=()):
+        below = tuple((h, t) for h, level in enumerate(strata) for t in level)
+        strata.append([*leaves, *_apps(spec, k, lambda n: [[below] * n])])
     return strata
+
+
+def _apps(spec: "GsosSpec", k: int, pools_of: Callable) -> Iterator[Term]:
+    """The operation nodes of exact height k: each operation in signature
+    order, over each of its pool lists ``pools_of(arity)`` in turn, over the
+    argument tuples in product order.  A pool list holds one tuple of
+    (height, term) pairs per argument; a 0-ary operation is of height 1."""
+    height, term = itemgetter(0), itemgetter(1)
+    for op, arity in spec.signature.operations:
+        for pools in pools_of(arity):
+            for combo in product(*pools):
+                if 1 + max(map(height, combo), default=0) == k:
+                    yield App(op, tuple(map(term, combo)))
 
 
 def truncated_free(spec: "GsosSpec", X: Presheaf, d: int):

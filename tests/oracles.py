@@ -14,7 +14,10 @@ program never measures a proof: it is as deep as its source is high).
 So, last, are the three walks that rebuilt an element leaf by leaf before
 each became one call to ``terms.bind``: ``old_map_leaves``, ``old_mu`` and
 ``old_substitute``, with the two leaf steps of mu copied too, so that they
-share no code with what they check.
+share no code with what they check.  The two loops that listed terms and
+one-hole contexts before both became calls to ``terms._apps`` are copied
+here for the same reason, as ``old_strata`` and ``old_enumerate_contexts``,
+and so is the premise index that old_derive drops.
 """
 
 from itertools import product
@@ -23,11 +26,11 @@ from gsos.errors import MalformedProof, NonCommutingSquare, ShapeUnsupported
 from gsos.familial import _points
 from gsos.presheaf import STAR, WidePushout, _map, _pair_system, _system
 from gsos.terms import (
+    HOLE,
     App,
     Axiom,
     Node,
     Var,
-    _last_premise_index,
     mu,
     proof_label,
     render,
@@ -209,6 +212,13 @@ def old_derive(spec, term, axioms_of=None, drop_last_premise=False, _memo=None):
     return go(term)
 
 
+def _last_premise_index(rule) -> tuple[int, int]:
+    for i in range(len(rule.premise_labels) - 1, -1, -1):
+        if rule.premise_labels[i]:
+            return i, len(rule.premise_labels[i]) - 1
+    raise AssertionError("rule has no premises")
+
+
 def old_substitute(t, mapping):
     if isinstance(t, Var):
         if t.name not in mapping:
@@ -270,3 +280,55 @@ def _old_mu_ax(edge, label):
     if proof_label(edge) != label:
         raise MalformedProof(f"axiom label mismatch flattening {render(Axiom(edge, label))!r}")
     return edge
+
+
+def old_strata(spec, leaves_by_height, height):
+    """Terms by exact height 0..height, with the leaves of height k given.
+
+    A leaf's height is its payload's, so the height of a term is the index
+    of its stratum, read off the strata it is built from.  Within a stratum
+    the leaves come first, then each operation in signature order over its
+    argument tuples in product order; seeded samples index into this order.
+    ``old_enumerate_contexts`` keeps its own loop: it puts the hole's
+    slot before the argument tuple, and that order seeds sampled contexts.
+    """
+    strata = []
+    for k in range(height + 1):
+        exact = list(leaves_by_height[k]) if k < len(leaves_by_height) else []
+        below = [(h, t) for h, level in enumerate(strata) for t in level]
+        for op, arity in spec.signature.operations:
+            if arity == 0:
+                if k == 1:
+                    exact.append(App(op, ()))
+                continue
+            for combo in product(below, repeat=arity):
+                if 1 + max(h for h, _ in combo) == k:
+                    exact.append(App(op, tuple(t for _, t in combo)))
+        strata.append(exact)
+    return strata
+
+
+def old_enumerate_contexts(spec, max_height):
+    """All one-hole contexts of height <= max_height.
+
+    Non-hole leaves are the 0-ary operations; every operation of the
+    signature may appear.  Heights count as for terms, the hole counting 0.
+    Every context and closed term carries its height, so a context of
+    height h is built only from pieces of height < h.
+    """
+    strata = old_strata(spec, [], max_height - 1)
+    closed = [(h, t) for h, level in enumerate(strata) for t in level]
+    ctxs = [(0, Var(HOLE))]
+    for h in range(1, max_height + 1):
+        level = []
+        closed_below = [(k, t) for k, t in closed if k < h]
+        for op, arity in spec.signature.operations:
+            if arity == 0:
+                continue
+            for slot in range(arity):
+                others = [ctxs if pos == slot else closed_below for pos in range(arity)]
+                for combo in product(*others):
+                    if 1 + max(k for k, _ in combo) == h:
+                        level.append((h, App(op, tuple(t for _, t in combo))))
+        ctxs.extend(level)
+    return [c for _, c in ctxs]

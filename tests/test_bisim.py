@@ -1,10 +1,11 @@
 import random
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsos.bisim as bisim_mod
 from gsos.bisim import (
     RelationOnStates,
     check_bisimulation_relation,
@@ -21,6 +22,7 @@ from gsos.bisim import (
 )
 from gsos.errors import DuplicateId, FuelTooSmall, UnknownState
 from gsos.presheaf import Presheaf, labelset, make_presheaf
+from gsos.specdsl import parse_spec
 from gsos.terms import (
     HOLE,
     App,
@@ -33,9 +35,10 @@ from gsos.terms import (
     substitute,
     term_vars,
     terms_upto,
+    two_layer_terms,
 )
 
-from oracles import _old_element_depth, old_derive
+from oracles import _old_element_depth, old_derive, old_enumerate_contexts, old_strata
 
 
 def T(ccs, text):
@@ -241,7 +244,7 @@ def test_plug_and_contexts(ccs):
 def _contexts_by_filtering(spec, max_height):
     """Reference enumerator: every combination over all closed terms of
     height <= max_height, kept when its height is exactly h."""
-    closed_terms = terms_upto(spec, (), max_height)
+    closed_terms = [t for level in old_strata(spec, [], max_height) for t in level]
     ctxs = [[Var(HOLE)]]
     for h in range(1, max_height + 1):
         level = []
@@ -264,6 +267,70 @@ def test_enumerate_contexts_matches_filtering_oracle(name, height, request):
     """Same contexts in the same order, so seeded context samples are pinned."""
     spec = request.getfixturevalue(name)
     assert enumerate_contexts(spec, height) == _contexts_by_filtering(spec, height)
+
+
+# Three hole slots, which no bundled spec has; no rules are needed to list
+# terms and contexts.
+TERNARY = "labels a ; op c : 0 ; op g : 1 ; op f : 3 ;"
+
+
+@pytest.fixture(scope="module")
+def ternary():
+    return parse_spec(TERNARY)
+
+
+@pytest.mark.parametrize("name", ["ccs", "toy", "ternary"])
+@pytest.mark.parametrize("height", [0, 1, 2, 3])
+def test_contexts_and_terms_match_the_parent_loops(name, height, request):
+    """The one stratum builder lists the contexts and terms, in the order,
+    that the two loops it replaced listed; on the ternary spec each hole
+    slot of f gets its own run of contexts, in slot order."""
+    spec = request.getfixturevalue(name)
+    ctxs = enumerate_contexts(spec, height)
+    assert ctxs == old_enumerate_contexts(spec, height) == _contexts_by_filtering(spec, height)
+    # Two variables give millions of ternary terms at height 3.
+    for variables in [()] if height == 3 else [(), ("x", "y")]:
+        leaves = [[Var(v) for v in variables]]
+        want = [t for level in old_strata(spec, leaves, height) for t in level]
+        assert terms_upto(spec, variables, height) == want
+
+
+@pytest.mark.parametrize("name", ["ccs", "toy"])
+def test_two_layer_terms_match_the_parent_loop(name, request):
+    spec = request.getfixturevalue(name)
+    X = make_presheaf(spec.labels, ("s0",))
+    for d in range(3):
+        inner = old_strata(spec, [[Var(x) for x in X.states]], d)
+        outer = old_strata(spec, [[Var(m) for m in level] for level in inner], d)
+        assert two_layer_terms(spec, X, d) == [t for level in outer for t in level]
+
+
+def _tuple_first_apps(spec, k, pools_of):
+    """A builder with its two inner loops swapped: the first argument tuple
+    of every pool list, then the second of every pool list, and so on."""
+    nodes = []
+    for op, arity in spec.signature.operations:
+        for combos in zip_longest(*(product(*pools) for pools in pools_of(arity))):
+            for combo in combos:
+                if combo is not None and 1 + max((h for h, _ in combo), default=0) == k:
+                    nodes.append(App(op, tuple(t for _, t in combo)))
+    return nodes
+
+
+def test_tuple_first_builder_is_caught(ccs, ternary, monkeypatch):
+    """Negative control: a builder that loops over the argument tuples
+    outside the slots lists the same contexts in another order, and fails
+    the oracles on ccs at height 2; with one pool list it lists the same
+    terms in the same order."""
+    monkeypatch.setattr(bisim_mod, "_apps", _tuple_first_apps)
+    ctxs = enumerate_contexts(ccs, 2)
+    assert sorted(map(render, ctxs)) == sorted(map(render, old_enumerate_contexts(ccs, 2)))
+    assert ctxs != old_enumerate_contexts(ccs, 2)
+    assert ctxs != _contexts_by_filtering(ccs, 2)
+    for spec in (ccs, ternary):
+        below = tuple((h, t) for h, level in enumerate(old_strata(spec, [], 1)) for t in level)
+        nodes = _tuple_first_apps(spec, 2, lambda n: [[below] * n])
+        assert nodes == old_strata(spec, [], 2)[2]
 
 
 def test_congruence_hole_context_trivial(ccs):

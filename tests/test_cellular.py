@@ -124,6 +124,29 @@ def test_certificate_replay_rejects_bad_attach_state(ccs):
     assert not verify_certificate(bad)
 
 
+def test_certificate_replay_rejects_a_reused_edge(ccs):
+    """A step may not create an edge the system already has, under any label."""
+    one = terminal(ccs.labels)
+    cert = cell_certificate(ccs.labels, parse_proof(ccs, one, "rsync(ax(a_bar),ax(a))"))
+    first, second = cert.steps
+    assert first.label != second.label
+    reused = AttachStep(second.label, second.at, first.edge, second.tgt)
+    bad = CellCertificate((first, reused), cert.claimed_composite)
+    with pytest.raises(ReplayMismatch, match="created edge 'arg0/prem0/e' already present"):
+        replay_certificate(bad)
+
+
+@pytest.mark.parametrize("name", ["ccs", "toy"])
+def test_a_proof_over_one_is_its_own_shape(name, request):
+    """The cellular suite certifies the proof it draws over 1 as its shape:
+    to_terminal would rebuild the same element."""
+    spec = request.getfixturevalue(name)
+    one = terminal(spec.labels)
+    for seed in range(300):
+        p = random_layer_element(spec, one, random.Random(seed), 1, 1 + seed % 3, "proof")
+        assert to_terminal(p) == p
+
+
 def _covering_fixture():
     """u,v cover p; both map to p, w covers q; two lifts of the base edge."""
     from gsos.presheaf import labelset

@@ -271,6 +271,36 @@ def test_congruence_command(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_congruence_exhaustive_contexts(capsys):
+    """--exhaustive-contexts closes every pair under every context of height
+    at most --context-height, in the order enumerate_contexts lists them."""
+    from gsos import load_bundled_spec
+    from gsos.bisim import enumerate_contexts
+    from gsos.terms import render
+
+    argv = ["congruence", CCS, "--pairs", PAIRS, "--exhaustive-contexts", "--context-height", "2"]
+    code, out, _ = run_cli(argv, capsys)
+    report = json.loads(out)
+    contexts = [render(c) for c in enumerate_contexts(load_bundled_spec("ccs"), 2)]
+    assert code == 0 and report["contexts"] == len(contexts) == 41
+    assert [case["context"] for case in report["cases"]] == contexts * report["pairs"]
+
+
+def test_congruence_contexts_exclude_exhaustive_contexts(tmp_path, capsys):
+    """--contexts and --exhaustive-contexts together are refused, not settled
+    by precedence."""
+    ctxs = tmp_path / "ctxs.json"
+    ctxs.write_text(json.dumps(["hole"]))
+    argv = ["congruence", CCS, "--pairs", PAIRS, "--contexts", str(ctxs), "--exhaustive-contexts"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line) == {
+        "kind": "UsageError",
+        "message": "argument --exhaustive-contexts: not allowed with argument --contexts",
+    }
+
+
 def test_congruence_violations_rerun_alone(tmp_path, capsys):
     """A printed context reads back through --contexts (its hole printed as
     var(__hole__)), so each violation reruns alone to the same record."""

@@ -63,7 +63,7 @@ def reference_is_surjective(f) -> bool:
     if set(f.state_map[x] for x in f.dom.states) != f.cod.state_set():
         return False
     for a in f.dom.labels:
-        if set(f.edge_maps[a][e] for e in f.dom.edges[a]) != f.cod.edge_set(a):
+        if set(f.edge_maps[a][e] for e in f.dom.edges[a]) != set(f.cod.edges[a]):
             return False
     return True
 

@@ -472,7 +472,7 @@ def test_colimit_injection_commutations_random():
     assert hit_states == colim.state_set()
     for a in L:
         hit = {inj.edge_maps[a][e] for inj in injs for e in inj.dom.edges[a]}
-        assert hit == colim.edge_set(a)
+        assert hit == set(colim.edges[a])
 
 
 def test_json_round_trip(paper_lts):
