@@ -8,9 +8,11 @@ from a root is only ever consulted at stratum k - d.
 
 Refinement is iterated naive splitting on transition signatures: two
 states are separated at stratum n+1 iff their sets of (label, block at
-stratum n of target) differ.  Matching is existential, so parallel edges
-never change an answer: fragments that are only refined keep one edge per
-distinct (label, target) step, built without proofs by ``terms.steps``.
+stratum n of target) differ, until stratum k or a stable stratum.
+Matching is existential, so parallel edges never change an answer:
+fragments that are only refined keep one edge per distinct (label, target)
+step, built without proofs by ``terms.steps``.  The congruence check
+refines one fragment per pair, reachable from all of its composites.
 """
 
 from __future__ import annotations
@@ -118,11 +120,13 @@ def lean_successors(spec, drop_last_premise: bool, memo: dict) -> Callable:
 
 
 def stratified_partition(X: Presheaf, k: int) -> list[dict[str, int]]:
-    """Block index of every state at each stratum 0..k."""
+    """Block index of every state at strata 0, 1, ..., up to k or to the
+    first stratum equal to the one before it, which is stable: stratum k is
+    ``history[-1]``, and stratum n is ``history[min(n, len(history) - 1)]``."""
     succ = {x: [(a, X.tgt[a][e]) for a in X.labels for e in X.out_edges(x, a)] for x in X.states}
-    block = {x: 0 for x in X.states}
-    history = [dict(block)]
+    history = [{x: 0 for x in X.states}]
     for _ in range(k):
+        block = history[-1]
         canon: dict[tuple, int] = {}
         new_block = {}
         for x in X.states:
@@ -130,14 +134,9 @@ def stratified_partition(X: Presheaf, k: int) -> list[dict[str, int]]:
             if key not in canon:
                 canon[key] = len(canon)
             new_block[x] = canon[key]
+        history.append(new_block)
         if new_block == block:
-            history.append(dict(new_block))
-            block = new_block
             break
-        block = new_block
-        history.append(dict(block))
-    while len(history) <= k:
-        history.append(dict(block))
     return history
 
 
@@ -149,16 +148,6 @@ def require_fuel(fuel: int, k: int) -> None:
     """
     if fuel < k:
         raise FuelTooSmall(f"fuel {fuel} < stratum {k}")
-
-
-def k_bisimilar(X: Presheaf, x: str, y: str, k: int) -> bool:
-    """Stratified approximation: refine k times and compare blocks."""
-    if x not in X.state_set():
-        raise UnknownState(f"{x!r} is not a state")
-    if y not in X.state_set():
-        raise UnknownState(f"{y!r} is not a state")
-    part = stratified_partition(X, k)
-    return part[k][x] == part[k][y]
 
 
 def refinement_fixpoint(X: Presheaf) -> dict[str, int]:
@@ -252,10 +241,12 @@ def congruence_test(
 ) -> dict:
     """Do all contexts preserve stratum-k equivalence of all pairs?
 
-    Every (pair, context) case builds the fragment reachable from both
-    composites and compares them at stratum k; the cases of one pair share
-    one steps memo, dropped before the next pair.  The report lists each case;
-    violations are the cases where the composites are not k-equivalent.
+    Each pair refines once the fragment reachable from the composites of
+    all contexts, with one steps memo.  As fuel >= k, every state within
+    k - 1 steps of a case's roots is expanded there, so their blocks at
+    stratum k decide the case.  A case's states and frontier are those of
+    its own fragment, which reuses the memo and is never refined.
+    Violations are the cases where the composites are not k-equivalent.
     """
     require_fuel(fuel, k)
     for c in contexts:
@@ -264,13 +255,14 @@ def congruence_test(
     cases = []
     violations = []
     for u, v in pairs:
-        memo: dict = {}
-        for c in contexts:
-            cu, cv = substitute(c, {HOLE: u}), substitute(c, {HOLE: v})
-            frag = reachable_fragment(
-                spec, [cu, cv], fuel, lean_successors(spec, drop_last_premise, memo)
-            )
-            ok = k_bisimilar(frag.carrier, render(cu), render(cv), k)
+        successors = lean_successors(spec, drop_last_premise, {})
+        composites = [(c, substitute(c, {HOLE: u}), substitute(c, {HOLE: v})) for c in contexts]
+        roots = [t for _, cu, cv in composites for t in (cu, cv)]
+        shared = reachable_fragment(spec, roots, fuel, successors)
+        block = stratified_partition(shared.carrier, k)[-1]
+        for c, cu, cv in composites:
+            frag = reachable_fragment(spec, [cu, cv], fuel, successors)
+            ok = block[render(cu)] == block[render(cv)]
             record = {
                 "pair": [render(u), render(v)],
                 "context": render(c),

@@ -27,7 +27,8 @@ from .cellular import (
     window_bang,
 )
 from .errors import (
-    GsosError, MalformedSystem, NestingTooDeep, SpecParseError, UnknownLabel, UnknownOperation
+    GsosError, MalformedSystem, NestingTooDeep, OutOfMemory, SpecParseError, UnknownLabel,
+    UnknownOperation,
 )
 from .familial import decompose, random_collapse
 from .presheaf import (
@@ -154,7 +155,7 @@ def cmd_bisim(args) -> int:
     bisim_mod.require_fuel(args.fuel, args.stratum)
     successors = bisim_mod.lean_successors(spec, False, {})
     frag = bisim_mod.reachable_fragment(spec, [t1, t2], args.fuel, successors)
-    part = bisim_mod.stratified_partition(frag.carrier, args.stratum)[args.stratum]
+    part = bisim_mod.stratified_partition(frag.carrier, args.stratum)[-1]
     blocks: dict[int, list[str]] = {}
     for x, b in part.items():
         blocks.setdefault(b, []).append(x)
@@ -508,6 +509,8 @@ def main(argv=None) -> int:
                 f"input nested too deeply (interpreter recursion limit {sys.getrecursionlimit()})"
             )
         )
+    except MemoryError:
+        return _refuse(OutOfMemory("input needs more memory than the process may use"))
     except OSError as exc:
         sys.stderr.write(json.dumps({"kind": "IOError", "message": str(exc)}) + "\n")
         return 1

@@ -63,6 +63,10 @@ class NestingTooDeep(GsosError):
     """An input is nested deeper than the recursive walks can follow."""
 
 
+class OutOfMemory(GsosError):
+    """An input needs more memory than the process may use."""
+
+
 class ReplayMismatch(GsosError):
     """Certificate replay diverged; carries the first offending step index."""
 

@@ -17,12 +17,17 @@ each became one call to ``terms.bind``: ``old_map_leaves``, ``old_mu`` and
 share no code with what they check.  The two loops that listed terms and
 one-hole contexts before both became calls to ``terms._apps`` are copied
 here for the same reason, as ``old_strata`` and ``old_enumerate_contexts``,
-and so is the premise index that old_derive drops.
+and so is the premise index that old_derive drops.  The congruence check
+as it was, ``old_congruence_test``, decided each (pair, context) case on
+its own fragment with ``k_bisimilar``; the program now refines one
+fragment per pair.
 """
 
 from itertools import product
 
-from gsos.errors import MalformedProof, NonCommutingSquare, ShapeUnsupported
+from gsos import bisim
+from gsos.bisim import lean_successors, reachable_fragment, stratified_partition
+from gsos.errors import MalformedProof, NonCommutingSquare, ShapeUnsupported, UnknownState
 from gsos.familial import _points
 from gsos.presheaf import STAR, WidePushout, _map, _pair_system, _system
 from gsos.terms import (
@@ -34,6 +39,7 @@ from gsos.terms import (
     mu,
     proof_label,
     render,
+    substitute,
     term_vars,
     truncated_free,
     window_map,
@@ -332,3 +338,54 @@ def old_enumerate_contexts(spec, max_height):
                         level.append((h, App(op, tuple(t for _, t in combo))))
         ctxs.extend(level)
     return [c for _, c in ctxs]
+
+
+def k_bisimilar(X, x, y, k):
+    """Stratified approximation: refine k times and compare blocks."""
+    if x not in X.state_set():
+        raise UnknownState(f"{x!r} is not a state")
+    if y not in X.state_set():
+        raise UnknownState(f"{y!r} is not a state")
+    part = stratified_partition(X, k)[-1]
+    return part[x] == part[y]
+
+
+def old_congruence_test(spec, pairs, contexts, k, fuel, drop_last_premise=False):
+    """congruence_test as it was: every (pair, context) case builds the
+    fragment reachable from both composites and refines it on its own; the
+    cases of one pair share one steps memo.  ``bisim.require_fuel`` is read
+    at call time, so a test can patch it out of both checks at once."""
+    bisim.require_fuel(fuel, k)
+    for c in contexts:
+        if term_vars(c).count(HOLE) != 1:
+            raise UnknownState(f"context {render(c)} must have exactly one hole")
+    cases = []
+    violations = []
+    for u, v in pairs:
+        memo: dict = {}
+        for c in contexts:
+            cu, cv = substitute(c, {HOLE: u}), substitute(c, {HOLE: v})
+            frag = reachable_fragment(
+                spec, [cu, cv], fuel, lean_successors(spec, drop_last_premise, memo)
+            )
+            ok = k_bisimilar(frag.carrier, render(cu), render(cv), k)
+            record = {
+                "pair": [render(u), render(v)],
+                "context": render(c),
+                "preserved": ok,
+                "definitive": frag.definitive,
+                "states": len(frag.carrier.states),
+            }
+            cases.append(record)
+            if not ok:
+                violations.append(record)
+    return {
+        "stratum": k,
+        "fuel": fuel,
+        "mutated": drop_last_premise,
+        "pairs": len(pairs),
+        "contexts": len(contexts),
+        "cases": cases,
+        "violations": violations,
+        "ok": not violations,
+    }

@@ -1,17 +1,20 @@
+import importlib.util
+import json
 import random
 from itertools import product, zip_longest
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsos.bisim as bisim_mod
+from gsos import bundled_spec_path
 from gsos.bisim import (
     RelationOnStates,
     check_bisimulation_relation,
     congruence_test,
     enumerate_contexts,
-    k_bisimilar,
     lean_successors,
     proof_successors,
     reachable_fragment,
@@ -20,6 +23,7 @@ from gsos.bisim import (
     sample_contexts,
     stratified_partition,
 )
+from gsos.cli import main
 from gsos.errors import DuplicateId, FuelTooSmall, UnknownState
 from gsos.presheaf import Presheaf, labelset, make_presheaf
 from gsos.specdsl import parse_spec
@@ -38,7 +42,14 @@ from gsos.terms import (
     two_layer_terms,
 )
 
-from oracles import _old_element_depth, old_derive, old_enumerate_contexts, old_strata
+from oracles import (
+    _old_element_depth,
+    k_bisimilar,
+    old_congruence_test,
+    old_derive,
+    old_enumerate_contexts,
+    old_strata,
+)
 
 
 def T(ccs, text):
@@ -132,7 +143,7 @@ def small_systems(draw):
 @settings(max_examples=50, deadline=None)
 @given(small_systems(), st.integers(min_value=0, max_value=4))
 def test_stratified_is_equivalence(X, k):
-    part = stratified_partition(X, k)[k]
+    part = _padded(stratified_partition(X, k), k)[k]
     # block structure is an equivalence relation by construction; check
     # symmetry/transitivity via the k_bisimilar interface on all pairs
     for x in X.states:
@@ -368,13 +379,8 @@ def test_congruence_mutation_has_teeth(ccs):
 
 def test_congruence_curated_pairs_quick(ccs):
     """All ten curated pairs stay equivalent under a sample of contexts."""
-    import json
-    from gsos import bundled_spec_path
-
-    pairs_text = (bundled_spec_path("ccs").parent / "ccs_pairs.json").read_text()
-    pairs = [(T(ccs, a), T(ccs, b)) for a, b in json.loads(pairs_text)]
     ctxs = enumerate_contexts(ccs, 1)
-    rep = congruence_test(ccs, pairs, ctxs, 3, 4)
+    rep = congruence_test(ccs, _bundled_pairs(ccs), ctxs, 3, 4)
     assert rep["ok"], rep["violations"]
 
 
@@ -483,6 +489,18 @@ def _stratified_partition_oracle(X, k):
     return history
 
 
+def _padded(history, k):
+    """A history padded as the refiner padded it before it stopped at the
+    first repeat: the last stratum repeated up to stratum k.  Only the last
+    stratum may equal the one before it, and a history shorter than k + 1
+    must end with such a repeat."""
+    assert 1 <= len(history) <= k + 1
+    assert all(history[n] != history[n - 1] for n in range(1, len(history) - 1))
+    if len(history) < k + 1:
+        assert len(history) >= 2 and history[-1] == history[-2]
+    return history + [history[-1]] * (k + 1 - len(history))
+
+
 def _random_seeds(ccs, seed, count):
     rng = random.Random(seed)
     return [random_term(ccs, rng, (), rng.randint(0, 4)) for _ in range(count)]
@@ -500,7 +518,7 @@ def _triples(X: Presheaf):
 @settings(max_examples=40, deadline=None)
 @given(small_systems(), st.integers(min_value=0, max_value=6))
 def test_stratified_partition_matches_per_round_oracle(X, k):
-    assert stratified_partition(X, k) == _stratified_partition_oracle(X, k)
+    assert _padded(stratified_partition(X, k), k) == _stratified_partition_oracle(X, k)
 
 
 @pytest.mark.parametrize("drop", [False, True])
@@ -546,8 +564,8 @@ def _assert_lean_matches_oracle(ccs, seeds, fuel, drop):
     assert set(lean) == set(_triples(Y))
     for k in range(fuel + 1):
         want = _stratified_partition_oracle(Y, k)
-        assert stratified_partition(X, k) == want
-        assert stratified_partition(Y, k) == want
+        assert _padded(stratified_partition(X, k), k) == want
+        assert _padded(stratified_partition(Y, k), k) == want
 
 
 def test_stratified_partition_matches_oracle_on_bang_swap(ccs):
@@ -557,7 +575,7 @@ def test_stratified_partition_matches_oracle_on_bang_swap(ccs):
     X = reachable_fragment(ccs, [t1, t2], 7, lean_successors(ccs, False, {})).carrier
     assert len(X.states) == 830
     for k in range(8):
-        assert stratified_partition(X, k) == _stratified_partition_oracle(X, k)
+        assert _padded(stratified_partition(X, k), k) == _stratified_partition_oracle(X, k)
 
 
 def _congruence_oracle_cases(spec, pairs, contexts, k, fuel, drop):
@@ -606,3 +624,105 @@ def test_congruence_per_pair_memo_matches_fresh_memo_per_case(ccs, seed):
         assert rep["cases"] == _congruence_oracle_cases(ccs, pairs, contexts, 3, 4, drop)
         reports.append(rep)
     assert reports[0]["ok"] and not reports[1]["ok"]
+
+
+def _bundled_pairs(ccs):
+    pairs_text = (bundled_spec_path("ccs").parent / "ccs_pairs.json").read_text()
+    return [(T(ccs, a), T(ccs, b)) for a, b in json.loads(pairs_text)]
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_congruence_matches_per_case_oracle(ccs, seed):
+    """One refinement per pair answers as one per (pair, context) case did,
+    on the bundled pairs and 12 sampled height-3 contexts, in both modes."""
+    contexts = sample_contexts(ccs, 3, 12, random.Random(seed))
+    for drop in (False, True):
+        want = old_congruence_test(ccs, _bundled_pairs(ccs), contexts, 3, 4, drop)
+        assert congruence_test(ccs, _bundled_pairs(ccs), contexts, 3, 4, drop) == want
+
+
+@pytest.mark.parametrize("drop", [False, True])
+def test_congruence_matches_per_case_oracle_on_every_height_3_context(ccs, drop):
+    contexts = enumerate_contexts(ccs, 3)
+    assert len(contexts) == 1313
+    want = old_congruence_test(ccs, _bundled_pairs(ccs), contexts, 3, 4, drop)
+    assert congruence_test(ccs, _bundled_pairs(ccs), contexts, 3, 4, drop) == want
+
+
+def test_congruence_refines_once_per_pair(ccs, monkeypatch):
+    calls = []
+
+    def counted(X, k):
+        calls.append(k)
+        return stratified_partition(X, k)
+
+    monkeypatch.setattr(bisim_mod, "stratified_partition", counted)
+    rep = congruence_test(ccs, _bundled_pairs(ccs), enumerate_contexts(ccs, 2), 3, 4)
+    assert rep["ok"] and rep["contexts"] > 1
+    assert calls == [3] * 10
+
+
+@pytest.mark.parametrize("k, fuel, drop, seed", [(3, 2, True, 0), (2, 1, False, 26)])
+def test_shared_fragment_needs_fuel_at_least_k(ccs, monkeypatch, k, fuel, drop, seed):
+    """Negative control: below the fuel gate a state that one case leaves
+    at its frontier can be expanded in the pair's shared fragment, and the
+    case then answers otherwise than on its own fragment.  Over all 1313
+    height-3 contexts, 360 of 13,130 cases disagree at k = 3, fuel = 2
+    with the mutated engine, and 8 at k = 2, fuel = 1 with the honest one;
+    each seeded sample of 12 here holds some."""
+    monkeypatch.setattr(bisim_mod, "require_fuel", lambda fuel, k: None)
+    contexts = sample_contexts(ccs, 3, 12, random.Random(seed))
+    new = congruence_test(ccs, _bundled_pairs(ccs), contexts, k, fuel, drop)
+    old = old_congruence_test(ccs, _bundled_pairs(ccs), contexts, k, fuel, drop)
+    assert any(a != b for a, b in zip(new["cases"], old["cases"]))
+
+
+def _bisim_report(capsys, k):
+    spec = str(bundled_spec_path("ccs"))
+    argv = ["bisim", spec, "--t1", "pref_a(nil)", "--t2", "pref_a(nil)", "-k", k, "--fuel", k]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report.pop("k"), report.pop("fuel")) == (int(k), int(k))
+    return report
+
+
+def test_bisim_at_a_huge_stratum_builds_only_the_distinct_strata(capsys, monkeypatch):
+    lengths = []
+
+    def recorded(X, k):
+        history = stratified_partition(X, k)
+        lengths.append(len(history))
+        return history
+
+    monkeypatch.setattr(bisim_mod, "stratified_partition", recorded)
+    assert _bisim_report(capsys, "1000000") == _bisim_report(capsys, "10")
+    assert len(lengths) == 2 and max(lengths) <= 3
+
+
+def _refine_rounds():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.refine_rounds
+
+
+REFINE_ROUNDS = _refine_rounds()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems(), st.integers(min_value=0, max_value=6))
+def test_tracer_refine_rounds_keeps_its_value(X, k):
+    """The benchmark's refine_rounds counter reads the same from the
+    history that stops at its first repeat as from the padded one."""
+    want = REFINE_ROUNDS(_stratified_partition_oracle(X, k))
+    assert REFINE_ROUNDS(stratified_partition(X, k)) == want
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tracer_refine_rounds_keeps_its_value_on_fragments(ccs, seed):
+    seeds = _random_seeds(ccs, seed, 2)
+    X = reachable_fragment(ccs, seeds, 4, lean_successors(ccs, False, {})).carrier
+    for k in range(6):
+        want = REFINE_ROUNDS(_stratified_partition_oracle(X, k))
+        assert REFINE_ROUNDS(stratified_partition(X, k)) == want

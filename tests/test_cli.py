@@ -1,5 +1,6 @@
 import argparse
 import json
+import resource
 import subprocess
 import sys
 
@@ -555,6 +556,29 @@ def test_deep_term_refused_with_typed_error(argv, capsys):
     assert code == 1 and out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["kind"] == "NestingTooDeep"
+
+
+def _limit_address_space():
+    limit = 400 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_out_of_memory_refused_with_typed_error(tmp_path):
+    """Listing the terms of height 1 over an operation of arity 10^8 asks
+    for a list of 10^8 argument pools, which a process held to 400 MB of
+    address space cannot allocate: one JSON line, exit 1, no traceback."""
+    huge = tmp_path / "huge.gsos"
+    huge.write_text("labels a ; op nil : 0 ; op f : 100000000 ;\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gsos.cli", "verify", str(huge), "--suite", "cartesian", "-d", "1"],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["kind"] == "OutOfMemory"
 
 
 PINNED = 300
