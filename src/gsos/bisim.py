@@ -12,14 +12,15 @@ stratum n of target) differ, until stratum k or a stable stratum.
 Matching is existential, so parallel edges never change an answer:
 fragments that are only refined keep one edge per distinct (label, target)
 step, built without proofs by ``terms.steps``.  The congruence check
-refines one fragment per pair, reachable from all of its composites.
+builds and refines one fragment per pair, reachable from all of its
+composites, and reads each case's size and frontier off that one graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import FuelTooSmall, UnknownState
 from .presheaf import (
@@ -32,6 +33,7 @@ from .presheaf import (
 )
 from .terms import (
     HOLE,
+    App,
     Term,
     Var,
     _apps,
@@ -40,7 +42,6 @@ from .terms import (
     proof_label,
     render,
     steps,
-    substitute,
     term_vars,
 )
 
@@ -110,9 +111,12 @@ def proof_successors(spec) -> Callable:
 
 
 def lean_successors(spec, drop_last_premise: bool, memo: dict) -> Callable:
-    """One edge per distinct (label, target) step, with ids 0, 1, ..."""
-    ids = count()
-    return lambda m: [(a, str(next(ids)), n) for a, n in steps(spec, m, drop_last_premise, memo)]
+    """One edge per distinct (label, target) step, with ids 0, 1, ..., and
+    one object per distinct target."""
+    ids, canon = count(), {}
+    return lambda m: [
+        (a, str(next(ids)), n) for a, n in steps(spec, m, drop_last_premise, memo, canon)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +248,11 @@ def congruence_test(
     Each pair refines once the fragment reachable from the composites of
     all contexts, with one steps memo.  As fuel >= k, every state within
     k - 1 steps of a case's roots is expanded there, so their blocks at
-    stratum k decide the case.  A case's states and frontier are those of
-    its own fragment, which reuses the memo and is never refined.
-    Violations are the cases where the composites are not k-equivalent.
+    stratum k decide the case.  Every state within fuel - 1 steps of them
+    is expanded there too, so a walk of at most fuel steps from the roots
+    in that graph gives the case's ``states`` and ``definitive`` as its own
+    fragment would.  Violations are the cases where the composites are not
+    k-equivalent.
     """
     require_fuel(fuel, k)
     for c in contexts:
@@ -256,19 +262,25 @@ def congruence_test(
     violations = []
     for u, v in pairs:
         successors = lean_successors(spec, drop_last_premise, {})
-        composites = [(c, substitute(c, {HOLE: u}), substitute(c, {HOLE: v})) for c in contexts]
+        composites = [(c, _plug(c, u), _plug(c, v)) for c in contexts]
         roots = [t for _, cu, cv in composites for t in (cu, cv)]
-        shared = reachable_fragment(spec, roots, fuel, successors)
-        block = stratified_partition(shared.carrier, k)[-1]
+        X = reachable_fragment(spec, roots, fuel, successors).carrier
+        block = stratified_partition(X, k)[-1]
+        index = {x: i for i, x in enumerate(X.states)}
+        succ: list[list[int]] = [[] for _ in X.states]
+        for a in X.labels:
+            for e, x in X.src[a].items():
+                succ[index[x]].append(index[X.tgt[a][e]])
         for c, cu, cv in composites:
-            frag = reachable_fragment(spec, [cu, cv], fuel, successors)
-            ok = block[render(cu)] == block[render(cv)]
+            ku, kv = render(cu), render(cv)
+            states, definitive = _ball(succ, {index[ku], index[kv]}, fuel)
+            ok = block[ku] == block[kv]
             record = {
                 "pair": [render(u), render(v)],
                 "context": render(c),
                 "preserved": ok,
-                "definitive": frag.definitive,
-                "states": len(frag.carrier.states),
+                "definitive": definitive,
+                "states": states,
             }
             cases.append(record)
             if not ok:
@@ -283,3 +295,30 @@ def congruence_test(
         "violations": violations,
         "ok": not violations,
     }
+
+
+def _ball(succ: list[list[int]], roots: set[int], fuel: int) -> tuple[int, bool]:
+    """How many states lie within fuel steps of the roots, and whether none
+    lies at exactly fuel steps (the frontier :func:`reachable_fragment`
+    leaves unexpanded is empty).  ``succ`` lists each state's successors,
+    and must be complete for every state within fewer than fuel steps."""
+    seen = level = roots
+    for _ in range(fuel):
+        level = {y for x in level for y in succ[x]} - seen
+        if not level:
+            break
+        seen = seen | level
+    return len(seen), not level
+
+
+def _plug(c: Term, u: Term) -> Optional[Term]:
+    """c with u in its hole, None if c has no hole.  Only the nodes above
+    the hole are new: every other subterm is c's own, so the composites of
+    one pair share them, and memo lookups and renderings hit by identity."""
+    if isinstance(c, Var):
+        return u if c.name == HOLE else None
+    for i, a in enumerate(c.args):
+        t = _plug(a, u)
+        if t is not None:
+            return App(c.op, (*c.args[:i], t, *c.args[i + 1 :]))
+    return None

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError
-from itertools import product, zip_longest
+from itertools import accumulate, pairwise, product, zip_longest
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
@@ -593,25 +593,35 @@ def _derive(spec, t: Term, axioms_of, memo: dict):
     return memo[t]
 
 
-def steps(spec: "GsosSpec", t: Term, drop_last_premise: bool, memo: dict) -> tuple:
+def steps(spec: "GsosSpec", t: Term, drop_last_premise: bool, memo: dict, canon: dict) -> tuple:
     """The distinct (label, target) successors of a closed term, in the
     order of their first occurrence in :func:`derive`'s output.
 
     A rule instance's target depends on the premises' (label, target) pairs
-    only, so no proof is built.  ``memo`` maps terms to their steps for one
-    value of ``drop_last_premise``; the caller picks its scope.
+    only, so no proof is built.  ``memo`` maps terms to their steps, also
+    grouped by label for premise lookups, for one value of
+    ``drop_last_premise``; the caller picks its scope.  ``canon`` keeps one
+    object per distinct target, so each is rendered and hashed once.
     ``drop_last_premise`` switches on the deliberately broken engine of the
     congruence test's negative control: the last premise of a rule with at
     least two is not derived but matched one level deep against axiom-shaped
     unary rules.
     """
+    return _steps(spec, t, drop_last_premise, memo, canon)[0]
+
+
+def _steps(spec, t: Term, drop_last_premise: bool, memo: dict, canon: dict) -> tuple:
+    """The memo entry of t: its steps, and its steps grouped by label."""
     known = memo.get(t)
     if known is not None:
         return known
-    premises = lambda u, want: [s for s in steps(spec, u, drop_last_premise, memo) if s[0] == want]
+    premises = lambda u, want: _steps(spec, u, drop_last_premise, memo, canon)[1].get(want, ())
     instances = _rule_instances(spec, t, premises, drop_last_premise)
-    out = {(rule.label, n): None for rule, _, n in instances}
-    memo[t] = tuple(out)
+    out = {(rule.label, canon.setdefault(n, n)): None for rule, _, n in instances}
+    by_label: dict[str, list] = {}
+    for s in out:
+        by_label.setdefault(s[0], []).append(s)
+    memo[t] = (tuple(out), by_label)
     return memo[t]
 
 
@@ -619,14 +629,14 @@ def _rule_instances(spec, t: App, premises: Callable, drop_last_premise: bool):
     """Every rule instance with source ``t`` as ``(rule, choice, target)``,
     in derive's order; ``premises(u, a)`` lists the (premise, target) pairs
     with label a out of u.  ``choice`` holds per argument either the
-    argument itself (no premise) or the tuple of its chosen pairs.
+    argument itself (no premise) or the tuple of its chosen pairs.  The
+    target is filled in by the rule's plan.
     """
     if not spec.signature.has(t.op):
         raise UnknownOperation(f"unknown operation {t.op!r}")
     for rule in spec.rules_by_op.get(t.op, ()):
-        cut = None
-        if drop_last_premise and sum(len(g) for g in rule.premise_labels) >= 2:
-            cut = _last_premise_index(rule)
+        _, fill, cut = _PLANS.get(id(rule)) or _plan(rule)
+        cut = cut if drop_last_premise else None
         group_choices: list[list] = []
         for i, labels_i in enumerate(rule.premise_labels):
             if not labels_i:
@@ -645,15 +655,40 @@ def _rule_instances(spec, t: App, premises: Callable, drop_last_premise: bool):
             group_choices.append(list(product(*per_j)))
         else:
             for combo in product(*group_choices):
-                ys = [[n for _, n in c] if isinstance(c, tuple) else () for c in combo]
-                yield rule, combo, substitute(rule.target, rule_binding(t.args, ys))
+                ys = [n for c in combo if isinstance(c, tuple) for _, n in c]
+                yield rule, combo, fill((*t.args, *ys))
 
 
-def _last_premise_index(rule) -> tuple[int, int]:
-    for i in range(len(rule.premise_labels) - 1, -1, -1):
-        if rule.premise_labels[i]:
-            return i, len(rule.premise_labels[i]) - 1
-    raise AssertionError("rule has no premises")
+# Each rule object's plan, made on first use, by the object's id; an entry
+# holds its rule, so no other object can take that id.  Equal rules of
+# another parse get their own entries: comparing rules costs more.
+_PLANS: dict[int, tuple["Rule", Callable, Optional[tuple[int, int]]]] = {}
+
+
+def _plan(rule: "Rule") -> tuple["Rule", Callable, Optional[tuple[int, int]]]:
+    """Compile and store the rule's plan: the rule, its target as a function
+    of its slot values (the arguments x1..xn, then the premise targets
+    y{i}_{j} in premise order), and the index of the premise
+    ``drop_last_premise`` cuts, None if it cuts none."""
+    counts = rule.premise_counts
+    starts = list(accumulate(counts, initial=len(counts)))
+    slots = rule_binding(range(len(counts)), [range(s, e) for s, e in pairwise(starts)])
+    premises = [(i, j) for i, n in enumerate(counts) for j in range(n)]
+    cut = premises[-1] if len(premises) >= 2 else None
+    plan = _PLANS[id(rule)] = (rule, _compile_target(rule.target, slots), cut)
+    return plan
+
+
+def _compile_target(t: Term, slots: dict) -> Callable:
+    """A function of the slot values that builds t's instance: a variable
+    reads its slot, a closed subterm is returned as it is, and an operation
+    node is rebuilt around its arguments' instances."""
+    if isinstance(t, Var):
+        return itemgetter(slots[t.name])
+    if not term_vars(t):
+        return lambda _vals: t
+    op, parts = t.op, [_compile_target(a, slots) for a in t.args]
+    return lambda vals: App(op, tuple([part(vals) for part in parts]))
 
 
 def _shortcut_premise(spec, arg: Term, want_label: str) -> list[tuple[Proof, Term]]:

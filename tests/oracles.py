@@ -20,14 +20,24 @@ here for the same reason, as ``old_strata`` and ``old_enumerate_contexts``,
 and so is the premise index that old_derive drops.  The congruence check
 as it was, ``old_congruence_test``, decided each (pair, context) case on
 its own fragment with ``k_bisimilar``; the program now refines one
-fragment per pair.
+fragment per pair and reads each case's size and frontier off it.  The
+successor engine as it was, ``old_steps`` over ``_old_rule_instances``,
+bound each rule instance's variables in a dict (``rule_binding``) and
+rebuilt the rule's target through ``substitute``; the program now fills a
+plan compiled once per rule.
 """
 
 from itertools import product
 
 from gsos import bisim
 from gsos.bisim import lean_successors, reachable_fragment, stratified_partition
-from gsos.errors import MalformedProof, NonCommutingSquare, ShapeUnsupported, UnknownState
+from gsos.errors import (
+    MalformedProof,
+    NonCommutingSquare,
+    ShapeUnsupported,
+    UnknownOperation,
+    UnknownState,
+)
 from gsos.familial import _points
 from gsos.presheaf import STAR, WidePushout, _map, _pair_system, _system
 from gsos.terms import (
@@ -38,7 +48,9 @@ from gsos.terms import (
     Var,
     mu,
     proof_label,
+    _shortcut_premise,
     render,
+    rule_binding,
     substitute,
     term_vars,
     truncated_free,
@@ -389,3 +401,47 @@ def old_congruence_test(spec, pairs, contexts, k, fuel, drop_last_premise=False)
         "violations": violations,
         "ok": not violations,
     }
+
+
+def old_steps(spec, t, drop_last_premise, memo):
+    """steps as it was: the distinct (label, target) successors of a closed
+    term in derive's order, each target built by ``substitute``."""
+    known = memo.get(t)
+    if known is not None:
+        return known
+    premises = lambda u, want: [s for s in old_steps(spec, u, drop_last_premise, memo) if s[0] == want]
+    instances = _old_rule_instances(spec, t, premises, drop_last_premise)
+    out = {(rule.label, n): None for rule, _, n in instances}
+    memo[t] = tuple(out)
+    return memo[t]
+
+
+def _old_rule_instances(spec, t, premises, drop_last_premise):
+    """_rule_instances as it was: every rule instance with source ``t`` as
+    ``(rule, choice, target)``, in derive's order."""
+    if not spec.signature.has(t.op):
+        raise UnknownOperation(f"unknown operation {t.op!r}")
+    for rule in spec.rules_by_op.get(t.op, ()):
+        cut = None
+        if drop_last_premise and sum(len(g) for g in rule.premise_labels) >= 2:
+            cut = _last_premise_index(rule)
+        group_choices = []
+        for i, labels_i in enumerate(rule.premise_labels):
+            if not labels_i:
+                group_choices.append([t.args[i]])
+                continue
+            per_j = []
+            for j, want in enumerate(labels_i):
+                if cut == (i, j):
+                    per_j.append(_shortcut_premise(spec, t.args[i], want))
+                else:
+                    per_j.append(premises(t.args[i], want))
+                if not per_j[-1]:
+                    break
+            if not per_j[-1]:
+                break
+            group_choices.append(list(product(*per_j)))
+        else:
+            for combo in product(*group_choices):
+                ys = [[n for _, n in c] if isinstance(c, tuple) else () for c in combo]
+                yield rule, combo, substitute(rule.target, rule_binding(t.args, ys))

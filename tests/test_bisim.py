@@ -662,6 +662,106 @@ def test_congruence_refines_once_per_pair(ccs, monkeypatch):
     assert calls == [3] * 10
 
 
+def test_congruence_builds_one_fragment_per_pair(ccs, monkeypatch):
+    """One fragment and one system per pair; each case's states and
+    frontier are read off the pair's graph (the per-case fragments made 420
+    of each here)."""
+    calls = {"reachable_fragment": 0, "_system": 0}
+
+    def counted(name):
+        real = getattr(bisim_mod, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(bisim_mod, name, counted(name))
+    contexts = enumerate_contexts(ccs, 2)
+    rep = congruence_test(ccs, _bundled_pairs(ccs), contexts, 3, 4)
+    assert rep["ok"] and len(rep["cases"]) == 10 * len(contexts) == 410
+    assert calls == {"reachable_fragment": 10, "_system": 10}
+
+
+def _shares_closed_parts(c, t):
+    """Every subterm of c without the hole is, as an object, the subterm of
+    t at the same place."""
+    if isinstance(c, Var):
+        return c.name == HOLE
+    if HOLE not in term_vars(c):
+        return t is c
+    return all(_shares_closed_parts(a, b) for a, b in zip(c.args, t.args))
+
+
+def test_plug_fills_the_hole_and_keeps_the_context_subterms(ccs):
+    """The composites equal the substitution of the pair into the hole,
+    and keep the context's own subterms off the path to the hole."""
+    u = T(ccs, "sum(pref_a(nil),pref_a(nil))")
+    contexts = enumerate_contexts(ccs, 3)
+    for c in contexts:
+        t = bisim_mod._plug(c, u)
+        assert t == substitute(c, {HOLE: u}) and _shares_closed_parts(c, t)
+    assert bisim_mod._plug(T(ccs, "par(nil,nil)"), u) is None
+
+
+def _edge_inputs(ccs):
+    hole = Var(HOLE)
+    pairs = _bundled_pairs(ccs)
+    same = [(T(ccs, "par(pref_a(nil),nil)"), T(ccs, "par(pref_a(nil),nil)"))]
+    return {
+        "k0-fuel0": (pairs, enumerate_contexts(ccs, 2), 0, 0),
+        "k0-fuel1": (pairs, enumerate_contexts(ccs, 1), 0, 1),
+        "equal-composites": (same, enumerate_contexts(ccs, 2), 2, 2),
+        "bare-hole": (pairs, [hole], 3, 4),
+        "bare-hole-fuel0": (pairs, [hole, hole], 0, 0),
+        "repeated-context": (pairs, [hole, *enumerate_contexts(ccs, 1), hole], 2, 3),
+    }
+
+
+EDGE_CASES = [
+    "k0-fuel0",
+    "k0-fuel1",
+    "equal-composites",
+    "bare-hole",
+    "bare-hole-fuel0",
+    "repeated-context",
+]
+
+
+@pytest.mark.parametrize("drop", [False, True])
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_congruence_edges_match_per_case_oracle(ccs, case, drop):
+    """The pair's graph gives each case the states and frontier of its own
+    fragment at the edges too: fuel 0 (never definitive), a pair whose
+    composites render equal (one root), the bare hole and a context given
+    twice, honest and mutated."""
+    pairs, contexts, k, fuel = _edge_inputs(ccs)[case]
+    want = old_congruence_test(ccs, pairs, contexts, k, fuel, drop)
+    assert congruence_test(ccs, pairs, contexts, k, fuel, drop) == want
+    if fuel == 0:
+        assert not any(c["definitive"] for c in want["cases"])
+
+
+@pytest.mark.parametrize("mutant", ["depth-from-all-roots", "shared-size"])
+def test_case_walk_oracle_catches_a_wrong_walk(ccs, monkeypatch, mutant):
+    """Negative control: a case walk that measures depth from the roots of
+    every case of the pair (it walks the whole of the pair's graph that the
+    case reaches), or reports the pair's graph's size, disagrees with the
+    per-case oracle on seeded inputs."""
+    ball = bisim_mod._ball
+    wrong = {
+        "depth-from-all-roots": lambda succ, roots, fuel: ball(succ, roots, len(succ)),
+        "shared-size": lambda succ, roots, fuel: (len(succ), ball(succ, roots, fuel)[1]),
+    }[mutant]
+    monkeypatch.setattr(bisim_mod, "_ball", wrong)
+    contexts = sample_contexts(ccs, 3, 12, random.Random(0))
+    new = congruence_test(ccs, _bundled_pairs(ccs), contexts, 3, 4)
+    old = old_congruence_test(ccs, _bundled_pairs(ccs), contexts, 3, 4)
+    assert new["cases"] != old["cases"]
+
+
 @pytest.mark.parametrize("k, fuel, drop, seed", [(3, 2, True, 0), (2, 1, False, 26)])
 def test_shared_fragment_needs_fuel_at_least_k(ccs, monkeypatch, k, fuel, drop, seed):
     """Negative control: below the fuel gate a state that one case leaves

@@ -29,6 +29,8 @@ from gsos.terms import (
     Node,
     Var,
     _layer_axioms,
+    _PLANS,
+    _plan,
     _rule_instances,
     ambient_axioms,
     derive,
@@ -45,6 +47,7 @@ from gsos.terms import (
     random_presheaf,
     random_term,
     render,
+    steps,
     term_vars,
     terms_upto,
     truncated_free,
@@ -55,10 +58,12 @@ from gsos.terms import (
 from oracles import (
     T_on_morphism,
     _old_element_depth,
+    _old_rule_instances,
     compose,
     empty_presheaf,
     lift_mu,
     old_derive,
+    old_steps,
     rule_named,
 )
 
@@ -675,6 +680,134 @@ def test_window_matches_proof_target_oracle(ccs, rsync_ambient, ambient, two_lay
         assert [(e, P.src[a][e], P.tgt[a][e]) for e in P.edges[a]] == want[a]
     assert sum(len(v) for v in want.values()) > 20
     assert too_tall > 0 or ambient == "y_a"
+
+
+# ---------------------------------------------------------------------------
+# The compiled rule engine against the engine as it was, which bound each
+# instance's variables in a dict and rebuilt the target through substitute.
+
+# A closed constant in targets (c, f(c)), a repeated variable (x1, y2_1),
+# an operation of arity 3, and a rule with three premises on two arguments.
+ENGINE_SPEC = """
+labels a, b ;
+op nil : 0 ;
+op c : 0 ;
+op f : 1 ;
+op g : 3 ;
+rule cb : conclusion c -[b]-> f(nil) ;
+rule fa : conclusion f(x1) -[a]-> g(x1,c,x1) ;
+rule fb :
+  premises x1 -[b]-> y1_1 ;
+  conclusion f(x1) -[b]-> f(c) ;
+rule ga :
+  premises x2 -[b]-> y2_1 ;
+  conclusion g(x1,x2,x3) -[a]-> f(g(y2_1,y2_1,x3)) ;
+rule gb :
+  premises x1 -[a]-> y1_1 ; x3 -[a]-> y3_1 ; x3 -[b]-> y3_2 ;
+  conclusion g(x1,x2,x3) -[b]-> g(y3_2,f(c),y1_1) ;
+"""
+
+
+def _engine_spec(name, ccs, toy):
+    return {"ccs": ccs, "toy": toy, "inline": parse_spec(ENGINE_SPEC)}[name]
+
+
+def _closed_steps_mismatches(spec, seeds, drop):
+    """Closed terms, drawn from each seed and reached from them in three
+    steps, whose steps differ from the old engine's in order or in a target;
+    and how many terms were compared."""
+    bad, compared = [], 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        level = [random_term(spec, rng, (), rng.randint(1, 4)) for _ in range(4)]
+        memo, canon, old_memo, seen = {}, {}, {}, set()
+        for _ in range(4):
+            next_level = []
+            for t in set(level) - seen:
+                seen.add(t)
+                want = old_steps(spec, t, drop, old_memo)
+                fresh = steps(spec, t, drop, {}, {})
+                if steps(spec, t, drop, memo, canon) != want or fresh != want:
+                    bad.append(t)
+                next_level.extend(n for _, n in want)
+            level = next_level
+        compared += len(seen)
+    return bad, compared
+
+
+@pytest.mark.parametrize("spec_name", ["ccs", "inline"])
+@pytest.mark.parametrize("drop", [False, True])
+def test_steps_match_old_engine_on_closed_terms(ccs, toy, spec_name, drop):
+    """toy has no constant, so no closed term; its rule instances are
+    compared over ambient systems below."""
+    bad, compared = _closed_steps_mismatches(_engine_spec(spec_name, ccs, toy), range(32), drop)
+    assert bad == [] and compared > 200
+
+
+def _subterms(t):
+    yield t
+    if isinstance(t, App):
+        for a in t.args:
+            yield from _subterms(a)
+
+
+def _instance_mismatches(spec, seeds, drop):
+    """Operation nodes of random terms over a random ambient system, drawn
+    from each seed, whose rule instances (rule, choice and target, in order,
+    over the proofs derive gives the premises) differ from the old
+    engine's; and how many instances were compared."""
+    bad, instances = [], 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        X = random_presheaf(rng, spec.labels, max_states=4)
+        axioms_of, memo = ambient_axioms(X), {}
+        premises = lambda u, want: [
+            r for r in derive(spec, u, axioms_of, _memo=memo) if proof_label(r[0]) == want
+        ]
+        for t in {u for _ in range(4) for u in _subterms(random_term(spec, rng, X.states, 3))}:
+            if isinstance(t, App):
+                want = list(_old_rule_instances(spec, t, premises, drop))
+                if list(_rule_instances(spec, t, premises, drop)) != want:
+                    bad.append(t)
+                instances += len(want)
+    return bad, instances
+
+
+@pytest.mark.parametrize("spec_name", ["ccs", "toy", "inline"])
+@pytest.mark.parametrize("drop", [False, True])
+def test_rule_instances_match_old_engine(ccs, toy, spec_name, drop):
+    bad, instances = _instance_mismatches(_engine_spec(spec_name, ccs, toy), range(32), drop)
+    assert bad == [] and instances > 50
+
+
+def test_rule_engine_oracle_catches_swapped_premise_slots(ccs, monkeypatch):
+    """Negative control: an rsync plan that reads y1_2 for y1_1 and y1_1 for
+    y1_2 is caught over ambient systems, where a state often has a_bar and
+    a edges to distinct targets.  Closed terms rarely show it: a ccs term
+    needs height 5 before bang's operand has distinct a_bar and a targets.
+    (The mutated engine never fires rsync: its shortcut for the a premise
+    matches only a unary operand, which has no a_bar step.)"""
+    rsync = rule_named(ccs, "rsync")
+    _, fill, cut = _PLANS.get(id(rsync)) or _plan(rsync)
+    swapped = lambda vals: fill((vals[0], vals[2], vals[1]))
+    monkeypatch.setitem(_PLANS, id(rsync), (rsync, swapped, cut))
+    assert _instance_mismatches(ccs, range(32), False)[0]
+    u = parse_term(ccs, None, "bang(sum(pref_a_bar(nil),pref_a(pref_a(nil))))")
+    assert steps(ccs, u, False, {}, {}) != old_steps(ccs, u, False, {})
+
+
+def test_rule_plans_compile_once_per_rule(ccs):
+    """Each rule is compiled on first use and its plan reused, with the
+    drop_last_premise cut at its last premise, if it has two or more."""
+    for rule in ccs.rules:
+        plan = _PLANS.get(id(rule)) or _plan(rule)
+        assert _PLANS[id(rule)] is plan and plan[0] is rule
+        premises = [(i, j) for i, g in enumerate(rule.premise_labels) for j in range(len(g))]
+        assert plan[2] == (premises[-1] if len(premises) >= 2 else None)
+    assert (_PLANS[id(rule_named(ccs, "rsync"))][2], _PLANS[id(rule_named(ccs, "sync"))][2]) == (
+        (0, 1),
+        (1, 0),
+    )
 
 
 @pytest.mark.parametrize(

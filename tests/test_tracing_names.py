@@ -1,7 +1,7 @@
 """The benchmark tracer finds every function it is told to wrap, a traced
-pass of every workload still runs and answers right, and untraced passes of
-the bisim and cartesian workloads print the recorded reports at the first
-eight seeds, and a full-size cartesian pass prints its recorded report.
+pass of every workload still runs and answers right, untraced small passes
+of every workload print the recorded reports at the first eight seeds, and
+full-size cartesian and congruence passes print their recorded reports.
 
 perfbench/tracing.py only warns when a traced name is missing and then
 reports 0 for that layer, so a rename in gsos would silently blind it; its
@@ -102,7 +102,9 @@ def _assert_untraced_pass_prints_recorded_reports(workload, seed, size, monkeypa
 
 
 @pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("workload", ["congruence-batch", "bisim-deep", "cartesian-d2"])
+@pytest.mark.parametrize(
+    "workload", ["congruence-batch", "bisim-deep", "cartesian-d2", "suites-small"]
+)
 def test_untraced_small_pass_prints_recorded_reports(workload, seed, monkeypatch):
     _assert_untraced_pass_prints_recorded_reports(workload, seed, "small", monkeypatch)
 
@@ -111,3 +113,10 @@ def test_untraced_full_cartesian_pass_prints_recorded_report(monkeypatch):
     """The full-size cartesian call (-d 2, the two-layer window of 3538
     states) prints its recorded report byte for byte."""
     _assert_untraced_pass_prints_recorded_reports("cartesian-d2", 0, "full", monkeypatch)
+
+
+def test_untraced_full_congruence_pass_prints_recorded_reports(monkeypatch):
+    """The full-size congruence calls (100 sampled contexts over the ten
+    bundled pairs, honest and mutated, and the verify suite) print their
+    recorded reports byte for byte."""
+    _assert_untraced_pass_prints_recorded_reports("congruence-batch", 0, "full", monkeypatch)
