@@ -409,7 +409,9 @@ def old_steps(spec, t, drop_last_premise, memo):
     known = memo.get(t)
     if known is not None:
         return known
-    premises = lambda u, want: [s for s in old_steps(spec, u, drop_last_premise, memo) if s[0] == want]
+    premises = lambda u, want: [
+        s for s in old_steps(spec, u, drop_last_premise, memo) if s[0] == want
+    ]
     instances = _old_rule_instances(spec, t, premises, drop_last_premise)
     out = {(rule.label, n): None for rule, _, n in instances}
     memo[t] = tuple(out)
