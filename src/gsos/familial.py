@@ -55,8 +55,6 @@ from .terms import (
     Proof,
     Var,
     bind,
-    rule_binding,
-    term_vars,
     to_terminal,
 )
 
@@ -107,23 +105,24 @@ def _go(e: Element, prefix: str, offset: int, leaves: list) -> tuple[int, list[s
         for child in e.args:
             n += _go(child, prefix, offset + n, leaves)[0]
         return n, []
+    # the cells of each slot of the rule's plan: the arguments' occurrences,
+    # then the premises' target routes
     xs: list[list[str]] = []
-    ys: list[list[list[str]]] = []
+    ys: list[list[str]] = []
     for i, arg in enumerate(e.args):
         if isinstance(arg, tuple):
             prems = [
                 _go(prem, f"{prefix}arg{i}/prem{j}/", offset + n, leaves)
                 for j, prem in enumerate(arg)
             ]
-            ys.append([route for _n, route in prems])
+            ys.extend(route for _n, route in prems)
             n_i = prems[0][0]
         else:
-            ys.append([])
             n_i = _go(arg, prefix, offset + n, leaves)[0]
         xs.append([f"occ{offset + n + k}" for k in range(n_i)])
         n += n_i
-    bound = rule_binding(xs, ys)
-    return n, [c for v in term_vars(e.rule.target) for c in bound[v]]
+    slot_cells = xs + ys
+    return n, [c for k in e.rule.plan.slots for c in slot_cells[k]]
 
 
 def _arity(labels: LabelSet, w: _Walk) -> Presheaf:

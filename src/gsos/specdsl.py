@@ -28,10 +28,11 @@ declared up front so every downstream check stays decidable.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import SpecParseError, UnknownOperation
 from .presheaf import LabelSet
@@ -77,6 +78,18 @@ class Signature:
         return self.arities[op]
 
 
+class Plan(NamedTuple):
+    """A rule's target compiled against its slots: the arguments x1..xn of
+    an instance's source, then its premise targets y{i}_{j} in premise
+    order.  ``fill(values)`` builds the target's instance, ``slots`` gives
+    the slot of each variable occurrence of the target in leaf order, and
+    ``cut`` is the premise (i, j) that ``drop_last_premise`` cuts, if any."""
+
+    fill: Callable[[Sequence[Term]], Term]
+    slots: tuple[int, ...]
+    cut: Optional[tuple[int, int]]
+
+
 @dataclass(frozen=True)
 class Rule:
     """One concrete rule: operation, conclusion label, grouped premise labels, target.
@@ -94,9 +107,41 @@ class Rule:
     premise_labels: tuple[tuple[str, ...], ...]
     target: Term
 
+    def __reduce__(self):
+        # the fields only: the plan is rebuilt on first use after unpickling
+        return Rule, tuple(getattr(self, f.name) for f in fields(self))
+
     @property
     def premise_counts(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.premise_labels)
+
+    @cached_property
+    def plan(self) -> Plan:
+        """The rule's compiled plan, made on first use.  It is not part of
+        the rule's equality, repr or pickle, and holds no reference to the
+        rule, so a dropped rule is freed without the cyclic collector."""
+        counts = self.premise_counts
+        premises = [(i, j) for i, n in enumerate(counts) for j in range(n)]
+        names = [f"x{i + 1}" for i in range(len(counts))]
+        names += [f"y{i + 1}_{j + 1}" for i, j in premises]
+        slot = {name: k for k, name in enumerate(names)}
+        return Plan(
+            _compile_target(self.target, slot),
+            tuple(slot[v] for v in term_vars(self.target)),
+            premises[-1] if len(premises) >= 2 else None,
+        )
+
+
+def _compile_target(t: Term, slot: dict[str, int]) -> Callable:
+    """A function of the slot values that builds t's instance: a variable
+    reads its slot, a closed subterm is returned as it is, and an operation
+    node is rebuilt around its arguments' instances."""
+    if isinstance(t, Var):
+        return itemgetter(slot[t.name])
+    if not term_vars(t):
+        return lambda _vals: t
+    op, parts = t.op, [_compile_target(a, slot) for a in t.args]
+    return lambda vals: App(op, tuple([part(vals) for part in parts]))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ substitutes each payload for its leaf, and rendering prints a payload with
 the same syntax, so var(par(var(x),nil)) names a two-layer term exactly as
 it did when payloads were strings.  One recursion, :func:`bind` (the Kleisli
 extension of the free monad), rebuilds an element leaf by leaf: mu, T(f),
-the map to 1, map_leaves, substitution and familial.recompose each call it
-once.  Text is parsed only when it comes from outside the program, and
+the map to 1, map_leaves and familial.recompose each call it once.  A rule
+instance's target is built by its rule's plan (``specdsl.Rule.plan``, made
+once per rule), which derive, steps and proof_target fill and familial's
+walk reads.  Text is parsed only when it comes from outside the program, and
 checked once, by the parser: every state, edge, operation, rule and premise
 is checked as it is read, so a parsed element is well formed over its
 system and the code inside trusts it.  The parser is one left-to-right
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError
-from itertools import accumulate, pairwise, product, zip_longest
+from itertools import product, zip_longest
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
@@ -307,24 +309,6 @@ def term_vars(t: Term) -> tuple[Union[str, Term], ...]:
     return tuple(out)
 
 
-def substitute(t: Term, mapping: dict[str, Term]) -> Term:
-    try:
-        return bind(t, mapping.__getitem__, None)
-    except KeyError as exc:
-        raise MalformedProof(f"unbound variable {exc.args[0]!r} in substitution") from None
-
-
-def rule_binding(xs: Sequence, ys: Sequence[Sequence]) -> dict:
-    """Bind a rule's variables: ``xs[i]`` to ``x{i+1}`` and ``ys[i][j]``, the
-    value of premise (i, j), to ``y{i+1}_{j+1}``."""
-    mapping = {}
-    for i, x in enumerate(xs):
-        mapping[f"x{i + 1}"] = x
-        for j, y in enumerate(ys[i]):
-            mapping[f"y{i + 1}_{j + 1}"] = y
-    return mapping
-
-
 def bind(elem: Element, on_var: Callable, on_ax: Callable) -> Element:
     """The Kleisli extension: each Var leaf becomes the term ``on_var(payload)``,
     each Axiom leaf the proof ``on_ax(payload, label)``, leaves left to right,
@@ -374,13 +358,13 @@ def proof_source(X: Presheaf, p: Proof) -> Term:
 
 
 def proof_target(X: Presheaf, p: Proof) -> Term:
-    """The target of a proof of any layer over X: the rule's target with the
-    arguments of the source and the premises' targets bound in."""
+    """The target of a proof of any layer over X: the rule's plan filled
+    with the arguments of the source and the premises' targets."""
     if isinstance(p, Axiom):
         e = p.edge
         return Var(X.tgt[p.label][e] if isinstance(e, str) else proof_target(X, e))
-    ys = [[proof_target(X, r) for r in arg] if isinstance(arg, tuple) else () for arg in p.args]
-    return substitute(p.rule.target, rule_binding(proof_source(X, p).args, ys))
+    ys = [proof_target(X, r) for arg in p.args if isinstance(arg, tuple) for r in arg]
+    return p.rule.plan.fill((*proof_source(X, p).args, *ys))
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +619,7 @@ def _rule_instances(spec, t: App, premises: Callable, drop_last_premise: bool):
     if not spec.signature.has(t.op):
         raise UnknownOperation(f"unknown operation {t.op!r}")
     for rule in spec.rules_by_op.get(t.op, ()):
-        _, fill, cut = _PLANS.get(id(rule)) or _plan(rule)
+        fill, _, cut = rule.plan
         cut = cut if drop_last_premise else None
         group_choices: list[list] = []
         for i, labels_i in enumerate(rule.premise_labels):
@@ -659,42 +643,11 @@ def _rule_instances(spec, t: App, premises: Callable, drop_last_premise: bool):
                 yield rule, combo, fill((*t.args, *ys))
 
 
-# Each rule object's plan, made on first use, by the object's id; an entry
-# holds its rule, so no other object can take that id.  Equal rules of
-# another parse get their own entries: comparing rules costs more.
-_PLANS: dict[int, tuple["Rule", Callable, Optional[tuple[int, int]]]] = {}
-
-
-def _plan(rule: "Rule") -> tuple["Rule", Callable, Optional[tuple[int, int]]]:
-    """Compile and store the rule's plan: the rule, its target as a function
-    of its slot values (the arguments x1..xn, then the premise targets
-    y{i}_{j} in premise order), and the index of the premise
-    ``drop_last_premise`` cuts, None if it cuts none."""
-    counts = rule.premise_counts
-    starts = list(accumulate(counts, initial=len(counts)))
-    slots = rule_binding(range(len(counts)), [range(s, e) for s, e in pairwise(starts)])
-    premises = [(i, j) for i, n in enumerate(counts) for j in range(n)]
-    cut = premises[-1] if len(premises) >= 2 else None
-    plan = _PLANS[id(rule)] = (rule, _compile_target(rule.target, slots), cut)
-    return plan
-
-
-def _compile_target(t: Term, slots: dict) -> Callable:
-    """A function of the slot values that builds t's instance: a variable
-    reads its slot, a closed subterm is returned as it is, and an operation
-    node is rebuilt around its arguments' instances."""
-    if isinstance(t, Var):
-        return itemgetter(slots[t.name])
-    if not term_vars(t):
-        return lambda _vals: t
-    op, parts = t.op, [_compile_target(a, slots) for a in t.args]
-    return lambda vals: App(op, tuple([part(vals) for part in parts]))
-
-
 def _shortcut_premise(spec, arg: Term, want_label: str) -> list[tuple[Proof, Term]]:
     """Buggy premise handling: match one syntactic level instead of deriving.
 
-    The matched rules have target x1, so each proof's target is the operand.
+    The matched rules' targets are their first argument (a bare variable
+    that reads slot 0), so each proof's target is the operand.
     """
     if not isinstance(arg, App) or len(arg.args) != 1:
         return []
@@ -703,7 +656,8 @@ def _shortcut_premise(spec, arg: Term, want_label: str) -> list[tuple[Proof, Ter
         if (
             rule.label == want_label
             and all(not g for g in rule.premise_labels)
-            and rule.target == Var("x1")
+            and isinstance(rule.target, Var)
+            and rule.plan.slots == (0,)
         ):
             out.append((Node(rule, (arg.args[0],)), arg.args[0]))
     return out

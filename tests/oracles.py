@@ -23,8 +23,12 @@ its own fragment with ``k_bisimilar``; the program now refines one
 fragment per pair and reads each case's size and frontier off it.  The
 successor engine as it was, ``old_steps`` over ``_old_rule_instances``,
 bound each rule instance's variables in a dict (``rule_binding``) and
-rebuilt the rule's target through ``substitute``; the program now fills a
-plan compiled once per rule.
+rebuilt the rule's target through ``substitute``, and so did proof_target
+(``old_proof_target``); the program now fills the plan each rule compiles
+once (``specdsl.Rule.plan``), and ``substitute`` and ``rule_binding`` are
+gone from it.  The copies here, and the premise shortcut copied as
+``_old_shortcut_premise``, read the rule's target and its variable names,
+never its plan, so they check the plan rather than repeat it.
 """
 
 from itertools import product
@@ -48,10 +52,8 @@ from gsos.terms import (
     Var,
     mu,
     proof_label,
-    _shortcut_premise,
+    proof_source,
     render,
-    rule_binding,
-    substitute,
     term_vars,
     truncated_free,
     window_map,
@@ -237,6 +239,27 @@ def _last_premise_index(rule) -> tuple[int, int]:
     raise AssertionError("rule has no premises")
 
 
+def rule_binding(xs, ys):
+    """Bind a rule's variables: ``xs[i]`` to ``x{i+1}`` and ``ys[i][j]``, the
+    value of premise (i, j), to ``y{i+1}_{j+1}``."""
+    mapping = {}
+    for i, x in enumerate(xs):
+        mapping[f"x{i + 1}"] = x
+        for j, y in enumerate(ys[i]):
+            mapping[f"y{i + 1}_{j + 1}"] = y
+    return mapping
+
+
+def old_proof_target(X, p):
+    """proof_target as it was: the rule's target with the arguments of the
+    source and the premises' targets substituted in."""
+    if isinstance(p, Axiom):
+        e = p.edge
+        return Var(X.tgt[p.label][e] if isinstance(e, str) else old_proof_target(X, e))
+    ys = [[old_proof_target(X, r) for r in arg] if isinstance(arg, tuple) else () for arg in p.args]
+    return old_substitute(p.rule.target, rule_binding(proof_source(X, p).args, ys))
+
+
 def old_substitute(t, mapping):
     if isinstance(t, Var):
         if t.name not in mapping:
@@ -376,7 +399,7 @@ def old_congruence_test(spec, pairs, contexts, k, fuel, drop_last_premise=False)
     for u, v in pairs:
         memo: dict = {}
         for c in contexts:
-            cu, cv = substitute(c, {HOLE: u}), substitute(c, {HOLE: v})
+            cu, cv = old_substitute(c, {HOLE: u}), old_substitute(c, {HOLE: v})
             frag = reachable_fragment(
                 spec, [cu, cv], fuel, lean_successors(spec, drop_last_premise, memo)
             )
@@ -435,7 +458,7 @@ def _old_rule_instances(spec, t, premises, drop_last_premise):
             per_j = []
             for j, want in enumerate(labels_i):
                 if cut == (i, j):
-                    per_j.append(_shortcut_premise(spec, t.args[i], want))
+                    per_j.append(_old_shortcut_premise(spec, t.args[i], want))
                 else:
                     per_j.append(premises(t.args[i], want))
                 if not per_j[-1]:
@@ -446,4 +469,18 @@ def _old_rule_instances(spec, t, premises, drop_last_premise):
         else:
             for combo in product(*group_choices):
                 ys = [[n for _, n in c] if isinstance(c, tuple) else () for c in combo]
-                yield rule, combo, substitute(rule.target, rule_binding(t.args, ys))
+                yield rule, combo, old_substitute(rule.target, rule_binding(t.args, ys))
+
+
+def _old_shortcut_premise(spec, arg, want_label):
+    """The premise shortcut as it was: the unary premise-less rules with
+    target x1 and the wanted label, each paired with the operand."""
+    if not isinstance(arg, App) or len(arg.args) != 1:
+        return []
+    return [
+        (Node(rule, (arg.args[0],)), arg.args[0])
+        for rule in spec.rules_by_op.get(arg.op, ())
+        if rule.label == want_label
+        and all(not g for g in rule.premise_labels)
+        and rule.target == Var("x1")
+    ]

@@ -8,9 +8,12 @@ module level, where these checks and a reader see them.  Every parameter is
 read by its function: one that is passed but never read tells the caller a
 choice matters when it does not.  No nested function reads its own name:
 such a closure leaves a reference cycle behind every call of the function
-around it."""
+around it.  One module, ``specdsl``, spells the slot names of a rule
+(x1..xn and y{i}_{j}): it validates them and compiles each rule's plan,
+which every other module reads."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -363,3 +366,44 @@ SYNTHETIC_CLOSURES = {
 
 def test_closure_check_flags_a_self_referencing_closure():
     assert _self_referencing_closures(SYNTHETIC_CLOSURES) == ["lib.walk.go", "lib.walk.count"]
+
+
+_SLOT = re.compile(r"x\d+|y\d+_\d+")
+
+
+def _slot_spellings(tree: ast.AST) -> list[str]:
+    """Each string constant or f-string under tree that spells a rule slot
+    (``x<n>`` or ``y<n>_<n>``), with its line; an f-string is read with a
+    digit for each formatted value, so ``f"x{i + 1}"`` spells ``x0``."""
+    found = []
+    nested = {id(v) for n in ast.walk(tree) if isinstance(n, ast.JoinedStr) for v in n.values}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(
+                v.value if isinstance(v, ast.Constant) else "0" for v in node.values
+            )
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) in nested:
+                continue
+            text = node.value
+        else:
+            continue
+        if _SLOT.fullmatch(text):
+            found.append(f"{text!r} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"specdsl"}))
+def test_only_specdsl_spells_rule_slots(module):
+    found = _slot_spellings(TREES[module])
+    assert not found, f"{module} spells rule slot names: {found}"
+
+
+def test_slot_check_flags_constants_and_f_strings():
+    tree = ast.parse(
+        "def bind(xs, i, j):\n"
+        "    first = Var('x1')\n"
+        "    mapping = {f'x{i + 1}': xs[i], f'y{i + 1}_{j + 1}': None}\n"
+        "    return f'occ{i}', f'{i}x1', 'x', 'x1y', first, mapping\n"
+    )
+    assert [s.split()[0] for s in _slot_spellings(tree)] == ["'x1'", "'x0'", "'y0_0'"]

@@ -40,17 +40,15 @@ from gsos.terms import (
     Var,
     ambient_axioms,
     derive,
-    proof_target,
     random_layer_element,
     random_presheaf,
     random_term,
-    rule_binding,
     term_vars,
     to_terminal,
     truncated_free,
 )
 
-from oracles import _old_element_depth, compose
+from oracles import _old_element_depth, compose, old_proof_target, rule_binding
 
 # ---------------------------------------------------------------------------
 # The old path: one fresh walk of the shape per reader.
@@ -114,7 +112,7 @@ def _old_arity_label(labels, r):
 
 def _old_arity_tgt_morphism(labels, r):
     leaves, _n, route = _old_walk(r)
-    dom = _old_points(labels, len(term_vars(proof_target(terminal(labels), r))))
+    dom = _old_points(labels, len(term_vars(old_proof_target(terminal(labels), r))))
     assert len(route) == len(dom.states)
     return _map(dom, _old_carrier(labels, leaves), {f"occ{k}": c for k, c in enumerate(route)})
 

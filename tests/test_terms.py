@@ -1,6 +1,7 @@
 import gc
 import pickle
 import random
+import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import product
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsos import bundled_spec_path, load_bundled_spec
 from gsos.bisim import lean_successors, reachable_fragment
 from gsos.cellular import preserve_bisim_lift
 from gsos.cli import run_cases
@@ -29,8 +31,6 @@ from gsos.terms import (
     Node,
     Var,
     _layer_axioms,
-    _PLANS,
-    _plan,
     _rule_instances,
     ambient_axioms,
     derive,
@@ -63,6 +63,7 @@ from oracles import (
     empty_presheaf,
     lift_mu,
     old_derive,
+    old_proof_target,
     old_steps,
     rule_named,
 )
@@ -560,9 +561,33 @@ def test_nodes_are_immutable_and_print_like_dataclasses(ccs, sync_ambient):
     assert repr(Var(Var("x"))) == "Var(name=Var(name='x'))"
 
 
+def test_proofs_pickle_after_their_rules_are_used(ccs, sync_ambient):
+    """A proof whose rules have compiled their plans (by derive and by
+    proof_target) pickles without the plans, unpickles equal with the same
+    repr, and still derives and gives the same target; a fresh parse's
+    rules, which have compiled nothing, pickle to the same bytes."""
+    p = parse_proof(ccs, sync_ambient, "sync(lpar(ax(e1),term(var(x2))),ax(e2))")
+    source = proof_source(sync_ambient, p)
+    derived = derive(ccs, source, ambient_axioms(sync_ambient))
+    target = proof_target(sync_ambient, p)
+    assert (p, target) in derived
+    assert "plan" in p.rule.__dict__ and "plan" in p.args[0][0].rule.__dict__
+    fresh = load_bundled_spec("ccs")
+    fresh_rule = rule_named(fresh, p.rule.name)
+    assert "plan" not in fresh_rule.__dict__
+    assert fresh_rule == p.rule and repr(fresh_rule) == repr(p.rule)
+    assert pickle.dumps(fresh_rule) == pickle.dumps(p.rule)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and repr(q) == repr(p) and "plan" not in q.rule.__dict__
+    assert proof_target(sync_ambient, q) == target == old_proof_target(sync_ambient, q)
+    assert derive(ccs, source, ambient_axioms(sync_ambient)) == derived
+    assert (q, target) in derive(fresh, source, ambient_axioms(sync_ambient))
+
+
 # ---------------------------------------------------------------------------
 # derive's (proof, target) pairs against derive as it was, with every target
-# re-derived from its proof by proof_target.
+# re-derived from its proof by proof_target as it was (old_proof_target,
+# which substitutes into the rule's target and never reads its plan).
 
 
 def _derive(spec, m, axioms_of, drop, memo):
@@ -597,7 +622,8 @@ def _leaf_payloads(t):
 
 def _assert_pairs_match_oracle(spec, X, terms, axioms_of, old_axioms_of, drop):
     """derive with one shared memo gives the old proofs in the old order,
-    each with the target proof_target re-derives; so does a fresh memo."""
+    each with the target old_proof_target re-derives, which proof_target
+    gives too; so does a fresh memo."""
     memo, old_memo = {}, {}
     for m in terms:
         pairs = _derive(spec, m, axioms_of, drop, memo)
@@ -605,7 +631,7 @@ def _assert_pairs_match_oracle(spec, X, terms, axioms_of, old_axioms_of, drop):
         assert tuple(p for p, _ in pairs) == want
         assert _derive(spec, m, axioms_of, drop, {}) == pairs
         for p, n in pairs:
-            assert proof_target(X, p) == n
+            assert old_proof_target(X, p) == n == proof_target(X, p)
 
 
 @pytest.mark.parametrize("drop", [False, True])
@@ -624,7 +650,7 @@ def test_derive_pairs_match_proof_target_oracle(ccs, drop, seed, level):
                 got = ax(x, a)
                 assert [e for e, _ in got] == list(old_ax(x, a))
                 for e, n in got:
-                    assert n == (X.tgt[a][e] if level == 1 else proof_target(X, e))
+                    assert n == (X.tgt[a][e] if level == 1 else old_proof_target(X, e))
 
 
 def _closed_terms_and_successors(spec, terms, drop):
@@ -646,9 +672,10 @@ def test_closed_derive_pairs_match_proof_target_oracle(ccs, drop, seed):
 @pytest.mark.parametrize("drop", [False, True])
 def test_closed_derive_pairs_match_oracle_on_every_small_term(ccs, drop):
     """Every closed term of height <= 3, so that each rule and each premise
-    shortcut of the mutated engine is exercised."""
+    shortcut of the mutated engine is exercised, and the terms that tell
+    rsync's two premise targets apart."""
     closed = make_presheaf(ccs.labels, ())
-    terms = _closed_terms_and_successors(ccs, terms_upto(ccs, (), 3), drop)
+    terms = _closed_terms_and_successors(ccs, terms_upto(ccs, (), 3) + _rsync_apart(ccs), drop)
     _assert_pairs_match_oracle(ccs, closed, terms, None, None, drop)
 
 
@@ -672,10 +699,10 @@ def test_window_matches_proof_target_oracle(ccs, rsync_ambient, ambient, two_lay
         for p in old_derive(ccs, m, ax):
             if _old_element_depth(flat(p)) > d:
                 continue
-            if _old_element_depth(proof_target(X, flat(p))) > d:
+            if _old_element_depth(old_proof_target(X, flat(p))) > d:
                 too_tall += 1
                 continue
-            want[proof_label(p)].append((render(p), render(m), render(proof_target(X, p))))
+            want[proof_label(p)].append((render(p), render(m), render(old_proof_target(X, p))))
     for a in ccs.labels:
         assert [(e, P.src[a][e], P.tgt[a][e]) for e in P.edges[a]] == want[a]
     assert sum(len(v) for v in want.values()) > 20
@@ -683,8 +710,9 @@ def test_window_matches_proof_target_oracle(ccs, rsync_ambient, ambient, two_lay
 
 
 # ---------------------------------------------------------------------------
-# The compiled rule engine against the engine as it was, which bound each
-# instance's variables in a dict and rebuilt the target through substitute.
+# The rule engine, which fills each rule's compiled plan, against the engine
+# as it was, which bound each instance's variables in a dict and rebuilt
+# the target through substitute.
 
 # A closed constant in targets (c, f(c)), a repeated variable (x1, y2_1),
 # an operation of arity 3, and a rule with three premises on two arguments.
@@ -712,14 +740,35 @@ def _engine_spec(name, ccs, toy):
     return {"ccs": ccs, "toy": toy, "inline": parse_spec(ENGINE_SPEC)}[name]
 
 
-def _closed_steps_mismatches(spec, seeds, drop):
-    """Closed terms, drawn from each seed and reached from them in three
+def _rsync_apart(ccs):
+    """Every bang(sum(pref_a_bar(p),pref_a(q))) with p != q of height <= 2:
+    bang's operand steps by a_bar to p and by a to q, so the two premise
+    targets of rsync differ."""
+    small = terms_upto(ccs, (), 2)
+    return [
+        App("bang", (App("sum", (App("pref_a_bar", (p,)), App("pref_a", (q,)))),))
+        for p in small
+        for q in small
+        if p != q
+    ]
+
+
+def _closed_start_levels(spec, seeds, extra):
+    """Four closed terms drawn from each seed, each draw one start level,
+    then the terms ``extra`` as one more level if there are any."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        yield [random_term(spec, rng, (), rng.randint(1, 4)) for _ in range(4)]
+    if extra:
+        yield extra
+
+
+def _closed_steps_mismatches(spec, start_levels, drop):
+    """Closed terms, from each start level and reached from it in three
     steps, whose steps differ from the old engine's in order or in a target;
     and how many terms were compared."""
     bad, compared = [], 0
-    for seed in seeds:
-        rng = random.Random(seed)
-        level = [random_term(spec, rng, (), rng.randint(1, 4)) for _ in range(4)]
+    for level in start_levels:
         memo, canon, old_memo, seen = {}, {}, {}, set()
         for _ in range(4):
             next_level = []
@@ -739,8 +788,12 @@ def _closed_steps_mismatches(spec, seeds, drop):
 @pytest.mark.parametrize("drop", [False, True])
 def test_steps_match_old_engine_on_closed_terms(ccs, toy, spec_name, drop):
     """toy has no constant, so no closed term; its rule instances are
-    compared over ambient systems below."""
-    bad, compared = _closed_steps_mismatches(_engine_spec(spec_name, ccs, toy), range(32), drop)
+    compared over ambient systems below.  Drawn ccs terms almost never tell
+    rsync's premises apart, so the terms of :func:`_rsync_apart` join them."""
+    spec = _engine_spec(spec_name, ccs, toy)
+    extra = _rsync_apart(ccs) if spec_name == "ccs" else []
+    levels = _closed_start_levels(spec, range(32), extra)
+    bad, compared = _closed_steps_mismatches(spec, levels, drop)
     assert bad == [] and compared > 200
 
 
@@ -782,30 +835,75 @@ def test_rule_instances_match_old_engine(ccs, toy, spec_name, drop):
 
 def test_rule_engine_oracle_catches_swapped_premise_slots(ccs, monkeypatch):
     """Negative control: an rsync plan that reads y1_2 for y1_1 and y1_1 for
-    y1_2 is caught over ambient systems, where a state often has a_bar and
-    a edges to distinct targets.  Closed terms rarely show it: a ccs term
-    needs height 5 before bang's operand has distinct a_bar and a targets.
-    (The mutated engine never fires rsync: its shortcut for the a premise
-    matches only a unary operand, which has no a_bar step.)"""
+    y1_2 is caught by the closed-term comparison of steps, on the terms
+    that tell rsync's premises apart, by the derive-target comparison with
+    old_proof_target on the same terms, and over ambient systems, where a
+    state often has a_bar and a edges to distinct targets.  (The mutated
+    engine never fires rsync: its shortcut for the a premise matches only a
+    unary operand, which has no a_bar step.)"""
     rsync = rule_named(ccs, "rsync")
-    _, fill, cut = _PLANS.get(id(rsync)) or _plan(rsync)
+    fill = rsync.plan.fill
     swapped = lambda vals: fill((vals[0], vals[2], vals[1]))
-    monkeypatch.setitem(_PLANS, id(rsync), (rsync, swapped, cut))
+    monkeypatch.setitem(rsync.__dict__, "plan", rsync.plan._replace(fill=swapped))
+    levels = _closed_start_levels(ccs, range(32), _rsync_apart(ccs))
+    bad, _ = _closed_steps_mismatches(ccs, levels, False)
+    assert len(bad) >= len(_rsync_apart(ccs))
+    closed = make_presheaf(ccs.labels, ())
+    with pytest.raises(AssertionError):
+        _assert_pairs_match_oracle(ccs, closed, _rsync_apart(ccs), None, None, False)
     assert _instance_mismatches(ccs, range(32), False)[0]
-    u = parse_term(ccs, None, "bang(sum(pref_a_bar(nil),pref_a(pref_a(nil))))")
-    assert steps(ccs, u, False, {}, {}) != old_steps(ccs, u, False, {})
 
 
 def test_rule_plans_compile_once_per_rule(ccs):
-    """Each rule is compiled on first use and its plan reused; the
-    drop_last_premise cut is the last premise of a rule with two or more."""
+    """Each rule compiles its plan on first use and keeps it; a slot list
+    reads each target variable's slot (x1..xn, then the premises in order);
+    the drop_last_premise cut is the last premise of a rule with two or
+    more."""
     for rule in ccs.rules:
-        plan = _PLANS.get(id(rule)) or _plan(rule)
-        assert _PLANS[id(rule)] is plan and plan[0] is rule
-        assert (_PLANS.get(id(rule)) or _plan(rule)) is plan
+        plan = rule.plan
+        assert rule.plan is plan and rule.__dict__["plan"] is plan
     names = ("pref_a", "lpar[L=a]", "sync", "rsync")
-    cuts = {name: _PLANS[id(rule_named(ccs, name))][2] for name in names}
+    plans = {name: rule_named(ccs, name).plan for name in names}
+    assert {name: plan.slots for name, plan in plans.items()} == {
+        "pref_a": (0,),
+        "lpar[L=a]": (2, 1),
+        "sync": (2, 3),
+        "rsync": (0, 1, 2),
+    }
+    cuts = {name: plan.cut for name, plan in plans.items()}
     assert cuts == {"pref_a": None, "lpar[L=a]": None, "sync": (1, 0), "rsync": (0, 1)}
+
+
+def _used_rule_ref(text):
+    """Parse a spec, run derive, steps (both engines), proof_target and
+    decompose with it, and return a weak reference to its rsync rule."""
+    spec = parse_spec(text)
+    t = parse_term(spec, None, "bang(sum(pref_a_bar(nil),pref_a(pref_a(nil))))")
+    closed = make_presheaf(spec.labels, ())
+    for p, n in derive(spec, t):
+        assert proof_target(closed, p) == n
+        decompose(closed, p)
+    u = parse_term(spec, None, "par(pref_a_bar(nil),pref_a(nil))")
+    for drop in (False, True):  # the mutated engine reads pref_a's plan in its shortcut
+        steps(spec, t, drop, {}, {})
+        assert ("tau", parse_term(spec, None, "par(nil,nil)")) in steps(spec, u, drop, {}, {})
+    rsync = rule_named(spec, "rsync")
+    assert "plan" in rsync.__dict__
+    return weakref.ref(rsync)
+
+
+def test_parsed_rules_are_freed_without_cyclic_gc(ccs):
+    """A rule that has compiled its plan is freed with its spec, not by the
+    cyclic garbage collector: nothing outside the spec keeps the rule, and
+    its plan holds no reference back to it."""
+    text = bundled_spec_path("ccs").read_text()
+    _used_rule_ref(text)
+    gc.collect()
+    gc.disable()
+    try:
+        assert _used_rule_ref(text)() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
