@@ -11,16 +11,18 @@ states are separated at stratum n+1 iff their sets of (label, block at
 stratum n of target) differ, until stratum k or a stable stratum.
 Matching is existential, so parallel edges never change an answer:
 fragments that are only refined keep one edge per distinct (label, target)
-step, built without proofs by ``terms.steps``.  The congruence check
-builds and refines one fragment per pair, reachable from all of its
-composites, and reads each case's size and frontier off that one graph.
+step, built without proofs by ``terms.steps``.  One breadth-first walk,
+:func:`_bfs`, lists the states and the frontier of every fragment.  The
+congruence check builds and refines one fragment per pair, reachable from
+all of its composites, and the same walk over that fragment's out-edges
+gives each case its size and frontier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import FuelTooSmall, UnknownState
 from .presheaf import (
@@ -70,36 +72,41 @@ def reachable_fragment(spec, seeds: Sequence[Term], fuel: int, successors: Calla
     proof, or :func:`lean_successors`, with one steps memo and generated ids.
     Both give the same targets in the same order, so the states and the
     frontier do not depend on the choice.  Targets of closed terms are
-    closed, so checking the seeds is enough.
+    closed, so checking the seeds is enough, and two closed terms are equal
+    exactly when they render alike, so the walk's terms give the states.
     """
-    states: list[str] = []
-    known: set[str] = set()
-    level: list[Term] = []
-    for t in seeds:
-        if term_vars(t):
-            raise UnknownState("fragment seeds must be closed terms")
-        key = render(t)
-        if key not in known:
-            known.add(key)
-            states.append(key)
-            level.append(t)
+    if any(term_vars(t) for t in seeds):
+        raise UnknownState("fragment seeds must be closed terms")
     arrows = []
-    for depth in range(fuel):
-        next_level: list[Term] = []
-        for m in level:
-            mk = render(m)
-            for a, e, n in successors(m):
-                nk = render(n)
-                if nk not in known:
-                    known.add(nk)
-                    states.append(nk)
-                    next_level.append(n)
-                arrows.append((a, e, mk, nk))
-        level = next_level
+
+    def expand(m: Term) -> list[Term]:
+        out, mk = successors(m), render(m)
+        arrows.extend([(a, e, mk, render(n)) for a, e, n in out])
+        return [n for _, _, n in out]
+
+    reached, frontier = _bfs(seeds, fuel, expand)
+    carrier = _system(spec.labels, [render(t) for t in reached], arrows)
+    return Fragment(carrier, frozenset(render(t) for t in frontier))
+
+
+def _bfs(roots: Iterable, fuel: int, successors: Callable) -> tuple[list, list]:
+    """The nodes within fuel steps of the roots, in breadth-first discovery
+    order, and the frontier: those at exactly fuel steps, which are not
+    expanded (empty if the walk ends first).  ``successors(x)`` lists the
+    nodes one step from x, and is called on every other node, in order."""
+    seen = dict.fromkeys(roots)
+    level = list(seen)
+    for _ in range(fuel):
         if not level:
             break
-    carrier = _system(spec.labels, states, arrows)
-    return Fragment(carrier, frozenset(render(t) for t in level))
+        next_level = []
+        for x in level:
+            for y in successors(x):
+                if y not in seen:
+                    seen[y] = None
+                    next_level.append(y)
+        level = next_level
+    return list(seen), level
 
 
 def proof_successors(spec) -> Callable:
@@ -249,8 +256,9 @@ def congruence_test(
     all contexts, with one steps memo.  As fuel >= k, every state within
     k - 1 steps of a case's roots is expanded there, so their blocks at
     stratum k decide the case.  Every state within fuel - 1 steps of them
-    is expanded there too, so a walk of at most fuel steps from the roots
-    in that graph gives the case's ``states`` and ``definitive`` as its own
+    is expanded there too, so :func:`_bfs`, the walk that builds every
+    fragment, run from the roots over that fragment's out-edges with the
+    same fuel, gives the case's ``states`` and ``definitive`` as its own
     fragment would.  Violations are the cases where the composites are not
     k-equivalent.
     """
@@ -266,21 +274,17 @@ def congruence_test(
         roots = [t for _, cu, cv in composites for t in (cu, cv)]
         X = reachable_fragment(spec, roots, fuel, successors).carrier
         block = stratified_partition(X, k)[-1]
-        index = {x: i for i, x in enumerate(X.states)}
-        succ: list[list[int]] = [[] for _ in X.states]
-        for a in X.labels:
-            for e, x in X.src[a].items():
-                succ[index[x]].append(index[X.tgt[a][e]])
+        after = lambda x: [X.tgt[a][e] for a in X.labels for e in X.out_edges(x, a)]
         for c, cu, cv in composites:
             ku, kv = render(cu), render(cv)
-            states, definitive = _ball(succ, {index[ku], index[kv]}, fuel)
+            states, frontier = _bfs((ku, kv), fuel, after)
             ok = block[ku] == block[kv]
             record = {
                 "pair": [render(u), render(v)],
                 "context": render(c),
                 "preserved": ok,
-                "definitive": definitive,
-                "states": states,
+                "definitive": not frontier,
+                "states": len(states),
             }
             cases.append(record)
             if not ok:
@@ -295,20 +299,6 @@ def congruence_test(
         "violations": violations,
         "ok": not violations,
     }
-
-
-def _ball(succ: list[list[int]], roots: set[int], fuel: int) -> tuple[int, bool]:
-    """How many states lie within fuel steps of the roots, and whether none
-    lies at exactly fuel steps (the frontier :func:`reachable_fragment`
-    leaves unexpanded is empty).  ``succ`` lists each state's successors,
-    and must be complete for every state within fewer than fuel steps."""
-    seen = level = roots
-    for _ in range(fuel):
-        level = {y for x in level for y in succ[x]} - seen
-        if not level:
-            break
-        seen = seen | level
-    return len(seen), not level
 
 
 def _plug(c: Term, u: Term) -> Optional[Term]:

@@ -175,11 +175,9 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if bool(args.proof) == bool(args.term):
-        return _usage_error("decompose takes exactly one of --proof and --term")
     spec = _load_spec(args.spec)
     X = _load_presheaf(args.presheaf, spec)
-    if args.proof:
+    if args.proof is not None:
         elem = parse_proof(spec, X, args.proof)
     else:
         elem = parse_term(spec, X, args.term)
@@ -369,10 +367,8 @@ def cmd_verify(args) -> int:
         report = run_cases(_CASE_CHECKS[args.suite], spec, args.seed, args.cases, args.depth)
     elif args.suite == "cartesian":
         report = _suite_cartesian(spec, args.seed, args.depth)
-    elif args.suite == "congruence":
-        report = _suite_congruence(spec, args.seed, args.stratum, args.mutate)
     else:
-        return _usage_error(f"unknown suite {args.suite!r}")
+        report = _suite_congruence(spec, args.seed, args.stratum, args.mutate)
     report["suite"] = args.suite
     _emit(report)
     return 0 if report["ok"] else 1
@@ -417,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="generic-free factorisation of an element")
     p.add_argument("spec")
-    p.add_argument("--proof")
-    p.add_argument("--term")
+    element = p.add_mutually_exclusive_group(required=True)
+    element.add_argument("--proof")
+    element.add_argument("--term")
     p.add_argument("--presheaf", help="ambient system (JSON file); defaults to the terminal one")
     p.set_defaults(func=cmd_decompose)
 
@@ -437,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("spec")
-    p.add_argument("--suite", required=True)
+    p.add_argument("--suite", required=True, choices=[*_CASE_CHECKS, "cartesian", "congruence"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("-d", "--depth", type=int, default=2)

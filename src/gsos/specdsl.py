@@ -83,11 +83,12 @@ class Plan(NamedTuple):
     an instance's source, then its premise targets y{i}_{j} in premise
     order.  ``fill(values)`` builds the target's instance, ``slots`` gives
     the slot of each variable occurrence of the target in leaf order, and
-    ``cut`` is the premise (i, j) that ``drop_last_premise`` cuts, if any."""
+    ``premises`` lists the premises in slot order as (argument index,
+    label) pairs."""
 
     fill: Callable[[Sequence[Term]], Term]
     slots: tuple[int, ...]
-    cut: Optional[tuple[int, int]]
+    premises: tuple[tuple[int, str], ...]
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,10 @@ class Rule:
     target: Term
 
     def __reduce__(self):
-        # the fields only: the plan is rebuilt on first use after unpickling
+        # the fields only: cached properties are rebuilt on first use after unpickling
         return Rule, tuple(getattr(self, f.name) for f in fields(self))
 
-    @property
+    @cached_property
     def premise_counts(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.premise_labels)
 
@@ -120,15 +121,14 @@ class Rule:
         """The rule's compiled plan, made on first use.  It is not part of
         the rule's equality, repr or pickle, and holds no reference to the
         rule, so a dropped rule is freed without the cyclic collector."""
-        counts = self.premise_counts
-        premises = [(i, j) for i, n in enumerate(counts) for j in range(n)]
-        names = [f"x{i + 1}" for i in range(len(counts))]
-        names += [f"y{i + 1}_{j + 1}" for i, j in premises]
+        groups = self.premise_labels
+        names = [f"x{i + 1}" for i in range(len(groups))]
+        names += [f"y{i + 1}_{j + 1}" for i, g in enumerate(groups) for j in range(len(g))]
         slot = {name: k for k, name in enumerate(names)}
         return Plan(
             _compile_target(self.target, slot),
             tuple(slot[v] for v in term_vars(self.target)),
-            premises[-1] if len(premises) >= 2 else None,
+            tuple((i, a) for i, g in enumerate(groups) for a in g),
         )
 
 

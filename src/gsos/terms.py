@@ -13,16 +13,18 @@ substitutes each payload for its leaf, and rendering prints a payload with
 the same syntax, so var(par(var(x),nil)) names a two-layer term exactly as
 it did when payloads were strings.  One recursion, :func:`bind` (the Kleisli
 extension of the free monad), rebuilds an element leaf by leaf: mu, T(f),
-the map to 1, map_leaves and familial.recompose each call it once.  A rule
-instance's target is built by its rule's plan (``specdsl.Rule.plan``, made
-once per rule), which derive, steps and proof_target fill and familial's
-walk reads.  Text is parsed only when it comes from outside the program, and
-checked once, by the parser: every state, edge, operation, rule and premise
-is checked as it is read, so a parsed element is well formed over its
-system and the code inside trusts it.  The parser is one left-to-right
-reader: it reads each character once, builds each node when its text closes
-and a proof together with its source, and takes a var(...) or ax(...)
-payload by the one payload rule, ``presheaf._read_payload``.
+the map to 1, map_leaves and familial.recompose each call it once.  The
+rule instances out of a term are one product per rule over its premises'
+choices, in the slot order of the rule's plan (``specdsl.Rule.plan``, made
+once per rule); derive, steps and proof_target fill the plan to build an
+instance's target, and familial's walk reads its slot list.  Text is
+parsed only when it comes from outside the program, and checked once, by
+the parser: every state, edge, operation, rule and premise is checked as
+it is read, so a parsed element is well formed over its system and the
+code inside trusts it.  The parser is one left-to-right reader: it reads
+each character once, builds each node when its text closes and a proof
+together with its source, and takes a var(...) or ax(...) payload by the
+one payload rule, ``presheaf._read_payload``.
 
 The four node classes (Var, App, Axiom, Node) are immutable and compare
 structurally.  Each node stores its hash and its rendering the first time
@@ -570,9 +572,12 @@ def _derive(spec, t: Term, axioms_of, memo: dict):
     premises = lambda u, want: [
         r for r in _derive(spec, u, axioms_of, memo) if proof_label(r[0]) == want
     ]
-    for rule, combo, n in _rule_instances(spec, t, premises, False):
-        args = tuple(tuple([r for r, _ in c]) if isinstance(c, tuple) else c for c in combo)
-        out.append((Node(rule, args), n))
+    for rule, choice, n in _rule_instances(spec, t, premises, False):
+        proofs, k, args = [r for r, _ in choice], 0, []
+        for a, m in zip(t.args, rule.premise_counts):
+            args.append(tuple(proofs[k : k + m]) if m else a)
+            k += m
+        out.append((Node(rule, tuple(args)), n))
     memo[t] = tuple(out)
     return memo[t]
 
@@ -612,35 +617,23 @@ def _steps(spec, t: Term, drop_last_premise: bool, memo: dict, canon: dict) -> t
 def _rule_instances(spec, t: App, premises: Callable, drop_last_premise: bool):
     """Every rule instance with source ``t`` as ``(rule, choice, target)``,
     in derive's order; ``premises(u, a)`` lists the (premise, target) pairs
-    with label a out of u.  ``choice`` holds per argument either the
-    argument itself (no premise) or the tuple of its chosen pairs.  The
-    target is filled in by the rule's plan.
+    with label a out of u.  ``choice`` holds one chosen pair per premise of
+    the rule, in slot order, and the target is filled in by the rule's plan.
     """
     if not spec.signature.has(t.op):
         raise UnknownOperation(f"unknown operation {t.op!r}")
     for rule in spec.rules_by_op.get(t.op, ()):
-        fill, _, cut = rule.plan
-        cut = cut if drop_last_premise else None
-        group_choices: list[list] = []
-        for i, labels_i in enumerate(rule.premise_labels):
-            if not labels_i:
-                group_choices.append([t.args[i]])
-                continue
-            per_j: list[list] = []
-            for j, want in enumerate(labels_i):
-                if cut == (i, j):
-                    per_j.append(_shortcut_premise(spec, t.args[i], want))
-                else:
-                    per_j.append(premises(t.args[i], want))
-                if not per_j[-1]:
-                    break
-            if not per_j[-1]:
+        fill, _, wanted = rule.plan
+        cut = len(wanted) - 1 if drop_last_premise and len(wanted) >= 2 else None
+        choices: list[list] = []
+        for k, (i, a) in enumerate(wanted):
+            u = t.args[i]
+            choices.append(_shortcut_premise(spec, u, a) if k == cut else premises(u, a))
+            if not choices[-1]:
                 break
-            group_choices.append(list(product(*per_j)))
         else:
-            for combo in product(*group_choices):
-                ys = [n for c in combo if isinstance(c, tuple) for _, n in c]
-                yield rule, combo, fill((*t.args, *ys))
+            for choice in product(*choices):
+                yield rule, choice, fill((*t.args, *[n for _, n in choice]))
 
 
 def _shortcut_premise(spec, arg: Term, want_label: str) -> list[tuple[Proof, Term]]:
@@ -655,7 +648,7 @@ def _shortcut_premise(spec, arg: Term, want_label: str) -> list[tuple[Proof, Ter
     for rule in spec.rules_by_op.get(arg.op, ()):
         if (
             rule.label == want_label
-            and all(not g for g in rule.premise_labels)
+            and not rule.plan.premises
             and isinstance(rule.target, Var)
             and rule.plan.slots == (0,)
         ):

@@ -19,8 +19,10 @@ one-hole contexts before both became calls to ``terms._apps`` are copied
 here for the same reason, as ``old_strata`` and ``old_enumerate_contexts``,
 and so is the premise index that old_derive drops.  The congruence check
 as it was, ``old_congruence_test``, decided each (pair, context) case on
-its own fragment with ``k_bisimilar``; the program now refines one
-fragment per pair and reads each case's size and frontier off it.  The
+its own fragment with ``k_bisimilar``, built by reachable_fragment's own
+level loop (``old_reachable_fragment``); the program now refines one
+fragment per pair and reads each case's size and frontier off it, by the
+same breadth-first walk that builds the fragment.  The
 successor engine as it was, ``old_steps`` over ``_old_rule_instances``,
 bound each rule instance's variables in a dict (``rule_binding``) and
 rebuilt the rule's target through ``substitute``, and so did proof_target
@@ -34,7 +36,7 @@ never its plan, so they check the plan rather than repeat it.
 from itertools import product
 
 from gsos import bisim
-from gsos.bisim import lean_successors, reachable_fragment, stratified_partition
+from gsos.bisim import Fragment, lean_successors, stratified_partition
 from gsos.errors import (
     MalformedProof,
     NonCommutingSquare,
@@ -385,6 +387,37 @@ def k_bisimilar(X, x, y, k):
     return part[x] == part[y]
 
 
+def old_reachable_fragment(spec, seeds, fuel, successors):
+    """reachable_fragment as it was, with its own level loop: the program
+    now walks the same levels with ``bisim._bfs``, as the congruence check
+    walks each case."""
+    states, known, level = [], set(), []
+    for t in seeds:
+        if term_vars(t):
+            raise UnknownState("fragment seeds must be closed terms")
+        key = render(t)
+        if key not in known:
+            known.add(key)
+            states.append(key)
+            level.append(t)
+    arrows = []
+    for _ in range(fuel):
+        next_level = []
+        for m in level:
+            mk = render(m)
+            for a, e, n in successors(m):
+                nk = render(n)
+                if nk not in known:
+                    known.add(nk)
+                    states.append(nk)
+                    next_level.append(n)
+                arrows.append((a, e, mk, nk))
+        level = next_level
+        if not level:
+            break
+    return Fragment(_system(spec.labels, states, arrows), frozenset(render(t) for t in level))
+
+
 def old_congruence_test(spec, pairs, contexts, k, fuel, drop_last_premise=False):
     """congruence_test as it was: every (pair, context) case builds the
     fragment reachable from both composites and refines it on its own; the
@@ -400,7 +433,7 @@ def old_congruence_test(spec, pairs, contexts, k, fuel, drop_last_premise=False)
         memo: dict = {}
         for c in contexts:
             cu, cv = old_substitute(c, {HOLE: u}), old_substitute(c, {HOLE: v})
-            frag = reachable_fragment(
+            frag = old_reachable_fragment(
                 spec, [cu, cv], fuel, lean_successors(spec, drop_last_premise, memo)
             )
             ok = k_bisimilar(frag.carrier, render(cu), render(cv), k)

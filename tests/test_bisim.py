@@ -744,22 +744,75 @@ def test_congruence_edges_match_per_case_oracle(ccs, case, drop):
         assert not any(c["definitive"] for c in want["cases"])
 
 
-@pytest.mark.parametrize("mutant", ["depth-from-all-roots", "shared-size"])
+@pytest.mark.parametrize("mutant", ["one-level-short", "empty-frontier"])
 def test_case_walk_oracle_catches_a_wrong_walk(ccs, monkeypatch, mutant):
-    """Negative control: a case walk that measures depth from the roots of
-    every case of the pair (it walks the whole of the pair's graph that the
-    case reaches), or reports the pair's graph's size, disagrees with the
-    per-case oracle on seeded inputs."""
-    ball = bisim_mod._ball
+    """Negative control: a shared walk that stops one level short (the pair
+    fragments and the case walks both lose their last level), or that
+    always reports an empty frontier (every case claims to be definitive),
+    disagrees with the per-case oracle, whose fragments have their own level
+    loop, on seeded inputs."""
+    bfs = bisim_mod._bfs
     wrong = {
-        "depth-from-all-roots": lambda succ, roots, fuel: ball(succ, roots, len(succ)),
-        "shared-size": lambda succ, roots, fuel: (len(succ), ball(succ, roots, fuel)[1]),
+        "one-level-short": lambda roots, fuel, successors: bfs(roots, fuel - 1, successors),
+        "empty-frontier": lambda roots, fuel, successors: (bfs(roots, fuel, successors)[0], []),
     }[mutant]
-    monkeypatch.setattr(bisim_mod, "_ball", wrong)
+    monkeypatch.setattr(bisim_mod, "_bfs", wrong)
     contexts = sample_contexts(ccs, 3, 12, random.Random(0))
     new = congruence_test(ccs, _bundled_pairs(ccs), contexts, 3, 4)
     old = old_congruence_test(ccs, _bundled_pairs(ccs), contexts, 3, 4)
     assert new["cases"] != old["cases"]
+
+
+def _walk_mismatches(walk, succ, roots, fuel):
+    """How ``walk(roots, fuel, successors)`` differs on the integer graph
+    ``succ`` from a plain full breadth-first search: it must return the
+    nodes at distance <= fuel in discovery order and the frontier at
+    distance exactly fuel, and expand the nodes nearer than fuel, in order."""
+    dist = dict.fromkeys(roots, 0)
+    order = list(dist)
+    for x in order:
+        for y in succ[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                order.append(y)
+    expanded = []
+
+    def successors(x):
+        expanded.append(x)
+        return succ[x]
+
+    nodes, frontier = walk(roots, fuel, successors)
+    want = (
+        [x for x in order if dist[x] <= fuel],
+        [x for x in order if dist[x] == fuel],
+        [x for x in order if dist[x] < fuel],
+    )
+    got = (list(nodes), list(frontier), expanded)
+    return [name for name, a, b in zip(("nodes", "frontier", "expanded"), got, want) if a != b]
+
+
+@st.composite
+def _walk_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    node = st.integers(min_value=0, max_value=n - 1)
+    succ = draw(st.lists(st.lists(node, max_size=4), min_size=n, max_size=n))
+    roots = draw(st.lists(node, max_size=3))
+    return succ, roots, draw(st.integers(min_value=0, max_value=n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walk_inputs())
+def test_bfs_matches_full_breadth_first_distances(inputs):
+    assert _walk_mismatches(bisim_mod._bfs, *inputs) == []
+
+
+def test_bfs_oracle_catches_a_walk_one_level_short():
+    """Negative control: on a path 0 -> 1 -> 2 -> 3 with fuel 2, a walk one
+    level short misses node 2 and reports node 1 as its frontier."""
+    short = lambda roots, fuel, successors: bisim_mod._bfs(roots, fuel - 1, successors)
+    succ = [[1], [2], [3], []]
+    assert _walk_mismatches(bisim_mod._bfs, succ, [0], 2) == []
+    assert _walk_mismatches(short, succ, [0], 2) == ["nodes", "frontier", "expanded"]
 
 
 @pytest.mark.parametrize("k, fuel, drop, seed", [(3, 2, True, 0), (2, 1, False, 26)])

@@ -231,11 +231,26 @@ def test_verify_congruence_names_the_bundled_pairs_a_spec_cannot_read(capsys):
     assert "unknown operation 'sum'" in doc["message"]
 
 
-def test_verify_unknown_suite(capsys):
-    code, out, err = run_cli(["verify", CCS, "--suite", "nope"], capsys)
+SUITES = ("laws", "familial", "cellular", "preserve", "cartesian", "congruence")
+
+
+def _unknown_suite_refusal(spec, capsys):
+    code, out, err = run_cli(["verify", spec, "--suite", "nope"], capsys)
     assert code == 2 and out == ""
     (line,) = err.splitlines()
-    assert json.loads(line) == {"kind": "UsageError", "message": "unknown suite 'nope'"}
+    doc = json.loads(line)
+    assert doc["kind"] == "UsageError"
+    assert doc["message"].startswith("argument --suite: invalid choice: 'nope' (choose from ")
+    assert all(suite in doc["message"] for suite in SUITES)
+
+
+def test_verify_unknown_suite(capsys):
+    _unknown_suite_refusal(CCS, capsys)
+
+
+def test_verify_unknown_suite_is_refused_before_the_spec_is_read(capsys):
+    """argparse refuses the suite name, so a missing spec file is never opened."""
+    _unknown_suite_refusal("/nonexistent/spec.gsos", capsys)
 
 
 def test_decompose_without_element(capsys):
@@ -244,7 +259,7 @@ def test_decompose_without_element(capsys):
     (line,) = err.splitlines()
     assert json.loads(line) == {
         "kind": "UsageError",
-        "message": "decompose takes exactly one of --proof and --term",
+        "message": "one of the arguments --proof --term is required",
     }
 
 
@@ -256,8 +271,17 @@ def test_decompose_with_both_elements(capsys):
     (line,) = err.splitlines()
     assert json.loads(line) == {
         "kind": "UsageError",
-        "message": "decompose takes exactly one of --proof and --term",
+        "message": "argument --term: not allowed with argument --proof",
     }
+
+
+@pytest.mark.parametrize("option", ["--proof", "--term"])
+def test_decompose_empty_element_is_malformed(option, capsys):
+    """An empty element is given, so argparse takes it; the reader refuses it."""
+    code, out, err = run_cli(["decompose", CCS, option, ""], capsys)
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["kind"] == "MalformedProof"
 
 
 def test_congruence_command(tmp_path, capsys):

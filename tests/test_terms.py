@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsos.terms as terms_mod
 from gsos import bundled_spec_path, load_bundled_spec
 from gsos.bisim import lean_successors, reachable_fragment
 from gsos.cellular import preserve_bisim_lift
@@ -600,10 +601,13 @@ def _derive(spec, m, axioms_of, drop, memo):
     def premises(u, want):
         return [r for r in _derive(spec, u, axioms_of, drop, memo) if proof_label(r[0]) == want]
 
-    return tuple(
-        (Node(rule, tuple(tuple(r for r, _ in c) if isinstance(c, tuple) else c for c in combo)), n)
-        for rule, combo, n in _rule_instances(spec, m, premises, True)
-    )
+    out = []
+    for rule, choice, n in _rule_instances(spec, m, premises, True):
+        proofs = iter([r for r, _ in choice])
+        groups = zip(m.args, rule.premise_counts)
+        args = tuple(tuple(next(proofs) for _ in range(k)) if k else a for a, k in groups)
+        out.append((Node(rule, args), n))
+    return tuple(out)
 
 
 def _old_layer_axioms(spec, X, level):
@@ -808,7 +812,8 @@ def _instance_mismatches(spec, seeds, drop):
     """Operation nodes of random terms over a random ambient system, drawn
     from each seed, whose rule instances (rule, choice and target, in order,
     over the proofs derive gives the premises) differ from the old
-    engine's; and how many instances were compared."""
+    engine's, whose choice, grouped by argument, is flattened to one pair
+    per premise; and how many instances were compared."""
     bad, instances = [], 0
     for seed in seeds:
         rng = random.Random(seed)
@@ -819,7 +824,10 @@ def _instance_mismatches(spec, seeds, drop):
         ]
         for t in {u for _ in range(4) for u in _subterms(random_term(spec, rng, X.states, 3))}:
             if isinstance(t, App):
-                want = list(_old_rule_instances(spec, t, premises, drop))
+                want = [
+                    (rule, tuple(r for c in combo if isinstance(c, tuple) for r in c), n)
+                    for rule, combo, n in _old_rule_instances(spec, t, premises, drop)
+                ]
                 if list(_rule_instances(spec, t, premises, drop)) != want:
                     bad.append(t)
                 instances += len(want)
@@ -857,8 +865,9 @@ def test_rule_engine_oracle_catches_swapped_premise_slots(ccs, monkeypatch):
 def test_rule_plans_compile_once_per_rule(ccs):
     """Each rule compiles its plan on first use and keeps it; a slot list
     reads each target variable's slot (x1..xn, then the premises in order);
+    the premise list gives each premise's argument and label in slot order;
     the drop_last_premise cut is the last premise of a rule with two or
-    more."""
+    more, and only there does the mutated engine take the shortcut."""
     for rule in ccs.rules:
         plan = rule.plan
         assert rule.plan is plan and rule.__dict__["plan"] is plan
@@ -870,8 +879,34 @@ def test_rule_plans_compile_once_per_rule(ccs):
         "sync": (2, 3),
         "rsync": (0, 1, 2),
     }
-    cuts = {name: plan.cut for name, plan in plans.items()}
-    assert cuts == {"pref_a": None, "lpar[L=a]": None, "sync": (1, 0), "rsync": (0, 1)}
+    assert {name: plan.premises for name, plan in plans.items()} == {
+        "pref_a": (),
+        "lpar[L=a]": ((0, "a"),),
+        "sync": ((0, "a_bar"), (1, "a")),
+        "rsync": ((0, "a_bar"), (0, "a")),
+    }
+    cut = {name: _shortcut_premises(ccs, rule_named(ccs, name)) for name in names}
+    assert cut == {"pref_a": [], "lpar[L=a]": [], "sync": [(1, "a")], "rsync": [(0, "a")]}
+
+
+def _shortcut_premises(spec, rule):
+    """The premises of ``rule``, as (argument index, label), that the
+    mutated engine matches by the premise shortcut instead of deriving,
+    read off its one instance over a source of distinct variables whose
+    every premise has one step."""
+    source = App(rule.op, tuple(Var(f"v{i}") for i in range(len(rule.premise_labels))))
+    calls = {"derived": [], "shortcut": []}
+
+    def step(kind, u, a):
+        calls[kind].append((source.args.index(u), a))
+        return [(Axiom("e", a), u)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(spec.__dict__, "rules_by_op", {rule.op: (rule,)})
+        mp.setattr(terms_mod, "_shortcut_premise", lambda _, u, a: step("shortcut", u, a))
+        assert len(list(_rule_instances(spec, source, lambda u, a: step("derived", u, a), True))) == 1
+    assert calls["derived"] + calls["shortcut"] == list(rule.plan.premises)
+    return calls["shortcut"]
 
 
 def _used_rule_ref(text):

@@ -1,7 +1,8 @@
 """The benchmark tracer finds every function it is told to wrap, a traced
 pass of every workload still runs and answers right, untraced small passes
 of every workload print the recorded reports at the first eight seeds, and
-full-size cartesian and congruence passes print their recorded reports.
+full-size cartesian, bisim and congruence passes print their recorded
+reports.
 
 perfbench/tracing.py only warns when a traced name is missing and then
 reports 0 for that layer, so a rename in gsos would silently blind it; its
@@ -120,3 +121,10 @@ def test_untraced_full_congruence_pass_prints_recorded_reports(monkeypatch):
     bundled pairs, honest and mutated, and the verify suite) print their
     recorded reports byte for byte."""
     _assert_untraced_pass_prints_recorded_reports("congruence-batch", 0, "full", monkeypatch)
+
+
+def test_untraced_full_bisim_pass_prints_recorded_reports(monkeypatch):
+    """The full-size bisim-deep calls (the 237-state lts carrier with its
+    state order, edge order and frontier, and the 830- and 464-state bisim
+    reports) print their recorded reports byte for byte."""
+    _assert_untraced_pass_prints_recorded_reports("bisim-deep", 0, "full", monkeypatch)
