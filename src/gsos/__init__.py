@@ -4,20 +4,10 @@ Loads a rule specification, realises the free monad on generalized
 labelled transition systems, and checks the categorical structure behind
 congruence of bisimilarity: familial decomposition, cellularity
 certificates, constructive lifting, cartesianness, and partition-refinement
-bisimilarity itself.
+bisimilarity itself.  The library is what the ``gsos`` command runs
+(:func:`gsos.cli.main`).
 """
-
-from importlib import resources
 
 from .specdsl import GsosSpec, parse_spec
 
-__all__ = ["GsosSpec", "parse_spec", "load_bundled_spec", "bundled_spec_path"]
-
-
-def bundled_spec_path(name: str):
-    """Filesystem path of a bundled .gsos spec ("ccs" or "toy")."""
-    return resources.files(__name__) / "specs" / f"{name}.gsos"
-
-
-def load_bundled_spec(name: str) -> GsosSpec:
-    return parse_spec(bundled_spec_path(name).read_text())
+__all__ = ["GsosSpec", "parse_spec"]

@@ -117,10 +117,10 @@ def proof_successors(spec) -> Callable:
     ]
 
 
-def lean_successors(spec, drop_last_premise: bool, memo: dict) -> Callable:
+def lean_successors(spec, drop_last_premise: bool) -> Callable:
     """One edge per distinct (label, target) step, with ids 0, 1, ..., and
-    one object per distinct target."""
-    ids, canon = count(), {}
+    one object per distinct target, over one steps memo of its own."""
+    ids, memo, canon = count(), {}, {}
     return lambda m: [
         (a, str(next(ids)), n) for a, n in steps(spec, m, drop_last_premise, memo, canon)
     ]
@@ -269,7 +269,7 @@ def congruence_test(
     cases = []
     violations = []
     for u, v in pairs:
-        successors = lean_successors(spec, drop_last_premise, {})
+        successors = lean_successors(spec, drop_last_premise)
         composites = [(c, _plug(c, u), _plug(c, v)) for c in contexts]
         roots = [t for _, cu, cv in composites for t in (cu, cv)]
         X = reachable_fragment(spec, roots, fuel, successors).carrier

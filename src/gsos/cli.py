@@ -1,15 +1,14 @@
 """Batch command-line surface.
 
 Exit codes: 0 success, 1 domain violation, 2 usage error.  All randomness
-flows from a single seed (GSOS_SEED overrides --seed), printed in every
-report, so identical invocations produce byte-identical output.
+flows from a single seed, --seed, printed in every report, so identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from importlib import resources
@@ -68,18 +67,12 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _usage_error(message: str) -> int:
-    """Refuse a malformed invocation: one JSON line on stderr, exit code 2."""
-    sys.stderr.write(json.dumps({"kind": "UsageError", "message": message}, sort_keys=True) + "\n")
-    return 2
-
-
-def _refuse(exc: GsosError) -> int:
-    """Refuse a domain violation: one JSON line on stderr, exit code 1."""
-    sys.stderr.write(
-        json.dumps({"kind": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
-    )
-    return 1
+def _refuse(kind: str, message: str, code: int) -> int:
+    """Refuse the invocation: one JSON line of its kind and message on
+    stderr, and the exit code (1 for a domain violation, 2 for a usage
+    error)."""
+    sys.stderr.write(json.dumps({"kind": kind, "message": message}, sort_keys=True) + "\n")
+    return code
 
 
 def _load_spec(path: str) -> GsosSpec:
@@ -153,7 +146,7 @@ def cmd_bisim(args) -> int:
     t1 = parse_term(spec, None, args.t1)
     t2 = parse_term(spec, None, args.t2)
     bisim_mod.require_fuel(args.fuel, args.stratum)
-    successors = bisim_mod.lean_successors(spec, False, {})
+    successors = bisim_mod.lean_successors(spec, False)
     frag = bisim_mod.reachable_fragment(spec, [t1, t2], args.fuel, successors)
     part = bisim_mod.stratified_partition(frag.carrier, args.stratum)[-1]
     blocks: dict[int, list[str]] = {}
@@ -478,18 +471,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except _CommandLineError as exc:
-        return _usage_error(str(exc))
+        return _refuse("UsageError", str(exc), 2)
     for dest, option in _COUNT_OPTIONS.items():
         value = getattr(args, dest, None)
         if value is not None and value < 0:
-            return _usage_error(f"{option} must be non-negative, got {value}")
-    if "GSOS_SEED" in os.environ and hasattr(args, "seed"):
-        try:
-            args.seed = int(os.environ["GSOS_SEED"])
-        except ValueError:
-            return _usage_error(
-                f"GSOS_SEED must be an integer, not {os.environ['GSOS_SEED']!r}"
-            )
+            return _refuse("UsageError", f"{option} must be non-negative, got {value}", 2)
     try:
         return args.func(args)
     except SpecParseError as exc:
@@ -497,20 +483,17 @@ def main(argv=None) -> int:
             sys.stderr.write(json.dumps(v.to_dict(), sort_keys=True) + "\n")
         return 1
     except GsosError as exc:
-        return _refuse(exc)
+        refusal = exc
     except RecursionError:
         # parse takes one frame per nesting level; render, derive, bind and
         # the arity walk take up to three
-        return _refuse(
-            NestingTooDeep(
-                f"input nested too deeply (interpreter recursion limit {sys.getrecursionlimit()})"
-            )
-        )
+        limit = sys.getrecursionlimit()
+        refusal = NestingTooDeep(f"input nested too deeply (interpreter recursion limit {limit})")
     except MemoryError:
-        return _refuse(OutOfMemory("input needs more memory than the process may use"))
+        refusal = OutOfMemory("input needs more memory than the process may use")
     except OSError as exc:
-        sys.stderr.write(json.dumps({"kind": "IOError", "message": str(exc)}) + "\n")
-        return 1
+        return _refuse("IOError", str(exc), 1)
+    return _refuse(type(refusal).__name__, str(refusal), 1)
 
 
 if __name__ == "__main__":  # pragma: no cover

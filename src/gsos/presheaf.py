@@ -79,10 +79,6 @@ class LabelSet:
         return len(self.labels)
 
 
-def labelset(*labels: str) -> LabelSet:
-    return LabelSet(tuple(labels))
-
-
 @dataclass(frozen=True, eq=False)
 class Presheaf:
     """States plus, per label, edges with source and target maps.
@@ -556,10 +552,6 @@ def presheaf_doc(X: Presheaf) -> dict:
     }
 
 
-def presheaf_to_json(X: Presheaf) -> str:
-    return json.dumps(presheaf_doc(X), separators=(",", ":"))
-
-
 def presheaf_from_json(text: str) -> Presheaf:
     """Read a system from its JSON document, refusing a malformed one.
 
@@ -643,16 +635,6 @@ def _presheaf_from_doc(doc, where: str) -> Presheaf:
         src[a] = {rec["id"]: rec["src"] for rec in records}
         tgt[a] = {rec["id"]: rec["tgt"] for rec in records}
     return make_presheaf(LabelSet(labels), states, edges, src, tgt)
-
-
-def morphism_to_json(f: PresheafMorphism) -> str:
-    doc = {
-        "dom": presheaf_doc(f.dom),
-        "cod": presheaf_doc(f.cod),
-        "states": {x: f.state_map[x] for x in f.dom.states},
-        "edges": {a: {e: f.edge_maps[a][e] for e in f.dom.edges[a]} for a in f.dom.labels},
-    }
-    return json.dumps(doc, separators=(",", ":"))
 
 
 def morphism_from_json(text: str) -> PresheafMorphism:

@@ -529,41 +529,3 @@ def expand_templates(spec: GsosSpec) -> tuple[Rule, ...]:
                 rules[content] = Rule(name, tpl.name, op, label, premise_labels, tpl.target)
     return tuple(rules.values())
 
-
-# ---------------------------------------------------------------------------
-# Pretty printing (canonical form; reparses to an equal spec).
-
-
-def pretty_print(spec: GsosSpec) -> str:
-    lines = []
-    lines.append("labels " + ", ".join(spec.labels) + " ;")
-    for name, members in spec.label_classes:
-        lines.append(f"class {name} = {{ " + ", ".join(members) + " } ;")
-    lines.append("")
-    for f, n in spec.signature.operations:
-        lines.append(f"op {f} : {n} ;")
-    lines.append("")
-    for tpl in spec.templates:
-        head = f"rule {tpl.name}"
-        if tpl.foralls:
-            head += " [forall " + ", ".join(f"{v} in {c}" for v, c in tpl.foralls) + "]"
-        head += " :"
-        lines.append(head)
-        if tpl.premises:
-            prems = " ; ".join(
-                f"{pr.subject} -[{pr.label}]-> {pr.binder}" for pr in tpl.premises
-            )
-            lines.append(f"  premises {prems} ;")
-        lines.append(
-            f"  conclusion {_rule_term_str(tpl.conclusion_source)}"
-            f" -[{tpl.conclusion_label}]-> {_rule_term_str(tpl.target)} ;"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _rule_term_str(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.op
-    return f"{t.op}(" + ", ".join(_rule_term_str(a) for a in t.args) + ")"

@@ -1,7 +1,7 @@
 import pytest
 
-from gsos import load_bundled_spec
 from gsos.presheaf import make_presheaf
+from round_trips import load_bundled_spec
 
 
 @pytest.fixture(scope="session")
@@ -22,10 +22,10 @@ def ccs_labels(ccs):
 @pytest.fixture()
 def paper_lts():
     """A 3-state system: x <-a_bar- y =b=> z (parallel b edges), a-loop on z."""
-    from gsos.presheaf import labelset
+    from gsos.presheaf import LabelSet
 
     return make_presheaf(
-        labelset("a", "a_bar", "b"),
+        LabelSet(("a", "a_bar", "b")),
         ("x", "y", "z"),
         {"a_bar": ("e",), "b": ("f", "f2"), "a": ("g",)},
         {"a_bar": {"e": "y"}, "b": {"f": "y", "f2": "y"}, "a": {"g": "z"}},

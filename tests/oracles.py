@@ -430,12 +430,10 @@ def old_congruence_test(spec, pairs, contexts, k, fuel, drop_last_premise=False)
     cases = []
     violations = []
     for u, v in pairs:
-        memo: dict = {}
+        successors = lean_successors(spec, drop_last_premise)
         for c in contexts:
             cu, cv = old_substitute(c, {HOLE: u}), old_substitute(c, {HOLE: v})
-            frag = old_reachable_fragment(
-                spec, [cu, cv], fuel, lean_successors(spec, drop_last_premise, memo)
-            )
+            frag = old_reachable_fragment(spec, [cu, cv], fuel, successors)
             ok = k_bisimilar(frag.carrier, render(cu), render(cv), k)
             record = {
                 "pair": [render(u), render(v)],

@@ -20,10 +20,10 @@ import re
 import sys
 from pathlib import Path
 
-from gsos import bundled_spec_path
 from gsos.errors import SpecParseError
 from gsos.specdsl import parse_spec
 from gsos.terms import Var
+from round_trips import bundled_spec_path
 
 CORPUS_PATH = Path(__file__).resolve().parent / "spec_corpus.json"
 EDIT_SEEDS = range(1000)

@@ -10,7 +10,6 @@ import random
 
 import pytest
 
-from gsos import bundled_spec_path
 from gsos.bisim import congruence_test, enumerate_contexts
 from gsos.cellular import (
     cell_certificate,
@@ -59,6 +58,7 @@ from gsos.terms import (
 )
 
 from oracles import _old_element_depth, compose, lift_mu
+from round_trips import bundled_spec_path
 
 
 def _pass(n: int, text: str):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsos import load_bundled_spec, terms
+from gsos import terms
 from gsos.errors import MalformedProof
 from gsos.familial import random_collapse
 from gsos.presheaf import STAR
@@ -34,6 +34,7 @@ from gsos.terms import (
     to_terminal,
 )
 from oracles import old_map_leaves, old_mu
+from round_trips import load_bundled_spec
 
 SPECS = {name: load_bundled_spec(name) for name in ("ccs", "toy")}
 

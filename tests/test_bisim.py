@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsos.bisim as bisim_mod
-from gsos import bundled_spec_path
 from gsos.bisim import (
     RelationOnStates,
     check_bisimulation_relation,
@@ -25,7 +24,7 @@ from gsos.bisim import (
 )
 from gsos.cli import main
 from gsos.errors import DuplicateId, FuelTooSmall, UnknownState
-from gsos.presheaf import Presheaf, labelset, make_presheaf
+from gsos.presheaf import LabelSet, Presheaf, make_presheaf
 from gsos.specdsl import parse_spec
 from gsos.terms import (
     HOLE,
@@ -50,6 +49,7 @@ from oracles import (
     old_strata,
     old_substitute,
 )
+from round_trips import bundled_spec_path
 
 
 def T(ccs, text):
@@ -57,7 +57,7 @@ def T(ccs, text):
 
 
 def test_fragment_nil(ccs):
-    frag = reachable_fragment(ccs, [T(ccs, "nil")], 5, lean_successors(ccs, False, {}))
+    frag = reachable_fragment(ccs, [T(ccs, "nil")], 5, lean_successors(ccs, False))
     assert frag.carrier.size() == (1, 0)
     assert frag.definitive
 
@@ -66,7 +66,7 @@ def test_fragment_parallel_pair_golden(ccs):
     """Hand run: one a_bar, one a and one tau move from the root, then the
     two residues each make their remaining move into par(nil,nil)."""
     frag = reachable_fragment(
-        ccs, [T(ccs, "par(pref_a_bar(nil),pref_a(nil))")], 2, lean_successors(ccs, False, {})
+        ccs, [T(ccs, "par(pref_a_bar(nil),pref_a(nil))")], 2, lean_successors(ccs, False)
     )
     assert len(frag.carrier.states) == 4
     assert frag.carrier.size()[1] == 5
@@ -83,7 +83,7 @@ def test_fragment_monotone_in_fuel(ccs):
     t = T(ccs, "par(pref_a_bar(nil),pref_a(nil))")
     prev = set()
     for fuel in range(4):
-        frag = reachable_fragment(ccs, [t], fuel, lean_successors(ccs, False, {}))
+        frag = reachable_fragment(ccs, [t], fuel, lean_successors(ccs, False))
         states = frag.carrier.state_set()
         assert prev <= states
         prev = states
@@ -91,38 +91,38 @@ def test_fragment_monotone_in_fuel(ccs):
 
 def test_fragment_rejects_open_terms(ccs):
     with pytest.raises(UnknownState):
-        reachable_fragment(ccs, [Var("x")], 2, lean_successors(ccs, False, {}))
+        reachable_fragment(ccs, [Var("x")], 2, lean_successors(ccs, False))
 
 
 def test_k_bisimilar_reflexive(ccs):
-    frag = reachable_fragment(ccs, [T(ccs, "pref_a(nil)")], 3, lean_successors(ccs, False, {}))
+    frag = reachable_fragment(ccs, [T(ccs, "pref_a(nil)")], 3, lean_successors(ccs, False))
     for k in range(4):
         assert k_bisimilar(frag.carrier, "pref_a(nil)", "pref_a(nil)", k)
 
 
 def test_sum_idempotent_pair(ccs):
     u, v = T(ccs, "sum(pref_a(nil),pref_a(nil))"), T(ccs, "pref_a(nil)")
-    frag = reachable_fragment(ccs, [u, v], 4, lean_successors(ccs, False, {}))
+    frag = reachable_fragment(ccs, [u, v], 4, lean_successors(ccs, False))
     for k in range(5):
         assert k_bisimilar(frag.carrier, render(u), render(v), k)
 
 
 def test_label_mismatch_at_stratum_one(ccs):
     u, v = T(ccs, "pref_a(nil)"), T(ccs, "pref_a_bar(nil)")
-    frag = reachable_fragment(ccs, [u, v], 2, lean_successors(ccs, False, {}))
+    frag = reachable_fragment(ccs, [u, v], 2, lean_successors(ccs, False))
     assert k_bisimilar(frag.carrier, render(u), render(v), 0)
     assert not k_bisimilar(frag.carrier, render(u), render(v), 1)
 
 
 def test_unknown_state_rejected(ccs):
-    frag = reachable_fragment(ccs, [T(ccs, "nil")], 1, lean_successors(ccs, False, {}))
+    frag = reachable_fragment(ccs, [T(ccs, "nil")], 1, lean_successors(ccs, False))
     with pytest.raises(UnknownState):
         k_bisimilar(frag.carrier, "nil", "missing", 1)
 
 
 @st.composite
 def small_systems(draw):
-    L = labelset("a", "b")
+    L = LabelSet(("a", "b"))
     n = draw(st.integers(min_value=1, max_value=5))
     states = tuple(f"s{i}" for i in range(n))
     m = draw(st.integers(min_value=0, max_value=6))
@@ -213,7 +213,7 @@ def test_refinement_fixpoint_classes_form_a_bisimulation(ccs):
         ccs,
         [T(ccs, "par(pref_a_bar(nil),pref_a(nil))"), T(ccs, "sum(pref_a(nil),pref_a(nil))")],
         5,
-        lean_successors(ccs, False, {}),
+        lean_successors(ccs, False),
     )
     assert frag.definitive
     block = refinement_fixpoint(frag.carrier)
@@ -234,7 +234,7 @@ def test_relation_presheaf_projections(paper_lts):
 
 
 def test_relation_presheaf_refuses_pair_names_that_collide():
-    X = make_presheaf(labelset("a"), ("a", "b,c", "a,b", "c"))
+    X = make_presheaf(LabelSet(("a",)), ("a", "b,c", "a,b", "c"))
     r = RelationOnStates(X, frozenset({("a", "b,c"), ("a,b", "c")}))
     with pytest.raises(DuplicateId):
         relation_presheaf(r)  # both pairs would be the state (a,b,c)
@@ -554,7 +554,7 @@ def _assert_lean_matches_oracle(ccs, seeds, fuel, drop):
     """Lean fragments hold the oracle's states in order, its frontier, each
     of its distinct (src, label, tgt) triples exactly once, and refine to
     the same strata, before and after the refiner reads successors once."""
-    frag = reachable_fragment(ccs, seeds, fuel, lean_successors(ccs, drop, {}))
+    frag = reachable_fragment(ccs, seeds, fuel, lean_successors(ccs, drop))
     Y, frontier = _oracle_carrier(ccs, seeds, fuel, drop)
     X = frag.carrier
     assert X.states == Y.states
@@ -572,7 +572,7 @@ def test_stratified_partition_matches_oracle_on_bang_swap(ccs):
     """The 830-state fragment of the benchmark's largest bisim query."""
     t1 = T(ccs, "bang(par(pref_a(nil),pref_a_bar(nil)))")
     t2 = T(ccs, "bang(par(pref_a_bar(nil),pref_a(nil)))")
-    X = reachable_fragment(ccs, [t1, t2], 7, lean_successors(ccs, False, {})).carrier
+    X = reachable_fragment(ccs, [t1, t2], 7, lean_successors(ccs, False)).carrier
     assert len(X.states) == 830
     for k in range(8):
         assert _padded(stratified_partition(X, k), k) == _stratified_partition_oracle(X, k)
@@ -875,7 +875,7 @@ def test_tracer_refine_rounds_keeps_its_value(X, k):
 @pytest.mark.parametrize("seed", range(8))
 def test_tracer_refine_rounds_keeps_its_value_on_fragments(ccs, seed):
     seeds = _random_seeds(ccs, seed, 2)
-    X = reachable_fragment(ccs, seeds, 4, lean_successors(ccs, False, {})).carrier
+    X = reachable_fragment(ccs, seeds, 4, lean_successors(ccs, False)).carrier
     for k in range(6):
         want = REFINE_ROUNDS(_stratified_partition_oracle(X, k))
         assert REFINE_ROUNDS(stratified_partition(X, k)) == want

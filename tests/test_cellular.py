@@ -149,9 +149,9 @@ def test_a_proof_over_one_is_its_own_shape(name, request):
 
 def _covering_fixture():
     """u,v cover p; both map to p, w covers q; two lifts of the base edge."""
-    from gsos.presheaf import labelset
+    from gsos.presheaf import LabelSet
 
-    L = labelset("a", "a_bar", "tau")
+    L = LabelSet(("a", "a_bar", "tau"))
     X = make_presheaf(
         L,
         ("u", "v", "w"),

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsos import bundled_spec_path, load_bundled_spec
 from gsos.cli import main
 from gsos.presheaf import terminal
 from gsos.terms import ambient_axioms, derive, parse_term, render
+from round_trips import bundled_spec_path, load_bundled_spec
 
 CCS = str(bundled_spec_path("ccs"))
 CCS_TEXT = bundled_spec_path("ccs").read_text()

@@ -1,9 +1,13 @@
 """No dead code in the package: every import a gsos module makes is used in
-that module, every module-level private name is referenced somewhere in
-the package, and so is every public one and every public method and
-property of a class, apart from a short allow-list with a reason for each
-entry.  Deleting a function often strands its helpers and imports;
-this test finds them by reading each module's syntax tree.  Imports sit at
+that module, and the package is what the ``gsos`` command runs.  Every
+function, class, assigned name, method and property is reachable in a
+name-based call graph from ``cli.main``, from what import time runs, from
+the special methods of each class it reaches and from the functions the
+benchmark tracer wraps, apart from a short allow-list with a reason for
+each entry.  A mention inside code that nothing reaches does not count,
+so a helper that only an unused function calls is found too.  Deleting a
+function often strands its helpers and imports; this test finds them by
+reading each module's syntax tree.  Imports sit at
 module level, where these checks and a reader see them.  Every parameter is
 read by its function: one that is passed but never read tells the caller a
 choice matters when it does not.  No nested function reads its own name:
@@ -14,13 +18,13 @@ which every other module reads."""
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import gsos
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(Path(gsos.__file__).parent.glob("*.py"))
 TREES = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
 
@@ -58,18 +62,6 @@ def _reads(tree: ast.AST) -> set[str]:
     return names
 
 
-def _references(tree: ast.AST) -> set[str]:
-    """What the module reads, plus the attributes it reads and the names it
-    imports from other modules."""
-    names = _reads(tree)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names |= {alias.name for alias in node.names}
-    return names
-
-
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_import_is_used(module):
     tree = TREES[module]
@@ -86,123 +78,173 @@ def test_every_import_is_used(module):
     assert not unused, f"{module} imports names it never uses: {unused}"
 
 
-def _definitions(tree: ast.Module):
-    """(name, statement) of each module-level function, class and assignment."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
-        elif isinstance(node, ast.Assign):
-            yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            yield node.target.id, node
+def _names_read(node: ast.AST) -> set[str]:
+    """Names read under node as variables or as attributes, whatever their
+    object, and inside quoted annotations."""
+    return _annotation_names(node) | {
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Attribute, ast.Name)) and not isinstance(n.ctx, ast.Store)
+    }
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _call_graph(trees: dict) -> tuple[dict[str, set[str]], set[str]]:
+    """The definitions and the names that import time reads.
+
+    A definition is a module-level function, class or assigned name
+    (``module.name``), or a method or property of a module-level class
+    (``module.Class.member``); it maps to the names it reads.  A class
+    reads its bases, keywords and decorators; an assignment reads its
+    value.  Every other module-level or class-level statement runs when the
+    module is imported, so the names it reads are roots, and so are the
+    entries of ``__all__``."""
+    defs: dict[str, set[str]] = {}
+    roots: set[str] = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[f"{module}.{node.name}"] = _names_read(node)
+            elif isinstance(node, ast.ClassDef):
+                header = [*node.bases, *node.keywords, *node.decorator_list]
+                defs[f"{module}.{node.name}"] = set().union(*map(_names_read, header))
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defs[f"{module}.{node.name}.{item.name}"] = _names_read(item)
+                    else:
+                        roots |= _names_read(item)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                if bound == ["__all__"]:
+                    roots |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+                    continue
+                read = _names_read(node.value) if node.value is not None else set()
+                defs.update((f"{module}.{name}", read) for name in bound)
+            else:
+                roots |= _names_read(node)
+    return defs, roots
+
+
+def _reached(trees: dict, roots) -> set[str]:
+    """The definitions reachable from the named root definitions and from
+    what import time reads.  Reading a name reaches every definition of
+    that name, and reaching a class reaches its special methods, which
+    Python calls for it."""
+    defs, read_at_import = _call_graph(trees)
+    by_name: dict[str, list[str]] = {}
+    for qualified in defs:
+        by_name.setdefault(qualified.rsplit(".", 1)[1], []).append(qualified)
+    todo = [q for q in roots if q in defs]
+    todo += [q for name in read_at_import for q in by_name.get(name, [])]
+    reached: set[str] = set()
+    while todo:
+        q = todo.pop()
+        if q in reached:
+            continue
+        reached.add(q)
+        todo += [d for name in defs[q] for d in by_name.get(name, [])]
+        todo += [d for d in defs if d.startswith(f"{q}.") and _is_dunder(d.rsplit(".", 1)[1])]
+    return reached
+
+
+def _unreachable(trees: dict, roots, allowed) -> list[str]:
+    """Each definition that neither the roots nor the allowed entries
+    reach, by qualified name."""
+    reached = _reached(trees, [*roots, *allowed])
+    return sorted(set(_call_graph(trees)[0]) - reached)
+
+
+def _stale_allowances(trees: dict, roots, allowed) -> list[str]:
+    """Allow-list entries that name nothing defined, or a definition the
+    roots reach without them."""
+    defined, reached = _call_graph(trees)[0], _reached(trees, roots)
+    return sorted(q for q in allowed if q not in defined or q in reached)
+
+
+def _traced(path: Path) -> tuple:
+    """The (module, attribute path) pairs of the ``TRACED`` tuple that the
+    benchmark tracer wraps, read from its source."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path} defines no TRACED tuple")
+
+
+# The program is what ``gsos`` runs, and the benchmark tracer wraps some of
+# its functions by name.
+ROOTS = (
+    "cli.main",
+    *(f"{module}.{path}" for module, path in _traced(ROOT / "perfbench" / "tracing.py")),
+)
+
+# Definitions the roots do not reach, each with the reason it stays.
+ALLOWED_UNREACHED = {
+    "cellular.unique_R0": "the two-layer witness; ROADMAP item 1's local cartesianness check calls it",
+    "bisim.check_bisimulation_relation": "ROADMAP item 2 checks a true bisim answer's witness with it",
+    "bisim.refinement_fixpoint": "ROADMAP item 2 refines to it before checking that witness",
+    "cli._ArgumentParser.error": "argparse calls it on a malformed command line",
+}
+
+
+def _private(qualified: str) -> bool:
+    return qualified.rsplit(".", 1)[1].startswith("_")
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_private_name_is_referenced(module):
-    read_anywhere = set().union(*(_references(t) for t in TREES.values()))
-    defined = [name for name, _ in _definitions(TREES[module])]
-    private = [n for n in defined if n.startswith("_") and not n.startswith("__")]
-    dead = [n for n in private if n not in read_anywhere]
-    assert not dead, f"{module} defines private names nothing in gsos reads: {dead}"
-
-
-# Public names that no code in gsos reads, each with the reason it stays.
-ALLOWED_UNREFERENCED = {
-    "unique_R0": "the two-layer witness, kept for a local cartesianness check to call",
-    "check_bisimulation_relation": "kept for a checked bisimulation witness to call",
-    "refinement_fixpoint": "kept for a checked bisimulation witness to call",
-    "arity_label": "wrapped by the benchmark tracer (perfbench/tracing.py)",
-    "arity_tgt_morphism": "wrapped by the benchmark tracer (perfbench/tracing.py)",
-    "labelset": "the public constructor of a label set",
-    "presheaf_to_json": "the public round trip of presheaf_from_json",
-    "morphism_to_json": "the public round trip of morphism_from_json",
-    "pretty_print": "the public round trip of parse_spec",
-    "_ArgumentParser.error": "argparse calls it on a malformed command line",
-}
-
-
-def _unreferenced_public_names(trees: dict, allowed) -> list[str]:
-    """``module.name`` of each public module-level name, not in allowed,
-    that no statement but its own definition references.
-
-    A reference is a Name (quoted annotations included), an Attribute, an
-    ImportFrom or an entry of ``__all__``; any other string, such as a
-    report key, does not count, and neither does a function calling
-    itself."""
-    refs = [(stmt, _references(stmt)) for tree in trees.values() for stmt in tree.body]
-    found = []
-    for module, tree in sorted(trees.items()):
-        for name, own in _definitions(tree):
-            if name.startswith("_") or name in allowed:
-                continue
-            if not any(name in names for stmt, names in refs if stmt is not own):
-                found.append(f"{module}.{name}")
-    return found
-
-
-def _members(tree: ast.Module):
-    """(``Class.member``, definition) of each public method and property of
-    each module-level class."""
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if not item.name.startswith("_"):
-                        yield f"{node.name}.{item.name}", item
-
-
-def _name_reads(node: ast.AST) -> Counter:
-    """How often each name is read under node, as an attribute or a variable."""
-    return Counter(
-        n.attr if isinstance(n, ast.Attribute) else n.id
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Attribute, ast.Name)) and not isinstance(n.ctx, ast.Store)
-    )
-
-
-def _unreferenced_members(trees: dict, allowed) -> list[str]:
-    """``module.Class.member`` of each public method or property, not in
-    allowed, whose name nothing reads outside its own definition.  A read of
-    any attribute of that name counts, whatever its object."""
-    reads = sum((_name_reads(tree) for tree in trees.values()), Counter())
-    found = []
-    for module, tree in sorted(trees.items()):
-        for name, own in _members(tree):
-            member = name.rsplit(".", 1)[1]
-            if name not in allowed and reads[member] == _name_reads(own)[member]:
-                found.append(f"{module}.{name}")
-    return found
-
-
-def _stale_allowances(trees: dict, allowed) -> list[str]:
-    """Allow-list entries that name nothing defined, or a name now referenced."""
-    unreferenced = {n.rsplit(".", 1)[1] for n in _unreferenced_public_names(trees, {})}
-    unreferenced |= {n.split(".", 1)[1] for n in _unreferenced_members(trees, {})}
-    return sorted(set(allowed) - unreferenced)
+    """Every private definition of the module, at module level or in a
+    class, is named by code that the program reaches."""
+    dead = [
+        q for q in _unreachable(TREES, ROOTS, ALLOWED_UNREACHED)
+        if q.split(".", 1)[0] == module and _private(q)
+    ]
+    assert not dead, f"{module} defines private names that cli.main cannot reach: {dead}"
 
 
 def test_every_public_name_is_referenced():
-    dead = _unreferenced_public_names(TREES, ALLOWED_UNREFERENCED)
-    assert not dead, f"public names nothing else in gsos reads: {dead}"
+    dead = [
+        q for q in _unreachable(TREES, ROOTS, ALLOWED_UNREACHED)
+        if not _private(q) and q.count(".") == 1
+    ]
+    assert not dead, f"public names that cli.main cannot reach: {dead}"
 
 
 def test_every_public_member_is_referenced():
-    dead = _unreferenced_members(TREES, ALLOWED_UNREFERENCED)
-    assert not dead, f"methods and properties nothing else in gsos reads: {dead}"
+    dead = [
+        q for q in _unreachable(TREES, ROOTS, ALLOWED_UNREACHED)
+        if not _private(q) and q.count(".") == 2
+    ]
+    assert not dead, f"methods and properties that cli.main cannot reach: {dead}"
+
+
+def test_roots_name_definitions():
+    """A root that names nothing would leave what it called unchecked."""
+    defined = _call_graph(TREES)[0]
+    assert [q for q in ROOTS if q not in defined] == []
 
 
 def test_allow_list_is_short_and_current():
-    assert len(ALLOWED_UNREFERENCED) <= 10
-    assert all(reason for reason in ALLOWED_UNREFERENCED.values())
-    assert _stale_allowances(TREES, ALLOWED_UNREFERENCED) == []
+    assert len(ALLOWED_UNREACHED) <= 10
+    assert all(reason for reason in ALLOWED_UNREACHED.values())
+    assert _stale_allowances(TREES, ROOTS, ALLOWED_UNREACHED) == []
 
 
-# A module whose public function only calls itself and is named only in a
-# string; the function it calls is referenced.
+# A module whose entry point calls one function; another function calls
+# only itself and a helper, and is named only in a string.
 SYNTHETIC = {
     "lib": ast.parse(
+        "def main():\n"
+        "    return used()\n"
+        "\n"
         "def orphan(n):\n"
-        "    return orphan(n - 1) if n else {'orphan': used()}\n"
+        "    return orphan(n - 1) if n else {'orphan': helper()}\n"
+        "\n"
+        "def helper():\n"
+        "    return 0\n"
         "\n"
         "def used():\n"
         "    return 0\n"
@@ -211,23 +253,29 @@ SYNTHETIC = {
 
 
 def test_public_name_check_flags_an_unreferenced_function():
-    assert _unreferenced_public_names(SYNTHETIC, {}) == ["lib.orphan"]
-    assert _unreferenced_public_names(SYNTHETIC, {"orphan": "a reason"}) == []
+    """The helper is referenced, by the orphan, but the entry point reaches
+    neither; a rule that counts any mention as a use flags only the
+    orphan."""
+    assert _unreachable(SYNTHETIC, ["lib.main"], {}) == ["lib.helper", "lib.orphan"]
+    assert _unreachable(SYNTHETIC, ["lib.main"], {"lib.orphan": "a reason"}) == []
 
 
 def test_stale_allowance_is_reported():
-    allowed = {"orphan": "a reason", "used": "now referenced", "gone": "no longer defined"}
-    assert _stale_allowances(SYNTHETIC, allowed) == ["gone", "used"]
+    allowed = {"lib.orphan": "a reason", "lib.used": "now reached", "lib.gone": "no longer defined"}
+    assert _stale_allowances(SYNTHETIC, ["lib.main"], allowed) == ["lib.gone", "lib.used"]
 
 
-# A class whose method only calls itself and is named only in a string; its
-# property is read by a module function, and its private and special
-# methods are not checked.
+# A class whose method only calls itself and a private method, and is named
+# only in a string; its property is read by the entry point, and its width
+# only by a function that nothing calls.  Its special method runs for it.
 SYNTHETIC_CLASS = {
     "lib": ast.parse(
         "class Box:\n"
         "    @property\n"
         "    def size(self):\n"
+        "        return 0\n"
+        "\n"
+        "    def width(self):\n"
         "        return 0\n"
         "\n"
         "    def orphan(self, n):\n"
@@ -239,17 +287,23 @@ SYNTHETIC_CLASS = {
         "    def __len__(self):\n"
         "        return 0\n"
         "\n"
-        "def size_of(box):\n"
-        "    return box.size\n"
+        "def main():\n"
+        "    return Box().size\n"
+        "\n"
+        "def width_of(box):\n"
+        "    return box.width()\n"
     )
 }
 
 
 def test_member_check_flags_an_unreferenced_method():
-    assert _unreferenced_members(SYNTHETIC_CLASS, {}) == ["lib.Box.orphan"]
-    assert _unreferenced_members(SYNTHETIC_CLASS, {"Box.orphan": "a reason"}) == []
-    assert _stale_allowances(SYNTHETIC_CLASS, {"Box.orphan": "a reason", "Box.size": "read"}) == [
-        "Box.size"
+    assert _unreachable(SYNTHETIC_CLASS, ["lib.main"], {}) == [
+        "lib.Box._hidden", "lib.Box.orphan", "lib.Box.width", "lib.width_of"
+    ]
+    allowed = {"lib.Box.orphan": "a reason", "lib.width_of": "a reason"}
+    assert _unreachable(SYNTHETIC_CLASS, ["lib.main"], allowed) == []
+    assert _stale_allowances(SYNTHETIC_CLASS, ["lib.main"], {"lib.Box.size": "read"}) == [
+        "lib.Box.size"
     ]
 
 

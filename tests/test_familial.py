@@ -13,7 +13,7 @@ from gsos.familial import (
 )
 from gsos.presheaf import (
     STAR,
-    labelset,
+    LabelSet,
     make_presheaf,
     morphism,
     terminal,
@@ -251,7 +251,7 @@ def test_is_generic_cases(ccs, rsync_ambient):
 def test_non_generic_has_ambiguous_strong_lifting():
     """Hand-built square with two distinct strong liftings for a non-generic
     element: par(var(u),var(u)) over a 2-state system collapsed to 1 state."""
-    L = labelset("a")
+    L = LabelSet(("a",))
     two = make_presheaf(L, ("u", "v"))
     one_pt = make_presheaf(L, ("w",))
     spec_text = """

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsos import load_bundled_spec, terms
+from gsos import terms
 from gsos.bisim import enumerate_contexts
 from gsos.errors import GsosError, MalformedProof, UnknownOperation, UnknownState
 from gsos.presheaf import make_presheaf, terminal
@@ -37,6 +37,7 @@ from gsos.terms import (
     random_presheaf,
     render,
 )
+from round_trips import load_bundled_spec
 
 from test_cli_fuzz import _edited, _overwrite, _shaped, _soup
 from test_terms import MULTI_VARIABLE_SPEC

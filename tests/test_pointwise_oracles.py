@@ -19,20 +19,20 @@ from gsos.cellular import random_functional_bisim
 from gsos.familial import random_collapse
 from gsos.presheaf import (
     STAR,
+    LabelSet,
     LiftingSquare,
     _map,
     _system,
     bang,
     colimit,
     identity,
-    labelset,
     pullback_report,
 )
 from gsos.terms import random_presheaf
 
 from oracles import compose, coproduct, pullback
 
-AB = labelset("a", "b")
+AB = LabelSet(("a", "b"))
 
 
 def reference_morphism_eq(f, g) -> bool:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsos import bundled_spec_path
 from gsos.bisim import RelationOnStates, proof_successors, reachable_fragment, relation_presheaf
 from gsos.cellular import cell_certificate, random_functional_bisim, replay_certificate
 from gsos.errors import (
@@ -26,6 +25,7 @@ from gsos.familial import (
 )
 from gsos.presheaf import (
     STAR,
+    LabelSet,
     LiftingSquare,
     PresheafMorphism,
     WidePushout,
@@ -35,13 +35,12 @@ from gsos.presheaf import (
     commutes,
     identity,
     is_functional_bisimulation,
-    labelset,
     make_presheaf,
     morphism,
     morphism_from_json,
+    presheaf_doc,
     presheaf_from_json,
     presheaf_to_dot,
-    presheaf_to_json,
     pullback_report,
     representable,
     source_inclusion,
@@ -62,8 +61,9 @@ from gsos.terms import (
 )
 
 from oracles import all_morphisms, compose, coproduct, empty_presheaf, pullback
+from round_trips import bundled_spec_path, morphism_to_json
 
-AB = labelset("a", "b")
+AB = LabelSet(("a", "b"))
 CCS = str(bundled_spec_path("ccs"))
 
 
@@ -108,7 +108,7 @@ def test_star_is_not_a_label():
     """``*`` names the state object, so a label set refuses it as it refuses
     a repeated label, whether built directly or read from JSON."""
     with pytest.raises(DuplicateId):
-        labelset("a", STAR)
+        LabelSet(("a", STAR))
     with pytest.raises(DuplicateId):
         presheaf_from_json(json.dumps({"labels": [STAR], "states": ["x"]}))
     assert AB.objects == (STAR, "a", "b")
@@ -242,7 +242,7 @@ def _relation_projection_instance():
     (e1,e2), checked here by listing every candidate by hand: the relation
     system has exactly one a-edge.
     """
-    L = labelset("a")
+    L = LabelSet(("a",))
     X = make_presheaf(
         L,
         ("x", "y", "z"),
@@ -272,7 +272,7 @@ def test_find_lifting_relation_projection():
 
 
 def test_find_lifting_none_when_impossible():
-    L = labelset("a")
+    L = LabelSet(("a",))
     star, ya = representable(L, "*"), representable(L, "a")
     to_src = morphism(star, ya, {"*": "s"})
     sq = LiftingSquare(
@@ -327,7 +327,7 @@ def test_functional_bisim_iff_every_source_square_lifts(seed, collapse):
 
 
 def test_lifting_square_must_commute():
-    L = labelset("a")
+    L = LabelSet(("a",))
     star, ya = representable(L, "*"), representable(L, "a")
     with pytest.raises(NonCommutingSquare):
         LiftingSquare(
@@ -348,7 +348,7 @@ def test_functional_bisim_identity_and_counterexample():
 
 def test_diagonal_projections_are_functional_bisims():
     rng = random.Random(5)
-    L = labelset("a", "b")
+    L = LabelSet(("a", "b"))
     from gsos.terms import random_presheaf
 
     X = random_presheaf(rng, L, max_states=5)
@@ -367,7 +367,7 @@ def _random_covering(rng, L):
 
 
 def test_functional_bisims_closed_under_composition():
-    L = labelset("a", "b")
+    L = LabelSet(("a", "b"))
     for seed in range(10):
         rng = random.Random(seed)
         g = _random_covering(rng, L)
@@ -399,7 +399,7 @@ def test_functional_bisims_closed_under_composition():
 
 
 def test_functional_bisims_stable_under_pullback():
-    L = labelset("a", "b")
+    L = LabelSet(("a", "b"))
     from gsos.terms import random_presheaf
 
     for seed in range(10):
@@ -418,7 +418,7 @@ def test_functional_bisims_stable_under_pullback():
 def test_pullback_refuses_pair_names_that_collide():
     """Ids with a top-level comma can give two pairs one name ``(u,v)``;
     their cells must not merge into one."""
-    L = labelset("a")
+    L = LabelSet(("a",))
     X = make_presheaf(L, ("a", "a,b"))
     Y = make_presheaf(L, ("b,c", "c"))
     with pytest.raises(DuplicateId):
@@ -442,7 +442,7 @@ def test_pullback_square_degenerate_product_leg_fails():
     X has 1 state, Y has 2; the square X -> 1 <- Y with left = id_X cannot
     present X as the product X x Y because the fiber over (x, y2) is empty.
     """
-    L = labelset("a")
+    L = LabelSet(("a",))
     X = make_presheaf(L, ("x",))
     Y = make_presheaf(L, ("y1", "y2"))
     one = make_presheaf(L, ("*",))
@@ -455,7 +455,7 @@ def test_pullback_square_degenerate_product_leg_fails():
 
 def test_colimit_injection_commutations_random():
     rng = random.Random(11)
-    L = labelset("a", "b")
+    L = LabelSet(("a", "b"))
     from gsos.terms import random_presheaf
 
     apex = representable(L, "*")
@@ -476,15 +476,13 @@ def test_colimit_injection_commutations_random():
 
 
 def test_json_round_trip(paper_lts):
-    text = presheaf_to_json(paper_lts)
+    text = json.dumps(presheaf_doc(paper_lts))
     assert presheaf_from_json(text) == paper_lts
     doc = json.loads(text)
     assert doc["states"] == ["x", "y", "z"]
 
 
 def test_morphism_json_round_trip(paper_lts):
-    from gsos.presheaf import morphism_from_json, morphism_to_json
-
     f = identity(paper_lts)
     assert morphism_from_json(morphism_to_json(f)) == f
 

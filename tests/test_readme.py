@@ -14,7 +14,8 @@ import pytest
 
 import gsos
 from gsos.cli import main
-from gsos.presheaf import labelset, make_presheaf, morphism, morphism_to_json
+from gsos.presheaf import LabelSet, make_presheaf, morphism
+from round_trips import morphism_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 BLOCK = re.search(r"## CLI\n.*?```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
@@ -24,7 +25,7 @@ LINES = [line for line in BLOCK.group(1).splitlines() if line.startswith("gsos "
 def _collapse_file(path: Path) -> str:
     """The --fbisim map of the README's lift line: u and v collapse onto p,
     and their a-edges onto p's one a-edge d."""
-    L = labelset("a", "a_bar", "tau")
+    L = LabelSet(("a", "a_bar", "tau"))
     X = make_presheaf(
         L,
         ("u", "v", "w"),

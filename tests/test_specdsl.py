@@ -1,10 +1,11 @@
 import pytest
 
 from gsos.errors import SpecParseError
-from gsos.specdsl import parse_spec, pretty_print, validate
+from gsos.specdsl import parse_spec, validate
 from gsos.terms import App, Var
 
 from oracles import rule_named
+from round_trips import pretty_print
 
 
 def kinds(exc: SpecParseError) -> set[str]:

@@ -10,16 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsos.terms as terms_mod
-from gsos import bundled_spec_path, load_bundled_spec
 from gsos.bisim import lean_successors, reachable_fragment
 from gsos.cellular import preserve_bisim_lift
 from gsos.cli import run_cases
 from gsos.errors import GsosError, MalformedProof, UnknownLabel, UnknownOperation
 from gsos.familial import decompose, generic_decomposition
 from gsos.presheaf import (
+    LabelSet,
     identity,
     is_functional_bisimulation,
-    labelset,
     make_presheaf,
     morphism,
     representable,
@@ -68,6 +67,7 @@ from oracles import (
     old_steps,
     rule_named,
 )
+from round_trips import bundled_spec_path, load_bundled_spec
 
 
 def test_axiom_src_tgt(paper_lts):
@@ -420,7 +420,7 @@ def test_truncated_free_well_formed(ccs):
 
 @pytest.mark.parametrize("window", [truncated_free, truncated_free_squared])
 def test_window_refuses_a_system_missing_spec_labels(ccs, window):
-    X = make_presheaf(labelset("a"), ("x",))
+    X = make_presheaf(LabelSet(("a",)), ("x",))
     with pytest.raises(UnknownLabel, match="a_bar"):
         window(ccs, X, 1)
 
@@ -962,7 +962,7 @@ def test_derive_memo_freed_without_cyclic_gc(ccs, build):
     run = {
         "derive": lambda: derive(ccs, t),
         "reachable_fragment": lambda: reachable_fragment(
-            ccs, [t], 4, lean_successors(ccs, False, {})
+            ccs, [t], 4, lean_successors(ccs, False)
         ),
         "truncated_free_squared": lambda: truncated_free_squared(ccs, X, 1),
         "decompose": lambda: decompose(one, p),

@@ -13,9 +13,9 @@ import pytest
 
 import gsos.cli
 import gsos.terms
-from gsos import bundled_spec_path
 from gsos.cli import main
 from gsos.errors import NonCommutingSquare
+from round_trips import bundled_spec_path
 
 CCS = str(bundled_spec_path("ccs"))
 SEEDED = ("laws", "familial", "cellular", "preserve")

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsos import load_bundled_spec
 from gsos.cellular import random_functional_bisim
 from gsos.errors import MalformedProof
 from gsos.presheaf import _map, representable, terminal
@@ -45,6 +44,7 @@ from gsos.terms import (
 )
 
 from oracles import T_on_morphism, _old_element_depth
+from round_trips import load_bundled_spec
 
 
 def _old_render(elem) -> str:
