@@ -41,7 +41,6 @@ from .terms import (
     _apps,
     _strata,
     derive,
-    proof_label,
     render,
     steps,
     term_vars,
@@ -113,7 +112,7 @@ def proof_successors(spec) -> Callable:
     """One edge per derived proof, named by the proof's rendering."""
     memo: dict = {}
     return lambda m: [
-        (proof_label(p), render(p), n) for p, n in derive(spec, m, None, _memo=memo)
+        (p.label, render(p), n) for p, n in derive(spec, m, None, _memo=memo)
     ]
 
 

@@ -62,7 +62,6 @@ from .terms import (
     eta,
     lift_leaves,
     mu,
-    proof_label,
     proof_source,
     random_presheaf,
     to_terminal,
@@ -328,7 +327,7 @@ def _pair_proof(RR: Proof, R: Proof) -> Proof:
     if isinstance(RR, Axiom):
         if to_terminal(R) != RR.edge:
             raise IncompatiblePair("axiom pairing mismatch")
-        return Axiom(R, proof_label(R))
+        return Axiom(R, R.label)
     if not isinstance(R, Node) or R.rule != RR.rule:
         raise IncompatiblePair("rule mismatch while pairing")
     args: list = []

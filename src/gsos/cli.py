@@ -52,7 +52,6 @@ from .terms import (
     monad_law_failures,
     parse_proof,
     parse_term,
-    proof_label,
     proof_source,
     proof_target,
     random_layer_element,
@@ -177,7 +176,7 @@ def cmd_decompose(args) -> int:
     dec = decompose(X, elem)
     doc = {
         "shape": render(dec.shape),
-        "object": STAR if isinstance(dec.shape, (Var, App)) else proof_label(dec.shape),
+        "object": STAR if isinstance(dec.shape, (Var, App)) else dec.shape.label,
         "arity": presheaf_doc(dec.arity),
         "filler": {
             "states": dict(dec.filler.state_map),
@@ -252,7 +251,7 @@ def run_cases(check, spec: GsosSpec, seed: int, cases: int, d: int) -> dict:
     failures = []
     for case in range(cases):
         failures += [f"case {case}: {msg}" for msg in check(spec, random.Random(seed + case), d)]
-    return {"seed": seed, "cases": cases, "failures": failures, "ok": not failures}
+    return {"cases": cases, "failures": failures, "ok": not failures}
 
 
 def _familial_failures(spec: GsosSpec, rng, d: int) -> list[str]:
@@ -324,13 +323,12 @@ _CASE_CHECKS = {
 }
 
 
-def _suite_cartesian(spec: GsosSpec, seed: int, d: int) -> dict:
+def _suite_cartesian(spec: GsosSpec, d: int) -> dict:
     X = representable(spec.labels, list(spec.labels)[0])
     t_bang = window_bang(spec, X, d)
     mu_rep = check_mu_cartesian(spec, X, d, t_bang)
     eta_rep = check_eta_cartesian(X, d, t_bang)
     return {
-        "seed": seed,
         "mu": mu_rep,
         "eta": eta_rep,
         "failures": [] if (mu_rep["ok"] and eta_rep["ok"]) else ["pullback failed"],
@@ -338,7 +336,7 @@ def _suite_cartesian(spec: GsosSpec, seed: int, d: int) -> dict:
     }
 
 
-def _suite_congruence(spec: GsosSpec, seed: int, k: int, mutate: bool) -> dict:
+def _suite_congruence(spec: GsosSpec, k: int, mutate: bool) -> dict:
     texts = json.loads((resources.files("gsos") / "specs" / "ccs_pairs.json").read_text())
     try:
         pairs = [(parse_term(spec, None, u), parse_term(spec, None, v)) for u, v in texts]
@@ -349,7 +347,6 @@ def _suite_congruence(spec: GsosSpec, seed: int, k: int, mutate: bool) -> dict:
     report = bisim_mod.congruence_test(
         spec, pairs, contexts, k, max(k + 1, 4), drop_last_premise=mutate
     )
-    report["seed"] = seed
     report["failures"] = report["violations"]
     return report
 
@@ -359,10 +356,10 @@ def cmd_verify(args) -> int:
     if args.suite in _CASE_CHECKS:
         report = run_cases(_CASE_CHECKS[args.suite], spec, args.seed, args.cases, args.depth)
     elif args.suite == "cartesian":
-        report = _suite_cartesian(spec, args.seed, args.depth)
+        report = _suite_cartesian(spec, args.depth)
     else:
-        report = _suite_congruence(spec, args.seed, args.stratum, args.mutate)
-    report["suite"] = args.suite
+        report = _suite_congruence(spec, args.stratum, args.mutate)
+    report["suite"], report["seed"] = args.suite, args.seed
     _emit(report)
     return 0 if report["ok"] else 1
 

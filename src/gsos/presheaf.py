@@ -646,13 +646,19 @@ def morphism_from_json(text: str) -> PresheafMorphism:
     cod = _presheaf_from_doc(_field(doc, "cod", dict, "morphism"), "morphism.cod")
     state_map = _field(doc, "states", dict, "morphism")
     edge_maps = _field(doc, "edges", dict, "morphism") if "edges" in doc else {}
-    for where, mapping in [("morphism.states", state_map)] + [
-        (f"morphism.edges.{a}", m) for a, m in edge_maps.items()
+    for a in edge_maps:
+        if a not in dom.labels:
+            raise UnknownLabel(f"morphism.edges: label {a!r} not declared by dom")
+    for where, mapping, cells in [("morphism.states", state_map, dom.state_set())] + [
+        (f"morphism.edges.{a}", m, dom.src[a]) for a, m in edge_maps.items()
     ]:
         if not isinstance(mapping, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
         ):
             raise MalformedSystem(f"{where} must be a JSON object from ids to ids")
+        for key in mapping:
+            if key not in cells:
+                raise MalformedSystem(f"{where} maps {key!r}, which dom does not have")
     return morphism(dom, cod, state_map, edge_maps)
 
 

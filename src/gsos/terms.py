@@ -26,17 +26,19 @@ each character once, builds each node when its text closes and a proof
 together with its source, and takes a var(...) or ax(...) payload by the
 one payload rule, ``presheaf._read_payload``.
 
-The four node classes (Var, App, Axiom, Node) are immutable and compare
-structurally.  Each node stores its hash and its rendering the first time
-either is asked for, so a subtree shared by many elements (a payload, a
-premise, a derived subterm) is hashed and printed once, and a lookup in a
-memo or a window dictionary costs one hash of the node's own fields.  Both
-caches are filled lazily, not at construction: most nodes of a window are
-built, tested and dropped, and are hashed or rendered at most once, so an
-eager cache would cost time on every node and save it on few.  Equal nodes
-need not be the same object (there is no intern table); equality tries
-identity first, then tells two nodes apart by their cached hashes when both
-are known, then compares fields.
+The four node classes (Var, App, Axiom, Node) are frozen slotted
+dataclasses that compare structurally, and every proof answers ``label``:
+an axiom its own, a rule node its rule's.  Each node stores its hash and
+its rendering in two fields outside its equality, repr and pickle, the
+first time either is asked for, so a subtree shared by many elements (a
+payload, a premise, a derived subterm) is hashed and printed once, and a
+lookup in a memo or a window dictionary costs one hash of the node's own
+fields.  Both caches are filled lazily, not at construction: most nodes of
+a window are built, tested and dropped, and are hashed or rendered at most
+once, so an eager cache would cost time on every node and save it on few.
+Equal nodes need not be the same object (there is no intern table);
+equality tries identity first, then tells two nodes apart by their cached
+hashes when both are known, then compares fields.
 
 A proof is as deep as its source is high: each rule node sits over one
 operation of its source, and the premises of argument i are proofs out of
@@ -53,7 +55,7 @@ formatter render uses; no image tree is built.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass, field
 from itertools import product, zip_longest
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
@@ -83,19 +85,18 @@ HOLE = "__hole__"
 _set = object.__setattr__
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class _Syntax:
     """An immutable syntax node; its hash and rendering are cached on first use.
 
-    Subclasses list their fields in ``_fields`` and return them as a tuple
-    from ``_key``, which fixes equality and the hash exactly as a frozen
-    dataclass over the same fields would.
+    Each node is a frozen slotted dataclass over its own fields, which it
+    returns as a tuple from ``_key``; equality and the hash are those of the
+    key, with the hash cached in ``_hash`` and the text in ``_text``.  A
+    node pickles as its fields only, so no cached hash crosses processes.
     """
 
-    __slots__ = ("_hash", "_text")
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __eq__(self, other):
         if self is other:
@@ -114,20 +115,11 @@ class _Syntax:
             _set(self, "_hash", h)
         return h
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
-        return f"{type(self).__name__}({fields})"
-
     def __reduce__(self):
         return type(self), self._key()
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(_Syntax):
     """A wrapped ambient state, written var(x).
 
@@ -135,30 +127,16 @@ class Var(_Syntax):
     layers above it is a term one layer down.
     """
 
-    __slots__ = ("name",)
-    _fields = ("name",)
     name: Union[str, "Term"]
-
-    def __init__(self, name: Union[str, "Term"]):
-        _set(self, "name", name)
-        _set(self, "_hash", None)
-        _set(self, "_text", None)
 
     def _key(self) -> tuple:
         return (self.name,)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class App(_Syntax):
-    __slots__ = ("op", "args")
-    _fields = ("op", "args")
     op: str
     args: tuple["Term", ...]
-
-    def __init__(self, op: str, args: tuple["Term", ...]):
-        _set(self, "op", op)
-        _set(self, "args", args)
-        _set(self, "_hash", None)
-        _set(self, "_text", None)
 
     def _key(self) -> tuple:
         return (self.op, self.args)
@@ -167,6 +145,7 @@ class App(_Syntax):
 Term = Union[Var, App]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Axiom(_Syntax):
     """A wrapped ambient edge, written ax(e); the label is carried along.
 
@@ -174,39 +153,28 @@ class Axiom(_Syntax):
     layers above it is a proof one layer down, with the same label.
     """
 
-    __slots__ = ("edge", "label")
-    _fields = ("edge", "label")
     edge: Union[str, "Proof"]
     label: str
-
-    def __init__(self, edge: Union[str, "Proof"], label: str):
-        _set(self, "edge", edge)
-        _set(self, "label", label)
-        _set(self, "_hash", None)
-        _set(self, "_text", None)
 
     def _key(self) -> tuple:
         return (self.edge, self.label)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Node(_Syntax):
-    """A rule application.
+    """A rule application; its label is its rule's.
 
     ``args`` has one entry per operation argument: the plain source term for
     premise-less arguments, or the tuple of premise proofs (in premise
     order) otherwise.
     """
 
-    __slots__ = ("rule", "args")
-    _fields = ("rule", "args")
     rule: "Rule"
     args: tuple[Union[Term, tuple["Proof", ...]], ...]
 
-    def __init__(self, rule: "Rule", args: tuple[Union[Term, tuple["Proof", ...]], ...]):
-        _set(self, "rule", rule)
-        _set(self, "args", args)
-        _set(self, "_hash", None)
-        _set(self, "_text", None)
+    @property
+    def label(self) -> str:
+        return self.rule.label
 
     def _key(self) -> tuple:
         return (self.rule, self.args)
@@ -260,6 +228,7 @@ def _ax_text(edge: Union[str, "Proof"], _label: str) -> str:
     return f"ax({edge if isinstance(edge, str) else render(edge)})"
 
 
+@dataclass(slots=True, eq=False)
 class ImageText:
     """The text of an element's image under a leaf relabelling, with no
     image built.
@@ -271,12 +240,9 @@ class ImageText:
     nodes asked about must stay alive as long as the instance is used.
     """
 
-    __slots__ = ("on_var", "on_ax", "memo")
-
-    def __init__(self, on_var: Callable, on_ax: Callable):
-        self.on_var = on_var
-        self.on_ax = on_ax
-        self.memo: dict[int, str] = {}
+    on_var: Callable
+    on_ax: Callable
+    memo: dict[int, str] = field(default_factory=dict, init=False, repr=False)
 
     def __call__(self, elem: Element) -> str:
         key = id(elem)
@@ -292,10 +258,6 @@ def flattened_height(t: Term) -> int:
     if isinstance(t, Var):
         return 0 if isinstance(t.name, str) else flattened_height(t.name)
     return 1 + max(map(flattened_height, t.args), default=0)
-
-
-def proof_label(p: Proof) -> str:
-    return p.label if isinstance(p, Axiom) else p.rule.label
 
 
 def term_vars(t: Term) -> tuple[Union[str, Term], ...]:
@@ -499,7 +461,7 @@ class _Reader:
                 elem, source = self.proof()
             args.append(elem)
             sources.append(source)
-        shape = [proof_label(a) if isinstance(a, (Axiom, Node)) else None for a in args]
+        shape = [a.label if isinstance(a, (Axiom, Node)) else None for a in args]
         matches = [r for r in named if shape == [a for g in r.premise_labels for a in g or (None,)]]
         if not matches:
             raise MalformedProof(f"no expansion of rule {head!r} matches {self.text!r}")
@@ -570,7 +532,7 @@ def _derive(spec, t: Term, axioms_of, memo: dict):
         memo[t] = tuple(out)
         return memo[t]
     premises = lambda u, want: [
-        r for r in _derive(spec, u, axioms_of, memo) if proof_label(r[0]) == want
+        r for r in _derive(spec, u, axioms_of, memo) if r[0].label == want
     ]
     for rule, choice, n in _rule_instances(spec, t, premises, False):
         proofs, k, args = [r for r, _ in choice], 0, []
@@ -729,7 +691,7 @@ def _window(spec: "GsosSpec", X: Presheaf, state_terms, axioms_of):
                 if target in terms:
                     key = render(p)
                     proof_decode[key] = p
-                    yield proof_label(p), key, state, target
+                    yield p.label, key, state, target
 
     P = _system(X.labels, tuple(terms), arrows())
     return P, terms, proof_decode
@@ -756,7 +718,7 @@ def lift_leaves(on_var: Callable, on_ax: Callable) -> tuple[Callable, Callable]:
     leaf keeps its wrapper around the text of its payload's image.  The
     payload images share one memo, which lives as long as the returned pair."""
     inner = ImageText(on_var, on_ax)
-    return lambda m: f"var({inner(m)})", lambda p, _a: f"ax({inner(p)})"
+    return lambda m: _var_text(inner(m)), lambda p, a: _ax_text(inner(p), a)
 
 
 def T_on_element(f: PresheafMorphism, elem: Element) -> Element:
@@ -798,14 +760,14 @@ def _mu_ax(edge: Union[str, Proof], label: str) -> Proof:
     if isinstance(edge, str):
         leaf = render(Axiom(edge, label))
         raise MalformedProof(f"{leaf!r} wraps an ambient edge: mu needs two layers")
-    if proof_label(edge) != label:
+    if edge.label != label:
         raise MalformedProof(f"axiom label mismatch flattening {render(Axiom(edge, label))!r}")
     return edge
 
 
 # Leaf texts for window_map: mu, and the unique map to the one-state system.
 MU_LEAVES = (lambda m: render(_mu_var(m)), lambda p, a: render(_mu_ax(p, a)))
-TERMINAL_LEAVES = (lambda _x: f"var({STAR})", lambda _e, a: f"ax({a})")
+TERMINAL_LEAVES = (lambda _x: _var_text(STAR), lambda _e, a: _ax_text(a, a))
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +792,7 @@ def _layer_axioms(spec: "GsosSpec", X: Presheaf, level: int):
         return ambient_axioms(X)
     inner = _layer_axioms(spec, X, level - 1)
     memo: dict = {}
-    return lambda m, a: [r for r in derive(spec, m, inner, _memo=memo) if proof_label(r[0]) == a]
+    return lambda m, a: [r for r in derive(spec, m, inner, _memo=memo) if r[0].label == a]
 
 
 def truncated_free_squared(spec: "GsosSpec", X: Presheaf, d: int):
@@ -907,7 +869,7 @@ def random_layer_element(
         a, e = rng.choice(pool)
         return Axiom(e, a)
     inner = random_layer_element(spec, X, rng, level - 1, budget, "proof")
-    return Axiom(inner, proof_label(inner))
+    return Axiom(inner, inner.label)
 
 
 def monad_law_failures(spec: "GsosSpec", rng, d: int) -> list[str]:
@@ -928,7 +890,7 @@ def monad_law_failures(spec: "GsosSpec", rng, d: int) -> list[str]:
     if isinstance(z1, (Var, App)):
         outer = Var(z1)
     else:
-        outer = Axiom(z1, proof_label(z1))
+        outer = Axiom(z1, z1.label)
     if mu(outer) != z1:
         failures.append(f"mu . eta_T != id on {render(z1)}")
 

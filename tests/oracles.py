@@ -53,7 +53,6 @@ from gsos.terms import (
     Node,
     Var,
     mu,
-    proof_label,
     proof_source,
     render,
     term_vars,
@@ -153,7 +152,7 @@ def lift_mu(MM, R):
     node must be matched by a rule node and the premises lift argumentwise.
     """
     if isinstance(MM, Var):
-        return Axiom(R, proof_label(R))
+        return Axiom(R, R.label)
     if not isinstance(R, Node) or R.rule.op != MM.op:
         raise MalformedProof("transition does not match the term structure")
     args = []
@@ -222,7 +221,7 @@ def old_derive(spec, term, axioms_of=None, drop_last_premise=False, _memo=None):
                 per_j = [
                     shortcut(t.args[i], want)
                     if cut == (i, j)
-                    else [r for r in go(t.args[i]) if proof_label(r) == want]
+                    else [r for r in go(t.args[i]) if r.label == want]
                     for j, want in enumerate(labels_i)
                 ]
                 group_choices.append([tuple(c) for c in product(*per_j)])
@@ -320,7 +319,7 @@ def _old_mu_ax(edge, label):
     if isinstance(edge, str):
         leaf = render(Axiom(edge, label))
         raise MalformedProof(f"{leaf!r} wraps an ambient edge: mu needs two layers")
-    if proof_label(edge) != label:
+    if edge.label != label:
         raise MalformedProof(f"axiom label mismatch flattening {render(Axiom(edge, label))!r}")
     return edge
 

@@ -31,7 +31,6 @@ from gsos.terms import (
     App,
     Var,
     parse_term,
-    proof_label,
     random_term,
     render,
     term_vars,
@@ -408,7 +407,7 @@ def _fragment_oracle(spec, seeds, fuel, drop_last_premise):
                     known.add(nk)
                     states.append(nk)
                     next_level.append(n)
-                a = proof_label(p)
+                a = p.label
                 pk = render(p)
                 edges[a].append(pk)
                 src[a][pk] = render(m)

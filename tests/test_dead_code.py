@@ -79,10 +79,10 @@ def test_every_import_is_used(module):
 
 
 def _names_read(node: ast.AST) -> set[str]:
-    """Names read under node as variables or as attributes, whatever their
-    object, and inside quoted annotations."""
+    """Names read under node: a variable as its name, an attribute as
+    ``.name`` whatever its object, and the names inside quoted annotations."""
     return _annotation_names(node) | {
-        n.attr if isinstance(n, ast.Attribute) else n.id
+        f".{n.attr}" if isinstance(n, ast.Attribute) else n.id
         for n in ast.walk(node)
         if isinstance(n, (ast.Attribute, ast.Name)) and not isinstance(n.ctx, ast.Store)
     }
@@ -131,13 +131,17 @@ def _call_graph(trees: dict) -> tuple[dict[str, set[str]], set[str]]:
 
 def _reached(trees: dict, roots) -> set[str]:
     """The definitions reachable from the named root definitions and from
-    what import time reads.  Reading a name reaches every definition of
-    that name, and reaching a class reaches its special methods, which
-    Python calls for it."""
+    what import time reads.  Reading a variable reaches the module-level
+    definitions of that name; reading an attribute reaches every
+    definition of that name, a member or a module-level one (``mod.f``).
+    Reaching a class reaches its special methods, which Python calls for it."""
     defs, read_at_import = _call_graph(trees)
     by_name: dict[str, list[str]] = {}
     for qualified in defs:
-        by_name.setdefault(qualified.rsplit(".", 1)[1], []).append(qualified)
+        name = qualified.rsplit(".", 1)[1]
+        by_name.setdefault(f".{name}", []).append(qualified)
+        if qualified.count(".") == 1:
+            by_name.setdefault(name, []).append(qualified)
     todo = [q for q in roots if q in defs]
     todo += [q for name in read_at_import for q in by_name.get(name, [])]
     reached: set[str] = set()
@@ -305,6 +309,34 @@ def test_member_check_flags_an_unreferenced_method():
     assert _stale_allowances(SYNTHETIC_CLASS, ["lib.main"], {"lib.Box.size": "read"}) == [
         "lib.Box.size"
     ]
+
+
+# A method that nothing calls, named like a local variable that the entry
+# point reads, and a function that the entry point calls as a module
+# attribute.
+SYNTHETIC_LOCAL = {
+    "lib": ast.parse(
+        "import lib\n"
+        "\n"
+        "class Box:\n"
+        "    def size(self):\n"
+        "        return 0\n"
+        "\n"
+        "def main():\n"
+        "    size = 3\n"
+        "    return Box(), size + lib.helper()\n"
+        "\n"
+        "def helper():\n"
+        "    return 0\n"
+    )
+}
+
+
+def test_member_check_flags_a_method_named_like_a_local():
+    """A variable reaches only module-level definitions, and an attribute
+    read reaches members and module-level definitions alike."""
+    assert _unreachable(SYNTHETIC_LOCAL, ["lib.main"], {}) == ["lib.Box.size"]
+    assert "terms.Node.label" in _reached(TREES, ROOTS)
 
 
 @pytest.mark.parametrize("module", sorted(TREES))

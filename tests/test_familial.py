@@ -24,7 +24,6 @@ from gsos.terms import (
     map_leaves,
     parse_proof,
     parse_term,
-    proof_label,
     proof_source,
     proof_target,
     random_layer_element,
@@ -49,7 +48,7 @@ def test_strip_variable(ccs, rsync_ambient):
 def test_strip_sync_golden(ccs, sync_ambient):
     p = parse_proof(ccs, sync_ambient, "sync(lpar(ax(e1),term(var(x2))),ax(e2))")
     sh = to_terminal(p)
-    assert proof_label(sh) == "tau"
+    assert sh.label == "tau"
     assert render(sh) == "sync(lpar[L=a_bar](ax(a_bar),term(var(*))),ax(a))"
     # idempotent on shapes
     assert to_terminal(sh) == sh

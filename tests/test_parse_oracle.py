@@ -31,7 +31,6 @@ from gsos.terms import (
     Var,
     parse_proof,
     parse_term,
-    proof_label,
     proof_source,
     random_layer_element,
     random_presheaf,
@@ -196,7 +195,7 @@ def _group_args(rule, parsed):
             if k >= len(parsed) or parsed[k][0] != "proof":
                 return None
             r = parsed[k][1]
-            if proof_label(r) != want:
+            if r.label != want:
                 return None
             chunk.append(r)
             k += 1

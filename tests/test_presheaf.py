@@ -555,6 +555,36 @@ def test_morphism_loader_names_the_bad_field(doc, named):
         morphism_from_json(text)
 
 
+def _loop_map_doc() -> dict:
+    """The morphism document of a map from a one-edge loop to another."""
+    def loop(x, e):
+        return {"labels": ["a"], "states": [x], "edges": {"a": [{"id": e, "src": x, "tgt": x}]}}
+
+    return {"dom": loop("x", "e"), "cod": loop("y", "d"), "states": {"x": "y"}, "edges": {"a": {"e": "d"}}}
+
+
+@pytest.mark.parametrize(
+    "path, key, value, error, named",
+    [
+        (["states"], "ghost", "y", MalformedSystem, "morphism.states maps 'ghost'"),
+        (["edges", "a"], "zzz", "d", MalformedSystem, "morphism.edges.a maps 'zzz'"),
+        (["edges"], "nolabel", {}, UnknownLabel, "'nolabel'"),
+    ],
+    ids=["state-not-in-dom", "edge-not-in-dom", "label-not-declared"],
+)
+def test_morphism_loader_refuses_stray_entries(path, key, value, error, named):
+    """An entry for a cell or a label that dom lacks is refused, not kept
+    in the map or dropped; the document without it loads."""
+    doc = _loop_map_doc()
+    assert morphism_from_json(json.dumps(doc)).state_map == {"x": "y"}
+    mapping = doc
+    for field in path:
+        mapping = mapping[field]
+    mapping[key] = value
+    with pytest.raises(error, match=named):
+        morphism_from_json(json.dumps(doc))
+
+
 def _rebuilt(X):
     return make_presheaf(
         X.labels,

@@ -40,7 +40,6 @@ from gsos.terms import (
     mu,
     parse_proof,
     parse_term,
-    proof_label,
     proof_source,
     proof_target,
     random_layer_element,
@@ -131,7 +130,7 @@ def test_one_step_parallel_pair(ccs):
     t = parse_term(ccs, None, "par(pref_a_bar(nil),pref_a(nil))")
     proofs = tuple(p for p, _ in derive(ccs, t, None))
     assert len(proofs) == 3
-    assert sorted(proof_label(p) for p in proofs) == ["a", "a_bar", "tau"]
+    assert sorted(p.label for p in proofs) == ["a", "a_bar", "tau"]
 
 
 def test_one_step_bang_without_both_actions(ccs):
@@ -143,7 +142,7 @@ def test_one_step_bang_without_both_actions(ccs):
 def test_one_step_bang_with_both(ccs):
     t = parse_term(ccs, None, "bang(sum(pref_a(nil),pref_a_bar(nil)))")
     proofs = tuple(p for p, _ in derive(ccs, t, None))
-    assert [proof_label(p) for p in proofs] == ["tau"]
+    assert [p.label for p in proofs] == ["tau"]
 
 
 def test_one_step_unknown_operation(ccs):
@@ -287,8 +286,8 @@ def test_associativity_on_sync_proof_double_wrapped(ccs, sync_ambient):
     """The synchronisation proof wrapped twice: both flattening orders agree."""
     X = sync_ambient
     p = parse_proof(ccs, X, "sync(lpar(ax(e1),term(var(x2))),ax(e2))")
-    inner = Axiom(p, proof_label(p))          # second layer
-    z3 = Axiom(inner, proof_label(inner))     # third layer
+    inner = Axiom(p, p.label)          # second layer
+    z3 = Axiom(inner, inner.label)     # third layer
     t_mu = map_leaves(z3, mu, lambda e, a: mu(e))
     lhs = mu(t_mu)
     rhs = mu(mu(z3))
@@ -556,8 +555,10 @@ def test_nodes_are_immutable_and_print_like_dataclasses(ccs, sync_ambient):
     for node in (Var("x"), App("nil", ()), Axiom("e1", "a_bar"), p):
         with pytest.raises(FrozenInstanceError):
             node._hash = 0
+        assert not hasattr(node, "__dict__")
         assert pickle.loads(pickle.dumps(node)) == node
         assert repr(node) == repr(_old(node)).replace("_Old", "")
+    assert p.label == p.rule.label == "tau" and Axiom("e1", "a_bar").label == "a_bar"
     assert Var("x") != "x" and Var("x") != App("x", ())
     assert repr(Var(Var("x"))) == "Var(name=Var(name='x'))"
 
@@ -599,7 +600,7 @@ def _derive(spec, m, axioms_of, drop, memo):
         return derive(spec, m, axioms_of, _memo=memo)
 
     def premises(u, want):
-        return [r for r in _derive(spec, u, axioms_of, drop, memo) if proof_label(r[0]) == want]
+        return [r for r in _derive(spec, u, axioms_of, drop, memo) if r[0].label == want]
 
     out = []
     for rule, choice, n in _rule_instances(spec, m, premises, True):
@@ -615,7 +616,7 @@ def _old_layer_axioms(spec, X, level):
         return X.out_edges
     inner = _old_layer_axioms(spec, X, level - 1)
     memo = {}
-    return lambda m, a: [p for p in old_derive(spec, m, inner, _memo=memo) if proof_label(p) == a]
+    return lambda m, a: [p for p in old_derive(spec, m, inner, _memo=memo) if p.label == a]
 
 
 def _leaf_payloads(t):
@@ -706,7 +707,7 @@ def test_window_matches_proof_target_oracle(ccs, rsync_ambient, ambient, two_lay
             if _old_element_depth(old_proof_target(X, flat(p))) > d:
                 too_tall += 1
                 continue
-            want[proof_label(p)].append((render(p), render(m), render(old_proof_target(X, p))))
+            want[p.label].append((render(p), render(m), render(old_proof_target(X, p))))
     for a in ccs.labels:
         assert [(e, P.src[a][e], P.tgt[a][e]) for e in P.edges[a]] == want[a]
     assert sum(len(v) for v in want.values()) > 20
@@ -820,7 +821,7 @@ def _instance_mismatches(spec, seeds, drop):
         X = random_presheaf(rng, spec.labels, max_states=4)
         axioms_of, memo = ambient_axioms(X), {}
         premises = lambda u, want: [
-            r for r in derive(spec, u, axioms_of, _memo=memo) if proof_label(r[0]) == want
+            r for r in derive(spec, u, axioms_of, _memo=memo) if r[0].label == want
         ]
         for t in {u for _ in range(4) for u in _subterms(random_term(spec, rng, X.states, 3))}:
             if isinstance(t, App):

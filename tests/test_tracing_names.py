@@ -64,7 +64,7 @@ def test_traced_small_pass_runs_and_answers(workload):
     seed = 0
     ops = workloads.WORKLOADS[workload](seed, "small")
     job = {"ops": [list(op.argv) for op in ops], "trace": True}
-    env = {k: v for k, v in os.environ.items() if k not in ("GSOS_SEED", "PYTHONPATH")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "child.py"), "pass"],
         input=json.dumps(job),
@@ -92,7 +92,6 @@ def _assert_untraced_pass_prints_recorded_reports(workload, seed, size, monkeypa
     workloads = _load("workloads")
     answers = workloads.load_answers()
     monkeypatch.chdir(PERFBENCH.parent)
-    monkeypatch.delenv("GSOS_SEED", raising=False)
     for op in workloads.WORKLOADS[workload](seed, size):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -32,7 +32,6 @@ from gsos.terms import (
     lift_leaves,
     map_leaves,
     mu,
-    proof_label,
     proof_source,
     proof_target,
     random_layer_element,
@@ -93,7 +92,7 @@ def _old_mu(elem):
         inner = elem.edge
         if isinstance(inner, str):
             raise MalformedProof(f"{_old_render(elem)!r} wraps an ambient edge: mu needs two layers")
-        if proof_label(inner) != elem.label:
+        if inner.label != elem.label:
             raise MalformedProof(f"axiom label mismatch flattening {_old_render(elem)!r}")
         return inner
     return type(elem)(
@@ -194,7 +193,7 @@ def test_mu_leaves_refuse_like_old_mu(ccs, rsync_ambient):
         refused += want.startswith("refused: ")
     assert refused > len(elements) / 2
     p = next(e for e in T[2].values() if not isinstance(e, Axiom))
-    other = next(a for a in ccs.labels if a != proof_label(p))
+    other = next(a for a in ccs.labels if a != p.label)
     want = _outcome(_old_mu, Axiom(p, other))
     assert "label mismatch" in want
     assert _outcome(image, Axiom(p, other)) == want
