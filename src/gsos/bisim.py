@@ -171,7 +171,7 @@ class RelationOnStates:
     pairs: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        states = self.carrier.state_set()
+        states = self.carrier.state_set
         for x, y in self.pairs:
             if x not in states or y not in states:
                 raise UnknownState(f"pair ({x!r},{y!r}) is not within the carrier")

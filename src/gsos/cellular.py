@@ -36,7 +36,6 @@ from .presheaf import (
     LiftingSquare,
     Presheaf,
     PresheafMorphism,
-    WidePushout,
     _map,
     _system,
     bang,
@@ -131,16 +130,14 @@ def replay_certificate(cert: CellCertificate) -> tuple[Presheaf, PresheafMorphis
     for idx, step in enumerate(cert.steps):
         if step.label not in labels:
             raise ReplayMismatch(idx, f"label {step.label!r} undeclared")
-        if step.at not in current.state_set():
+        if step.at not in current.state_set:
             raise ReplayMismatch(idx, f"attach state {step.at!r} missing")
-        if step.tgt in current.state_set():
+        if step.tgt in current.state_set:
             raise ReplayMismatch(idx, f"created state {step.tgt!r} already present")
         if any(step.edge in current.src[a] for a in labels):
             raise ReplayMismatch(idx, f"created edge {step.edge!r} already present")
         pick = _map(point, current, {STAR: step.at})
-        glued, (inj_gen, inj_cur) = colimit(
-            WidePushout(point, (source_inclusion(labels, step.label), pick))
-        )
+        glued, (inj_gen, inj_cur) = colimit(point, (source_inclusion(labels, step.label), pick))
         name = {o: {inj_cur.at(o)[c]: c for c in current.cells(o)} for o in labels.objects}
         name[STAR][inj_gen.state_map["t"]] = step.tgt
         name[step.label][inj_gen.edge_maps[step.label]["e"]] = step.edge

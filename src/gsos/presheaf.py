@@ -23,11 +23,12 @@ the two agree on the finite, image-finite systems this package
 manipulates.
 
 Checks run where data enters the program.  :func:`make_presheaf` and
-:func:`morphism` validate everything; only the JSON loaders call them (and
-the tests).  Every system and map the program builds for itself goes
-through the unchecked :func:`_system` and :func:`_map`, because each
-construction here takes well-formed systems and maps to well-formed ones;
-a test rebuilds the output of every builder through the checked path.
+:func:`morphism` take the arguments of the unchecked :func:`_system` and
+:func:`_map` and check what those trust; only the JSON loaders call them
+(and the tests).  Every system and map the program builds for itself goes
+through :func:`_system` and :func:`_map`, because each construction here
+takes well-formed systems and maps to well-formed ones; a test rebuilds the
+output of every builder through the checked path.
 """
 
 from __future__ import annotations
@@ -99,11 +100,8 @@ class Presheaf:
         """The cells at base object o: the states at STAR, the o-edges at a label."""
         return self.states if o == STAR else self.edges[o]
 
-    def state_set(self) -> frozenset[str]:
-        return self._state_set
-
     @cached_property
-    def _state_set(self) -> frozenset[str]:
+    def state_set(self) -> frozenset[str]:
         return frozenset(self.states)
 
     def all_edges(self) -> Iterator[tuple[str, str]]:
@@ -151,43 +149,25 @@ class Presheaf:
 
 
 def make_presheaf(
-    labels: LabelSet,
-    states: Iterable[str],
-    edges: Mapping[str, Iterable[str]] | None = None,
-    src: Mapping[str, Mapping[str, str]] | None = None,
-    tgt: Mapping[str, Mapping[str, str]] | None = None,
+    labels: LabelSet, states: Iterable[str], arrows: Iterable[tuple[str, str, str, str]]
 ) -> Presheaf:
-    """Validate and build a presheaf; rejects dangling endpoints and id reuse."""
-    states = tuple(states)
-    if len(set(states)) != len(states):
+    """:func:`_system`, checked: refuses a repeated state id, an undeclared
+    label, an edge id used twice (at one label or across labels) and an
+    endpoint that is not a state."""
+    states, arrows = tuple(states), tuple(arrows)
+    state_set = set(states)
+    if len(state_set) != len(states):
         raise DuplicateId(f"duplicate state ids in {states}")
-    edges = edges or {}
-    src = src or {}
-    tgt = tgt or {}
-    for a in edges:
+    seen: set[str] = set()
+    for a, e, s, t in arrows:
         if a not in labels:
             raise UnknownLabel(f"edge label {a!r} not declared")
-    state_set = set(states)
-    arrows: list[tuple[str, str, str, str]] = []
-    seen: set[str] = set()
-    for a in labels:
-        es = tuple(edges.get(a, ()))
-        if len(set(es)) != len(es):
-            raise DuplicateId(f"duplicate edge ids at label {a!r}")
-        for e in es:
-            if e in seen:
-                raise DuplicateId(f"edge id {e!r} reused across labels")
-            seen.add(e)
-        sa = dict(src.get(a, {}))
-        ta = dict(tgt.get(a, {}))
-        for e in es:
-            if e not in sa or e not in ta:
-                raise DanglingEdge(f"edge {e!r} at {a!r} lacks src or tgt")
-            if sa[e] not in state_set:
-                raise DanglingEdge(f"edge {e!r}: src {sa[e]!r} is not a state")
-            if ta[e] not in state_set:
-                raise DanglingEdge(f"edge {e!r}: tgt {ta[e]!r} is not a state")
-            arrows.append((a, e, sa[e], ta[e]))
+        if e in seen:
+            raise DuplicateId(f"edge id {e!r} used twice")
+        seen.add(e)
+        for end, x in (("src", s), ("tgt", t)):
+            if x not in state_set:
+                raise DanglingEdge(f"edge {e!r}: {end} {x!r} is not a state")
     return _system(labels, states, arrows)
 
 
@@ -254,18 +234,12 @@ class PresheafMorphism:
                 return False
         return True
 
-    def _images(self, o: str) -> set[str]:
-        component = self.at(o)
-        return {component[c] for c in self.dom.cells(o)}
-
-    def is_injective(self) -> bool:
-        return all(len(self._images(o)) == len(self.dom.cells(o)) for o in self.dom.labels.objects)
-
-    def is_surjective(self) -> bool:
-        return all(self._images(o) == set(self.cod.cells(o)) for o in self.dom.labels.objects)
-
     def is_iso(self) -> bool:
-        return self.is_injective() and self.is_surjective()
+        """Does every component hit each codomain cell exactly once?"""
+        return all(
+            Counter(map(self.at(o).__getitem__, self.dom.cells(o))) == Counter(self.cod.cells(o))
+            for o in self.dom.labels.objects
+        )
 
 
 def _check_map(f: PresheafMorphism) -> None:
@@ -432,21 +406,6 @@ def pullback_report(square: LiftingSquare) -> dict[str, bool]:
 # Finite colimits: wide pushouts (the only shape the program builds).
 
 
-@dataclass(frozen=True)
-class WidePushout:
-    """A cospan-free star: every leg goes out of the shared apex."""
-
-    apex: Presheaf
-    legs: tuple[PresheafMorphism, ...]
-
-    def __post_init__(self):
-        if not self.legs:
-            raise ShapeUnsupported("wide pushout needs at least one leg")
-        for leg in self.legs:
-            if leg.dom != self.apex:
-                raise ShapeUnsupported("every leg must start at the apex")
-
-
 class _UnionFind:
     def __init__(self):
         self.parent: dict = {}
@@ -466,18 +425,22 @@ class _UnionFind:
             self.parent[max(rx, ry)] = min(rx, ry)
 
 
-def colimit(diagram) -> tuple[Presheaf, tuple[PresheafMorphism, ...]]:
-    """Pointwise colimit with stable hierarchical cell names.
+def colimit(
+    apex: Presheaf, legs: Sequence[PresheafMorphism]
+) -> tuple[Presheaf, tuple[PresheafMorphism, ...]]:
+    """The wide pushout of one or more legs out of apex, pointwise, with
+    stable hierarchical cell names.
 
     Cells of leg codomain i are injected as "inj{i}/{cell}"; cells
     identified by the pushout take the least such name in their class.
     Returns the colimit and one injection per leg codomain.
     """
-    if not isinstance(diagram, WidePushout):
-        raise ShapeUnsupported(f"unsupported diagram shape {type(diagram).__name__}")
-    apex, legs = diagram.apex, diagram.legs
+    if not legs:
+        raise ShapeUnsupported("wide pushout needs at least one leg")
     labels = apex.labels
     for leg in legs:
+        if leg.dom != apex:
+            raise ShapeUnsupported("every leg must start at the apex")
         if leg.cod.labels != labels:
             raise ShapeUnsupported("pushout legs disagree on labels")
 
@@ -610,31 +573,42 @@ def _check_id(ident: str, what: str) -> None:
         raise MalformedSystem(f"{what} {ident!r} does not read back through the term syntax")
 
 
-def _presheaf_from_doc(doc, where: str) -> Presheaf:
+def _known_fields(doc: dict, fields: tuple[str, ...], where: str) -> None:
+    for key in doc:
+        if key not in fields:
+            raise MalformedSystem(f"{where}.{key} is not a field; {where} has {', '.join(fields)}")
+
+
+_EDGE_FIELDS = ("id", "src", "tgt")
+
+
+def _presheaf_from_doc(doc, where: str, like: Optional[LabelSet] = None) -> Presheaf:
+    """The system a document describes, over ``like`` if it lists like's labels in any order."""
     if not isinstance(doc, dict):
         raise MalformedSystem(f"{where} must be a JSON object")
+    _known_fields(doc, ("labels", "states", "edges"), where)
     labels = _strings(_field(doc, "labels", list, where), f"{where}.labels")
     states = _strings(_field(doc, "states", list, where), f"{where}.states")
     for x in states:
         _check_id(x, "state id")
     edges_doc = _field(doc, "edges", dict, where) if "edges" in doc else {}
-    edges: dict[str, tuple[str, ...]] = {}
-    src: dict[str, dict[str, str]] = {}
-    tgt: dict[str, dict[str, str]] = {}
+    arrows = []
     for a, records in edges_doc.items():
         at = f"{where}.edges.{a}"
+        if a not in labels:
+            raise UnknownLabel(f"{at}: label {a!r} not declared")
         if not isinstance(records, list):
             raise MalformedSystem(f"{at} must be a JSON list of edge records")
-        for rec in records:
-            if not isinstance(rec, dict) or not all(
-                isinstance(rec.get(k), str) for k in ("id", "src", "tgt")
-            ):
+        for i, rec in enumerate(records):
+            if not isinstance(rec, dict) or not all(isinstance(rec.get(k), str) for k in _EDGE_FIELDS):
                 raise MalformedSystem(f"{at}: {rec!r} is not an edge record with string id, src and tgt")
+            _known_fields(rec, _EDGE_FIELDS, f"{at}[{i}]")
             _check_id(rec["id"], "edge id")
-        edges[a] = tuple(rec["id"] for rec in records)
-        src[a] = {rec["id"]: rec["src"] for rec in records}
-        tgt[a] = {rec["id"]: rec["tgt"] for rec in records}
-    return make_presheaf(LabelSet(labels), states, edges, src, tgt)
+            arrows.append((a, rec["id"], rec["src"], rec["tgt"]))
+    label_set = LabelSet(labels)
+    if like is not None and set(like) == set(label_set):
+        label_set = like
+    return make_presheaf(label_set, states, arrows)
 
 
 def morphism_from_json(text: str) -> PresheafMorphism:
@@ -642,14 +616,15 @@ def morphism_from_json(text: str) -> PresheafMorphism:
     doc = _json_document(text)
     if not isinstance(doc, dict):
         raise MalformedSystem("morphism must be a JSON object")
+    _known_fields(doc, ("dom", "cod", "states", "edges"), "morphism")
     dom = _presheaf_from_doc(_field(doc, "dom", dict, "morphism"), "morphism.dom")
-    cod = _presheaf_from_doc(_field(doc, "cod", dict, "morphism"), "morphism.cod")
+    cod = _presheaf_from_doc(_field(doc, "cod", dict, "morphism"), "morphism.cod", dom.labels)
     state_map = _field(doc, "states", dict, "morphism")
     edge_maps = _field(doc, "edges", dict, "morphism") if "edges" in doc else {}
     for a in edge_maps:
         if a not in dom.labels:
             raise UnknownLabel(f"morphism.edges: label {a!r} not declared by dom")
-    for where, mapping, cells in [("morphism.states", state_map, dom.state_set())] + [
+    for where, mapping, cells in [("morphism.states", state_map, dom.state_set)] + [
         (f"morphism.edges.{a}", m, dom.src[a]) for a, m in edge_maps.items()
     ]:
         if not isinstance(mapping, dict) or not all(

@@ -422,7 +422,7 @@ class _Reader:
                 return Var(HOLE)  # the hole as a report prints it
             if self.X is None:
                 raise UnknownState(f"variable {x!r} in a closed-term position")
-            if x not in self.X.state_set():
+            if x not in self.X.state_set:
                 raise UnknownState(f"{x!r} is not an ambient state")
             return Var(x)
         if not self.spec.signature.has(head):

@@ -27,9 +27,12 @@ def paper_lts():
     return make_presheaf(
         LabelSet(("a", "a_bar", "b")),
         ("x", "y", "z"),
-        {"a_bar": ("e",), "b": ("f", "f2"), "a": ("g",)},
-        {"a_bar": {"e": "y"}, "b": {"f": "y", "f2": "y"}, "a": {"g": "z"}},
-        {"a_bar": {"e": "x"}, "b": {"f": "z", "f2": "z"}, "a": {"g": "z"}},
+        [
+            ("a_bar", "e", "y", "x"),
+            ("b", "f", "y", "z"),
+            ("b", "f2", "y", "z"),
+            ("a", "g", "z", "z"),
+        ],
     )
 
 
@@ -39,9 +42,7 @@ def sync_ambient(ccs_labels):
     return make_presheaf(
         ccs_labels,
         ("x1", "x2", "x3", "y1", "y2"),
-        {"a_bar": ("e1",), "a": ("e2",)},
-        {"a_bar": {"e1": "x1"}, "a": {"e2": "x3"}},
-        {"a_bar": {"e1": "y1"}, "a": {"e2": "y2"}},
+        [("a_bar", "e1", "x1", "y1"), ("a", "e2", "x3", "y2")],
     )
 
 
@@ -51,7 +52,5 @@ def rsync_ambient(ccs_labels):
     return make_presheaf(
         ccs_labels,
         ("x", "y1", "y2"),
-        {"a_bar": ("e1",), "a": ("e2",)},
-        {"a_bar": {"e1": "x"}, "a": {"e2": "x"}},
-        {"a_bar": {"e1": "y1"}, "a": {"e2": "y2"}},
+        [("a_bar", "e1", "x", "y1"), ("a", "e2", "x", "y2")],
     )

@@ -45,7 +45,7 @@ from gsos.errors import (
     UnknownState,
 )
 from gsos.familial import _points
-from gsos.presheaf import STAR, WidePushout, _map, _pair_system, _system
+from gsos.presheaf import STAR, _map, _pair_system, _system
 from gsos.terms import (
     HOLE,
     App,
@@ -117,10 +117,10 @@ def empty_presheaf(labels):
 
 
 def coproduct(parts):
-    """The coproduct diagram of systems: the wide pushout of the parts under
-    the empty system, for ``presheaf.colimit``."""
+    """The coproduct diagram of systems, the apex and legs of the wide
+    pushout of the parts under the empty system, for ``presheaf.colimit``."""
     apex = empty_presheaf(parts[0].labels)
-    return WidePushout(apex, tuple(_map(apex, p, {}) for p in parts))
+    return apex, tuple(_map(apex, p, {}) for p in parts)
 
 
 def _old_element_depth(elem) -> int:
@@ -378,9 +378,9 @@ def old_enumerate_contexts(spec, max_height):
 
 def k_bisimilar(X, x, y, k):
     """Stratified approximation: refine k times and compare blocks."""
-    if x not in X.state_set():
+    if x not in X.state_set:
         raise UnknownState(f"{x!r} is not a state")
-    if y not in X.state_set():
+    if y not in X.state_set:
         raise UnknownState(f"{y!r} is not a state")
     part = stratified_partition(X, k)[-1]
     return part[x] == part[y]

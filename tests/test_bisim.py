@@ -83,7 +83,7 @@ def test_fragment_monotone_in_fuel(ccs):
     prev = set()
     for fuel in range(4):
         frag = reachable_fragment(ccs, [t], fuel, lean_successors(ccs, False))
-        states = frag.carrier.state_set()
+        states = frag.carrier.state_set
         assert prev <= states
         prev = states
 
@@ -125,18 +125,13 @@ def small_systems(draw):
     n = draw(st.integers(min_value=1, max_value=5))
     states = tuple(f"s{i}" for i in range(n))
     m = draw(st.integers(min_value=0, max_value=6))
-    edges = {"a": [], "b": []}
-    src = {"a": {}, "b": {}}
-    tgt = {"a": {}, "b": {}}
+    arrows = []
     for i in range(m):
         lab = draw(st.sampled_from(["a", "b"]))
         s = draw(st.sampled_from(states))
         t = draw(st.sampled_from(states))
-        e = f"e{i}"
-        edges[lab].append(e)
-        src[lab][e] = s
-        tgt[lab][e] = t
-    return make_presheaf(L, states, {a: tuple(v) for a, v in edges.items()}, src, tgt)
+        arrows.append((lab, f"e{i}", s, t))
+    return make_presheaf(L, states, arrows)
 
 
 @settings(max_examples=50, deadline=None)
@@ -172,15 +167,8 @@ def test_edge_multiplicity_invariance(X, k):
         Y = make_presheaf(
             X.labels,
             X.states,
-            {b: X.edges[b] + ((e + "_copy",) if b == a else ()) for b in X.labels},
-            {
-                b: {**X.src[b], **({e + "_copy": X.src[b][e]} if b == a else {})}
-                for b in X.labels
-            },
-            {
-                b: {**X.tgt[b], **({e + "_copy": X.tgt[b][e]} if b == a else {})}
-                for b in X.labels
-            },
+            [(b, d, X.src[b][d], X.tgt[b][d]) for b, d in X.all_edges()]
+            + [(a, e + "_copy", X.src[a][e], X.tgt[a][e])],
         )
         for x in X.states:
             for y in X.states:
@@ -194,13 +182,7 @@ def test_diagonal_relation_is_bisimulation(paper_lts):
 
 
 def test_total_relation_fails_when_moves_differ(ccs):
-    X = make_presheaf(
-        ccs.labels,
-        ("p", "q"),
-        {"a": ("e",)},
-        {"a": {"e": "p"}},
-        {"a": {"e": "q"}},
-    )
+    X = make_presheaf(ccs.labels, ("p", "q"), [("a", "e", "p", "q")])
     total = RelationOnStates(X, frozenset((x, y) for x in X.states for y in X.states))
     assert not check_bisimulation_relation(total)
 
@@ -233,7 +215,7 @@ def test_relation_presheaf_projections(paper_lts):
 
 
 def test_relation_presheaf_refuses_pair_names_that_collide():
-    X = make_presheaf(LabelSet(("a",)), ("a", "b,c", "a,b", "c"))
+    X = make_presheaf(LabelSet(("a",)), ("a", "b,c", "a,b", "c"), ())
     r = RelationOnStates(X, frozenset({("a", "b,c"), ("a,b", "c")}))
     with pytest.raises(DuplicateId):
         relation_presheaf(r)  # both pairs would be the state (a,b,c)
@@ -308,7 +290,7 @@ def test_contexts_and_terms_match_the_parent_loops(name, height, request):
 @pytest.mark.parametrize("name", ["ccs", "toy"])
 def test_two_layer_terms_match_the_parent_loop(name, request):
     spec = request.getfixturevalue(name)
-    X = make_presheaf(spec.labels, ("s0",))
+    X = make_presheaf(spec.labels, ("s0",), ())
     for d in range(3):
         inner = old_strata(spec, [[Var(x) for x in X.states]], d)
         outer = old_strata(spec, [[Var(m) for m in level] for level in inner], d)
@@ -396,7 +378,7 @@ def _fragment_oracle(spec, seeds, fuel, drop_last_premise):
     edges = {a: [] for a in labels}
     src = {a: {} for a in labels}
     tgt = {a: {} for a in labels}
-    closed = make_presheaf(labels, ())
+    closed = make_presheaf(labels, (), ())
     for _ in range(fuel):
         next_level = []
         for m in level:
@@ -507,7 +489,8 @@ def _random_seeds(ccs, seed, count):
 
 def _oracle_carrier(spec, seeds, fuel, drop):
     states, edges, src, tgt, frontier = _fragment_oracle(spec, seeds, fuel, drop)
-    return make_presheaf(spec.labels, tuple(states), edges, src, tgt), frontier
+    arrows = [(a, e, src[a][e], tgt[a][e]) for a in edges for e in edges[a]]
+    return make_presheaf(spec.labels, tuple(states), arrows), frontier
 
 
 def _triples(X: Presheaf):

@@ -152,14 +152,8 @@ def _covering_fixture():
     from gsos.presheaf import LabelSet
 
     L = LabelSet(("a", "a_bar", "tau"))
-    X = make_presheaf(
-        L,
-        ("u", "v", "w"),
-        {"a": ("d1", "d2")},
-        {"a": {"d1": "u", "d2": "v"}},
-        {"a": {"d1": "w", "d2": "w"}},
-    )
-    Y = make_presheaf(L, ("p", "q"), {"a": ("d",)}, {"a": {"d": "p"}}, {"a": {"d": "q"}})
+    X = make_presheaf(L, ("u", "v", "w"), [("a", "d1", "u", "w"), ("a", "d2", "v", "w")])
+    Y = make_presheaf(L, ("p", "q"), [("a", "d", "p", "q")])
     f = morphism(X, Y, {"u": "p", "v": "p", "w": "q"}, {"a": {"d1": "d", "d2": "d"}})
     return L, X, Y, f
 
@@ -199,17 +193,14 @@ def test_lift_against_rsync_certificate_on_relation_projection(ccs):
     X = make_presheaf(
         L,
         ("m", "n", "m2", "n2"),
-        {"a_bar": ("b1", "b2"), "a": ("c1", "c2")},
-        {"a_bar": {"b1": "m", "b2": "m2"}, "a": {"c1": "m", "c2": "m2"}},
-        {"a_bar": {"b1": "n", "b2": "n2"}, "a": {"c1": "n", "c2": "n2"}},
+        [
+            ("a_bar", "b1", "m", "n"),
+            ("a_bar", "b2", "m2", "n2"),
+            ("a", "c1", "m", "n"),
+            ("a", "c2", "m2", "n2"),
+        ],
     )
-    Y = make_presheaf(
-        L,
-        ("p", "q"),
-        {"a_bar": ("b",), "a": ("c",)},
-        {"a_bar": {"b": "p"}, "a": {"c": "p"}},
-        {"a_bar": {"b": "q"}, "a": {"c": "q"}},
-    )
+    Y = make_presheaf(L, ("p", "q"), [("a_bar", "b", "p", "q"), ("a", "c", "p", "q")])
     f = morphism(
         X,
         Y,
@@ -232,7 +223,7 @@ def test_lift_against_requires_functional_bisim(ccs):
     cert = cell_certificate(ccs.labels, to_terminal(parse_proof(ccs, one, "ax(a)")))
     L, X, Y, f = _covering_fixture()
     # g forgets the edge over d from u: not a functional bisimulation
-    X2 = make_presheaf(X.labels, X.states, {"a": ("d1",)}, {"a": {"d1": "u"}}, {"a": {"d1": "w"}})
+    X2 = make_presheaf(X.labels, X.states, [("a", "d1", "u", "w")])
     g = morphism(X2, Y, {"u": "p", "v": "p", "w": "q"}, {"a": {"d1": "d"}})
     top = morphism(cert.claimed_composite.dom, X2, {"occ0": "v"})
     bottom = morphism(
@@ -322,9 +313,7 @@ def _nested_replication_instance(ccs):
     X = make_presheaf(
         ccs.labels,
         ("u1", "u2", "w1", "w2"),
-        {"a_bar": ("eb",), "a": ("ea",)},
-        {"a_bar": {"eb": "u1"}, "a": {"ea": "u2"}},
-        {"a_bar": {"eb": "w1"}, "a": {"ea": "w2"}},
+        [("a_bar", "eb", "u1", "w1"), ("a", "ea", "u2", "w2")],
     )
     p = parse_proof(
         ccs,
@@ -363,19 +352,15 @@ def test_nested_replication_preservation(ccs):
 
     # covering: two copies of every state, every edge lifted from each copy
     states = tuple(f"{x}.{i}" for x in X.states for i in range(2))
-    edges = {a: [] for a in ccs.labels}
-    src = {a: {} for a in ccs.labels}
-    tgt = {a: {} for a in ccs.labels}
+    arrows = []
     emap = {a: {} for a in ccs.labels}
     for a in ccs.labels:
         for e in X.edges[a]:
             for i in range(2):
                 name = f"{e}.{i}"
-                edges[a].append(name)
-                src[a][name] = f"{X.src[a][e]}.{i}"
-                tgt[a][name] = f"{X.tgt[a][e]}.{(i + 1) % 2}"
+                arrows.append((a, name, f"{X.src[a][e]}.{i}", f"{X.tgt[a][e]}.{(i + 1) % 2}"))
                 emap[a][name] = e
-    C = make_presheaf(ccs.labels, states, {a: tuple(v) for a, v in edges.items()}, src, tgt)
+    C = make_presheaf(ccs.labels, states, arrows)
     f = morphism(C, X, {f"{x}.{i}": x for x in X.states for i in range(2)}, emap)
     assert is_functional_bisimulation(f) is True
     M = parse_term(ccs, C, "bang(par(var(u1.1),var(u2.0)))")

@@ -133,14 +133,8 @@ def test_lift_command(tmp_path, capsys):
     from gsos.presheaf import LabelSet, make_presheaf, morphism
 
     L = LabelSet(("a", "a_bar", "tau"))
-    X = make_presheaf(
-        L,
-        ("u", "v", "w"),
-        {"a": ("d1", "d2")},
-        {"a": {"d1": "u", "d2": "v"}},
-        {"a": {"d1": "w", "d2": "w"}},
-    )
-    Y = make_presheaf(L, ("p", "q"), {"a": ("d",)}, {"a": {"d": "p"}}, {"a": {"d": "q"}})
+    X = make_presheaf(L, ("u", "v", "w"), [("a", "d1", "u", "w"), ("a", "d2", "v", "w")])
+    Y = make_presheaf(L, ("p", "q"), [("a", "d", "p", "q")])
     f = morphism(X, Y, {"u": "p", "v": "p", "w": "q"}, {"a": {"d1": "d", "d2": "d"}})
     fpath = tmp_path / "f.json"
     fpath.write_text(morphism_to_json(f))
@@ -165,14 +159,8 @@ def test_lift_names_the_counterexample_of_a_non_bisimulation(tmp_path, capsys):
         "rule step : premises x1 -[a]-> y1_1 ; conclusion u(x1) -[a]-> u(y1_1) ;\n"
     )
     L = LabelSet(("a", "b"))
-    X = make_presheaf(L, ("v", "w"), {"a": ("d1",)}, {"a": {"d1": "v"}}, {"a": {"d1": "w"}})
-    Y = make_presheaf(
-        L,
-        ("p", "q"),
-        {"a": ("d",), "b": ("g",)},
-        {"a": {"d": "p"}, "b": {"g": "q"}},
-        {"a": {"d": "q"}, "b": {"g": "p"}},
-    )
+    X = make_presheaf(L, ("v", "w"), [("a", "d1", "v", "w")])
+    Y = make_presheaf(L, ("p", "q"), [("a", "d", "p", "q"), ("b", "g", "q", "p")])
     f = morphism(X, Y, {"v": "p", "w": "q"}, {"a": {"d1": "d"}})
     fpath = tmp_path / "f.json"
     fpath.write_text(morphism_to_json(f))
@@ -648,8 +636,23 @@ CCS_LABELS = ["a", "a_bar", "tau"]
             "system.edges.a",
         ),
         ({"labels": CCS_LABELS, "states": ["p)"]}, "'p)'"),
+        ({"labels": CCS_LABELS, "states": ["p"], "edgse": {}}, "system.edgse is not a field"),
+        (
+            {
+                "labels": CCS_LABELS,
+                "states": ["p", "q"],
+                "edges": {"a": [{"id": "e", "src": "p", "tgt": "q", "lable": "a"}]},
+            },
+            "system.edges.a[0].lable is not a field",
+        ),
     ],
-    ids=["no-states", "edges-not-a-list", "id-does-not-read-back"],
+    ids=[
+        "no-states",
+        "edges-not-a-list",
+        "id-does-not-read-back",
+        "unknown-field",
+        "unknown-edge-record-field",
+    ],
 )
 def test_malformed_system_refused_at_the_loader(doc, named, tmp_path, capsys):
     path = tmp_path / "system.json"
@@ -764,7 +767,7 @@ def _system_file(tmp_path, labels):
 
     label = labels[0]
     L = LabelSet(tuple(labels))
-    X = make_presheaf(L, ("p", "q"), {label: ("d",)}, {label: {"d": "p"}}, {label: {"d": "q"}})
+    X = make_presheaf(L, ("p", "q"), [(label, "d", "p", "q")])
     path = tmp_path / "system.json"
     path.write_text(json.dumps(presheaf_doc(X)))
     return str(path)
@@ -775,8 +778,8 @@ def _morphism_file(tmp_path, labels):
 
     label = labels[0]
     L = LabelSet(tuple(labels))
-    X = make_presheaf(L, ("u", "w"), {label: ("d1",)}, {label: {"d1": "u"}}, {label: {"d1": "w"}})
-    Y = make_presheaf(L, ("p", "q"), {label: ("d",)}, {label: {"d": "p"}}, {label: {"d": "q"}})
+    X = make_presheaf(L, ("u", "w"), [(label, "d1", "u", "w")])
+    Y = make_presheaf(L, ("p", "q"), [(label, "d", "p", "q")])
     f = morphism(X, Y, {"u": "p", "w": "q"}, {label: {"d1": "d"}})
     path = tmp_path / "f.json"
     path.write_text(morphism_to_json(f))

@@ -493,3 +493,57 @@ def test_slot_check_flags_constants_and_f_strings():
         "    return f'occ{i}', f'{i}x1', 'x', 'x1y', first, mapping\n"
     )
     assert [s.split()[0] for s in _slot_spellings(tree)] == ["'x1'", "'x0'", "'y0_0'"]
+
+
+def _calls(node: ast.AST, where: str):
+    """(enclosing definition, called name) of each call under node; the
+    definition is dotted from the module, the name is the last part of a
+    dotted callee."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            yield where, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        yield from _calls(child, inner)
+
+
+# make_presheaf and morphism take the arguments of these two and check
+# them, so a record built anywhere else would skip both the checks and
+# the one shape the checked path mirrors.
+RECORD_BUILDERS = ("presheaf._system", "presheaf._map")
+
+
+def _record_constructions(trees: dict) -> list[str]:
+    return sorted(
+        f"{where} calls {name}"
+        for module, tree in trees.items()
+        for where, name in _calls(tree, module)
+        if name in ("Presheaf", "PresheafMorphism") and where not in RECORD_BUILDERS
+    )
+
+
+def test_only_system_and_map_build_records():
+    found = _record_constructions(TREES)
+    assert not found, f"systems or maps built outside {RECORD_BUILDERS}: {found}"
+
+
+def test_record_check_flags_every_other_builder():
+    trees = {
+        "presheaf": ast.parse(
+            "def _system(labels, states, arrows):\n"
+            "    return Presheaf(labels, tuple(states), {}, {}, {})\n"
+            "def make_presheaf(labels, states, arrows):\n"
+            "    return Presheaf(labels, tuple(states), {}, {}, {})\n"
+            "class Presheaf:\n"
+            "    def loop(self):\n"
+            "        return presheaf.PresheafMorphism(self, self, {}, {})\n"
+        ),
+        "cellular": ast.parse("POINT = Presheaf(L, ('*',), {}, {}, {})\n"),
+    }
+    assert _record_constructions(trees) == [
+        "cellular calls Presheaf",
+        "presheaf.Presheaf.loop calls PresheafMorphism",
+        "presheaf.make_presheaf calls Presheaf",
+    ]

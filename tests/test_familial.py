@@ -219,7 +219,7 @@ def test_naturality_in_base_object(ccs):
 
 
 def test_is_generic_cases(ccs, rsync_ambient):
-    two = make_presheaf(ccs.labels, ("u", "v"))
+    two = make_presheaf(ccs.labels, ("u", "v"), ())
     # a variable into a 2-state system: filler not surjective
     assert not is_generic(two, Var("u"))
     # a collapsing filler: two occurrences sent to the same state
@@ -251,8 +251,8 @@ def test_non_generic_has_ambiguous_strong_lifting():
     """Hand-built square with two distinct strong liftings for a non-generic
     element: par(var(u),var(u)) over a 2-state system collapsed to 1 state."""
     L = LabelSet(("a",))
-    two = make_presheaf(L, ("u", "v"))
-    one_pt = make_presheaf(L, ("w",))
+    two = make_presheaf(L, ("u", "v"), ())
+    one_pt = make_presheaf(L, ("w",), ())
     spec_text = """
 labels a ;
 op par : 2 ;

@@ -107,7 +107,7 @@ def old_parse_term(spec, X, text, allow_hole=False):
             return Var(HOLE)
         if X is None:
             raise UnknownState(f"variable {payload!r} in a closed-term position")
-        if payload not in X.state_set():
+        if payload not in X.state_set:
             raise UnknownState(f"{payload!r} is not an ambient state")
         return Var(payload)
     if spec.signature.has(head):
@@ -229,9 +229,7 @@ CCS = load_bundled_spec("ccs")
 ONE = terminal(CCS.labels)
 MULTI = parse_spec(MULTI_VARIABLE_SPEC)
 # Ids with unbalanced square brackets, which read back as payloads.
-BRACKETS = make_presheaf(
-    CCS.labels, ("a[b", "c]"), {"a": ("e]",)}, {"a": {"e]": "a[b"}}, {"a": {"e]": "c]"}}
-)
+BRACKETS = make_presheaf(CCS.labels, ("a[b", "c]"), [("a", "e]", "a[b", "c]")])
 BRACKET_TEXTS = ["par(var(a[b),var(c]))", "lpar[L=a](ax(e]),term(var(c])))", "lpar(ax(e]),term(var(a[b)))"]
 _blanks = st.sampled_from(["", " ", "  ", "\t", "\n"])
 

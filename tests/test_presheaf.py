@@ -28,8 +28,8 @@ from gsos.presheaf import (
     LabelSet,
     LiftingSquare,
     PresheafMorphism,
-    WidePushout,
     _map,
+    _system,
     bang,
     colimit,
     commutes,
@@ -82,26 +82,20 @@ def test_paper_example_builds(paper_lts):
 def test_state_set_is_built_once(paper_lts):
     """The reader asks for the state set at every var(...), so each system
     builds it once."""
-    assert paper_lts.state_set() is paper_lts.state_set()
-    assert paper_lts.state_set() == frozenset(("x", "y", "z"))
+    assert paper_lts.state_set is paper_lts.state_set
+    assert paper_lts.state_set == frozenset(("x", "y", "z"))
 
 
 def test_dangling_edge_rejected():
     with pytest.raises(DanglingEdge):
-        make_presheaf(AB, ("x",), {"a": ("e",)}, {"a": {"e": "x"}}, {"a": {"e": "nowhere"}})
+        make_presheaf(AB, ("x",), [("a", "e", "x", "nowhere")])
 
 
 def test_duplicate_ids_rejected():
     with pytest.raises(DuplicateId):
-        make_presheaf(AB, ("x", "x"))
+        make_presheaf(AB, ("x", "x"), ())
     with pytest.raises(DuplicateId):
-        make_presheaf(
-            AB,
-            ("x",),
-            {"a": ("e",), "b": ("e",)},
-            {"a": {"e": "x"}, "b": {"e": "x"}},
-            {"a": {"e": "x"}, "b": {"e": "x"}},
-        )
+        make_presheaf(AB, ("x",), [("a", "e", "x", "x"), ("b", "e", "x", "x")])
 
 
 def test_star_is_not_a_label():
@@ -126,17 +120,17 @@ def test_representables():
 
 def test_coproduct_of_representables():
     ya, star, yb = representable(AB, "a"), representable(AB, "*"), representable(AB, "b")
-    colim, injs = colimit(coproduct((ya, star, yb)))
+    colim, injs = colimit(*coproduct((ya, star, yb)))
     assert colim.size() == (5, 2)
     assert len(injs) == 3
     # injections jointly surjective and componentwise injective
     hit = {injs[i].state_map[x] for i, p in enumerate((ya, star, yb)) for x in p.states}
-    assert hit == colim.state_set()
+    assert hit == colim.state_set
 
 
 def test_pushout_shares_source():
     sa, sb = source_inclusion(AB, "a"), source_inclusion(AB, "b")
-    colim, (ia, ib) = colimit(WidePushout(sa.dom, (sa, sb)))
+    colim, (ia, ib) = colimit(sa.dom, (sa, sb))
     assert colim.size() == (3, 2)
     ea = ia.edge_maps["a"]["e"]
     eb = ib.edge_maps["b"]["e"]
@@ -148,16 +142,14 @@ def test_pushout_shares_source():
 def test_coproduct_with_initial_is_iso():
     zero = empty_presheaf(AB)
     ya = representable(AB, "a")
-    colim, (i0, i1) = colimit(coproduct((zero, ya)))
+    colim, (i0, i1) = colimit(*coproduct((zero, ya)))
     assert colim.size() == ya.size()
     assert i1.is_iso()
 
 
 def test_colimit_rejects_other_shapes():
     with pytest.raises(ShapeUnsupported):
-        colimit("not a diagram")
-    with pytest.raises(ShapeUnsupported):
-        WidePushout(representable(AB, "*"), ())
+        colimit(representable(AB, "*"), ())
 
 
 def find_lifting(square):
@@ -243,20 +235,8 @@ def _relation_projection_instance():
     system has exactly one a-edge.
     """
     L = LabelSet(("a",))
-    X = make_presheaf(
-        L,
-        ("x", "y", "z"),
-        {"a": ("e1", "e2")},
-        {"a": {"e1": "x", "e2": "z"}},
-        {"a": {"e1": "y", "e2": "y"}},
-    )
-    R = make_presheaf(
-        L,
-        ("(x,z)", "(y,y)"),
-        {"a": ("(e1,e2)",)},
-        {"a": {"(e1,e2)": "(x,z)"}},
-        {"a": {"(e1,e2)": "(y,y)"}},
-    )
+    X = make_presheaf(L, ("x", "y", "z"), [("a", "e1", "x", "y"), ("a", "e2", "z", "y")])
+    R = make_presheaf(L, ("(x,z)", "(y,y)"), [("a", "(e1,e2)", "(x,z)", "(y,y)")])
     p1 = morphism(R, X, {"(x,z)": "x", "(y,y)": "y"}, {"a": {"(e1,e2)": "e1"}})
     return L, X, R, p1
 
@@ -355,7 +335,7 @@ def test_diagonal_projections_are_functional_bisims():
     P, p1, p2 = pullback(identity(X), identity(X))
     # the diagonal sits inside X x X; both projections restricted to it are isos
     diag_states = {f"({x},{x})" for x in X.states}
-    assert diag_states <= P.state_set()
+    assert diag_states <= P.state_set
     assert is_functional_bisimulation(p1) is True
     assert is_functional_bisimulation(p2) is True
 
@@ -378,9 +358,7 @@ def test_functional_bisims_closed_under_composition():
         copies = {y: rng2.randint(1, 2) for y in g.dom.states}
         states = tuple(f"{y}+{i}" for y in g.dom.states for i in range(copies[y]))
         sm = {f"{y}+{i}": y for y in g.dom.states for i in range(copies[y])}
-        edges = {a: [] for a in L}
-        src = {a: {} for a in L}
-        tgt = {a: {} for a in L}
+        arrows = []
         em = {a: {} for a in L}
         for a in L:
             for e in g.dom.edges[a]:
@@ -388,11 +366,9 @@ def test_functional_bisims_closed_under_composition():
                 for i in range(copies[ys]):
                     j = rng2.randrange(copies[yt])
                     name = f"{e}+{i}"
-                    edges[a].append(name)
-                    src[a][name] = f"{ys}+{i}"
-                    tgt[a][name] = f"{yt}+{j}"
+                    arrows.append((a, name, f"{ys}+{i}", f"{yt}+{j}"))
                     em[a][name] = e
-        cover = make_presheaf(L, states, {a: tuple(v) for a, v in edges.items()}, src, tgt)
+        cover = make_presheaf(L, states, arrows)
         f = morphism(cover, g.dom, sm, em)
         assert is_functional_bisimulation(f) is True
         assert is_functional_bisimulation(compose(g, f)) is True
@@ -419,13 +395,11 @@ def test_pullback_refuses_pair_names_that_collide():
     """Ids with a top-level comma can give two pairs one name ``(u,v)``;
     their cells must not merge into one."""
     L = LabelSet(("a",))
-    X = make_presheaf(L, ("a", "a,b"))
-    Y = make_presheaf(L, ("b,c", "c"))
+    X = make_presheaf(L, ("a", "a,b"), ())
+    Y = make_presheaf(L, ("b,c", "c"), ())
     with pytest.raises(DuplicateId):
         pullback(bang(X), bang(Y))  # (a, b,c) and (a,b, c)
-    loops = lambda state, ids: make_presheaf(
-        L, (state,), {"a": ids}, {"a": {e: state for e in ids}}, {"a": {e: state for e in ids}}
-    )
+    loops = lambda state, ids: make_presheaf(L, (state,), [("a", e, state, state) for e in ids])
     with pytest.raises(DuplicateId):
         pullback(bang(loops("x", ("e", "e,f"))), bang(loops("y", ("f,g", "g"))))
 
@@ -443,9 +417,9 @@ def test_pullback_square_degenerate_product_leg_fails():
     present X as the product X x Y because the fiber over (x, y2) is empty.
     """
     L = LabelSet(("a",))
-    X = make_presheaf(L, ("x",))
-    Y = make_presheaf(L, ("y1", "y2"))
-    one = make_presheaf(L, ("*",))
+    X = make_presheaf(L, ("x",), ())
+    Y = make_presheaf(L, ("y1", "y2"), ())
+    one = make_presheaf(L, ("*",), ())
     to_one_x = morphism(X, one, {"x": "*"})
     to_one_y = morphism(Y, one, {"y1": "*", "y2": "*"})
     pick = morphism(X, Y, {"x": "y1"})
@@ -463,13 +437,13 @@ def test_colimit_injection_commutations_random():
     for i in range(3):
         P = random_presheaf(rng, L, max_states=3)
         legs.append(morphism(apex, P, {"*": rng.choice(P.states)}))
-    colim, injs = colimit(WidePushout(apex, tuple(legs)))
+    colim, injs = colimit(apex, tuple(legs))
     first = compose(injs[0], legs[0])
     for leg, inj in zip(legs, injs):
         assert compose(inj, leg) == first
     # injections are jointly surjective
     hit_states = {inj.state_map[x] for inj in injs for x in inj.dom.states}
-    assert hit_states == colim.state_set()
+    assert hit_states == colim.state_set
     for a in L:
         hit = {inj.edge_maps[a][e] for inj in injs for e in inj.dom.edges[a]}
         assert hit == set(colim.edges[a])
@@ -494,9 +468,7 @@ def test_dot_export(paper_lts):
 
 
 def test_dot_export_escapes_quotes_and_backslashes():
-    X = make_presheaf(
-        AB, ('p"q', "r"), {"a": ("e\\1",)}, {"a": {"e\\1": 'p"q'}}, {"a": {"e\\1": "r"}}
-    )
+    X = make_presheaf(AB, ('p"q', "r"), [("a", "e\\1", 'p"q', "r")])
     assert presheaf_to_dot(X) == (
         'digraph lts {\n'
         '  "p\\"q";\n'
@@ -526,7 +498,7 @@ def test_loader_accepts_exactly_the_ids_that_read_back(ccs, ident):
     try:
         X = presheaf_from_json(json.dumps(doc))
     except MalformedSystem:
-        X = make_presheaf(ccs.labels, [ident], {"a": [ident]}, {"a": {ident: ident}}, {"a": {ident: ident}})
+        X = make_presheaf(ccs.labels, [ident], [("a", ident, ident, ident)])
         for parse, leaf in ((parse_term, Var(ident)), (parse_proof, Axiom(ident, "a"))):
             try:
                 assert parse(ccs, X, render(leaf)) != leaf
@@ -569,12 +541,21 @@ def _loop_map_doc() -> dict:
         (["states"], "ghost", "y", MalformedSystem, "morphism.states maps 'ghost'"),
         (["edges", "a"], "zzz", "d", MalformedSystem, "morphism.edges.a maps 'zzz'"),
         (["edges"], "nolabel", {}, UnknownLabel, "'nolabel'"),
+        (["dom", "edges"], "zz", [], UnknownLabel, "'zz'"),
+        ([], "edgemaps", {}, MalformedSystem, r"morphism\.edgemaps is not a field"),
     ],
-    ids=["state-not-in-dom", "edge-not-in-dom", "label-not-declared"],
+    ids=[
+        "state-not-in-dom",
+        "edge-not-in-dom",
+        "label-not-declared",
+        "empty-edges-of-undeclared-label",
+        "unknown-field",
+    ],
 )
 def test_morphism_loader_refuses_stray_entries(path, key, value, error, named):
-    """An entry for a cell or a label that dom lacks is refused, not kept
-    in the map or dropped; the document without it loads."""
+    """An entry the document has no place for (a cell or a label that dom
+    lacks, or a field no loader knows) is refused, not kept in the map or
+    dropped; the document without it loads."""
     doc = _loop_map_doc()
     assert morphism_from_json(json.dumps(doc)).state_map == {"x": "y"}
     mapping = doc
@@ -585,14 +566,62 @@ def test_morphism_loader_refuses_stray_entries(path, key, value, error, named):
         morphism_from_json(json.dumps(doc))
 
 
+def test_morphism_loader_reads_cod_over_the_labels_of_dom():
+    """A morphism file may list the labels in any order: when dom and cod
+    list the same ones, cod is read over dom's label set."""
+    doc = _loop_map_doc()
+    doc["dom"]["labels"], doc["cod"]["labels"] = ["a", "a_bar", "tau"], ["tau", "a", "a_bar"]
+    f = morphism_from_json(json.dumps(doc))
+    assert f.cod.labels is f.dom.labels
+    assert f.edge_maps["a"] == {"e": "d"}
+    doc["cod"]["labels"].append("b")
+    with pytest.raises(UnknownLabel):
+        morphism_from_json(json.dumps(doc))
+
+
+# Each fault of an arrow list and the kind that refuses it.
+FAULTS = {
+    "repeated-state": DuplicateId,
+    "edge-repeated-at-a-label": DuplicateId,
+    "edge-repeated-across-labels": DuplicateId,
+    "undeclared-label": UnknownLabel,
+    "endpoint-not-a-state": DanglingEdge,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([None, *FAULTS]))
+def test_make_presheaf_checks_what_system_trusts(seed, fault):
+    """Over the arrows of a random system, make_presheaf builds what
+    _system builds, and refuses each injected fault with its own kind."""
+    rng = random.Random(seed)
+    X = random_presheaf(rng, AB)
+    states, arrows = list(X.states), _arrows(X)
+    if fault is None:
+        built = make_presheaf(AB, states, arrows)
+        assert built == _system(AB, states, arrows) and built.edges == X.edges
+        return
+    a, e, s, t = rng.choice(arrows)
+    if fault == "repeated-state":
+        states.insert(rng.randrange(len(states) + 1), s)
+    else:
+        bad = {
+            "edge-repeated-at-a-label": (a, e, t, s),
+            "edge-repeated-across-labels": ("b" if a == "a" else "a", e, s, t),
+            "undeclared-label": ("c", "fresh", s, t),
+            "endpoint-not-a-state": (a, "fresh", s, "nowhere"),
+        }[fault]
+        arrows.insert(rng.randrange(len(arrows) + 1), bad)
+    with pytest.raises(FAULTS[fault]):
+        make_presheaf(AB, states, arrows)
+
+
+def _arrows(X):
+    return [(a, e, X.src[a][e], X.tgt[a][e]) for a, e in X.all_edges()]
+
+
 def _rebuilt(X):
-    return make_presheaf(
-        X.labels,
-        X.states,
-        {a: X.edges[a] for a in X.labels},
-        {a: dict(X.src[a]) for a in X.labels},
-        {a: dict(X.tgt[a]) for a in X.labels},
-    )
+    return make_presheaf(X.labels, X.states, _arrows(X))
 
 
 def _rebuilt_morphism(f):
@@ -675,8 +704,8 @@ def test_internal_builders_pass_the_checked_constructors(ccs, seed, d):
         k = find_lifting(square)
         if k is not None:
             _assert_rebuilds(k)
-    C, injections = colimit(coproduct((X, Y)))
-    P, legs = colimit(WidePushout(X, (u, v)))
+    C, injections = colimit(*coproduct((X, Y)))
+    P, legs = colimit(X, (u, v))
     _assert_rebuilds(C, *injections, P, *legs, compose(legs[0], u))
     _assert_rebuilds(*pullback(u, u), *pullback(f, f), *pullback(bang(X), bang(Y)))
     _assert_rebuilds(*all_morphisms(X, one))
@@ -726,12 +755,13 @@ def test_cli_runs_build_only_checkable_systems_and_maps(monkeypatch, capsys):
     unchecked_system, unchecked_map = presheaf._system, presheaf._map
 
     def checked_system(labels, states, arrows):
+        states, arrows = tuple(states), tuple(arrows)
         X = unchecked_system(labels, states, arrows)
         # make_presheaf builds through _system as well: the rebuild runs
         # with the original bound, or each check would start another
         with monkeypatch.context() as rebuild:
             rebuild.setattr(presheaf, "_system", unchecked_system)
-            assert _rebuilt(X) == X
+            assert make_presheaf(labels, states, arrows) == X
         built["systems"] += 1
         return X
 

@@ -26,14 +26,8 @@ def _collapse_file(path: Path) -> str:
     """The --fbisim map of the README's lift line: u and v collapse onto p,
     and their a-edges onto p's one a-edge d."""
     L = LabelSet(("a", "a_bar", "tau"))
-    X = make_presheaf(
-        L,
-        ("u", "v", "w"),
-        {"a": ("d1", "d2")},
-        {"a": {"d1": "u", "d2": "v"}},
-        {"a": {"d1": "w", "d2": "w"}},
-    )
-    Y = make_presheaf(L, ("p", "q"), {"a": ("d",)}, {"a": {"d": "p"}}, {"a": {"d": "q"}})
+    X = make_presheaf(L, ("u", "v", "w"), [("a", "d1", "u", "w"), ("a", "d2", "v", "w")])
+    Y = make_presheaf(L, ("p", "q"), [("a", "d", "p", "q")])
     f = morphism(X, Y, {"u": "p", "v": "p", "w": "q"}, {"a": {"d1": "d", "d2": "d"}})
     path.write_text(morphism_to_json(f))
     return str(path)

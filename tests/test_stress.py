@@ -43,9 +43,7 @@ def tri_ambient(tri):
     return make_presheaf(
         tri.labels,
         ("p", "q", "r", "s1", "s2"),
-        {"a": ("ea1", "ea3"), "b": ("eb3",)},
-        {"a": {"ea1": "p", "ea3": "r"}, "b": {"eb3": "r"}},
-        {"a": {"ea1": "q", "ea3": "s1"}, "b": {"eb3": "s2"}},
+        [("a", "ea1", "p", "q"), ("a", "ea3", "r", "s1"), ("b", "eb3", "r", "s2")],
     )
 
 
@@ -97,15 +95,13 @@ def test_tri_preservation_through_covering(tri, tri_ambient):
     X = make_presheaf(
         tri.labels,
         ("p", "q", "r0", "r1", "s1", "s2"),
-        {"a": ("ea1", "ea3.0", "ea3.1"), "b": ("eb3.0", "eb3.1")},
-        {
-            "a": {"ea1": "p", "ea3.0": "r0", "ea3.1": "r1"},
-            "b": {"eb3.0": "r0", "eb3.1": "r1"},
-        },
-        {
-            "a": {"ea1": "q", "ea3.0": "s1", "ea3.1": "s1"},
-            "b": {"eb3.0": "s2", "eb3.1": "s2"},
-        },
+        [
+            ("a", "ea1", "p", "q"),
+            ("a", "ea3.0", "r0", "s1"),
+            ("a", "ea3.1", "r1", "s1"),
+            ("b", "eb3.0", "r0", "s2"),
+            ("b", "eb3.1", "r1", "s2"),
+        ],
     )
     f = morphism(
         X,

@@ -201,8 +201,8 @@ def test_one_step_agrees_with_truncation_edges(ccs):
 
 def test_T_on_morphism_identity_and_collapse(ccs):
     L = ccs.labels
-    X = make_presheaf(L, ("u", "v"))
-    Y = make_presheaf(L, ("w",))
+    X = make_presheaf(L, ("u", "v"), ())
+    Y = make_presheaf(L, ("w",), ())
     f = morphism(X, Y, {"u": "w", "v": "w"})
     Tf = T_on_morphism(ccs, f, 1)
     assert Tf.state_map["var(u)"] == "var(w)" == Tf.state_map["var(v)"]
@@ -372,9 +372,7 @@ def test_parse_render_round_trip_random(ccs):
         assert parse(multi, X, texts[-1]) == elem
     assert any("(base[P=" in t for t in texts)
     # payload ids with unbalanced brackets
-    X = make_presheaf(
-        ccs.labels, ("a[b", "c]"), {"a": ("e]",)}, {"a": {"e]": "a[b"}}, {"a": {"e]": "c]"}}
-    )
+    X = make_presheaf(ccs.labels, ("a[b", "c]"), [("a", "e]", "a[b", "c]")])
     for text in ("par(var(a[b),var(c]))", "lpar[L=a](ax(e]),term(var(c])))"):
         parse = parse_term if text.startswith("par") else parse_proof
         assert render(parse(ccs, X, text)) == text
@@ -419,7 +417,7 @@ def test_truncated_free_well_formed(ccs):
 
 @pytest.mark.parametrize("window", [truncated_free, truncated_free_squared])
 def test_window_refuses_a_system_missing_spec_labels(ccs, window):
-    X = make_presheaf(LabelSet(("a",)), ("x",))
+    X = make_presheaf(LabelSet(("a",)), ("x",), ())
     with pytest.raises(UnknownLabel, match="a_bar"):
         window(ccs, X, 1)
 
@@ -669,7 +667,7 @@ def _closed_terms_and_successors(spec, terms, drop):
 def test_closed_derive_pairs_match_proof_target_oracle(ccs, drop, seed):
     rng = random.Random(seed)
     seeds = [random_term(ccs, rng, (), rng.randint(0, 4)) for _ in range(3)]
-    closed = make_presheaf(ccs.labels, ())
+    closed = make_presheaf(ccs.labels, (), ())
     terms = _closed_terms_and_successors(ccs, seeds, drop)
     _assert_pairs_match_oracle(ccs, closed, terms, None, None, drop)
 
@@ -679,7 +677,7 @@ def test_closed_derive_pairs_match_oracle_on_every_small_term(ccs, drop):
     """Every closed term of height <= 3, so that each rule and each premise
     shortcut of the mutated engine is exercised, and the terms that tell
     rsync's two premise targets apart."""
-    closed = make_presheaf(ccs.labels, ())
+    closed = make_presheaf(ccs.labels, (), ())
     terms = _closed_terms_and_successors(ccs, terms_upto(ccs, (), 3) + _rsync_apart(ccs), drop)
     _assert_pairs_match_oracle(ccs, closed, terms, None, None, drop)
 
@@ -857,7 +855,7 @@ def test_rule_engine_oracle_catches_swapped_premise_slots(ccs, monkeypatch):
     levels = _closed_start_levels(ccs, range(32), _rsync_apart(ccs))
     bad, _ = _closed_steps_mismatches(ccs, levels, False)
     assert len(bad) >= len(_rsync_apart(ccs))
-    closed = make_presheaf(ccs.labels, ())
+    closed = make_presheaf(ccs.labels, (), ())
     with pytest.raises(AssertionError):
         _assert_pairs_match_oracle(ccs, closed, _rsync_apart(ccs), None, None, False)
     assert _instance_mismatches(ccs, range(32), False)[0]
@@ -915,7 +913,7 @@ def _used_rule_ref(text):
     decompose with it, and return a weak reference to its rsync rule."""
     spec = parse_spec(text)
     t = parse_term(spec, None, "bang(sum(pref_a_bar(nil),pref_a(pref_a(nil))))")
-    closed = make_presheaf(spec.labels, ())
+    closed = make_presheaf(spec.labels, (), ())
     for p, n in derive(spec, t):
         assert proof_target(closed, p) == n
         decompose(closed, p)
