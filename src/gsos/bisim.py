@@ -11,18 +11,17 @@ states are separated at stratum n+1 iff their sets of (label, block at
 stratum n of target) differ, until stratum k or a stable stratum.
 Matching is existential, so parallel edges never change an answer:
 fragments that are only refined keep one edge per distinct (label, target)
-step, built without proofs by ``terms.steps``.  One breadth-first walk,
-:func:`_bfs`, lists the states and the frontier of every fragment.  The
-congruence check builds and refines one fragment per pair, reachable from
-all of its composites, and the same walk over that fragment's out-edges
+step, over the ids of one ``terms.Arena`` per run.  One breadth-first
+walk, :func:`_bfs`, lists the states and the frontier of every fragment.
+The congruence check builds and refines one fragment per pair, reachable
+from all of its composites, and the same walk over the arena's steps
 gives each case its size and frontier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import FuelTooSmall, UnknownState
 from .presheaf import (
@@ -35,14 +34,13 @@ from .presheaf import (
 )
 from .terms import (
     HOLE,
-    App,
+    Arena,
     Term,
     Var,
     _apps,
     _strata,
     derive,
     render,
-    steps,
     term_vars,
 )
 
@@ -63,29 +61,26 @@ class Fragment:
         return not self.frontier
 
 
-def reachable_fragment(spec, seeds: Sequence[Term], fuel: int, successors: Callable) -> Fragment:
-    """Breadth-first closure of the seeds, up to fuel steps.
+def reachable_fragment(spec, seeds: Sequence, fuel: int, successors: Callable, text=render):
+    """Breadth-first closure of closed seeds, up to fuel steps.
 
     ``successors(m)`` lists the (label, edge id, target) steps out of m:
-    :func:`proof_successors` for ``gsos lts``, which names each edge by its
-    proof, or :func:`lean_successors`, with one steps memo and generated ids.
-    Both give the same targets in the same order, so the states and the
-    frontier do not depend on the choice.  Targets of closed terms are
-    closed, so checking the seeds is enough, and two closed terms are equal
-    exactly when they render alike, so the walk's terms give the states.
-    """
-    if any(term_vars(t) for t in seeds):
-        raise UnknownState("fragment seeds must be closed terms")
+    :func:`proof_successors` over terms parsed as closed, for ``gsos lts``,
+    which names each edge by its proof, or ``Arena.arrows`` over an arena's
+    ids, with ``text=arena.text``; the parser and ``Arena.intern`` refuse a
+    variable.  Both give the same targets in the same order, so the states
+    and the frontier do not depend on the choice, and two closed terms are
+    equal exactly when their texts are, so the states are texts."""
     arrows = []
 
-    def expand(m: Term) -> list[Term]:
-        out, mk = successors(m), render(m)
-        arrows.extend([(a, e, mk, render(n)) for a, e, n in out])
+    def expand(m) -> list:
+        out, mk = successors(m), text(m)
+        arrows.extend([(a, e, mk, text(n)) for a, e, n in out])
         return [n for _, _, n in out]
 
     reached, frontier = _bfs(seeds, fuel, expand)
-    carrier = _system(spec.labels, [render(t) for t in reached], arrows)
-    return Fragment(carrier, frozenset(render(t) for t in frontier))
+    carrier = _system(spec.labels, [text(t) for t in reached], arrows)
+    return Fragment(carrier, frozenset(text(t) for t in frontier))
 
 
 def _bfs(roots: Iterable, fuel: int, successors: Callable) -> tuple[list, list]:
@@ -113,15 +108,6 @@ def proof_successors(spec) -> Callable:
     memo: dict = {}
     return lambda m: [
         (p.label, render(p), n) for p, n in derive(spec, m, None, _memo=memo)
-    ]
-
-
-def lean_successors(spec, drop_last_premise: bool) -> Callable:
-    """One edge per distinct (label, target) step, with ids 0, 1, ..., and
-    one object per distinct target, over one steps memo of its own."""
-    ids, memo, canon = count(), {}, {}
-    return lambda m: [
-        (a, str(next(ids)), n) for a, n in steps(spec, m, drop_last_premise, memo, canon)
     ]
 
 
@@ -252,14 +238,14 @@ def congruence_test(
     """Do all contexts preserve stratum-k equivalence of all pairs?
 
     Each pair refines once the fragment reachable from the composites of
-    all contexts, with one steps memo.  As fuel >= k, every state within
-    k - 1 steps of a case's roots is expanded there, so their blocks at
-    stratum k decide the case.  Every state within fuel - 1 steps of them
-    is expanded there too, so :func:`_bfs`, the walk that builds every
-    fragment, run from the roots over that fragment's out-edges with the
-    same fuel, gives the case's ``states`` and ``definitive`` as its own
-    fragment would.  Violations are the cases where the composites are not
-    k-equivalent.
+    all contexts, over one arena.  As fuel >= k, every state within k - 1
+    steps of a case's roots is expanded there, so their blocks at stratum k
+    decide the case.  Every state within fuel - 1 steps of them is expanded
+    there too, so :func:`_bfs`, the walk that builds every fragment, run
+    from the roots over the arena's memoised steps with the same fuel,
+    gives the case's ``states`` and ``definitive`` as its own fragment
+    would.  Violations are the cases where the composites are not
+    k-equivalent.  A context variable other than its hole is refused.
     """
     require_fuel(fuel, k)
     for c in contexts:
@@ -268,16 +254,16 @@ def congruence_test(
     cases = []
     violations = []
     for u, v in pairs:
-        successors = lean_successors(spec, drop_last_premise)
-        composites = [(c, _plug(c, u), _plug(c, v)) for c in contexts]
-        roots = [t for _, cu, cv in composites for t in (cu, cv)]
-        X = reachable_fragment(spec, roots, fuel, successors).carrier
+        arena = Arena(spec, drop_last_premise)
+        iu, iv = arena.intern(u), arena.intern(v)
+        composites = [(c, arena.intern(c, iu), arena.intern(c, iv)) for c in contexts]
+        roots = [i for _, cu, cv in composites for i in (cu, cv)]
+        X = reachable_fragment(spec, roots, fuel, arena.arrows, arena.text).carrier
         block = stratified_partition(X, k)[-1]
-        after = lambda x: [X.tgt[a][e] for a in X.labels for e in X.out_edges(x, a)]
+        after = lambda i: [n for _, n in arena.steps(i)]
         for c, cu, cv in composites:
-            ku, kv = render(cu), render(cv)
-            states, frontier = _bfs((ku, kv), fuel, after)
-            ok = block[ku] == block[kv]
+            states, frontier = _bfs((cu, cv), fuel, after)
+            ok = block[arena.text(cu)] == block[arena.text(cv)]
             record = {
                 "pair": [render(u), render(v)],
                 "context": render(c),
@@ -299,15 +285,3 @@ def congruence_test(
         "ok": not violations,
     }
 
-
-def _plug(c: Term, u: Term) -> Optional[Term]:
-    """c with u in its hole, None if c has no hole.  Only the nodes above
-    the hole are new: every other subterm is c's own, so the composites of
-    one pair share them, and memo lookups and renderings hit by identity."""
-    if isinstance(c, Var):
-        return u if c.name == HOLE else None
-    for i, a in enumerate(c.args):
-        t = _plug(a, u)
-        if t is not None:
-            return App(c.op, (*c.args[:i], t, *c.args[i + 1 :]))
-    return None

@@ -44,6 +44,7 @@ from .presheaf import (
 from .specdsl import GsosSpec, parse_spec
 from .terms import (
     App,
+    Arena,
     T_on_element,
     Var,
     ambient_axioms,
@@ -145,19 +146,20 @@ def cmd_bisim(args) -> int:
     t1 = parse_term(spec, None, args.t1)
     t2 = parse_term(spec, None, args.t2)
     bisim_mod.require_fuel(args.fuel, args.stratum)
-    successors = bisim_mod.lean_successors(spec, False)
-    frag = bisim_mod.reachable_fragment(spec, [t1, t2], args.fuel, successors)
+    arena = Arena(spec)
+    i1, i2 = arena.intern(t1), arena.intern(t2)
+    frag = bisim_mod.reachable_fragment(spec, [i1, i2], args.fuel, arena.arrows, arena.text)
     part = bisim_mod.stratified_partition(frag.carrier, args.stratum)[-1]
     blocks: dict[int, list[str]] = {}
     for x, b in part.items():
         blocks.setdefault(b, []).append(x)
     _emit(
         {
-            "t1": render(t1),
-            "t2": render(t2),
+            "t1": arena.text(i1),
+            "t2": arena.text(i2),
             "k": args.stratum,
             "fuel": args.fuel,
-            "bisimilar": part[render(t1)] == part[render(t2)],
+            "bisimilar": part[arena.text(i1)] == part[arena.text(i2)],
             "definitive": frag.definitive,
             "states": len(frag.carrier.states),
             "blocks": sorted(sorted(b) for b in blocks.values()),

@@ -31,7 +31,6 @@ import re
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import product
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import SpecParseError, UnknownOperation
@@ -81,12 +80,12 @@ class Signature:
 class Plan(NamedTuple):
     """A rule's target compiled against its slots: the arguments x1..xn of
     an instance's source, then its premise targets y{i}_{j} in premise
-    order.  ``fill(values)`` builds the target's instance, ``slots`` gives
-    the slot of each variable occurrence of the target in leaf order, and
-    ``premises`` lists the premises in slot order as (argument index,
-    label) pairs."""
+    order.  ``fill(values, mk)`` builds the target's instance, each
+    operation node as ``mk(op, args)``; ``slots`` gives the slot of each
+    variable occurrence of the target in leaf order, and ``premises`` lists
+    the premises in slot order as (argument index, label) pairs."""
 
-    fill: Callable[[Sequence[Term]], Term]
+    fill: Callable[[Sequence, Callable], object]
     slots: tuple[int, ...]
     premises: tuple[tuple[int, str], ...]
 
@@ -133,15 +132,14 @@ class Rule:
 
 
 def _compile_target(t: Term, slot: dict[str, int]) -> Callable:
-    """A function of the slot values that builds t's instance: a variable
-    reads its slot, a closed subterm is returned as it is, and an operation
-    node is rebuilt around its arguments' instances."""
+    """A function of the slot values and a node builder that builds t's
+    instance: a variable reads its slot, and an operation node is built by
+    ``mk`` around its arguments' instances."""
     if isinstance(t, Var):
-        return itemgetter(slot[t.name])
-    if not term_vars(t):
-        return lambda _vals: t
+        k = slot[t.name]
+        return lambda vals, _mk: vals[k]
     op, parts = t.op, [_compile_target(a, slot) for a in t.args]
-    return lambda vals: App(op, tuple([part(vals) for part in parts]))
+    return lambda vals, mk: mk(op, tuple([part(vals, mk) for part in parts]))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ extension of the free monad), rebuilds an element leaf by leaf: mu, T(f),
 the map to 1, map_leaves and familial.recompose each call it once.  The
 rule instances out of a term are one product per rule over its premises'
 choices, in the slot order of the rule's plan (``specdsl.Rule.plan``, made
-once per rule); derive, steps and proof_target fill the plan to build an
-instance's target, and familial's walk reads its slot list.  Text is
-parsed only when it comes from outside the program, and checked once, by
+once per rule); derive, :class:`Arena` and proof_target fill the plan to
+build an instance's target, and familial's walk reads its slot list.  Text
+is parsed only when it comes from outside the program, and checked once, by
 the parser: every state, edge, operation, rule and premise is checked as
 it is read, so a parsed element is well formed over its system and the
 code inside trusts it.  The parser is one left-to-right reader: it reads
@@ -37,8 +37,8 @@ fields.  Both caches are filled lazily, not at construction: most nodes of
 a window are built, tested and dropped, and are hashed or rendered at most
 once, so an eager cache would cost time on every node and save it on few.
 Equal nodes need not be the same object (there is no intern table);
-equality tries identity first, then tells two nodes apart by their cached
-hashes when both are known, then compares fields.
+equality tries identity first, then compares fields.  ``bisim`` and
+``congruence`` hold closed terms as the integer ids of an :class:`Arena`.
 
 A proof is as deep as its source is high: each rule node sits over one
 operation of its source, and the premises of argument i are proofs out of
@@ -103,9 +103,6 @@ class _Syntax:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        h, g = self._hash, other._hash
-        if h is not None and g is not None and h != g:
-            return False
         return self._key() == other._key()
 
     def __hash__(self) -> int:
@@ -328,7 +325,7 @@ def proof_target(X: Presheaf, p: Proof) -> Term:
         e = p.edge
         return Var(X.tgt[p.label][e] if isinstance(e, str) else proof_target(X, e))
     ys = [proof_target(X, r) for arg in p.args if isinstance(arg, tuple) for r in arg]
-    return p.rule.plan.fill((*proof_source(X, p).args, *ys))
+    return p.rule.plan.fill((*proof_source(X, p).args, *ys), App)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +531,7 @@ def _derive(spec, t: Term, axioms_of, memo: dict):
     premises = lambda u, want: [
         r for r in _derive(spec, u, axioms_of, memo) if r[0].label == want
     ]
-    for rule, choice, n in _rule_instances(spec, t, premises, False):
+    for rule, choice, n in _rule_instances(spec, t.op, t.args, premises, App):
         proofs, k, args = [r for r, _ in choice], 0, []
         for a, m in zip(t.args, rule.premise_counts):
             args.append(tuple(proofs[k : k + m]) if m else a)
@@ -544,78 +541,97 @@ def _derive(spec, t: Term, axioms_of, memo: dict):
     return memo[t]
 
 
-def steps(spec: "GsosSpec", t: Term, drop_last_premise: bool, memo: dict, canon: dict) -> tuple:
-    """The distinct (label, target) successors of a closed term, in the
-    order of their first occurrence in :func:`derive`'s output.
-
-    A rule instance's target depends on the premises' (label, target) pairs
-    only, so no proof is built.  ``memo`` maps terms to their steps, also
-    grouped by label for premise lookups, for one value of
-    ``drop_last_premise``; the caller picks its scope.  ``canon`` keeps one
-    object per distinct target, so each is rendered and hashed once.
-    ``drop_last_premise`` switches on the deliberately broken engine of the
-    congruence test's negative control: the last premise of a rule with at
-    least two is not derived but matched one level deep against axiom-shaped
-    unary rules.
+def _rule_instances(spec, op: str, args: tuple, premises: Callable, mk: Callable, shortcut=None):
+    """Every rule instance with source ``op(args)`` as ``(rule, choice,
+    target)``, in derive's order; ``premises(u, a)`` lists the (premise,
+    target) pairs with label a out of the argument u, but ``shortcut(u, a)``
+    the last premise of a rule with at least two, if given.  ``choice``
+    holds one chosen pair per premise, in slot order, and the rule's plan
+    fills in the target, each operation node built by ``mk``.
     """
-    return _steps(spec, t, drop_last_premise, memo, canon)[0]
-
-
-def _steps(spec, t: Term, drop_last_premise: bool, memo: dict, canon: dict) -> tuple:
-    """The memo entry of t: its steps, and its steps grouped by label."""
-    known = memo.get(t)
-    if known is not None:
-        return known
-    premises = lambda u, want: _steps(spec, u, drop_last_premise, memo, canon)[1].get(want, ())
-    instances = _rule_instances(spec, t, premises, drop_last_premise)
-    out = {(rule.label, canon.setdefault(n, n)): None for rule, _, n in instances}
-    by_label: dict[str, list] = {}
-    for s in out:
-        by_label.setdefault(s[0], []).append(s)
-    memo[t] = (tuple(out), by_label)
-    return memo[t]
-
-
-def _rule_instances(spec, t: App, premises: Callable, drop_last_premise: bool):
-    """Every rule instance with source ``t`` as ``(rule, choice, target)``,
-    in derive's order; ``premises(u, a)`` lists the (premise, target) pairs
-    with label a out of u.  ``choice`` holds one chosen pair per premise of
-    the rule, in slot order, and the target is filled in by the rule's plan.
-    """
-    if not spec.signature.has(t.op):
-        raise UnknownOperation(f"unknown operation {t.op!r}")
-    for rule in spec.rules_by_op.get(t.op, ()):
+    if not spec.signature.has(op):
+        raise UnknownOperation(f"unknown operation {op!r}")
+    for rule in spec.rules_by_op.get(op, ()):
         fill, _, wanted = rule.plan
-        cut = len(wanted) - 1 if drop_last_premise and len(wanted) >= 2 else None
+        cut = len(wanted) - 1 if shortcut is not None and len(wanted) >= 2 else None
         choices: list[list] = []
         for k, (i, a) in enumerate(wanted):
-            u = t.args[i]
-            choices.append(_shortcut_premise(spec, u, a) if k == cut else premises(u, a))
+            u = args[i]
+            choices.append(shortcut(u, a) if k == cut else premises(u, a))
             if not choices[-1]:
                 break
         else:
             for choice in product(*choices):
-                yield rule, choice, fill((*t.args, *[n for _, n in choice]))
+                yield rule, choice, fill((*args, *[n for _, n in choice]), mk)
 
 
-def _shortcut_premise(spec, arg: Term, want_label: str) -> list[tuple[Proof, Term]]:
-    """Buggy premise handling: match one syntactic level instead of deriving.
+class Arena:
+    """Closed terms as dense integer ids, with their steps, for one run.
 
-    The matched rules' targets are their first argument (a bare variable
-    that reads slot 0), so each proof's target is the operand.
+    ``mk(op, arg_ids)`` gives each (operation, argument ids) pair one id, so
+    equal terms are one integer.  ``steps(i)``, memoised per id, lists the
+    distinct (label, target id) steps of i in derive's order, by derive's
+    loop with ``mk`` building the targets and no proof built, and
+    ``text(i)`` renders i once.  ``drop_last_premise`` switches on the
+    broken engine of the congruence test's negative control (:meth:`_shortcut`).
     """
-    if not isinstance(arg, App) or len(arg.args) != 1:
-        return []
-    out = []
-    for rule in spec.rules_by_op.get(arg.op, ()):
-        if (
-            rule.label == want_label
-            and not rule.plan.premises
-            and isinstance(rule.target, Var)
-            and rule.plan.slots == (0,)
-        ):
-            out.append((Node(rule, (arg.args[0],)), arg.args[0]))
-    return out
+
+    def __init__(self, spec: "GsosSpec", drop_last_premise: bool = False):
+        self.spec, self.mutated = spec, drop_last_premise
+        self.nodes, self.ids, self.memo, self.by_label, self.texts = [], {}, {}, {}, {}
+
+    def mk(self, op: str, args: tuple[int, ...]) -> int:
+        i = self.ids.setdefault((op, args), len(self.nodes))
+        if i == len(self.nodes):
+            self.nodes.append((op, args))
+        return i
+
+    def intern(self, t: Term, hole: Optional[int] = None) -> int:
+        """The id of a closed term, or of a one-hole context with the id
+        ``hole`` in its hole; every other variable is refused."""
+        if isinstance(t, Var):
+            if hole is None or t.name != HOLE:
+                raise UnknownState(f"{render(t)} in a closed-term position")
+            return hole
+        return self.mk(t.op, tuple([self.intern(a, hole) for a in t.args]))
+
+    def text(self, i: int) -> str:
+        if i not in self.texts:
+            op, args = self.nodes[i]
+            self.texts[i] = f"{op}({','.join(map(self.text, args))})" if args else op
+        return self.texts[i]
+
+    def steps(self, i: int) -> tuple[tuple[str, int], ...]:
+        known = self.memo.get(i)
+        if known is not None:
+            return known
+        shortcut = self._shortcut if self.mutated else None
+        instances = _rule_instances(self.spec, *self.nodes[i], self._premises, self.mk, shortcut)
+        known = self.memo[i] = tuple({(rule.label, n): None for rule, _, n in instances})
+        by_label = self.by_label[i] = {}
+        for s in known:
+            by_label.setdefault(s[0], []).append(s)
+        return known
+
+    def arrows(self, i: int) -> list[tuple[str, str, int]]:
+        """i's steps as (label, edge id, target), each edge named uniquely."""
+        return [(a, f"{i}.{k}", n) for k, (a, n) in enumerate(self.steps(i))]
+
+    def _premises(self, u: int, want: str):
+        self.steps(u)
+        return self.by_label[u].get(want, ())
+
+    def _shortcut(self, u: int, want: str) -> list[tuple[str, int]]:
+        """The broken premise: a unary u steps to its operand by each
+        premise-less rule of its operation with label ``want`` and target x1."""
+        op, args = self.nodes[u]
+        if len(args) != 1:
+            return []
+        return [
+            (want, args[0])
+            for rule in self.spec.rules_by_op.get(op, ())
+            if rule.label == want and not rule.plan.premises and isinstance(rule.target, Var)
+        ]
 
 
 def ambient_axioms(X: Presheaf) -> Callable[[str, str], list[tuple[str, str]]]:

@@ -7,7 +7,8 @@ lifts through the flattening.  The plain constructions below build them,
 as oracles and as inputs for the tests of more than one module.  So are a
 rule looked up by its name, a term shape's source arity counted off the
 term, and derive as it was, which still takes the switch to the
-premise-shortcut engine (the program runs that engine only in ``steps``).
+premise-shortcut engine (the program runs that engine only in its
+``terms.Arena``).
 So are the empty system and coproducts (the program glues only wide
 pushouts), and the depth of a one-layer element measured afresh (the
 program never measures a proof: it is as deep as its source is high).
@@ -31,12 +32,21 @@ once (``specdsl.Rule.plan``), and ``substitute`` and ``rule_binding`` are
 gone from it.  The copies here, and the premise shortcut copied as
 ``_old_shortcut_premise``, read the rule's target and its variable names,
 never its plan, so they check the plan rather than repeat it.
+
+The closed-term engine that ``bisim`` and ``congruence`` ran before one
+``terms.Arena`` of integer ids replaced it is kept last, as the arena's
+oracle: ``term_steps`` keyed closed terms as ``App`` trees in a memo, with
+a ``canon`` table that kept one object per distinct target;
+``lean_successors`` gave its steps generated edge ids; and ``plug`` put a
+term in a context's hole, sharing the context's other subterms.  It runs
+the program's rule-instance loop over terms, with ``App`` building the
+targets and ``_old_shortcut_premise`` as the mutated engine's premise.
 """
 
-from itertools import product
+from itertools import count, product
 
 from gsos import bisim
-from gsos.bisim import Fragment, lean_successors, stratified_partition
+from gsos.bisim import Fragment, reachable_fragment, stratified_partition
 from gsos.errors import (
     MalformedProof,
     NonCommutingSquare,
@@ -49,9 +59,11 @@ from gsos.presheaf import STAR, _map, _pair_system, _system
 from gsos.terms import (
     HOLE,
     App,
+    Arena,
     Axiom,
     Node,
     Var,
+    _rule_instances,
     mu,
     proof_source,
     render,
@@ -514,3 +526,56 @@ def _old_shortcut_premise(spec, arg, want_label):
         and all(not g for g in rule.premise_labels)
         and rule.target == Var("x1")
     ]
+
+
+def term_steps(spec, t, drop_last_premise, memo, canon):
+    """The closed-term engine as it was: the distinct (label, target)
+    successors of a closed term, in the order of their first occurrence in
+    derive's output.  ``memo`` maps terms to their steps, also grouped by
+    label for premise lookups, for one value of ``drop_last_premise``;
+    ``canon`` keeps one object per distinct target."""
+    return _term_steps(spec, t, drop_last_premise, memo, canon)[0]
+
+
+def _term_steps(spec, t, drop_last_premise, memo, canon):
+    known = memo.get(t)
+    if known is not None:
+        return known
+    premises = lambda u, want: _term_steps(spec, u, drop_last_premise, memo, canon)[1].get(want, ())
+    shortcut = (lambda u, want: _old_shortcut_premise(spec, u, want)) if drop_last_premise else None
+    instances = _rule_instances(spec, t.op, t.args, premises, App, shortcut)
+    out = {(rule.label, canon.setdefault(n, n)): None for rule, _, n in instances}
+    by_label = {}
+    for s in out:
+        by_label.setdefault(s[0], []).append(s)
+    memo[t] = (tuple(out), by_label)
+    return memo[t]
+
+
+def lean_successors(spec, drop_last_premise):
+    """One edge per distinct (label, target) step, with ids 0, 1, ..., and
+    one object per distinct target, over one steps memo of its own."""
+    ids, memo, canon = count(), {}, {}
+    return lambda m: [
+        (a, str(next(ids)), n) for a, n in term_steps(spec, m, drop_last_premise, memo, canon)
+    ]
+
+
+def plug(c, u):
+    """c with u in its hole, None if c has no hole.  Only the nodes above
+    the hole are new: every other subterm is c's own."""
+    if isinstance(c, Var):
+        return u if c.name == HOLE else None
+    for i, a in enumerate(c.args):
+        t = plug(a, u)
+        if t is not None:
+            return App(c.op, (*c.args[:i], t, *c.args[i + 1 :]))
+    return None
+
+
+def arena_fragment(spec, seeds, fuel, drop_last_premise=False):
+    """The fragment reachable from closed terms, built over one arena as
+    ``gsos bisim`` builds it."""
+    arena = Arena(spec, drop_last_premise)
+    ids = [arena.intern(t) for t in seeds]
+    return reachable_fragment(spec, ids, fuel, arena.arrows, arena.text)

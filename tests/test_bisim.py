@@ -14,7 +14,6 @@ from gsos.bisim import (
     check_bisimulation_relation,
     congruence_test,
     enumerate_contexts,
-    lean_successors,
     proof_successors,
     reachable_fragment,
     refinement_fixpoint,
@@ -29,6 +28,7 @@ from gsos.specdsl import parse_spec
 from gsos.terms import (
     HOLE,
     App,
+    Arena,
     Var,
     parse_term,
     random_term,
@@ -40,6 +40,7 @@ from gsos.terms import (
 
 from oracles import (
     _old_element_depth,
+    arena_fragment,
     k_bisimilar,
     old_congruence_test,
     old_derive,
@@ -47,6 +48,7 @@ from oracles import (
     old_proof_target,
     old_strata,
     old_substitute,
+    plug,
 )
 from round_trips import bundled_spec_path
 
@@ -56,7 +58,7 @@ def T(ccs, text):
 
 
 def test_fragment_nil(ccs):
-    frag = reachable_fragment(ccs, [T(ccs, "nil")], 5, lean_successors(ccs, False))
+    frag = arena_fragment(ccs, [T(ccs, "nil")], 5)
     assert frag.carrier.size() == (1, 0)
     assert frag.definitive
 
@@ -64,9 +66,7 @@ def test_fragment_nil(ccs):
 def test_fragment_parallel_pair_golden(ccs):
     """Hand run: one a_bar, one a and one tau move from the root, then the
     two residues each make their remaining move into par(nil,nil)."""
-    frag = reachable_fragment(
-        ccs, [T(ccs, "par(pref_a_bar(nil),pref_a(nil))")], 2, lean_successors(ccs, False)
-    )
+    frag = arena_fragment(ccs, [T(ccs, "par(pref_a_bar(nil),pref_a(nil))")], 2)
     assert len(frag.carrier.states) == 4
     assert frag.carrier.size()[1] == 5
     root = "par(pref_a_bar(nil),pref_a(nil))"
@@ -82,7 +82,7 @@ def test_fragment_monotone_in_fuel(ccs):
     t = T(ccs, "par(pref_a_bar(nil),pref_a(nil))")
     prev = set()
     for fuel in range(4):
-        frag = reachable_fragment(ccs, [t], fuel, lean_successors(ccs, False))
+        frag = arena_fragment(ccs, [t], fuel)
         states = frag.carrier.state_set
         assert prev <= states
         prev = states
@@ -90,31 +90,31 @@ def test_fragment_monotone_in_fuel(ccs):
 
 def test_fragment_rejects_open_terms(ccs):
     with pytest.raises(UnknownState):
-        reachable_fragment(ccs, [Var("x")], 2, lean_successors(ccs, False))
+        arena_fragment(ccs, [Var("x")], 2)
 
 
 def test_k_bisimilar_reflexive(ccs):
-    frag = reachable_fragment(ccs, [T(ccs, "pref_a(nil)")], 3, lean_successors(ccs, False))
+    frag = arena_fragment(ccs, [T(ccs, "pref_a(nil)")], 3)
     for k in range(4):
         assert k_bisimilar(frag.carrier, "pref_a(nil)", "pref_a(nil)", k)
 
 
 def test_sum_idempotent_pair(ccs):
     u, v = T(ccs, "sum(pref_a(nil),pref_a(nil))"), T(ccs, "pref_a(nil)")
-    frag = reachable_fragment(ccs, [u, v], 4, lean_successors(ccs, False))
+    frag = arena_fragment(ccs, [u, v], 4)
     for k in range(5):
         assert k_bisimilar(frag.carrier, render(u), render(v), k)
 
 
 def test_label_mismatch_at_stratum_one(ccs):
     u, v = T(ccs, "pref_a(nil)"), T(ccs, "pref_a_bar(nil)")
-    frag = reachable_fragment(ccs, [u, v], 2, lean_successors(ccs, False))
+    frag = arena_fragment(ccs, [u, v], 2)
     assert k_bisimilar(frag.carrier, render(u), render(v), 0)
     assert not k_bisimilar(frag.carrier, render(u), render(v), 1)
 
 
 def test_unknown_state_rejected(ccs):
-    frag = reachable_fragment(ccs, [T(ccs, "nil")], 1, lean_successors(ccs, False))
+    frag = arena_fragment(ccs, [T(ccs, "nil")], 1)
     with pytest.raises(UnknownState):
         k_bisimilar(frag.carrier, "nil", "missing", 1)
 
@@ -190,11 +190,10 @@ def test_total_relation_fails_when_moves_differ(ccs):
 def test_refinement_fixpoint_classes_form_a_bisimulation(ccs):
     """On a frontier-free fragment the stable blocks pass the relational
     characterisation: consistency of the two definitions."""
-    frag = reachable_fragment(
+    frag = arena_fragment(
         ccs,
         [T(ccs, "par(pref_a_bar(nil),pref_a(nil))"), T(ccs, "sum(pref_a(nil),pref_a(nil))")],
         5,
-        lean_successors(ccs, False),
     )
     assert frag.definitive
     block = refinement_fixpoint(frag.carrier)
@@ -536,7 +535,7 @@ def _assert_lean_matches_oracle(ccs, seeds, fuel, drop):
     """Lean fragments hold the oracle's states in order, its frontier, each
     of its distinct (src, label, tgt) triples exactly once, and refine to
     the same strata, before and after the refiner reads successors once."""
-    frag = reachable_fragment(ccs, seeds, fuel, lean_successors(ccs, drop))
+    frag = arena_fragment(ccs, seeds, fuel, drop)
     Y, frontier = _oracle_carrier(ccs, seeds, fuel, drop)
     X = frag.carrier
     assert X.states == Y.states
@@ -554,7 +553,7 @@ def test_stratified_partition_matches_oracle_on_bang_swap(ccs):
     """The 830-state fragment of the benchmark's largest bisim query."""
     t1 = T(ccs, "bang(par(pref_a(nil),pref_a_bar(nil)))")
     t2 = T(ccs, "bang(par(pref_a_bar(nil),pref_a(nil)))")
-    X = reachable_fragment(ccs, [t1, t2], 7, lean_successors(ccs, False)).carrier
+    X = arena_fragment(ccs, [t1, t2], 7).carrier
     assert len(X.states) == 830
     for k in range(8):
         assert _padded(stratified_partition(X, k), k) == _stratified_partition_oracle(X, k)
@@ -667,25 +666,46 @@ def test_congruence_builds_one_fragment_per_pair(ccs, monkeypatch):
     assert calls == {"reachable_fragment": 10, "_system": 10}
 
 
-def _shares_closed_parts(c, t):
-    """Every subterm of c without the hole is, as an object, the subterm of
-    t at the same place."""
-    if isinstance(c, Var):
-        return c.name == HOLE
-    if HOLE not in term_vars(c):
-        return t is c
-    return all(_shares_closed_parts(a, b) for a, b in zip(c.args, t.args))
-
-
 def test_plug_fills_the_hole_and_keeps_the_context_subterms(ccs):
-    """The composites equal the substitution of the pair into the hole,
-    and keep the context's own subterms off the path to the hole."""
+    """The composites equal the substitution of the pair into the hole, as
+    the term engine's plug built them; the context's own subterms are one
+    id in every composite, as they are ids of the one arena."""
     u = T(ccs, "sum(pref_a(nil),pref_a(nil))")
-    contexts = enumerate_contexts(ccs, 3)
-    for c in contexts:
-        t = bisim_mod._plug(c, u)
-        assert t == old_substitute(c, {HOLE: u}) and _shares_closed_parts(c, t)
-    assert bisim_mod._plug(T(ccs, "par(nil,nil)"), u) is None
+    arena = Arena(ccs)
+    iu = arena.intern(u)
+    for c in enumerate_contexts(ccs, 3):
+        want = old_substitute(c, {HOLE: u})
+        assert arena.text(arena.intern(c, iu)) == render(want) == render(plug(c, u))
+        assert arena.intern(c, iu) == arena.intern(want)
+
+
+def test_intern_refuses_every_variable_but_the_hole(ccs):
+    """A closed term has no variable, and a context only its hole: var(x)
+    is refused alone, in a term and inside a context, and so is the hole
+    when no id is given for it."""
+    arena = Arena(ccs)
+    nil = arena.intern(T(ccs, "nil"))
+    ctx = App("par", (Var(HOLE), T(ccs, "nil")))
+    for t, hole in [
+        (Var("x"), None),
+        (Var("x"), nil),
+        (App("par", (T(ccs, "nil"), Var("x"))), None),
+        (App("par", (Var(HOLE), Var("x"))), nil),
+        (Var(HOLE), None),
+        (ctx, None),
+    ]:
+        with pytest.raises(UnknownState):
+            arena.intern(t, hole)
+    assert arena.intern(Var(HOLE), nil) == nil
+    assert arena.intern(ctx, nil) == arena.intern(T(ccs, "par(nil,nil)"))
+
+
+def test_congruence_refuses_a_context_with_another_variable(ccs):
+    """A context with one hole and another variable has no closed
+    composite, so the check refuses it."""
+    u, v = T(ccs, "sum(pref_a(nil),pref_a(nil))"), T(ccs, "pref_a(nil)")
+    with pytest.raises(UnknownState):
+        congruence_test(ccs, [(u, v)], [App("par", (Var(HOLE), Var("x")))], 3, 4)
 
 
 def _edge_inputs(ccs):
@@ -857,7 +877,7 @@ def test_tracer_refine_rounds_keeps_its_value(X, k):
 @pytest.mark.parametrize("seed", range(8))
 def test_tracer_refine_rounds_keeps_its_value_on_fragments(ccs, seed):
     seeds = _random_seeds(ccs, seed, 2)
-    X = reachable_fragment(ccs, seeds, 4, lean_successors(ccs, False)).carrier
+    X = arena_fragment(ccs, seeds, 4).carrier
     for k in range(6):
         want = REFINE_ROUNDS(_stratified_partition_oracle(X, k))
         assert REFINE_ROUNDS(stratified_partition(X, k)) == want

@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gsos.terms as terms_mod
-from gsos.bisim import lean_successors, reachable_fragment
 from gsos.cellular import preserve_bisim_lift
 from gsos.cli import run_cases
 from gsos.errors import GsosError, MalformedProof, UnknownLabel, UnknownOperation
@@ -26,7 +24,9 @@ from gsos.presheaf import (
 )
 from gsos.specdsl import parse_spec
 from gsos.terms import (
+    HOLE,
     App,
+    Arena,
     Axiom,
     Node,
     Var,
@@ -46,7 +46,6 @@ from gsos.terms import (
     random_presheaf,
     random_term,
     render,
-    steps,
     term_vars,
     terms_upto,
     truncated_free,
@@ -58,13 +57,17 @@ from oracles import (
     T_on_morphism,
     _old_element_depth,
     _old_rule_instances,
+    _old_shortcut_premise,
+    arena_fragment,
     compose,
     empty_presheaf,
     lift_mu,
     old_derive,
     old_proof_target,
     old_steps,
+    old_substitute,
     rule_named,
+    term_steps,
 )
 from round_trips import bundled_spec_path, load_bundled_spec
 
@@ -591,9 +594,9 @@ def test_proofs_pickle_after_their_rules_are_used(ccs, sync_ambient):
 
 
 def _derive(spec, m, axioms_of, drop, memo):
-    """derive, or with drop the same loop over the premise-shortcut engine
-    that ``steps`` runs for the mutated congruence test (derive itself has
-    no switch for it)."""
+    """derive, or with drop the same loop with the premise shortcut that the
+    arena takes for the mutated congruence test (derive itself has no switch
+    for it), here the shortcut as it was, over terms."""
     if not drop or isinstance(m, Var):
         return derive(spec, m, axioms_of, _memo=memo)
 
@@ -601,12 +604,18 @@ def _derive(spec, m, axioms_of, drop, memo):
         return [r for r in _derive(spec, u, axioms_of, drop, memo) if r[0].label == want]
 
     out = []
-    for rule, choice, n in _rule_instances(spec, m, premises, True):
+    instances = _rule_instances(spec, m.op, m.args, premises, App, _shortcut(spec))
+    for rule, choice, n in instances:
         proofs = iter([r for r, _ in choice])
         groups = zip(m.args, rule.premise_counts)
         args = tuple(tuple(next(proofs) for _ in range(k)) if k else a for a, k in groups)
         out.append((Node(rule, args), n))
     return tuple(out)
+
+
+def _shortcut(spec):
+    """The premise shortcut as it was, for ``_rule_instances`` over terms."""
+    return lambda u, want: _old_shortcut_premise(spec, u, want)
 
 
 def _old_layer_axioms(spec, X, level):
@@ -766,20 +775,27 @@ def _closed_start_levels(spec, seeds, extra):
         yield extra
 
 
+def _arena_steps(arena, t):
+    """The arena's steps of a closed term, with each target as its text."""
+    return [(a, arena.text(n)) for a, n in arena.steps(arena.intern(t))]
+
+
 def _closed_steps_mismatches(spec, start_levels, drop):
     """Closed terms, from each start level and reached from it in three
-    steps, whose steps differ from the old engine's in order or in a target;
-    and how many terms were compared."""
+    steps, whose steps differ from the old engine's in order or in a
+    target, over one arena per start level or a fresh one; and how many
+    terms were compared."""
     bad, compared = [], 0
     for level in start_levels:
-        memo, canon, old_memo, seen = {}, {}, {}, set()
+        arena, old_memo, seen = Arena(spec, drop), {}, set()
         for _ in range(4):
             next_level = []
             for t in set(level) - seen:
                 seen.add(t)
                 want = old_steps(spec, t, drop, old_memo)
-                fresh = steps(spec, t, drop, {}, {})
-                if steps(spec, t, drop, memo, canon) != want or fresh != want:
+                texts = [(a, render(n)) for a, n in want]
+                fresh = _arena_steps(Arena(spec, drop), t)
+                if _arena_steps(arena, t) != texts or fresh != texts:
                     bad.append(t)
                 next_level.extend(n for _, n in want)
             level = next_level
@@ -798,6 +814,60 @@ def test_steps_match_old_engine_on_closed_terms(ccs, toy, spec_name, drop):
     levels = _closed_start_levels(spec, range(32), extra)
     bad, compared = _closed_steps_mismatches(spec, levels, drop)
     assert bad == [] and compared > 200
+
+
+def _closed_terms(spec):
+    """Closed terms over the spec's signature, of up to 12 nodes."""
+    ops = spec.signature.operations
+    leaves = st.sampled_from([App(op, ()) for op, n in ops if n == 0])
+    nodes = lambda args: st.one_of(
+        [st.tuples(*[args] * n).map(lambda xs, op=op: App(op, xs)) for op, n in ops if n]
+    )
+    return st.recursive(leaves, nodes, max_leaves=12)
+
+
+def _paths(t, path=()):
+    """The places of t's subterms, as paths of argument indices, in preorder."""
+    yield path
+    for i, a in enumerate(t.args):
+        yield from _paths(a, (*path, i))
+
+
+def _with_hole(t, path):
+    """t with the hole at the place ``path``."""
+    if not path:
+        return Var(HOLE)
+    i = path[0]
+    return App(t.op, (*t.args[:i], _with_hole(t.args[i], path[1:]), *t.args[i + 1 :]))
+
+
+@pytest.mark.parametrize("spec_name", ["ccs", "inline"])
+@pytest.mark.parametrize("drop", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_arena_matches_the_term_engine(ccs, toy, spec_name, drop, data):
+    """On drawn closed terms, and the terms two steps on, the arena's steps
+    give the term engine's in order, with each target's text; an id's text
+    is its term's rendering; a context interned around an id renders as the
+    substitution into its hole; and equal terms built apart get one id.
+    (toy has no constant, so no closed term: the inline spec, whose rule
+    targets hold closed subterms, stands in for it.)"""
+    spec = _engine_spec(spec_name, ccs, toy)
+    t, u = data.draw(_closed_terms(spec)), data.draw(_closed_terms(spec))
+    arena, memo, canon = Arena(spec, drop), {}, {}
+    level = [t, u]
+    for _ in range(3):
+        for m in level:
+            want = [(a, render(n)) for a, n in term_steps(spec, m, drop, memo, canon)]
+            assert _arena_steps(arena, m) == want
+            assert arena.text(arena.intern(m)) == render(m)
+        level = [n for m in level for _, n in term_steps(spec, m, drop, memo, canon)][:20]
+    c = _with_hole(t, data.draw(st.sampled_from(list(_paths(t)))))
+    plugged = arena.intern(c, arena.intern(u))
+    assert arena.text(plugged) == render(old_substitute(c, {HOLE: u}))
+    again = parse_term(spec, None, render(u))
+    assert again is not u and arena.intern(again) == arena.intern(u)
+    assert (arena.intern(t) == arena.intern(u)) == (render(t) == render(u))
 
 
 def _subterms(t):
@@ -827,7 +897,8 @@ def _instance_mismatches(spec, seeds, drop):
                     (rule, tuple(r for c in combo if isinstance(c, tuple) for r in c), n)
                     for rule, combo, n in _old_rule_instances(spec, t, premises, drop)
                 ]
-                if list(_rule_instances(spec, t, premises, drop)) != want:
+                shortcut = _shortcut(spec) if drop else None
+                if list(_rule_instances(spec, t.op, t.args, premises, App, shortcut)) != want:
                     bad.append(t)
                 instances += len(want)
     return bad, instances
@@ -850,7 +921,7 @@ def test_rule_engine_oracle_catches_swapped_premise_slots(ccs, monkeypatch):
     unary operand, which has no a_bar step.)"""
     rsync = rule_named(ccs, "rsync")
     fill = rsync.plan.fill
-    swapped = lambda vals: fill((vals[0], vals[2], vals[1]))
+    swapped = lambda vals, mk: fill((vals[0], vals[2], vals[1]), mk)
     monkeypatch.setitem(rsync.__dict__, "plan", rsync.plan._replace(fill=swapped))
     levels = _closed_start_levels(ccs, range(32), _rsync_apart(ccs))
     bad, _ = _closed_steps_mismatches(ccs, levels, False)
@@ -900,17 +971,20 @@ def _shortcut_premises(spec, rule):
         calls[kind].append((source.args.index(u), a))
         return [(Axiom("e", a), u)]
 
+    derived = lambda u, a: step("derived", u, a)
+    shortcut = lambda u, a: step("shortcut", u, a)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(spec.__dict__, "rules_by_op", {rule.op: (rule,)})
-        mp.setattr(terms_mod, "_shortcut_premise", lambda _, u, a: step("shortcut", u, a))
-        assert len(list(_rule_instances(spec, source, lambda u, a: step("derived", u, a), True))) == 1
+        instances = _rule_instances(spec, source.op, source.args, derived, App, shortcut)
+        assert len(list(instances)) == 1
     assert calls["derived"] + calls["shortcut"] == list(rule.plan.premises)
     return calls["shortcut"]
 
 
 def _used_rule_ref(text):
-    """Parse a spec, run derive, steps (both engines), proof_target and
-    decompose with it, and return a weak reference to its rsync rule."""
+    """Parse a spec, run derive, the arena's steps (both engines),
+    proof_target and decompose with it, and return a weak reference to its
+    rsync rule."""
     spec = parse_spec(text)
     t = parse_term(spec, None, "bang(sum(pref_a_bar(nil),pref_a(pref_a(nil))))")
     closed = make_presheaf(spec.labels, (), ())
@@ -919,8 +993,8 @@ def _used_rule_ref(text):
         decompose(closed, p)
     u = parse_term(spec, None, "par(pref_a_bar(nil),pref_a(nil))")
     for drop in (False, True):  # the mutated engine reads pref_a's plan in its shortcut
-        steps(spec, t, drop, {}, {})
-        assert ("tau", parse_term(spec, None, "par(nil,nil)")) in steps(spec, u, drop, {}, {})
+        _arena_steps(Arena(spec, drop), t)
+        assert ("tau", "par(nil,nil)") in _arena_steps(Arena(spec, drop), u)
     rsync = rule_named(spec, "rsync")
     assert "plan" in rsync.__dict__
     return weakref.ref(rsync)
@@ -960,9 +1034,7 @@ def test_derive_memo_freed_without_cyclic_gc(ccs, build):
     p = parse_proof(ccs, one, "lpar[L=tau](rsync(ax(a_bar),ax(a)),term(var(*)))")
     run = {
         "derive": lambda: derive(ccs, t),
-        "reachable_fragment": lambda: reachable_fragment(
-            ccs, [t], 4, lean_successors(ccs, False)
-        ),
+        "reachable_fragment": lambda: arena_fragment(ccs, [t], 4),
         "truncated_free_squared": lambda: truncated_free_squared(ccs, X, 1),
         "decompose": lambda: decompose(one, p),
         "generic_decomposition": lambda: generic_decomposition(ccs.labels, p),
