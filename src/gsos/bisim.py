@@ -11,8 +11,9 @@ states are separated at stratum n+1 iff their sets of (label, block at
 stratum n of target) differ, until stratum k or a stable stratum.
 Matching is existential, so parallel edges never change an answer:
 fragments that are only refined keep one edge per distinct (label, target)
-step, over the ids of one ``terms.Arena`` per run.  One breadth-first
-walk, :func:`_bfs`, lists the states and the frontier of every fragment.
+step, over the ids of one ``terms.Arena`` per ``bisim`` query and one per
+congruence pair.  One breadth-first walk, :func:`_bfs`, lists the states
+and the frontier of every fragment.
 The congruence check builds and refines one fragment per pair, reachable
 from all of its composites, and the same walk over the arena's steps
 gives each case its size and frontier.
@@ -169,20 +170,22 @@ def relation_presheaf(
     """The induced relation system and its two projections.
 
     States are the pairs; for each label, one edge per pair of edges with
-    componentwise related endpoints.
+    componentwise related endpoints, found by pairing the out-edges of each
+    related pair of states.
     """
     X = r.carrier
+    related = sorted(r.pairs)
     pairs = {
         a: [
             (e1, e2)
-            for e1 in X.edges[a]
-            for e2 in X.edges[a]
-            if (X.src[a][e1], X.src[a][e2]) in r.pairs
-            and (X.tgt[a][e1], X.tgt[a][e2]) in r.pairs
+            for x, y in related
+            for e1 in X.out_edges(x, a)
+            for e2 in X.out_edges(y, a)
+            if (X.tgt[a][e1], X.tgt[a][e2]) in r.pairs
         ]
         for a in X.labels
     }
-    pairs[STAR] = sorted(r.pairs)
+    pairs[STAR] = related
     return _pair_system(X, X, pairs)
 
 
@@ -238,10 +241,11 @@ def congruence_test(
     """Do all contexts preserve stratum-k equivalence of all pairs?
 
     Each pair refines once the fragment reachable from the composites of
-    all contexts, over one arena.  As fuel >= k, every state within k - 1
-    steps of a case's roots is expanded there, so their blocks at stratum k
-    decide the case.  Every state within fuel - 1 steps of them is expanded
-    there too, so :func:`_bfs`, the walk that builds every fragment, run
+    all contexts, over an arena of its own: one arena per run was measured
+    at twice the peak memory, and no faster.  As fuel >= k, every state
+    within k - 1 steps of a case's roots is expanded there, so their blocks
+    at stratum k decide the case.  Every state within fuel - 1 steps of
+    them is expanded there too, so :func:`_bfs`, the walk that builds every fragment, run
     from the roots over the arena's memoised steps with the same fuel,
     gives the case's ``states`` and ``definitive`` as its own fragment
     would.  Violations are the cases where the composites are not

@@ -124,20 +124,19 @@ def cmd_lts(args) -> int:
     if args.format == "dot":
         sys.stdout.write(presheaf_to_dot(frag.carrier))
         return 0
-    doc = {
-        "carrier": presheaf_doc(frag.carrier),
-        "frontier": sorted(frag.frontier),
-        "states": len(frag.carrier.states),
-        "transitions": frag.carrier.size()[1],
-        "definitive": frag.definitive,
-    }
+    states, transitions = frag.carrier.size()
     if args.format == "text":
-        sys.stdout.write(
-            f"states={doc['states']} transitions={doc['transitions']} "
-            f"frontier={len(frag.frontier)}\n"
-        )
+        sys.stdout.write(f"states={states} transitions={transitions} frontier={len(frag.frontier)}\n")
         return 0
-    _emit(doc)
+    _emit(
+        {
+            "carrier": presheaf_doc(frag.carrier),
+            "frontier": sorted(frag.frontier),
+            "states": states,
+            "transitions": transitions,
+            "definitive": frag.definitive,
+        }
+    )
     return 0
 
 
@@ -248,11 +247,16 @@ def cmd_congruence(args) -> int:
 
 def run_cases(check, spec: GsosSpec, seed: int, cases: int, d: int) -> dict:
     """Report the failures of check on cases 0..cases-1, each prefixed with
-    its case.  Case i draws from ``random.Random(seed + i)``, so
+    its case; a case that raises a typed error fails with its kind and
+    message.  Case i draws from ``random.Random(seed + i)``, so
     ``--seed <seed+i> --cases 1`` reruns it alone."""
     failures = []
     for case in range(cases):
-        failures += [f"case {case}: {msg}" for msg in check(spec, random.Random(seed + case), d)]
+        try:
+            found = check(spec, random.Random(seed + case), d)
+        except GsosError as exc:
+            found = [f"{type(exc).__name__}: {exc}"]
+        failures += [f"case {case}: {msg}" for msg in found]
     return {"cases": cases, "failures": failures, "ok": not failures}
 
 
@@ -260,10 +264,7 @@ def _familial_failures(spec: GsosSpec, rng, d: int) -> list[str]:
     """recompose undoes decompose, and decompose is natural in the system and the base."""
     X = random_presheaf(rng, spec.labels)
     kind = rng.choice(["term", "proof"])
-    try:
-        elem = random_layer_element(spec, X, rng, 1, d, kind)
-    except GsosError:
-        return []
+    elem = random_layer_element(spec, X, rng, 1, d, kind)
     dec = decompose(X, elem)
     if familial_mod.recompose(dec, X) != elem:
         return [f"recompose . decompose != id on {render(elem)}"]
@@ -286,10 +287,7 @@ def _familial_failures(spec: GsosSpec, rng, d: int) -> list[str]:
 
 def _cellular_failures(spec: GsosSpec, rng, d: int) -> list[str]:
     """A proof over 1 is its own shape; its certificate replays to its source arity morphism."""
-    try:
-        shape = random_layer_element(spec, terminal(spec.labels), rng, 1, d, "proof")
-    except GsosError:
-        return []
+    shape = random_layer_element(spec, terminal(spec.labels), rng, 1, d, "proof")
     if not verify_certificate(cell_certificate(spec.labels, shape)):
         return [f"certificate fails on {render(shape)}"]
     return []
@@ -301,10 +299,7 @@ def _preserve_failures(spec: GsosSpec, rng, d: int) -> list[str]:
     A transition is as deep as its source is high, so either every one out
     of f(M) has depth <= d or, when M is taller than d, none has."""
     f = random_functional_bisim(rng, spec.labels)
-    try:
-        M = random_term(spec, rng, f.dom.states, d)
-    except GsosError:
-        return []
+    M = random_term(spec, rng, f.dom.states, d)
     if flattened_height(M) > d:
         return []
     problems = [R for R, _ in derive(spec, T_on_element(f, M), ambient_axioms(f.cod))]

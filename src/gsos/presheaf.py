@@ -268,9 +268,12 @@ def _map(
     state_map: Mapping[str, str],
     edge_maps: Mapping[str, Mapping[str, str]] | None = None,
 ) -> PresheafMorphism:
-    """A map with one edge map per label of dom (missing ones empty), unchecked."""
-    em = {a: dict((edge_maps or {}).get(a, {})) for a in dom.labels}
-    return PresheafMorphism(dom, cod, dict(state_map), em)
+    """A map with one edge map per label of dom (missing ones empty), unchecked.
+
+    The map keeps the state map and the edge maps it is given, uncopied:
+    the caller builds them for this one map and does not change them after."""
+    em = {a: (edge_maps or {}).get(a, {}) for a in dom.labels}
+    return PresheafMorphism(dom, cod, state_map, em)
 
 
 def morphism(
@@ -279,7 +282,8 @@ def morphism(
     state_map: Mapping[str, str],
     edge_maps: Mapping[str, Mapping[str, str]] | None = None,
 ) -> PresheafMorphism:
-    """Build and validate a map; raises on a partial or non-commuting one."""
+    """Build and validate a map; raises on a partial or non-commuting one.
+    Like :func:`_map`, it keeps the dicts it is given."""
     f = _map(dom, cod, state_map, edge_maps)
     _check_map(f)
     return f

@@ -892,11 +892,7 @@ def monad_law_failures(spec: "GsosSpec", rng, d: int) -> list[str]:
     """Check both unit laws and associativity exactly on one sampled case."""
     X = random_presheaf(rng, spec.labels)
     kind = rng.choice(["term", "proof"])
-    try:
-        z1 = random_layer_element(spec, X, rng, 1, d, kind)
-    except MalformedProof:
-        z1 = random_term(spec, rng, X.states, d)
-        kind = "term"
+    z1 = random_layer_element(spec, X, rng, 1, d, kind)
 
     failures = []
     wrapped = map_leaves(z1, Var, Axiom)  # T(eta): every leaf wrapped once more
@@ -910,10 +906,7 @@ def monad_law_failures(spec: "GsosSpec", rng, d: int) -> list[str]:
     if mu(outer) != z1:
         failures.append(f"mu . eta_T != id on {render(z1)}")
 
-    try:
-        z3 = random_layer_element(spec, X, rng, 3, d, kind)
-    except MalformedProof:
-        return failures
+    z3 = random_layer_element(spec, X, rng, 3, d, kind)
     t_mu = map_leaves(z3, mu, lambda e, _a: mu(e))
     if mu(t_mu) != mu(mu(z3)):
         failures.append(f"associativity fails on {render(z3)}")

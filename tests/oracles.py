@@ -18,10 +18,11 @@ each became one call to ``terms.bind``: ``old_map_leaves``, ``old_mu`` and
 share no code with what they check.  The two loops that listed terms and
 one-hole contexts before both became calls to ``terms._apps`` are copied
 here for the same reason, as ``old_strata`` and ``old_enumerate_contexts``,
-and so is the premise index that old_derive drops.  The congruence check
-as it was, ``old_congruence_test``, decided each (pair, context) case on
-its own fragment with ``k_bisimilar``, built by reachable_fragment's own
-level loop (``old_reachable_fragment``); the program now refines one
+and so is the premise index that old_derive drops.  The relation system
+as it was, ``old_relation_presheaf``, paired every two edges of a label.
+The congruence check as it was, ``old_congruence_test``, decided each
+(pair, context) case on its own fragment with ``k_bisimilar``, built by
+reachable_fragment's own level loop (``old_reachable_fragment``); the program now refines one
 fragment per pair and reads each case's size and frontier off it, by the
 same breadth-first walk that builds the fragment.  The
 successor engine as it was, ``old_steps`` over ``_old_rule_instances``,
@@ -427,6 +428,24 @@ def old_reachable_fragment(spec, seeds, fuel, successors):
         if not level:
             break
     return Fragment(_system(spec.labels, states, arrows), frozenset(render(t) for t in level))
+
+
+def old_relation_presheaf(r):
+    """relation_presheaf as it was: it tried every pair of a-edges, where the
+    program now pairs the out-edges of each related pair of states."""
+    X = r.carrier
+    pairs = {
+        a: [
+            (e1, e2)
+            for e1 in X.edges[a]
+            for e2 in X.edges[a]
+            if (X.src[a][e1], X.src[a][e2]) in r.pairs
+            and (X.tgt[a][e1], X.tgt[a][e2]) in r.pairs
+        ]
+        for a in X.labels
+    }
+    pairs[STAR] = sorted(r.pairs)
+    return _pair_system(X, X, pairs)
 
 
 def old_congruence_test(spec, pairs, contexts, k, fuel, drop_last_premise=False):

@@ -99,6 +99,18 @@ def test_lts_dot_round_trips_node_count(capsys):
     assert len(node_lines) == json.loads(out2)["states"]
 
 
+def test_lts_text_golden(capsys):
+    """--format text prints the JSON report's three counts on one line."""
+    args = ["lts", CCS, "--term", "bang(sum(pref_a(nil),pref_a_bar(nil)))", "--fuel", "2"]
+    assert run_cli([*args, "--format", "text"], capsys) == (
+        0,
+        "states=3 transitions=2 frontier=1\n",
+        "",
+    )
+    doc = json.loads(run_cli(args, capsys)[1])
+    assert (doc["states"], doc["transitions"], len(doc["frontier"])) == (3, 2, 1)
+
+
 def test_bisim_command(capsys):
     code, out, _ = run_cli(
         ["bisim", CCS, "--t1", "sum(pref_a(nil),pref_a(nil))", "--t2", "pref_a(nil)",
