@@ -75,10 +75,6 @@ def _refuse(kind: str, message: str, code: int) -> int:
     return code
 
 
-def _load_spec(path: str) -> GsosSpec:
-    return parse_spec(Path(path).read_text())
-
-
 def _require_spec_labels(X: Presheaf, spec: GsosSpec, what: str) -> None:
     """Refuse a loaded system over another label set than the spec's (in any
     order): the builders trust their inputs, so a foreign label stops here."""
@@ -111,14 +107,12 @@ def _is_string_pair(item) -> bool:
     return isinstance(item, list) and len(item) == 2 and all(isinstance(t, str) for t in item)
 
 
-def cmd_check(args) -> int:
-    _load_spec(args.spec)
+def cmd_check(_spec, _args) -> int:
     _emit({"ok": True})
     return 0
 
 
-def cmd_lts(args) -> int:
-    spec = _load_spec(args.spec)
+def cmd_lts(spec: GsosSpec, args) -> int:
     seeds = [parse_term(spec, None, t) for t in args.term]
     frag = bisim_mod.reachable_fragment(spec, seeds, args.fuel, bisim_mod.proof_successors(spec))
     if args.format == "dot":
@@ -140,8 +134,7 @@ def cmd_lts(args) -> int:
     return 0
 
 
-def cmd_bisim(args) -> int:
-    spec = _load_spec(args.spec)
+def cmd_bisim(spec: GsosSpec, args) -> int:
     t1 = parse_term(spec, None, args.t1)
     t2 = parse_term(spec, None, args.t2)
     bisim_mod.require_fuel(args.fuel, args.stratum)
@@ -167,8 +160,7 @@ def cmd_bisim(args) -> int:
     return 0
 
 
-def cmd_decompose(args) -> int:
-    spec = _load_spec(args.spec)
+def cmd_decompose(spec: GsosSpec, args) -> int:
     X = _load_presheaf(args.presheaf, spec)
     if args.proof is not None:
         elem = parse_proof(spec, X, args.proof)
@@ -189,8 +181,7 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def cmd_certify(args) -> int:
-    spec = _load_spec(args.spec)
+def cmd_certify(spec: GsosSpec, args) -> int:
     X = _load_presheaf(args.presheaf, spec)
     p = parse_proof(spec, X, args.proof)
     cert = cell_certificate(spec.labels, to_terminal(p))
@@ -201,9 +192,8 @@ def cmd_certify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(spec: GsosSpec, args) -> int:
     """Trace a transition of a collapsed system back through a covering."""
-    spec = _load_spec(args.spec)
     f = morphism_from_json(Path(args.fbisim).read_text())
     _require_spec_labels(f.dom, spec, "--fbisim morphism")
     M = parse_term(spec, f.dom, args.term)
@@ -213,8 +203,7 @@ def cmd_lift(args) -> int:
     return 0
 
 
-def cmd_congruence(args) -> int:
-    spec = _load_spec(args.spec)
+def cmd_congruence(spec: GsosSpec, args) -> int:
     pairs_doc = _load_list(
         "--pairs", args.pairs, _is_string_pair, "a JSON list of [t1, t2] string pairs"
     )
@@ -348,8 +337,7 @@ def _suite_congruence(spec: GsosSpec, k: int, mutate: bool) -> dict:
     return report
 
 
-def cmd_verify(args) -> int:
-    spec = _load_spec(args.spec)
+def cmd_verify(spec: GsosSpec, args) -> int:
     if args.suite in _CASE_CHECKS:
         report = run_cases(_CASE_CHECKS[args.suite], spec, args.seed, args.cases, args.depth)
     elif args.suite == "cartesian":
@@ -471,7 +459,8 @@ def main(argv=None) -> int:
         if value is not None and value < 0:
             return _refuse("UsageError", f"{option} must be non-negative, got {value}", 2)
     try:
-        return args.func(args)
+        spec = parse_spec(Path(args.spec).read_text())
+        return args.func(spec, args)
     except SpecParseError as exc:
         for v in exc.violations:
             sys.stderr.write(json.dumps(v.to_dict(), sort_keys=True) + "\n")

@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import SpecParseError, UnknownOperation
+from .errors import SpecParseError
 from .presheaf import LabelSet
 from .terms import App, Term, Var, term_vars
 
@@ -56,25 +56,6 @@ class Violation:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Operation names with arities, in declaration order."""
-
-    operations: tuple[tuple[str, int], ...]
-
-    @cached_property
-    def arities(self) -> dict[str, int]:
-        return dict(self.operations)
-
-    def has(self, op: str) -> bool:
-        return op in self.arities
-
-    def arity(self, op: str) -> int:
-        if op not in self.arities:
-            raise UnknownOperation(f"operation {op!r} not declared")
-        return self.arities[op]
 
 
 class Plan(NamedTuple):
@@ -165,10 +146,17 @@ class RuleTemplate:
 
 @dataclass(frozen=True)
 class GsosSpec:
+    """A parsed specification; ``operations`` lists (operation, arity) pairs
+    in declaration order."""
+
     labels: LabelSet
     label_classes: tuple[tuple[str, tuple[str, ...]], ...]
-    signature: Signature
+    operations: tuple[tuple[str, int], ...]
     templates: tuple[RuleTemplate, ...]
+
+    @cached_property
+    def arities(self) -> dict[str, int]:
+        return dict(self.operations)
 
     @cached_property
     def _checks(self) -> tuple[tuple[list[Violation], tuple[tuple[str, ...], ...]], ...]:
@@ -351,7 +339,7 @@ def parse_spec(text: str) -> GsosSpec:
     if errs:
         raise SpecParseError(errs)
 
-    spec = GsosSpec(LabelSet(tuple(labels)), tuple(classes), Signature(tuple(ops)), tuple(templates))
+    spec = GsosSpec(LabelSet(tuple(labels)), tuple(classes), tuple(ops), tuple(templates))
     violations = validate(spec)
     if violations:
         raise SpecParseError(violations)
@@ -405,8 +393,8 @@ def _parse_binding(p: _Parser) -> tuple[str, str]:
 def validate(spec: GsosSpec) -> list[Violation]:
     """Check every rule invariant; an empty list means the spec is valid."""
     out: list[Violation] = []
-    sig = spec.signature.arities
-    if len(sig) != len(spec.signature.operations):
+    sig = spec.arities
+    if len(sig) != len(spec.operations):
         out.append(Violation("DuplicateId", "duplicate operation names"))
     out += [Violation("SyntaxError", f"operation name {f!r} is reserved") for f in sig if f in _RESERVED]
     class_names = set()
@@ -450,7 +438,7 @@ def _check_template(
             err("UnknownLabel", f"label class {c!r} not declared")
     known = lambda lab: lab in spec.labels or lab in label_vars
 
-    src, sig = tpl.conclusion_source, spec.signature.arities
+    src, sig = tpl.conclusion_source, spec.arities
     if not isinstance(src, App) or src.op not in sig:
         err("NonGsosSource", "conclusion source must be a declared operation applied to variables")
         return out, ()

@@ -422,12 +422,12 @@ class _Reader:
             if x not in self.X.state_set:
                 raise UnknownState(f"{x!r} is not an ambient state")
             return Var(x)
-        if not self.spec.signature.has(head):
+        arity = self.spec.arities.get(head)
+        if arity is None:
             raise UnknownOperation(f"unknown operation {head!r} in {self.text!r}")
         args = []
         for _ in self.args():
             args.append(self.term(allow_hole))
-        arity = self.spec.signature.arity(head)
         if len(args) != arity:
             raise UnknownOperation(f"{head!r} expects {arity} arguments, got {len(args)}")
         return App(head, tuple(args))
@@ -549,7 +549,7 @@ def _rule_instances(spec, op: str, args: tuple, premises: Callable, mk: Callable
     holds one chosen pair per premise, in slot order, and the rule's plan
     fills in the target, each operation node built by ``mk``.
     """
-    if not spec.signature.has(op):
+    if op not in spec.arities:
         raise UnknownOperation(f"unknown operation {op!r}")
     for rule in spec.rules_by_op.get(op, ()):
         fill, _, wanted = rule.plan
@@ -656,7 +656,7 @@ def _strata(
 
     A leaf's height is its payload's, so the height of a term is the index
     of its stratum, read off the strata it is built from.  Within a stratum
-    the leaves come first, then each operation in signature order over its
+    the leaves come first, then each operation in declaration order over its
     argument tuples in product order; seeded samples index into this order.
     """
     strata: list[list[Term]] = []
@@ -667,12 +667,12 @@ def _strata(
 
 
 def _apps(spec: "GsosSpec", k: int, pools_of: Callable) -> Iterator[Term]:
-    """The operation nodes of exact height k: each operation in signature
+    """The operation nodes of exact height k: each operation in declaration
     order, over each of its pool lists ``pools_of(arity)`` in turn, over the
     argument tuples in product order.  A pool list holds one tuple of
     (height, term) pairs per argument; a 0-ary operation is of height 1."""
     height, term = itemgetter(0), itemgetter(1)
-    for op, arity in spec.signature.operations:
+    for op, arity in spec.operations:
         for pools in pools_of(arity):
             for combo in product(*pools):
                 if 1 + max(map(height, combo), default=0) == k:
@@ -837,7 +837,7 @@ def random_presheaf(rng, labels: LabelSet, max_states: int = 5, max_edges: int =
 
 
 def random_term(spec: "GsosSpec", rng, variables: Sequence[str], budget: int) -> Term:
-    candidates = [(f, n) for f, n in spec.signature.operations if n == 0 or budget > 0]
+    candidates = [(f, n) for f, n in spec.operations if n == 0 or budget > 0]
     if variables and (budget == 0 or rng.random() < 0.4 or not candidates):
         return Var(rng.choice(list(variables)))
     if not candidates:
@@ -862,7 +862,7 @@ def random_layer_element(
     if kind == "term":
         if level == 1:
             return random_term(spec, rng, X.states, budget)
-        ops = list(spec.signature.operations)
+        ops = list(spec.operations)
         if budget == 0 or rng.random() < 0.5 or not ops:
             return Var(random_layer_element(spec, X, rng, level - 1, budget, "term"))
         f, n = rng.choice(ops)

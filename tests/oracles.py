@@ -351,7 +351,7 @@ def old_strata(spec, leaves_by_height, height):
     for k in range(height + 1):
         exact = list(leaves_by_height[k]) if k < len(leaves_by_height) else []
         below = [(h, t) for h, level in enumerate(strata) for t in level]
-        for op, arity in spec.signature.operations:
+        for op, arity in spec.operations:
             if arity == 0:
                 if k == 1:
                     exact.append(App(op, ()))
@@ -377,7 +377,7 @@ def old_enumerate_contexts(spec, max_height):
     for h in range(1, max_height + 1):
         level = []
         closed_below = [(k, t) for k, t in closed if k < h]
-        for op, arity in spec.signature.operations:
+        for op, arity in spec.operations:
             if arity == 0:
                 continue
             for slot in range(arity):
@@ -505,7 +505,7 @@ def old_steps(spec, t, drop_last_premise, memo):
 def _old_rule_instances(spec, t, premises, drop_last_premise):
     """_rule_instances as it was: every rule instance with source ``t`` as
     ``(rule, choice, target)``, in derive's order."""
-    if not spec.signature.has(t.op):
+    if t.op not in spec.arities:
         raise UnknownOperation(f"unknown operation {t.op!r}")
     for rule in spec.rules_by_op.get(t.op, ()):
         cut = None

@@ -120,7 +120,7 @@ def outcome(text: str) -> dict:
         return {"violations": [v.to_dict() for v in exc.violations]}
     return {
         "labels": list(spec.labels),
-        "signature": [list(op) for op in spec.signature.operations],
+        "signature": [list(op) for op in spec.operations],
         "rules": [
             [r.name, r.base_name, r.op, r.label, [list(g) for g in r.premise_labels], _term(r.target)]
             for r in spec.rules

@@ -40,7 +40,7 @@ def pretty_print(spec: GsosSpec) -> str:
     for name, members in spec.label_classes:
         lines.append(f"class {name} = {{ " + ", ".join(members) + " } ;")
     lines.append("")
-    for f, n in spec.signature.operations:
+    for f, n in spec.operations:
         lines.append(f"op {f} : {n} ;")
     lines.append("")
     for tpl in spec.templates:

@@ -51,7 +51,7 @@ def _kleisli_maps(spec):
     """Two leaf maps that build real structure: a variable becomes the widest
     operation over distinct fresh variables, an axiom a node of a rule with
     premises over fresh axioms and variables."""
-    op, n = max(spec.signature.operations, key=lambda o: o[1])
+    op, n = max(spec.operations, key=lambda o: o[1])
     rule = next(r for r in spec.rules if any(r.premise_counts))
     on_var = lambda x: App(op, tuple(Var((x, i)) for i in range(n)))
 

@@ -292,7 +292,7 @@ def _contexts_by_filtering(spec, max_height):
     for h in range(1, max_height + 1):
         level = []
         hole_below = [c for lvl in ctxs for c in lvl]
-        for op, arity in spec.signature.operations:
+        for op, arity in spec.operations:
             if arity == 0:
                 continue
             for slot in range(arity):
@@ -352,7 +352,7 @@ def _tuple_first_apps(spec, k, pools_of):
     """A builder with its two inner loops swapped: the first argument tuple
     of every pool list, then the second of every pool list, and so on."""
     nodes = []
-    for op, arity in spec.signature.operations:
+    for op, arity in spec.operations:
         for combos in zip_longest(*(product(*pools) for pools in pools_of(arity))):
             for combo in combos:
                 if combo is not None and 1 + max((h for h, _ in combo), default=0) == k:

@@ -6,12 +6,16 @@ import sys
 
 import pytest
 
-from gsos.cli import _COUNT_OPTIONS, build_parser, main
+from gsos.cli import _CASE_CHECKS, _COUNT_OPTIONS, build_parser, main
 from round_trips import bundled_spec_path, morphism_to_json
 
 CCS = str(bundled_spec_path("ccs"))
 TOY = str(bundled_spec_path("toy"))
 PAIRS = str(bundled_spec_path("ccs").parent / "ccs_pairs.json")
+NON_GSOS_SPEC = (
+    "labels a ;\nop f : 1 ;\nop g : 1 ;\n"
+    "rule r : premises x1 -[a]-> y1_1 ; conclusion f(g(x1)) -[a]-> x1 ;\n"
+)
 
 
 def run_cli(argv, capsys):
@@ -28,10 +32,7 @@ def test_check_valid(capsys):
 
 def test_check_non_gsos_source(tmp_path, capsys):
     bad = tmp_path / "bad.gsos"
-    bad.write_text(
-        "labels a ;\nop f : 1 ;\nop g : 1 ;\n"
-        "rule r : premises x1 -[a]-> y1_1 ; conclusion f(g(x1)) -[a]-> x1 ;\n"
-    )
+    bad.write_text(NON_GSOS_SPEC)
     code, out, err = run_cli(["check", str(bad)], capsys)
     assert code == 1
     violations = [json.loads(line) for line in err.splitlines()]
@@ -695,6 +696,42 @@ def test_negative_count_refused_as_usage_error(argv, option, capsys):
     assert doc["message"].startswith(f"{option} must be non-negative")
 
 
+def _zero_count_cases():
+    """(argv, expected report fields) pairs: each count option at 0."""
+    yield ["lts", CCS, "--term", "nil", "--fuel", "0"], {
+        "states": 1, "frontier": ["nil"], "definitive": False,
+    }
+    yield ["bisim", CCS, "--t1", "nil", "--t2", "nil", "-k", "0", "--fuel", "0"], {
+        "bisimilar": True, "blocks": [["nil"]],
+    }
+    for suite in _CASE_CHECKS:
+        yield ["verify", CCS, "--suite", suite, "--cases", "0"], {"cases": 0, "ok": True}
+    for suite in ("cartesian", *_CASE_CHECKS):
+        yield ["verify", CCS, "--suite", suite, "-d", "0"], {"ok": True}
+    yield ["congruence", CCS, "--pairs", PAIRS, "--sample", "0"], {"contexts": 0, "cases": []}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [pytest.param(argv, doc, id=" ".join([argv[0], *argv[2:]])) for argv, doc in _zero_count_cases()],
+)
+def test_zero_count_is_answered(argv, expected, capsys):
+    """0 is a non-negative count like any other: the command answers it."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert {key: doc[key] for key in expected} == expected
+
+
+def test_zero_context_height_is_the_hole_alone(capsys):
+    code, out, err = run_cli(["congruence", CCS, "--pairs", PAIRS, "--context-height", "0"], capsys)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["contexts"] == 1 and doc["ok"]
+    assert len(doc["cases"]) == 10
+    assert {case["context"] for case in doc["cases"]} == {"var(__hole__)"}
+
+
 def _subcommands(parser) -> dict:
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
@@ -738,6 +775,38 @@ def test_check_missing_file_is_one_io_error(tmp_path, capsys):
     assert code == 1 and out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["kind"] == "IOError"
+
+
+def _bad_spec_argv(command: str, spec: str, missing: str) -> list[str]:
+    """A minimal command line of the subcommand; every other file it names
+    is missing, since the spec is refused before any is read."""
+    rest = {
+        "check": [],
+        "lts": ["--term", "nil"],
+        "bisim": ["--t1", "nil", "--t2", "nil"],
+        "decompose": ["--term", "nil", "--presheaf", missing],
+        "certify": ["--proof", "ax(a)", "--presheaf", missing],
+        "lift": ["--fbisim", missing, "--term", "nil", "--proof", "ax(a)"],
+        "verify": ["--suite", "laws"],
+        "congruence": ["--pairs", missing],
+    }[command]
+    return [command, spec, *rest]
+
+
+@pytest.mark.parametrize("spec_kind", ["non-gsos", "missing"])
+@pytest.mark.parametrize("command", sorted(_subcommands(build_parser())))
+def test_every_subcommand_refuses_a_bad_spec_as_check_does(command, spec_kind, tmp_path, capsys):
+    """main parses the spec once, before any subcommand reads its inputs:
+    each refuses a non-GSOS spec or a missing spec file with check's lines."""
+    spec = tmp_path / "spec.gsos"
+    if spec_kind == "non-gsos":
+        spec.write_text(NON_GSOS_SPEC)
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(_bad_spec_argv(command, str(spec), missing), capsys)
+    assert (code, out) == (1, "")
+    assert run_cli(["check", str(spec)], capsys) == (1, "", err)
+    (line,) = err.splitlines()
+    assert json.loads(line)["kind"] == {"non-gsos": "NonGsosSource", "missing": "IOError"}[spec_kind]
 
 
 @pytest.mark.parametrize(

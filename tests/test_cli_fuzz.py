@@ -33,7 +33,7 @@ SPEC_NAMES = [t for t in POOL if t.isidentifier() and t not in KEYWORDS]
 
 _ccs = load_bundled_spec("ccs")
 NAMES = sorted(
-    {op for op, _ in _ccs.signature.operations}
+    {op for op, _ in _ccs.operations}
     | {r.name for r in _ccs.rules}
     | {r.base_name for r in _ccs.rules}
     | set(_ccs.labels)

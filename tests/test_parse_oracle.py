@@ -110,8 +110,8 @@ def old_parse_term(spec, X, text, allow_hole=False):
         if payload not in X.state_set:
             raise UnknownState(f"{payload!r} is not an ambient state")
         return Var(payload)
-    if spec.signature.has(head):
-        arity = spec.signature.arity(head)
+    if head in spec.arities:
+        arity = spec.arities[head]
         if i == len(text):
             args_text = []
         elif text[i] == "(":

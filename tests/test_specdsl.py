@@ -26,7 +26,7 @@ def test_every_expanded_rule_is_well_formed(ccs, toy):
 
     for spec in (ccs, toy):
         for r in spec.rules:
-            n = spec.signature.arity(r.op)
+            n = spec.arities[r.op]
             assert len(r.premise_labels) == n
             assert r.premise_counts == tuple(len(g) for g in r.premise_labels)
             binders = {f"x{i + 1}" for i in range(n)}

@@ -818,7 +818,7 @@ def test_steps_match_old_engine_on_closed_terms(ccs, toy, spec_name, drop):
 
 def _closed_terms(spec):
     """Closed terms over the spec's signature, of up to 12 nodes."""
-    ops = spec.signature.operations
+    ops = spec.operations
     leaves = st.sampled_from([App(op, ()) for op, n in ops if n == 0])
     nodes = lambda args: st.one_of(
         [st.tuples(*[args] * n).map(lambda xs, op=op: App(op, xs)) for op, n in ops if n]
